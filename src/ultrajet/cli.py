@@ -135,9 +135,11 @@ def _assoc_csv(M: sq.WeightSequence, path: str) -> None:
     log_h, gam, sig, om = [], [], [], []
     for lt in lts:
         log_h.append(sq.log_h_assoc(M, lt))
-        gam.append(sq.gamma_count(M, lt))
-        sig.append(sq.sigma_count(M, -lt) if -lt < M.log_mu[-1] else -1)
-        om.append(sq.omega_assoc(M, -lt))
+        # Gamma(t), Sigma(1/t) and omega(1/t) need 1/t < mu_K; -1 past that edge
+        inside = -lt < M.log_mu[-1]
+        gam.append(sq.gamma_count(M, lt) if inside else -1)
+        sig.append(sq.sigma_count(M, -lt) if inside else -1)
+        om.append(sq.omega_assoc(M, -lt) if inside else -1)
     cols.update({"log_h": log_h, "Gamma": gam, "Sigma_at_1_over_t": sig,
                  "omega_at_1_over_t": om})
     serial.write_csv(path, cols)
@@ -210,7 +212,7 @@ def cmd_extend(args) -> int:
         "matrix": {"origin": mat.origin, "rows": len(mat), "K": mat.K},
         "constants": res.constants,
         "degrees": list(res.degrees),
-        "verification": _strip_ladders(res.verification),
+        "verification": res.verification,
         "spline": {"pieces": len(res.f.coeffs), "degree": res.f.degree,
                    "span": list(res.f.span)},
     }
@@ -229,11 +231,6 @@ def cmd_extend(args) -> int:
           and res.verification["partition"]["bound_ok"]
           and res.verification["taylor_estimates"]["5.4"]["violations"] == 0)
     return EXIT_OK if ok else EXIT_FAILS
-
-
-def _strip_ladders(verif: dict) -> dict:
-    out = json.loads(json.dumps(verif, default=serial._json_default))
-    return out
 
 
 def _probe_csv(res, path: str, cfg) -> None:

@@ -19,28 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExtensionError, QuasianalyticInput
-from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
-                     report_from_log_witnesses)
+from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence, check_nonquasianalytic
 from .tails import log_suffix_sums
-from .weightfunc import WeightMatrix, check_admissible_matrix
+from .weightfunc import (WeightMatrix, best_partners, check_admissible_matrix,
+                         domination_table, existential_verdict, partner_table)
 
 P_GRID_DEFAULT = (1, 2, 4, 8, 16)
-
-
-def _existential_verdict(missing, n_rows: int, K: int, worst, note: str) -> CheckReport:
-    """HOLDS when every row is witnessed or the unwitnessed ones are the
-    sampling boundary (a suffix of the parameter order)."""
-    from .weightfunc import _is_param_suffix
-    if worst is None:
-        return CheckReport(NOT_WITNESSED, K, note=note + "; no row witnessed")
-    if missing and not _is_param_suffix(missing, n_rows):
-        return CheckReport(NOT_WITNESSED, K,
-                           note=note + f"; rows {missing} not witnessed in sample")
-    sfx = (f"; top rows {missing} lack partners (sampling boundary)"
-           if missing else "")
-    return CheckReport(HOLDS, K, witness_constant=worst.witness_constant,
-                       note=note + sfx)
 
 
 @dataclass(frozen=True)
@@ -119,93 +104,65 @@ def log_phi_pk_all(M: WeightSequence, N: WeightSequence, p: int, K_eff: int) -> 
     return out
 
 
-def _pair_tail_witness(N: WeightSequence, Ndot: WeightSequence,
+def _log_tail(Ndot: WeightSequence) -> np.ndarray:
+    """log sum_{l >= k} 1/nudot_l for k = 1..K, with the estimated tail."""
+    return log_suffix_sums(-Ndot.log_mu, rel_cap=None)[0]
+
+
+def _pair_tail_witness(N: WeightSequence, log_T_dot: np.ndarray,
                        K_eff: int) -> np.ndarray:
-    """Log witnesses of sum_{l>=k} 1/nudot_l <= C k/nu_k on the prefix."""
-    log_T, _ = log_suffix_sums(-Ndot.log_mu, rel_cap=None)
+    """Log witnesses of sum_{l>=k} 1/nudot_l <= C k/nu_k on the prefix, from
+    the partner's ``log_T_dot = _log_tail(Ndot)``."""
     k = np.arange(1, K_eff + 1, dtype=float)
-    return log_T[:K_eff] + N.log_mu[:K_eff] - np.log(k)
+    return log_T_dot[:K_eff] + N.log_mu[:K_eff] - np.log(k)
 
 
 def check_519(mat: WeightMatrix, K_eff: int | None = None) -> ExtensionVerdict:
     """For each row N, find a sampled row Ndot with tail <~ k/nu_k."""
     K_eff = K_eff or mat.K // 2
-    pairs = []
-    constants = {}
-    worst = None
-    missing = []
-    for i, n in enumerate(mat.rows):
-        best = None
-        for j, nd in enumerate(mat.rows):
-            rep = report_from_log_witnesses(_pair_tail_witness(n, nd, K_eff), K_eff)
-            if rep.holds and (best is None or rep.witness_constant < best[1].witness_constant):
-                best = (j, rep)
-        if best is None:
-            missing.append(i)
-        else:
-            pairs.append((i, best[0]))
-            constants[f"{i}->{best[0]}"] = best[1].witness_constant
-            if worst is None or best[1].witness_constant > worst.witness_constant:
-                worst = best[1]
-    rep = _existential_verdict(missing, len(mat.rows), K_eff, worst,
-                               "sum_{l>=k} 1/nudot_l <= C k/nu_k per row")
-    return ExtensionVerdict("5.19", rep, tuple(pairs), constants)
+    rows = mat.rows
+    tails = [_log_tail(nd) for nd in rows]
+    partners = best_partners(partner_table(
+        len(rows), lambda i, j: _pair_tail_witness(rows[i], tails[j], K_eff), K_eff))
+    rep = existential_verdict(partners, len(rows), K_eff,
+                              "sum_{l>=k} 1/nudot_l <= C k/nu_k per row")
+    return ExtensionVerdict(
+        "5.19", rep, tuple((i, j) for i, (j, _) in partners.items()),
+        {f"{i}->{j}": r.witness_constant for i, (j, r) in partners.items()})
 
 
 def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
               K_eff: int | None = None) -> ExtensionVerdict:
-    """phi-weakened condition: tail of Ndot dominated by k / phi_{p,k}^{N,Ndot}."""
+    """phi-weakened condition: tail of Ndot dominated by k / phi_{p,k}^{N,Ndot}.
+
+    One partner table per p; each row takes the smallest witness over all
+    (Ndot, p), ties to the smallest Ndot, then the smallest p.
+    """
     K_eff = K_eff or mat.K // 2
-    pairs = []
-    constants = {}
-    worst = None
-    missing = []
-    for i, n in enumerate(mat.rows):
-        best = None
-        for j, nd in enumerate(mat.rows):
-            log_T, _ = log_suffix_sums(-nd.log_mu, rel_cap=None)
-            log_tail = log_T[:K_eff]
-            k = np.arange(1, K_eff + 1, dtype=float)
-            for p in p_grid:
-                log_phi = log_phi_pk_all(n, nd, p, K_eff)
-                rep = report_from_log_witnesses(log_tail + log_phi - np.log(k), K_eff)
-                if rep.holds and (best is None or rep.witness_constant < best[2].witness_constant):
-                    best = (j, p, rep)
-        if best is None:
-            missing.append(i)
-        else:
-            pairs.append((i, best[0], best[1]))
-            constants[f"{i}->{best[0]},p={best[1]}"] = best[2].witness_constant
-            if worst is None or best[2].witness_constant > worst.witness_constant:
-                worst = best[2]
-    rep = _existential_verdict(missing, len(mat.rows), K_eff, worst,
-                               "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
-    return ExtensionVerdict("5.18", rep, tuple(pairs), constants)
+    rows = mat.rows
+    n = len(rows)
+    tails = [_log_tail(nd)[:K_eff] for nd in rows]
+    log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
+    tables = {p: partner_table(
+        n, lambda i, j: tails[j] + log_phi_pk_all(rows[i], rows[j], p, K_eff) - log_k,
+        K_eff) for p in p_grid}
+    partners = best_partners(
+        [[tables[p][i][j] for j in range(n) for p in p_grid] for i in range(n)],
+        labels=[(j, p) for j in range(n) for p in p_grid])
+    rep = existential_verdict(partners, n, K_eff,
+                              "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
+    return ExtensionVerdict(
+        "5.18", rep, tuple((i, j, p) for i, ((j, p), _) in partners.items()),
+        {f"{i}->{j},p={p}": r.witness_constant for i, ((j, p), r) in partners.items()})
 
 
 def check_517(mat: WeightMatrix) -> ExtensionVerdict:
-    """Root domination: each row N has a sampled Ndot with nu_k <= C Ndot_k^{1/k}."""
-    K = mat.K
-    pairs = []
-    worst = None
-    missing = []
-    for i, n in enumerate(mat.rows):
-        best = None
-        for j, nd in enumerate(mat.rows):
-            k = np.arange(1, K + 1)
-            rep = report_from_log_witnesses(n.log_mu - nd.log_M[1:] / k, K)
-            if rep.holds and (best is None or rep.witness_constant < best[1].witness_constant):
-                best = (j, rep)
-        if best is None:
-            missing.append(i)
-        else:
-            pairs.append((i, best[0]))
-            if worst is None or best[1].witness_constant > worst.witness_constant:
-                worst = best[1]
-    rep = _existential_verdict(missing, len(mat.rows), K,
-                               worst if not missing or worst is not None else None,
-                               "nu_k <= C Ndot_k^{1/k} per row")
-    return ExtensionVerdict("5.17", rep, tuple(pairs))
+    """Root domination: each row N has a sampled Ndot with nu_k <= C Ndot_k^{1/k}
+    (Def 4.6 item 4)."""
+    partners = best_partners(domination_table(mat, 4))
+    rep = existential_verdict(partners, len(mat.rows), mat.K,
+                              "nu_k <= C Ndot_k^{1/k} per row")
+    return ExtensionVerdict("5.17", rep, tuple((i, j) for i, (j, _) in partners.items()))
 
 
 def lemma_510_coherent(mat: WeightMatrix, p_grid=P_GRID_DEFAULT) -> dict:

@@ -13,7 +13,7 @@ Everything is verified numerically after construction; the constants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,12 +81,8 @@ class CutoffFamily:
     A: float
     delta: float               # 1 / h_s(1/3)
     B: float                   # 1 / (6 delta A)
+    p_cap: int                 # largest order p at which A was validated
     conv_depth: int = 24
-    p_cap: int = field(default=0)
-
-    def __post_init__(self):
-        if self.p_cap == 0:
-            object.__setattr__(self, "p_cap", self.D.K_eff - 2)
 
     def log_h_small_s(self, log_t: float) -> float:
         return log_h_assoc(self.D.small_s, log_t)
@@ -99,21 +95,22 @@ class CutoffFamily:
                                      + math.log(t - 1.0)))
 
 
-def make_cutoff_family(D: Descendant, Ndot: WeightSequence, conv_depth: int = 24,
-                       probe_ps=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)) -> CutoffFamily:
-    """Search the smallest power-of-two A validating the ratio-sum bound for
-    a spread of orders p, then freeze delta and B."""
+def make_cutoff_family(D: Descendant, Ndot: WeightSequence,
+                       conv_depth: int = 24) -> CutoffFamily:
+    """Search the smallest power-of-two A validating the ratio-sum bound at
+    every order p = 1..p_cap, p_cap = min(K_eff - 2, 64), then freeze delta
+    and B.  :func:`build_cutoff` never uses an order above p_cap."""
+    p_cap = min(D.K_eff - 2, 64)
     A = 1.0
     for _ in range(60):
-        if all(alpha_sequence(D, Ndot, p, A).valid
-               for p in probe_ps if p <= D.K_eff - 2):
+        if all(alpha_sequence(D, Ndot, p, A).valid for p in range(1, p_cap + 1)):
             break
         A *= 2.0
     else:
         raise CutoffError("no A up to 2^60 validates the ratio sum", code="A_TOO_SMALL")
     delta = math.exp(min(-log_h_assoc(D.small_s, -math.log(3.0)), 700.0))
     B = 1.0 / (6.0 * delta * A)
-    return CutoffFamily(D, Ndot, A, delta, B, conv_depth)
+    return CutoffFamily(D, Ndot, A, delta, B, p_cap, conv_depth)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
 
     The box widths are the alpha quotients scaled by (t - 1); the order p is
     the largest with sigma*_p <= 2A / (eps (t-1) / delta), clamped to the
-    stored prefix.  Convolutions stop at the family depth or when widths
+    family's p_cap.  Convolutions stop at the family depth or when widths
     fall below representable spacing; the declared smoothness order is the
     number of convolutions minus one, and callers needing derivative orders
     beyond that get DEPTH_INSUFFICIENT.

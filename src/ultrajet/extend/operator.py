@@ -19,9 +19,9 @@ from scipy.special import gammaln
 from ..descend import Descendant, descend
 from ..errors import ExtensionError, PrefixExhausted
 from ..jets import Jet, eval_taylor_deriv, fit_jet_constants, jet_norm_profile, taylor_coeffs_local
-from ..report import HOLDS, report_from_log_witnesses
-from ..seqcalc import WeightSequence, gamma_count, log_h_assoc
-from ..weightfunc import WeightMatrix
+from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
+                       h_power_log_constant, log_h_assoc)
+from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
 from .cutoffs import CutoffFamily, CutoffResult, build_cutoff, make_cutoff_family
 from .ppoly import PiecewisePolynomial, constant_on, from_poly, shift_poly
@@ -64,33 +64,28 @@ def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
         phi = (psi * prod).trimmed()
         prod = prod - phi
         funcs.append(phi)
-    A410 = lemma410_constant(fam.D.small_s,
-                             landing_small_s if landing_small_s is not None
-                             else fam.D.small_s, cover.n0)
-    B1 = fam.B * (OVERLAP_C - 1.0) / (A410 * cover.n0 * cover.b)
-    return Partition(cover, epsilon, tuple(funcs), prod, fam, B1,
-                     A410, landing_small_s if landing_small_s is not None else fam.D.small_s)
+    land = landing_small_s if landing_small_s is not None else fam.D.small_s
+    A410, B1 = lemma410_B1(fam, land, cover)
+    return Partition(cover, epsilon, tuple(funcs), prod, fam, B1, A410, land)
 
 
-def lemma410_constant(s_small: WeightSequence, s_land: WeightSequence,
-                      n0: int) -> float:
-    """Smallest power-of-two A with h_s(t) <= h_(s_land)(A t)^{n0} on a grid."""
-    lo = -float(s_small.log_mu[-1]) * 0.9
-    t_grid = np.linspace(lo, -1e-3, 48)
-    A = 1.0
-    for _ in range(60):
-        ok = True
-        for lt in t_grid:
-            lh = log_h_assoc(s_small, lt)
-            lh_land = log_h_assoc(s_land, min(lt + math.log(A), 0.0))
-            if lh > n0 * lh_land + 1e-9:
-                ok = False
-                break
-        if ok:
-            return A
-        A *= 2.0
-    raise ExtensionError("no A up to 2^60 satisfies the h-power inequality",
-                         code="ROW_CHAIN_UNAVAILABLE")
+def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n: int) -> float:
+    """Smallest power-of-two C <= 2^59 with h_num(t) <= h_den(C t)^n at 48
+    values of log t evenly spaced from -0.9 log mu_K (of ``s_num``) to -1e-3."""
+    grid = np.linspace(-0.9 * float(s_num.log_mu[-1]), -1e-3, 48)
+    e = math.ceil(h_power_log_constant(s_num, s_den, n, grid) / math.log(2.0))
+    if e > 59:
+        raise ExtensionError(f"no C up to 2^59 satisfies h_num(t) <= h_den(C t)^{n}",
+                             code="ROW_CHAIN_UNAVAILABLE")
+    return 2.0 ** e
+
+
+def lemma410_B1(fam: CutoffFamily, s_land: WeightSequence,
+                cover: WhitneyCover1D) -> tuple[float, float]:
+    """(A, B1): A of Lemma 4.10, h_s(t) <= h_(s_land)(A t)^{n0}, and the
+    partition's derivative-bound scale B1 = B (c - 1) / (A n0 b)."""
+    A = h_power_constant(fam.D.small_s, s_land, cover.n0)
+    return A, fam.B * (OVERLAP_C - 1.0) / (A * cover.n0 * cover.b)
 
 
 def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
@@ -189,19 +184,11 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
     growth.  Raises ROW_CHAIN_UNAVAILABLE when the sample cannot provide the
     links.
     """
-    def links_ok(n: WeightSequence, nd: WeightSequence) -> bool:
-        K = n.K
-        k = np.arange(1, K + 1)
-        root = report_from_log_witnesses(n.log_mu - nd.log_M[1:] / k, K)
-        half = K // 2
-        kk = np.arange(1, half + 1)
-        dbl = report_from_log_witnesses(
-            (n.log_M[2 * kk] - n.log_M[2 * kk - 1]) - nd.log_mu[kk - 1], K)
-        return root.holds and dbl.holds
+    root, dbl = domination_table(mat, 4), domination_table(mat, 5)
 
     def find_link(i: int) -> int:
         for j in range(i, len(mat.rows)):
-            if links_ok(mat.rows[i], mat.rows[j]):
+            if root[i][j].holds and dbl[i][j].holds:
                 return j
         raise ExtensionError(
             f"no sampled row dominates row {i} (need root and doubling links)",
@@ -230,39 +217,16 @@ def fit_rho(F: Jet, D: Descendant, rho_grid) -> tuple[float, float]:
 
 
 def search_lambda(S: Descendant, S_dot: Descendant) -> float:
-    """lambda < 1 with 2 Gamma_sdot(t) <= Gamma_s(lambda t) on the prefix."""
-    s = S.small_s
-    sd = S_dot.small_s
-    for lam in [2.0 ** -e for e in range(1, 30)]:
-        ok = True
-        for k1 in range(1, sd.K):
-            log_t = -float(sd.log_mu[k1 - 1]) + 1e-12
-            lt = log_t + math.log(lam)
-            if -lt > s.log_mu[-1]:
-                break  # deeper t fall off the prefix; checked as far as stored
-            i = int(np.searchsorted(s.log_mu, -lt, side="left"))
-            if 2 * k1 > i:
-                ok = False
-                break
-        if ok:
-            return lam
-    raise ExtensionError("no lambda in 2^-1..2^-29 doubles the counting function",
-                         code="ROW_CHAIN_UNAVAILABLE")
-
-
-def search_h_square_constant(s_num: WeightSequence, s_den: WeightSequence) -> float:
-    """Smallest power-of-two D with h_num(t) <= h_den(D t)^2 on a grid."""
-    lo = -float(s_num.log_mu[-1]) * 0.9
-    t_grid = np.linspace(lo, -1e-3, 48)
-    D = 1.0
-    for _ in range(60):
-        if all(log_h_assoc(s_num, lt)
-               <= 2.0 * log_h_assoc(s_den, min(lt + math.log(D), 0.0)) + 1e-9
-               for lt in t_grid):
-            return D
-        D *= 2.0
-    raise ExtensionError("no D up to 2^60 satisfies the h-square inequality",
-                         code="ROW_CHAIN_UNAVAILABLE")
+    """lambda < 1 with 2 Gamma_sdot(t) <= Gamma_s(lambda t) on the prefix
+    (:func:`~ultrajet.seqcalc.gamma_doubling_lambda` on the small rows)."""
+    lam, checked_k = gamma_doubling_lambda(S.small_s, S_dot.small_s)
+    if lam is None:
+        raise ExtensionError("no lambda in 2^-1..2^-29 doubles the counting function",
+                             code="ROW_CHAIN_UNAVAILABLE")
+    if checked_k == 0:
+        raise ExtensionError("lambda t leaves the prefix at the first binding t: "
+                             "no lambda is checked", code="ROW_CHAIN_UNAVAILABLE")
+    return lam
 
 
 def taylor_degree(S_dot: Descendant, L: float, dist: float, cfg: ExtensionConfig,
@@ -294,7 +258,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     C_fit, rho_fit = fit_rho(F, chain.S, cfg.rho_grid)
 
     lam = search_lambda(chain.S, chain.S_dot)
-    Dconst = search_h_square_constant(chain.S_dot.small_s, chain.S_ddot.small_s)
+    Dconst = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s, 2)
     half = chain.S.K_eff // 2 - 1
     kk = np.arange(1, half)
     log_s = np.concatenate([[0.0], np.cumsum(chain.S.log_sigma_star)])
@@ -316,8 +280,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
             break
         L *= 2.0
 
-    A410 = lemma410_constant(fam.D.small_s, chain.S_ddot.small_s, cover.n0)
-    B1 = fam.B * (OVERLAP_C - 1.0) / (A410 * cover.n0 * cover.b)
+    _, B1 = lemma410_B1(fam, chain.S_ddot.small_s, cover)
     epsilon = cfg.epsilon if cfg.epsilon is not None else max(
         L * cover.b * Dconst / B1, 1e-6)
     part = partition_of_unity(cover, fam, epsilon,

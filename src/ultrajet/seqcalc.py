@@ -355,56 +355,76 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
         out[n - 2] = float(np.max(w))
     rep14 = report_from_log_witnesses(out, K, note="M_{k+j} <= C^{k+j} Mdot_j Mdot_k")
 
-    # (2.12): h_M(t) <= h_Mdot(Ct)^2 on a trusted log grid of t
+    # (2.12): h_M(t) <= h_Mdot(Ct)^2 on a trusted log grid of t; the witness
+    # is log C rounded up to a half-unit grid, infinite from 1400 on
     t_grid = _trusted_t_grid(M, 64)
-    def smallest_logC_12(upto_K: int) -> float:
-        Mt = M.truncated(upto_K)
-        Dt = Mdot.truncated(upto_K)
-        for logC in np.arange(0.0, 2 * 700.0, 0.5):
-            ok = True
-            for lt in t_grid:
-                lh = float(np.min(Mt.log_M + np.arange(upto_K + 1) * lt))
-                lhd = float(np.min(Dt.log_M + np.arange(upto_K + 1) * (lt + logC)))
-                if lh > 2 * lhd + 1e-9:
-                    ok = False
-                    break
-            if ok:
-                return logC
-        return float("inf")
+
+    def logC_12(upto_K: int) -> float:
+        c = math.ceil(2.0 * h_power_log_constant(
+            M.truncated(upto_K), Mdot.truncated(upto_K), 2, t_grid)) / 2.0
+        return c if c < 1400.0 else float("inf")
 
     rep12 = report_from_prefix_witnesses(
-        smallest_logC_12(half), smallest_logC_12(K), K,
+        logC_12(half), logC_12(K), K,
         counterexample_index=K, note="h_M(t) <= h_Mdot(Ct)^2")
 
     # (2.13): lambda < 1 with 2 Gamma_Mdot(t) <= Gamma_M(lambda t)
-    lam = None
-    for cand in [2.0 ** -e for e in range(1, 30)]:
-        if _gamma_doubling_holds(M, Mdot, cand):
-            lam = cand
-            break
-    if lam is not None:
-        rep13 = CheckReport(HOLDS, K, witness_constant=lam,
-                            note="2 Gamma_Mdot(t) <= Gamma_M(lambda t); witness is lambda")
-    else:
+    lam, checked_k = gamma_doubling_lambda(M, Mdot)
+    note13 = "2 Gamma_Mdot(t) <= Gamma_M(lambda t)"
+    if lam is None:
         rep13 = CheckReport(FAILS, K, counterexample_index=K,
-                            note="no lambda in {2^-1..2^-29} validates 2 Gamma_Mdot <= Gamma_M(lambda t)")
+                            note=f"no lambda in {{2^-1..2^-29}} validates {note13}")
+    elif checked_k == 0:
+        rep13 = CheckReport(INCONCLUSIVE, K,
+                            note=note13 + "; lambda t leaves the prefix at the "
+                                          "first binding t, nothing checked",
+                            details={"checked_k": 0})
+    else:
+        rep13 = CheckReport(HOLDS, K, witness_constant=lam,
+                            note=note13 + "; witness is lambda",
+                            details={"checked_k": checked_k})
     return {"2.11": rep11, "2.12": rep12, "2.13": rep13, "2.14": rep14}
 
 
-def _gamma_doubling_holds(M: WeightSequence, Mdot: WeightSequence, lam: float) -> bool:
-    # binding t: just above 1/mudot_{k+1}, where Gamma_Mdot jumps to k+1
-    log_lam = math.log(lam)
-    for k1 in range(1, Mdot.K):
-        log_t = -Mdot.log_mu[k1 - 1] + 1e-12  # Gamma_Mdot(t) = k1 at this t
-        lt = log_t + log_lam
-        if -lt > M.log_mu[-1]:
-            return False  # lambda t fell off the prefix: cannot certify
-        i = int(np.searchsorted(M.log_mu, -lt, side="left"))
-        if 2 * k1 > i:
-            return False
-        if Mdot.log_mu[k1 - 1] > 0.5 * M.log_M[-1] / M.K:
-            break  # deep enough; remaining t are tiny and fall off the prefix
-    return True
+def h_power_log_constant(M: WeightSequence, N: WeightSequence, n: int,
+                         log_t: np.ndarray) -> float:
+    """Smallest log C >= 0 with log h_M(t) <= n log h_N(C t) + 1e-9 at every
+    grid point ``log_t``.
+
+    No search: x -> log h_N(e^x) = min_k (log N_k + k x) is concave and
+    nondecreasing, so log h_N(e^x) >= y exactly when
+    x >= max_{k >= 1} (y - log N_k) / k (the k = 0 term 0 >= y holds because
+    h_M <= 1).  The answer is the largest such x - log t over the grid.
+    """
+    lt = np.asarray(log_t, dtype=float)[:, None]
+    log_hM = np.min(M.log_M + np.arange(M.K + 1) * lt, axis=1)
+    y = (log_hM - 1e-9) / n
+    x_star = np.max((y[:, None] - N.log_M[1:]) / np.arange(1, N.K + 1), axis=1)
+    return max(0.0, float(np.max(x_star - lt[:, 0])))
+
+
+def gamma_doubling_lambda(M: WeightSequence,
+                          Mdot: WeightSequence) -> tuple[float | None, int]:
+    """Largest lambda in {2^-1, ..., 2^-29} with
+    2 Gamma_Mdot(t) <= Gamma_M(lambda t), and the number of binding t checked.
+
+    The binding t sit just above 1/mudot_k, where Gamma_Mdot jumps to k, for
+    k = 1..K-1.  For each lambda they are checked in order up to the first
+    one whose lambda t falls off M's stored prefix.  Returns
+    ``(lambda, checked_k)``; ``checked_k == 0`` means lambda t fell off at
+    the first binding t, so nothing was checked, and ``(None, 0)`` means
+    every lambda failed a checked t.
+    """
+    k1 = np.arange(1, Mdot.K)
+    for e in range(1, 30):
+        lam = 2.0 ** -e
+        lt = (-Mdot.log_mu[:-1] + 1e-12) + math.log(lam)
+        inside = -lt <= M.log_mu[-1]
+        n = len(k1) if inside.all() else int(np.argmin(inside))
+        i = np.searchsorted(M.log_mu, -lt[:n], side="left")
+        if np.all(2 * k1[:n] <= i):
+            return lam, n
+    return None, 0
 
 
 def _trusted_t_grid(M: WeightSequence, n: int) -> np.ndarray:

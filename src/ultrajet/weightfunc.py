@@ -288,10 +288,12 @@ def check_admissible_matrix(mat: WeightMatrix, check_43=None) -> dict[str, Check
         HOLDS, K, witness_constant=max(r.witness_constant for r in c43),
         note="quotient regularity (4.3) per row")
 
-    out["4.6-4"] = _existential(mat, _root_domination_witness,
-                                "nu_k <= C Ndot_k^{1/k} for some sampled row")
-    out["4.6-5"] = _existential(mat, _doubling_domination_witness,
-                                "nu_{2k} <= C nudot_k for some sampled row")
+    out["4.6-4"] = existential_verdict(
+        best_partners(domination_table(mat, 4)), len(mat.rows), K,
+        "nu_k <= C Ndot_k^{1/k} for some sampled row")
+    out["4.6-5"] = existential_verdict(
+        best_partners(domination_table(mat, 5)), len(mat.rows), K,
+        "nu_{2k} <= C nudot_k for some sampled row")
     return out
 
 
@@ -306,44 +308,58 @@ def _doubling_domination_witness(n: WeightSequence, nd: WeightSequence):
     return (n.log_M[2 * kk] - n.log_M[2 * kk - 1]) - nd.log_mu[kk - 1]
 
 
-def _existential(mat: WeightMatrix, witness_fn, note: str) -> CheckReport:
-    """For each row, search the sample for a dotted partner; report the worst
-    witnessed row.  Unwitnessed rows are listed in the note (sampling
-    boundary, not a disproof)."""
-    K = mat.K
-    witnessed = {}
-    missing = []
-    for i, n in enumerate(mat.rows):
-        best = None
-        for j, nd in enumerate(mat.rows):
-            rep = report_from_log_witnesses(witness_fn(n, nd), K)
-            if rep.holds and (best is None or rep.witness_constant < best[1].witness_constant):
-                best = (j, rep)
-        if best is None:
-            missing.append(i)
-        else:
-            witnessed[i] = best
-    if not witnessed:
+def domination_table(mat: WeightMatrix, item: int) -> list:
+    """Partner table of Def 4.6 item 4 (nu_k <= C Ndot_k^{1/k}) or item 5
+    (nu_{2k} <= C nudot_k) over the sampled rows, on the whole prefix."""
+    witness = {4: _root_domination_witness, 5: _doubling_domination_witness}[item]
+    rows = mat.rows
+    return partner_table(len(rows), lambda i, j: witness(rows[i], rows[j]), mat.K)
+
+
+def partner_table(n_rows: int, log_witness, K: int) -> list:
+    """Reports of a `row i <= C row j` condition for every ordered pair of
+    rows: entry ``[i][j]`` is ``report_from_log_witnesses(log_witness(i, j), K)``."""
+    return [[report_from_log_witnesses(log_witness(i, j), K) for j in range(n_rows)]
+            for i in range(n_rows)]
+
+
+def best_partners(table, labels=None) -> dict:
+    """Row i -> ``(label, report)`` of the holding entry of ``table[i]`` with
+    the smallest witness, ties to the first.  ``labels`` name the entries of
+    each row (default: their column index); rows with no holding entry are
+    left out."""
+    out = {}
+    for i, reps in enumerate(table):
+        held = [(lab, rep) for lab, rep in zip(labels or range(len(reps)), reps)
+                if rep.holds]
+        if held:
+            out[i] = min(held, key=lambda c: c[1].witness_constant)
+    return out
+
+
+def existential_verdict(partners: dict, n_rows: int, K: int, note: str) -> CheckReport:
+    """Verdict of "each row has a sampled partner" from :func:`best_partners`.
+
+    HOLDS with the worst partner witness when every row has a partner or the
+    rows without one form a suffix of the parameter order (the sampling
+    boundary: their partners sit past the sampled grid).  Otherwise
+    NOT_WITNESSED_IN_SAMPLE, never a disproof.
+    """
+    if not partners:
         return CheckReport(NOT_WITNESSED, K, note=note + "; no row witnessed")
-    worst = max(witnessed.values(), key=lambda t: t[1].witness_constant)
-    detail = {str(i): {"partner": j, "witness": rep.witness_constant}
-              for i, (j, rep) in witnessed.items()}
-    if missing and not _is_param_suffix(missing, len(mat.rows)):
+    missing = [i for i in range(n_rows) if i not in partners]
+    worst = max(rep.witness_constant for _, rep in partners.values())
+    detail = {str(i): {"partner": lab, "witness": rep.witness_constant}
+              for i, (lab, rep) in partners.items()}
+    if missing != list(range(n_rows - len(missing), n_rows)):
         return CheckReport(
-            NOT_WITNESSED, K, witness_constant=worst[1].witness_constant,
+            NOT_WITNESSED, K, witness_constant=worst,
             note=note + f"; unwitnessed sampled rows {missing}",
             details={"witnessed": detail, "unwitnessed_rows": missing})
     note_sfx = (f"; top rows {missing} lack partners in the sample "
                 "(sampling boundary)") if missing else ""
-    return CheckReport(HOLDS, K, witness_constant=worst[1].witness_constant,
-                       note=note + note_sfx,
+    return CheckReport(HOLDS, K, witness_constant=worst, note=note + note_sfx,
                        details={"witnessed": detail, "boundary_rows": missing})
-
-
-def _is_param_suffix(missing, n: int) -> bool:
-    """Unwitnessed rows forming a suffix of the parameter order are the
-    sampling boundary: their partners sit past the sampled grid."""
-    return sorted(missing) == list(range(n - len(missing), n))
 
 
 def check_omega_nonquasianalytic(w: WeightFunction, t_grid=None) -> dict[str, CheckReport]:

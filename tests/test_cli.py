@@ -49,6 +49,13 @@ class TestAnalyze:
         assert os.path.exists(path)
         assert open(path).readline().startswith("log_t,log_h,")
 
+    def test_short_row_associated_table(self, tmp_path):
+        # log mu_K = log 8: the log t grid runs past -log mu_K
+        spec = write(tmp_path, "g1.json", {"family": "gevrey", "params": {"s": 1}, "K": 8})
+        out = str(tmp_path / "o")
+        assert cli.main(["--out", out, "analyze", spec]) in (0, 1)
+        assert os.path.exists(os.path.join(out, "associated.csv"))
+
     def test_malformed_spec_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")

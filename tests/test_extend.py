@@ -11,7 +11,9 @@ from ultrajet.errors import ExtensionError
 from ultrajet.extend import (ExtensionConfig, check_taylor_difference_bound,
                              cutoffs, extend_jet, partition_of_unity,
                              select_row_chain, verify_partition, whitney_cover)
-from ultrajet.extend.operator import fit_rho, search_h_square_constant, search_lambda
+from hypothesis import given, settings, strategies as st
+
+from ultrajet.extend.operator import fit_rho, h_power_constant, search_lambda
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,18 @@ class TestPartition:
             assert lo >= cx - 1.5 * r - 1e-12
             assert hi <= cx + 1.5 * r + 1e-12
 
+    def test_omega2_chain_family_near_point(self, omega2_matrix):
+        # the smallest balls ask for orders p past 64; A is validated only up
+        # to the family's p_cap, and build_cutoff stays there
+        chain = select_row_chain(omega2_matrix, 0, 256)
+        fam = cutoffs.make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=24)
+        assert fam.p_cap == 64
+        cov = whitney_cover(jets.CompactSet1D(points=(0.0,)), d_min=1e-5)
+        part = partition_of_unity(cov, fam, epsilon=2.0, min_smoothness=4)
+        rep = verify_partition(part, orders=(0, 1, 2, 3, 4))
+        assert rep["sum_max_err"] < 1e-9
+        assert rep["range_ok"] and rep["support_ok"] and rep["bound_ok"]
+
     @pytest.mark.parametrize("pts", [(0.0, 1.0), (0.0, 0.1, 1.0)])
     def test_other_sets(self, gev2_family, pts):
         cov = whitney_cover(jets.CompactSet1D(points=pts), d_min=1e-4)
@@ -78,8 +92,31 @@ class TestRowChain:
         chain = select_row_chain(omega2_matrix, 0, 256)
         lam = search_lambda(chain.S, chain.S_dot)
         assert 0 < lam < 1
-        D = search_h_square_constant(chain.S_dot.small_s, chain.S_ddot.small_s)
+        D = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s, 2)
         assert D >= 1.0
+
+
+_H_POWER_ROWS = st.one_of(
+    st.builds(lambda s: sq.gevrey(s, K=64), st.floats(1.0, 3.0)),
+    st.builds(lambda A, p: sq.powerlog(A, p, K=64), st.floats(1.5, 4.0), st.floats(1.0, 1.5)))
+
+
+class TestHPowerConstant:
+    @given(num=_H_POWER_ROWS, den=_H_POWER_ROWS, n=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_smallest_power_of_two(self, num, den, n):
+        C = h_power_constant(num, den, n)
+        # the grid documented by h_power_constant
+        grid = np.linspace(-0.9 * float(num.log_mu[-1]), -1e-3, 48)
+
+        def holds_at(c):
+            return [sq.log_h_assoc(num, lt) <= n * sq.log_h_assoc(den, lt + math.log(c)) + 1e-9
+                    for lt in grid]
+
+        assert C == 2.0 ** round(math.log2(C)) and C >= 1.0
+        assert all(holds_at(C))
+        if C > 1.0:
+            assert not all(holds_at(C / 2.0))
 
 
 class TestExtendJet:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultrajet import seqcalc as sq
 from ultrajet.errors import PrefixExhausted, SequenceSpecError
-from ultrajet.report import FAILS, HOLDS, verdicts_agree
+from ultrajet.report import FAILS, HOLDS, INCONCLUSIVE, verdicts_agree
 
 
 def brute_force_log_h(M, t):
@@ -226,6 +226,18 @@ class TestGrowthChecks:
         j = mat.params.index(4.0)
         reps = sq.check_mixed_growth(mat.rows[i], mat.rows[j])
         assert reps["2.11"].verdict == HOLDS
+
+    def test_gamma_doubling_checks_every_binding_t(self, gevrey1, gevrey2):
+        # 2^-10 holds for k < 256 and fails at the binding t of k = 256
+        rep = sq.check_mixed_growth(gevrey2, gevrey1)["2.13"]
+        assert rep.verdict == HOLDS
+        assert rep.witness_constant == 2.0 ** -11
+
+    def test_gamma_doubling_nothing_checked(self, gevrey1, omega2_rho64):
+        # lambda t / mudot_1 already lies below 1/mu_K: no binding t to check
+        rep = sq.check_mixed_growth(gevrey1, omega2_rho64)["2.13"]
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.details["checked_k"] == 0
 
 
 class TestHypothesisInvariants:
