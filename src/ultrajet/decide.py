@@ -194,9 +194,9 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
         raise ExtensionError(f"matrix not admissible in sample: {hard_bad} fail",
                              code="NOT_ADMISSIBLE_IN_SAMPLE")
     verdicts = {"admissibility": {k: v.to_dict() for k, v in adm.items()}}
-    v19 = check_519(mat)
-    verdicts["5.19"] = v19.to_dict()
     coher = lemma_510_coherent(mat)
+    v19 = coher["5.19"]
+    verdicts["5.19"] = v19.to_dict()
     verdicts["5.18"] = coher["5.18"].to_dict()
     verdicts["lemma_5.10_agree"] = coher["agree"]
     headline = v19.verdict.verdict

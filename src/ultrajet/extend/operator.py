@@ -11,14 +11,15 @@ estimates that power the construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from ..descend import Descendant, descend
 from ..errors import ExtensionError, PrefixExhausted
-from ..jets import Jet, eval_taylor_deriv, fit_jet_constants, jet_norm_profile, taylor_coeffs_local
+from ..jets import (Jet, eval_taylor_deriv, fit_jet_constants, grid_constants,
+                    jet_norm_profile, taylor_coeffs_local)
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
                        h_power_log_constant, log_h_assoc)
 from ..weightfunc import WeightMatrix, domination_table
@@ -207,12 +208,7 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
 def fit_rho(F: Jet, D: Descendant, rho_grid) -> tuple[float, float]:
     """(C, rho) for the starred-form jet bounds: the smallest grid rho whose
     C is within a factor 2 of the grid limit."""
-    Cs = np.array([fit_jet_constants(F, D.log_sigma_star, r) for r in rho_grid])
-    limit = Cs[-1]
-    if limit == 0.0:
-        return 0.0, float(rho_grid[0])
-    ok = np.nonzero(Cs <= 2.0 * limit)[0]
-    i = int(ok[0])
+    Cs, i = fit_jet_constants(F, D.log_sigma_star, rho_grid)
     return float(Cs[i]), float(rho_grid[i])
 
 
@@ -512,11 +508,8 @@ def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
     if not per_k:
         return {"C_prime": 0.0, "rho_prime": 1.0, "finite": True}
     rho_grid = [2.0 ** j for j in range(-2, 24)]
-    Cs = [math.exp(min(max(w - k * math.log(r) for k, w in per_k.items()), 700.0))
-          for r in rho_grid]
-    limit = Cs[-1]
-    i = next(idx for idx, c in enumerate(Cs) if c <= 2.0 * limit)
-    return {"C_prime": Cs[i], "rho_prime": rho_grid[i],
+    Cs, i = grid_constants(list(per_k), list(per_k.values()), rho_grid)
+    return {"C_prime": float(Cs[i]), "rho_prime": rho_grid[i],
             "finite": bool(np.isfinite(Cs[i]))}
 
 

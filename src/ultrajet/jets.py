@@ -9,7 +9,7 @@ only, and reports on sets with interval components say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -102,10 +102,6 @@ class CompactSet1D:
         return out
 
 
-def nearest_point(E: CompactSet1D, x: float) -> tuple[float, float]:
-    return E.nearest_point(x)
-
-
 @dataclass(frozen=True)
 class Jet:
     """Derivative data F^k(a), 0 <= k <= order_cap, at each carried point."""
@@ -164,7 +160,6 @@ def eval_taylor_deriv(F: Jet, a: float, p: int, x: float, order: int) -> float:
     if p > F.order_cap:
         raise OrderExceeded(f"degree {p} exceeds jet cap {F.order_cap}")
     v = F.values[float(a)]
-    total = 0.0
     dx = x - a
     # sum_{k >= order} v[k] dx^{k-order} / (k-order)!
     term_pows = np.arange(0, p + 1 - order)
@@ -184,6 +179,60 @@ def remainder(F: Jet, a: float, b: float, p: int, k: int = 0) -> float:
     return float(head - np.sum(va * np.power(b - a, j) * np.exp(-gammaln(j + 1))))
 
 
+def remainder_table(F: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, dist)`` over the ordered pairs i = (a, b), a != b, of carried
+    points (a, then b, in carried order): ``R[i, p, k]`` = (R_a^p F)^k(b) for
+    k <= p < order_cap (0 for k > p), bit for bit :func:`remainder` (one
+    ``np.sum`` over the p - k + 1 terms), and ``dist[i]`` = |b - a|."""
+    cap = F.order_cap
+    pts = F.carried()
+    V = np.array([F.values[float(a)] for a in pts])
+    ia, ib = np.nonzero(~np.eye(len(pts), dtype=bool))
+    d = pts[ib] - pts[ia]
+    R = np.zeros((len(d), cap, cap))
+    for n in range(1, cap + 1):             # n = p - k + 1 terms, k = 0..cap-n
+        j = np.arange(n)
+        k = np.arange(cap - n + 1)
+        terms = (np.lib.stride_tricks.sliding_window_view(V[ia, :cap], n, axis=1)
+                 * np.power(d[:, None], j)[:, None, :] * np.exp(-gammaln(j + 1)))
+        R[:, k + n - 1, k] = V[ib, : cap - n + 1] - np.sum(terms, axis=-1)
+    return R, np.abs(d)
+
+
+def _log_order_weights(F: Jet, cap: int, log_W: np.ndarray, log_Wr: np.ndarray,
+                       log_kfac: np.ndarray) -> np.ndarray:
+    """Rho-free log weight per order n = 0..cap of F's jet-norm constraints,
+    -inf where all are 0: the larger of max_a log|F^n(a)| - log_W[n] and
+    max over pairs and k of log|(R_a^{n-1} F)^k(b)| - (n - k) log|b - a|
+    + log_kfac[n-1, k] - log_Wr[n]."""
+    V = np.array([F.values[float(a)][: cap + 1] for a in F.carried()])
+    R, dist = remainder_table(F)
+    p = np.arange(cap)[:, None]
+    k = np.arange(cap)[None, :]
+    with np.errstate(divide="ignore"):
+        w = np.max(np.log(np.abs(V)), axis=0) - log_W[: cap + 1]
+        log_r = np.max(np.log(np.abs(R[:, :cap, :cap]))
+                       - (p + 1 - k) * np.log(dist)[:, None, None],
+                       axis=0, initial=-np.inf)
+    w[1:] = np.maximum(w[1:], np.max(log_r + log_kfac, axis=1, initial=-np.inf)
+                       - log_Wr[1: cap + 1])
+    return w
+
+
+def grid_constants(orders, log_w, rho_grid,
+                   log_floor: float = -math.inf) -> tuple[np.ndarray, int]:
+    """C(rho) = exp max(log_floor, max_n (log_w_n - n log rho)) on an
+    increasing rho grid (clamped at e^700), and the index of the first rho
+    whose C is at most twice the last C.  An exact tie C = 2 C_last falls
+    either way with the rounding of exp."""
+    log_rho = np.array([math.log(r) for r in rho_grid])
+    log_C = np.max(np.asarray(log_w, dtype=float) - np.outer(log_rho, orders),
+                   axis=1, initial=log_floor)
+    # scalar math.exp: which way an exact tie falls depends on its rounding
+    C = np.array([math.exp(x) for x in np.minimum(log_C, 700.0)])
+    return C, int(np.argmax(C <= 2.0 * C[-1]))
+
+
 @dataclass(frozen=True)
 class JetNormProfile:
     rho_grid: np.ndarray
@@ -192,9 +241,6 @@ class JetNormProfile:
     not_in_class_trend: bool
     order_requirement_slope: float
     sampled_semantics: bool     # True when E has interval components
-
-    def to_rows(self):
-        return {"rho": self.rho_grid, "C": self.C_of_rho}
 
 
 def jet_norm_profile(F: Jet, M: WeightSequence, rho_grid=None) -> JetNormProfile:
@@ -209,40 +255,16 @@ def jet_norm_profile(F: Jet, M: WeightSequence, rho_grid=None) -> JetNormProfile
     if rho_grid is None:
         rho_grid = np.array([2.0 ** j for j in range(-4, 11)])
     rho_grid = np.asarray(sorted(float(r) for r in rho_grid))
-    pts = F.carried()
     cap = F.order_cap
 
-    # log of rho-free constraint ratios: order k contributions and remainder
-    # contributions at aggregate order p+1
-    per_order: dict[int, float] = {}
-    for a in pts:
-        v = F.values[float(a)]
-        for k in range(cap + 1):
-            if v[k] != 0.0:
-                lw = math.log(abs(v[k])) - M.log_M[k]
-                per_order[k] = max(per_order.get(k, -math.inf), lw)
-    for a in pts:
-        for b in pts:
-            if a == b:
-                continue
-            lab = math.log(abs(b - a))
-            for p in range(0, cap):
-                for k in range(0, p + 1):
-                    r = remainder(F, a, b, p, k)
-                    if r == 0.0:
-                        continue
-                    lw = (math.log(abs(r)) - M.log_M[p + 1]
-                          - (p + 1 - k) * lab + gammaln(p + 2 - k))
-                    per_order[p + 1] = max(per_order.get(p + 1, -math.inf), lw)
-
-    if not per_order:  # identically zero jet
-        return JetNormProfile(rho_grid, np.zeros_like(rho_grid), float(rho_grid[0]),
-                              False, 0.0, F.E.has_intervals)
-    orders = np.array(sorted(per_order))
-    log_w = np.array([per_order[k] for k in orders])
-    C_of_rho = np.array([
-        math.exp(min(np.max(log_w - orders * math.log(rho)), 700.0))
-        for rho in rho_grid])
+    # bounds of aggregate order n: |F^n(a)| and the remainders with p + 1 = n
+    p = np.arange(cap)[:, None]
+    k = np.arange(cap)[None, :]
+    per_order = _log_order_weights(F, cap, M.log_M, M.log_M,
+                                   gammaln(np.maximum(p + 2 - k, 1)))
+    orders = np.nonzero(np.isfinite(per_order))[0]
+    log_w = per_order[orders]
+    C_of_rho, i = grid_constants(orders, log_w, rho_grid)
 
     # per-order requirement trend over the top half of populated orders >= 1:
     # the class is hopeless when the rho each order demands keeps growing.
@@ -258,15 +280,15 @@ def jet_norm_profile(F: Jet, M: WeightSequence, rho_grid=None) -> JetNormProfile
             y = log_r_k[top]
             slope = float(np.polyfit(x, y, 1)[0])
             trend = slope >= 0.5 and bool(np.max(y) >= 0.0)
-    limit = C_of_rho[-1]
-    ok = np.nonzero(C_of_rho <= 2.0 * limit + 1e-300)[0]
-    verdict_rho = float(rho_grid[ok[0]]) if ok.size and not trend else None
+    verdict_rho = None if trend else float(rho_grid[i])
     return JetNormProfile(rho_grid, C_of_rho, verdict_rho, trend, slope,
                           F.E.has_intervals)
 
 
-def fit_jet_constants(F: Jet, log_sigma_star: np.ndarray, rho: float) -> float:
-    """Smallest C for the starred-form bounds at a given rho.
+def fit_jet_constants(F: Jet, log_sigma_star: np.ndarray,
+                      rho_grid) -> tuple[np.ndarray, int]:
+    """Smallest C >= 1 for the starred-form bounds at each grid rho, and the
+    index of the grid rho :func:`grid_constants` picks.
 
     These are the bounds the extension estimates consume:
     |F^k(a)| <= C rho^k S_k and
@@ -274,31 +296,11 @@ def fit_jet_constants(F: Jet, log_sigma_star: np.ndarray, rho: float) -> float:
     with S_k = k! s_k and s built from the log starred quotients.
     """
     log_s = np.concatenate([[0.0], np.cumsum(np.asarray(log_sigma_star, dtype=float))])
-    k_arr = np.arange(len(log_s))
-    log_S = log_s + gammaln(k_arr + 1)
-    pts = F.carried()
+    k = np.arange(len(log_s))
     cap = min(F.order_cap, len(log_s) - 2)
-    log_rho = math.log(rho)
-    best = 0.0
-    for a in pts:
-        v = F.values[float(a)]
-        for k in range(cap + 1):
-            if v[k] != 0.0:
-                best = max(best, math.log(abs(v[k])) - k * log_rho - log_S[k])
-    for a in pts:
-        for b in pts:
-            if a == b:
-                continue
-            lab = math.log(abs(b - a))
-            for p in range(0, cap):
-                for k in range(0, p + 1):
-                    r = remainder(F, a, b, p, k)
-                    if r == 0.0:
-                        continue
-                    lw = (math.log(abs(r)) - (p + 1) * log_rho - gammaln(k + 1)
-                          - log_s[p + 1] - (p + 1 - k) * lab)
-                    best = max(best, lw)
-    return float(math.exp(min(best, 700.0)))
+    log_w = _log_order_weights(F, cap, log_s + gammaln(k + 1), log_s,
+                               -gammaln(k[:cap] + 1))
+    return grid_constants(k[: cap + 1], log_w, rho_grid, log_floor=0.0)
 
 
 # -- builtin analytic jets ----------------------------------------------------

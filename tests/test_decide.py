@@ -99,6 +99,20 @@ class TestMatrixConditions:
         assert v["extension_property"] == "YES"
         assert v["lemma_5.10_agree"]
 
+    def test_decide_checks_519_once(self, omega2_matrix, monkeypatch):
+        calls = []
+        check_519 = dec.check_519
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check_519(*args, **kwargs)
+
+        monkeypatch.setattr(dec, "check_519", counted)
+        v = dec.decide_extension_property(omega2_matrix,
+                                          weight_function=wf.omega_s(2))
+        assert v["extension_property"] == "YES"
+        assert len(calls) == 1
+
     def test_decide_yes_gevrey2(self, gevrey2):
         mat = wf.matrix_from_rows([gevrey2], params=[1.0])
         assert dec.decide_extension_property(mat)["extension_property"] == "YES"

@@ -139,6 +139,18 @@ class TestExtendJet:
         assert res.verification["boundary"]["monotone_ok"]
         assert res.verification["growth"]["finite"]
 
+    def test_exp_interval_and_point(self, gev2_matrix):
+        E = jets.CompactSet1D(points=(2.0,), intervals=((0.0, 1.0),))
+        F = jets.sample_jet({"kind": "exp"}, E, 3)
+        res = extend_jet(F, gev2_matrix, ExtensionConfig(p_max_eval=3, d_min=1e-3))
+        v = res.verification
+        assert v["partition"]["bound_ok"]
+        assert v["boundary"]["monotone_ok"]
+        assert v["taylor_estimates"]["5.4"]["violations"] == 0
+        assert v["taylor_estimates"]["5.5"]["violations"] == 0
+        assert res.constants["C"] == pytest.approx(math.e ** 2, rel=1e-12)
+        assert res.constants["rho"] == 1.0
+
     def test_not_in_class_rejected(self, omega2_matrix):
         # k!^2 outgrows every descendant row of the log-square classes
         E = jets.CompactSet1D(points=(0.0,))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultrajet import jets
 from ultrajet import seqcalc as sq
+from ultrajet.descend import descend
 from ultrajet.errors import OrderExceeded, PoleOnSet
 
 
@@ -17,6 +18,14 @@ def two_points():
 @pytest.fixture(scope="module")
 def exp_jet(two_points):
     return jets.sample_jet({"kind": "exp"}, two_points, p_max=12)
+
+
+FAMILIES = {
+    "exp": {"kind": "exp"},
+    "sin": {"kind": "sin"},
+    "polynomial": {"kind": "polynomial", "coeffs": [1.0, -2.0, 0.5, 3.0, -0.25]},
+    "rational": {"kind": "rational", "num": [1.0, 0.5], "den": [5.0, 0.0, 1.0]},
+}
 
 
 class TestCompactSet:
@@ -164,3 +173,66 @@ class TestNormProfile:
         rhs = (jets.eval_taylor_deriv(exp_jet, 0.0, 6, x, 1)
                + c * jets.eval_taylor_deriv(Fp, 0.0, 6, x, 1))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+class TestRemainderTable:
+    @given(family=st.sampled_from(sorted(FAMILIES)),
+           cap=st.integers(min_value=1, max_value=12),
+           points=st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                           min_size=2, max_size=5, unique=True),
+           interval=st.one_of(st.none(), st.tuples(
+               st.floats(min_value=-4.0, max_value=2.0),
+               st.floats(min_value=0.01, max_value=2.0))))
+    @settings(max_examples=40, deadline=None)
+    def test_entries_equal_scalar_remainder(self, family, cap, points, interval):
+        """Every entry of the checked pairs equals remainder() exactly; sets
+        with an interval (66+ carried points) check about 150 pairs."""
+        ivs = () if interval is None else ((interval[0], interval[0] + interval[1]),)
+        E = jets.CompactSet1D(points=tuple(points), intervals=ivs)
+        F = jets.sample_jet(FAMILIES[family], E, cap)
+        R, dist = jets.remainder_table(F)
+        pts = F.carried()
+        pairs = [(a, b) for a in pts for b in pts if a != b]
+        assert R.shape == (len(pairs), cap, cap)
+        for i in range(0, len(pairs), max(1, len(pairs) // 150)):
+            a, b = pairs[i]
+            assert dist[i] == abs(b - a)
+            for p in range(cap):
+                for k in range(cap):
+                    expect = jets.remainder(F, a, b, p, k) if k <= p else 0.0
+                    assert R[i, p, k] == expect
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fit_jet_constants_brute_force(self, family):
+        E = jets.CompactSet1D(points=(-0.6, 0.25, 1.0))
+        F = jets.sample_jet(FAMILIES[family], E, 8)
+        log_sigma_star = descend(sq.gevrey(2, K=64), K_eff=32).log_sigma_star
+        rho_grid = [2.0 ** j for j in range(-3, 13)]
+        Cs, i = jets.fit_jet_constants(F, log_sigma_star, rho_grid)
+
+        log_s = np.concatenate([[0.0], np.cumsum(log_sigma_star)])
+        cap = min(F.order_cap, len(log_s) - 2)
+        pts = F.carried()
+        expect = []
+        for rho in rho_grid:
+            lr = math.log(rho)
+            best = 0.0
+            for a in pts:
+                for k in range(cap + 1):
+                    v = F.value(a, k)
+                    if v != 0.0:
+                        best = max(best, math.log(abs(v)) - k * lr - log_s[k]
+                                   - math.lgamma(k + 1))
+                for b in pts:
+                    if a == b:
+                        continue
+                    for p in range(cap):
+                        for k in range(p + 1):
+                            r = jets.remainder(F, a, b, p, k)
+                            if r != 0.0:
+                                best = max(best, math.log(abs(r)) - (p + 1) * lr
+                                           - math.lgamma(k + 1) - log_s[p + 1]
+                                           - (p + 1 - k) * math.log(abs(b - a)))
+            expect.append(math.exp(best))
+        np.testing.assert_allclose(Cs, expect, rtol=1e-12)
+        assert i == next(j for j, c in enumerate(Cs) if c <= 2.0 * Cs[-1])
