@@ -40,10 +40,6 @@ class WhitneyCover1D:
             hit |= np.abs(x - cx) < r
         return hit
 
-    def to_rows(self):
-        return {"center": np.array([b[0] for b in self.balls]),
-                "radius": np.array([b[1] for b in self.balls])}
-
 
 def whitney_cover(E: CompactSet1D, d_min: float = 1e-6,
                   margin: float = 2.0) -> WhitneyCover1D:

@@ -25,7 +25,7 @@ from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
 from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
 from .cutoffs import CutoffFamily, CutoffResult, build_cutoff, make_cutoff_family
-from .ppoly import PiecewisePolynomial, constant_on, from_poly, shift_poly
+from .ppoly import PiecewisePolynomial, constant_on, taylor_shift
 
 
 # -- partition of unity --------------------------------------------------------
@@ -338,13 +338,12 @@ def _taylor_field(F: Jet, chain: RowChain, L: float, cfg: ExtensionConfig,
     lo_w, hi_w = working
     anchors = F.carried()
     cuts = np.concatenate([[lo_w], 0.5 * (anchors[1:] + anchors[:-1]), [hi_w]])
-    pieces = None
-    for u, v, a in zip(cuts[:-1], cuts[1:], anchors):
-        if v <= u:
-            continue
-        piece = from_poly(taylor_coeffs_local(F, float(a), p_col), float(a), u, v)
-        pieces = piece if pieces is None else pieces + piece
-    return pieces, anchors, cuts, p_col
+    keep = cuts[1:] > cuts[:-1]
+    u, a = cuts[:-1][keep], anchors[keep]
+    rows = np.array([taylor_coeffs_local(F, float(x), p_col) for x in a])
+    field = PiecewisePolynomial(np.append(u, cuts[1:][keep][-1]),
+                                taylor_shift(rows, u - a), 10 ** 6)
+    return field, anchors, cuts, p_col
 
 
 def _taylor_difference(F: Jet, a_i: float, p_i: int, anchors, cuts, p_col: int,
@@ -356,31 +355,23 @@ def _taylor_difference(F: Jet, a_i: float, p_i: int, anchors, cuts, p_col: int,
     exact zeros instead of shift-path rounding residue (which the huge
     partition derivatives would otherwise amplify).
     """
-    c_i = np.zeros(max(p_i, p_col) + 1)
-    c_i[: p_i + 1] = taylor_coeffs_local(F, a_i, p_i)
     edges = np.concatenate([[slo], cuts[(cuts > slo) & (cuts < shi)], [shi]])
-    pieces = None
-    nonzero = False
-    for u, v in zip(edges[:-1], edges[1:]):
-        if v <= u:
-            continue
-        j = int(np.searchsorted(cuts, 0.5 * (u + v), side="right") - 1)
-        a_b = float(anchors[min(max(j, 0), len(anchors) - 1)])
-        if a_b == a_i and p_col == p_i:
-            diff = np.zeros(1)
-        else:
-            cb = taylor_coeffs_local(F, a_b, p_col)
-            if a_b != a_i:
-                cb = shift_poly(cb, a_i - a_b)
-            c_b = np.zeros(len(c_i))
-            c_b[: len(cb)] = cb
-            diff = c_i - c_b
-            nonzero = True
-        piece = from_poly(diff, a_i, u, v)
-        pieces = piece if pieces is None else pieces + piece
-    if pieces is None or not nonzero:
+    keep = edges[1:] > edges[:-1]
+    u, v = edges[:-1][keep], edges[1:][keep]
+    j = np.clip(np.searchsorted(cuts, 0.5 * (u + v), side="right") - 1,
+                0, len(anchors) - 1)
+    a_b = anchors[j]
+    same = (a_b == a_i) & (p_col == p_i)
+    if np.all(same):
         return None
-    return pieces
+    c_b = np.zeros((len(u), max(p_i, p_col) + 1))
+    c_b[:, : p_col + 1] = taylor_shift(
+        [taylor_coeffs_local(F, float(a), p_col) for a in a_b], a_i - a_b)
+    diff = np.zeros(c_b.shape[1])
+    diff[: p_i + 1] = taylor_coeffs_local(F, a_i, p_i)
+    diff = diff - c_b
+    diff[same] = 0.0
+    return PiecewisePolynomial(np.append(u, v[-1]), taylor_shift(diff, u - a_i), 10 ** 6)
 
 
 def _global_cutoff(E, fam: CutoffFamily, epsilon: float, cover: WhitneyCover1D,
@@ -471,16 +462,12 @@ def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig,
     """
     out = {"points": {}, "monotone_ok": True, "final_max_err": 0.0,
            "transition_zone_max": 0.0}
+    d = d0 * 2.0 ** -np.arange(n_levels)
     for a in F.E.points:
         ladders = {}
         for k in range(0, cfg.p_max_eval + 1):
-            errs = []
-            for j in range(n_levels):
-                d = d0 * 2.0 ** -j
-                err = max(abs(f(a + d, order=k) - F.value(a, k)),
-                          abs(f(a - d, order=k) - F.value(a, k)))
-                errs.append(err)
-            errs = np.array(errs)
+            errs = np.maximum(np.abs(f(a + d, order=k) - F.value(a, k)),
+                              np.abs(f(a - d, order=k) - F.value(a, k)))
             dec_ok = bool(np.all(errs[1:] <= errs[:-1] * 1.10 + 1e-12))
             ladders[k] = {"errors": errs.tolist(), "monotone": dec_ok}
             out["monotone_ok"] &= dec_ok
@@ -526,17 +513,16 @@ def _assembly_consistency(f, part: Partition, F: Jet, chain: RowChain,
     lo, hi = part.cover.working
     xs = rng.uniform(lo, hi, n_probes)
     p_col = taylor_degree(chain.S_dot, L, cfg.d_min, cfg, F.order_cap)
+    anchors = [_nearest_carried(F, F.E.nearest_point(cx)[0])
+               for cx, _ in part.cover.balls]
+    phis = np.array([phi(xs) for phi in part.functions])
     worst = 0.0
-    for x in xs:
-        a0 = _nearest_carried(F, float(x))
-        base = eval_taylor_deriv(F, a0, p_col, float(x), 0)
+    for x, pv, g, fx in zip(xs, phis.T, gcut(xs), f(xs)):
+        x = float(x)
+        base = eval_taylor_deriv(F, _nearest_carried(F, x), p_col, x, 0)
         direct = base
-        for (ball, phi, p_i) in zip(part.cover.balls, part.functions, degrees):
-            pv = phi(float(x))
-            if pv != 0.0:
-                xhat, _ = F.E.nearest_point(ball[0])
-                a_i = _nearest_carried(F, xhat)
-                direct += pv * (eval_taylor_deriv(F, a_i, p_i, float(x), 0) - base)
-        direct *= gcut(float(x))
-        worst = max(worst, abs(direct - f(float(x))))
-    return {"max_abs_gap": worst}
+        for i in np.flatnonzero(pv):
+            direct += pv[i] * (eval_taylor_deriv(F, anchors[i], degrees[i], x, 0) - base)
+        direct *= g
+        worst = max(worst, abs(direct - fx))
+    return {"max_abs_gap": float(worst)}

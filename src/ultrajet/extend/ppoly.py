@@ -1,10 +1,13 @@
 """Exact piecewise-polynomial calculus.
 
 Carrier for cutoffs, partition functions, and the assembled extension.
-Pieces hold local coefficients anchored at the left breakpoint; the
-function is zero outside the breakpoint span.  All operations (sum,
+A spline is ``breakpoints`` (n+1 increasing floats) and one float array
+``coeffs`` of shape (n, degree+1): row i holds the coefficients of piece i
+in powers of (x - breakpoints[i]), so every row is anchored at its left
+breakpoint, and ``degree`` is the last column that is nonzero in some row.
+The function is zero outside the breakpoint span.  All operations (sum,
 product, derivative, affine substitution, convolution with a normalized
-box) are exact coefficient manipulations up to float rounding.
+box) are array expressions over the rows, exact up to float rounding.
 
 Box convolution is the workhorse: convolving with width-d boxes raises the
 max piece degree by one and the smoothness order by one per pass, which is
@@ -13,85 +16,104 @@ how the bump functions acquire their controlled derivatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 DEDUP_REL_TOL = 1e-12
 
 
-def _shift_matrix(deg: int, h: float) -> np.ndarray:
-    """T with (T a)_i = sum_j a_j binom(j, i) h^{j-i}: re-anchoring by +h."""
-    j = np.arange(deg + 1)
-    log_binom = (gammaln(j + 1)[None, :] - gammaln(j + 1)[:, None]
-                 - gammaln(np.maximum(j[None, :] - j[:, None], 0) + 1))
-    powers = np.zeros((deg + 1, deg + 1))
-    diff = j[None, :] - j[:, None]
-    if h == 0.0:
-        powers = np.where(diff == 0, 1.0, 0.0)
-        return powers
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.where(diff >= 0, np.exp(log_binom) * np.float_power(h, np.maximum(diff, 0)), 0.0)
-    return powers
+@functools.lru_cache(maxsize=None)
+def _binomials(m: int) -> np.ndarray:
+    """Read-only table B[j, i] = binom(j, i) for 0 <= i, j < m."""
+    B = np.array([[math.comb(j, i) for i in range(m)] for j in range(m)], dtype=float)
+    B.flags.writeable = False
+    return B
 
 
-def shift_poly(coeffs: np.ndarray, h: float) -> np.ndarray:
-    """Coefficients of the same polynomial re-anchored h to the right.
+def taylor_shift(rows, h) -> np.ndarray:
+    """Each row of coefficients re-anchored h to the right.
 
-    p(x) = sum a_j (x - t0)^j = sum b_i (x - (t0 + h))^i.
+    sum_j a_j (x - t0)^j = sum_i b_i (x - (t0 + h))^i, row by row, with h a
+    scalar or one value per row.  Synthetic division (repeated Horner steps)
+    runs only on the rows with h != 0; the others are copied unchanged.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) == 1 or h == 0.0:
-        return coeffs.copy()
-    return _shift_matrix(len(coeffs) - 1, h) @ coeffs
+    out = np.array(rows, dtype=float, ndmin=2)
+    h = np.broadcast_to(np.asarray(h, dtype=float), out.shape[:1])
+    moved = np.flatnonzero(h != 0.0)
+    m = out.shape[1]
+    if moved.size and m > 1:
+        c = out[moved].T.copy()
+        hm = h[moved]
+        for i in range(m - 1):
+            for j in range(m - 2, i - 1, -1):
+                c[j] += hm * c[j + 1]
+        out[moved] = c.T
+    return out
 
 
-def _divided_shift(coeffs: np.ndarray, h_minus: float, d: float) -> np.ndarray:
-    """Coefficients of (p shifted by h_minus + d) - (p shifted by h_minus),
-    all divided by d, formed without the 1/d cancellation.
+def _divided_shift(rows, h_minus, d: float) -> np.ndarray:
+    """Per row, coefficients of (p shifted by h_minus + d) - (p shifted by
+    h_minus), all divided by d, formed without the 1/d cancellation.
 
     Uses (h2^n - h1^n)/d = sum_l h2^{n-1-l} h1^l with h2 = h_minus + d.
     """
-    a = np.asarray(coeffs, dtype=float)
-    deg = len(a) - 1
-    if deg < 0:
-        return np.zeros(1)
-    h1 = h_minus
-    h2 = h_minus + d
-    # pow_dd[n] = (h2^n - h1^n) / d
-    pow_dd = np.zeros(deg + 1)
-    p2 = 1.0
-    acc = 0.0
-    for n in range(1, deg + 1):
-        acc = acc * h1 + p2       # sum_{l} h2^{n-1-l} h1^l built incrementally
-        pow_dd[n] = acc
-        p2 *= h2
-    j = np.arange(deg + 1)
-    log_binom = (gammaln(j + 1)[None, :] - gammaln(j + 1)[:, None]
-                 - gammaln(np.maximum(j[None, :] - j[:, None], 0) + 1))
-    binom = np.where(j[None, :] >= j[:, None], np.exp(log_binom), 0.0)
-    diff = j[None, :] - j[:, None]
-    mat = np.where(diff >= 1, binom * pow_dd[np.maximum(diff, 0)], 0.0)
-    # the i = j diagonal contributes (h2^0 - h1^0)/d = 0; i > j contributes 0
-    return mat @ a
+    a = np.array(rows, dtype=float, ndmin=2)
+    m = a.shape[1]
+    h1 = np.broadcast_to(np.asarray(h_minus, dtype=float), a.shape[:1])
+    h2 = h1 + d
+    B = _binomials(m)
+    out = np.zeros_like(a)
+    acc = np.zeros(len(a))      # (h2^n - h1^n) / d, built incrementally
+    p2 = np.ones(len(a))        # h2^(n-1)
+    for n in range(1, m):
+        acc = acc * h1 + p2
+        p2 = p2 * h2
+        # column i gains binom(i+n, i) (h2^n - h1^n)/d a_{i+n}
+        out[:, : m - n] += np.diagonal(B, -n) * acc[:, None] * a[:, n:]
+    return out
+
+
+def _derivative_rows(c: np.ndarray, order: int) -> np.ndarray:
+    """Coefficient rows of the order-th derivative of each piece."""
+    m = c.shape[1]
+    if order == 0:
+        return c
+    if order >= m:
+        return np.zeros((len(c), 1))
+    fac = np.array([math.perm(j, order) for j in range(order, m)], dtype=float)
+    return c[:, order:] * fac
+
+
+def _horner(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Row r of c evaluated at xi[r] (local coordinates)."""
+    r = np.zeros(len(xi))
+    for col in c.T[::-1]:
+        r = r * xi + col
+    return r
 
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     breakpoints: np.ndarray
-    coeffs: tuple            # tuple of np.ndarray, one per piece
+    coeffs: np.ndarray       # (pieces, degree + 1), row i anchored at breakpoints[i]
     smoothness_order: int = -1   # continuous derivatives guaranteed by construction
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
         b.flags.writeable = False
         object.__setattr__(self, "breakpoints", b)
-        if len(b) != len(self.coeffs) + 1:
-            raise ValueError("need exactly one coefficient list per piece")
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.ndim != 2 or c.shape[1] == 0 or len(b) != len(c) + 1:
+            raise ValueError("need one coefficient row per piece")
         if np.any(np.diff(b) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
+        nz = np.flatnonzero(np.any(c != 0.0, axis=0))
+        c = c[:, : nz[-1] + 1 if nz.size else 1]
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     # -- basic queries --------------------------------------------------------
 
@@ -101,64 +123,59 @@ class PiecewisePolynomial:
 
     @property
     def degree(self) -> int:
-        return max(len(c) - 1 for c in self.coeffs)
+        return self.coeffs.shape[1] - 1
+
+    def _nonzero_rows(self) -> np.ndarray:
+        return np.flatnonzero(np.any(self.coeffs != 0.0, axis=1))
 
     def support(self) -> tuple[float, float]:
         """Smallest breakpoint window outside which all pieces are zero."""
-        nz = [i for i, c in enumerate(self.coeffs) if np.any(np.abs(c) > 0.0)]
-        if not nz:
-            return (self.breakpoints[0], self.breakpoints[0])
-        return float(self.breakpoints[nz[0]]), float(self.breakpoints[nz[-1] + 1])
+        nz = self._nonzero_rows()
+        b = self.breakpoints
+        if not nz.size:
+            return float(b[0]), float(b[0])
+        return float(b[nz[0]]), float(b[nz[-1] + 1])
 
     def __call__(self, x, order: int = 0):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x_arr)
         b = self.breakpoints
-        idx = np.searchsorted(b, x_arr, side="right") - 1
-        # right endpoint belongs to the last piece
-        idx[x_arr == b[-1]] = len(self.coeffs) - 1
-        inside = (idx >= 0) & (idx < len(self.coeffs)) & (x_arr >= b[0]) & (x_arr <= b[-1])
-        for i in np.unique(idx[inside]):
-            sel = inside & (idx == i)
-            out[sel] = _eval_local(self.coeffs[i], x_arr[sel] - b[i], order)
+        # the right endpoint belongs to the last piece
+        idx = np.clip(np.searchsorted(b, x_arr, side="right") - 1, 0, len(self.coeffs) - 1)
+        inside = (x_arr >= b[0]) & (x_arr <= b[-1])
+        idx = idx[inside]
+        out = np.zeros_like(x_arr)
+        out[inside] = _horner(_derivative_rows(self.coeffs, order)[idx],
+                              x_arr[inside] - b[idx])
         return out if np.ndim(x) else float(out[0])
 
     def derivative(self, order: int = 1) -> "PiecewisePolynomial":
-        cur = self
-        for _ in range(order):
-            new = []
-            for c in cur.coeffs:
-                if len(c) <= 1:
-                    new.append(np.zeros(1))
-                else:
-                    new.append(c[1:] * np.arange(1, len(c)))
-            cur = PiecewisePolynomial(cur.breakpoints, tuple(new),
-                                      max(-1, cur.smoothness_order - 1))
-        return cur
+        return PiecewisePolynomial(self.breakpoints,
+                                   _derivative_rows(self.coeffs, order),
+                                   max(-1, self.smoothness_order - order))
+
+    def _piece_integral_terms(self) -> np.ndarray:
+        """Entry (i, j) is c_ij w_i^(j+1) / (j+1), w_i the width of piece i."""
+        j1 = np.arange(1, self.coeffs.shape[1] + 1)
+        return self.coeffs * np.diff(self.breakpoints)[:, None] ** j1 / j1
 
     def integral(self) -> float:
-        total = math.fsum(
-            math.fsum(c[j] * w ** (j + 1) / (j + 1) for j in range(len(c)))
-            for c, w in zip(self.coeffs, np.diff(self.breakpoints)))
-        return total
+        return math.fsum(self._piece_integral_terms().ravel())
 
     def antiderivative_parts(self):
-        """Per-piece antiderivative coefficients and accumulated constants.
+        """Antiderivative coefficient rows and the total integral.
 
-        Returns (coeffs list with constant term set, total integral); the
-        antiderivative is continuous, zero at the left end of the span.
+        Returns ((pieces, degree + 2) array with the accumulated constant in
+        column 0, total); the antiderivative is continuous, zero at the left
+        end of the span.
         """
-        parts = []
+        c = self.coeffs
+        parts = np.zeros((len(c), c.shape[1] + 1))
+        parts[:, 1:] = c / np.arange(1, c.shape[1] + 1)
         running = 0.0
         comp = 0.0  # compensated summation of the running constant
-        widths = np.diff(self.breakpoints)
-        for c, w in zip(self.coeffs, widths):
-            anti = np.zeros(len(c) + 1)
-            anti[1:] = c / np.arange(1, len(c) + 1)
-            anti[0] = running
-            parts.append(anti)
-            inc = math.fsum(c[j] * w ** (j + 1) / (j + 1) for j in range(len(c)))
-            y = inc - comp
+        for i, terms in enumerate(self._piece_integral_terms()):
+            parts[i, 0] = running
+            y = math.fsum(terms) - comp
             t = running + y
             comp = (t - running) - y
             running = t
@@ -166,18 +183,15 @@ class PiecewisePolynomial:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _coeffs_on(self, u: float, i_hint: int | None = None) -> np.ndarray:
-        """Local coefficients anchored at u for the piece containing u.
-
-        u must not be interior to no piece unless outside the span, in which
-        case the zero polynomial is returned.
-        """
+    def _rows_at(self, u: np.ndarray) -> np.ndarray:
+        """Rows re-anchored at each u, of the piece containing u; zero rows
+        for u outside [first breakpoint, last breakpoint)."""
         b = self.breakpoints
-        if u < b[0] - 1e-30 or u >= b[-1]:
-            return np.zeros(1)
-        i = int(np.searchsorted(b, u, side="right") - 1)
-        i = min(max(i, 0), len(self.coeffs) - 1)
-        return shift_poly(self.coeffs[i], u - b[i])
+        i = np.clip(np.searchsorted(b, u, side="right") - 1, 0, len(self.coeffs) - 1)
+        outside = (u < b[0]) | (u >= b[-1])
+        rows = taylor_shift(self.coeffs[i], np.where(outside, 0.0, u - b[i]))
+        rows[outside] = 0.0
+        return rows
 
     def translate(self, c: float) -> "PiecewisePolynomial":
         return PiecewisePolynomial(self.breakpoints + c, self.coeffs,
@@ -187,15 +201,14 @@ class PiecewisePolynomial:
         """g(x) = f((x - center)/scale) for scale > 0."""
         if scale <= 0:
             raise ValueError("scale must be positive")
-        b = center + scale * self.breakpoints
-        new = tuple(c * scale ** -np.arange(len(c)) for c in self.coeffs)
-        return PiecewisePolynomial(b, new, self.smoothness_order)
+        return PiecewisePolynomial(center + scale * self.breakpoints,
+                                   self.coeffs * scale ** -np.arange(self.degree + 1),
+                                   self.smoothness_order)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return PiecewisePolynomial(
-                self.breakpoints, tuple(c * float(other) for c in self.coeffs),
-                self.smoothness_order)
+            return PiecewisePolynomial(self.breakpoints, self.coeffs * float(other),
+                                       self.smoothness_order)
         return _combine(self, other, mul=True)
 
     __rmul__ = __mul__
@@ -218,38 +231,36 @@ class PiecewisePolynomial:
         if d <= 0:
             raise ValueError("box width must be positive")
         b = self.breakpoints
+        n = len(b) - 1
         parts, total = self.antiderivative_parts()
         new_b = _dedup(np.concatenate([b - d / 2.0, b + d / 2.0]))
-        out = []
-        for u, v in zip(new_b[:-1], new_b[1:]):
-            mid = 0.5 * (u + v)
+        u = new_b[:-1]
+        mid = 0.5 * (u + new_b[1:])
 
-            def locate(s):
-                ymid = mid + s
-                if ymid <= b[0]:
-                    return -1
-                if ymid >= b[-1]:
-                    return len(parts)
-                return min(max(int(np.searchsorted(b, ymid, side="right") - 1), 0),
-                           len(parts) - 1)
+        def locate(s):
+            """Antiderivative piece at mid + s: -1 left of the span, n right."""
+            y = mid + s
+            i = np.clip(np.searchsorted(b, y, side="right") - 1, 0, n - 1)
+            return np.where(y <= b[0], -1, np.where(y >= b[-1], n, i))
 
-            ip, im = locate(d / 2.0), locate(-d / 2.0)
-            if ip == im and 0 <= ip < len(parts):
-                h_m = (u - b[ip]) - d / 2.0
-                out.append(_divided_shift(parts[ip], h_m, d))
-                continue
-            acc = None
-            for s, sign, i in ((d / 2.0, 1.0, ip), (-d / 2.0, -1.0, im)):
-                if i < 0:
-                    c = np.zeros(1)
-                elif i >= len(parts):
-                    c = np.array([total])
-                else:
-                    c = shift_poly(parts[i], (u - b[i]) + s)
-                c = sign * c
-                acc = c if acc is None else _add_coeffs(acc, c)
-            out.append(acc / d)
-        return PiecewisePolynomial(new_b, tuple(out), self.smoothness_order + 1)
+        ip, im = locate(d / 2.0), locate(-d / 2.0)
+        same = (ip == im) & (ip >= 0) & (ip < n)
+        out = np.empty((len(u), parts.shape[1]))
+        i = ip[same]
+        out[same] = _divided_shift(parts[i], (u[same] - b[i]) - d / 2.0, d)
+
+        def anti_rows(idx, s):
+            """Antiderivative re-anchored at u + s on the rows not in ``same``."""
+            idx, uu = idx[~same], u[~same]
+            inner = (idx >= 0) & (idx < n)
+            rows = np.zeros((len(idx), parts.shape[1]))
+            k = idx[inner]
+            rows[inner] = taylor_shift(parts[k], (uu[inner] - b[k]) + s)
+            rows[idx >= n, 0] = total
+            return rows
+
+        out[~same] = (anti_rows(ip, d / 2.0) - anti_rows(im, -d / 2.0)) / d
+        return PiecewisePolynomial(new_b, out, self.smoothness_order + 1)
 
     def seam_gaps(self, order: int | None = None) -> np.ndarray:
         """Max |left - right| mismatch at interior breakpoints for derivative
@@ -257,96 +268,92 @@ class PiecewisePolynomial:
         if order is None:
             order = max(self.smoothness_order, 0)
         gaps = np.zeros(order + 1)
+        if len(self.coeffs) < 2:
+            return gaps
+        w = np.diff(self.breakpoints)[:-1]
         for q in range(order + 1):
-            dq = self.derivative(q) if q else self
-            for i in range(1, len(self.breakpoints) - 1):
-                x = self.breakpoints[i]
-                left = _eval_local(dq.coeffs[i - 1], x - dq.breakpoints[i - 1], 0)
-                right = float(dq.coeffs[i][0]) if len(dq.coeffs[i]) else 0.0
-                gaps[q] = max(gaps[q], abs(left - right))
+            dq = _derivative_rows(self.coeffs, q)
+            gaps[q] = np.max(np.abs(_horner(dq[:-1], w) - dq[1:, 0]))
         return gaps
 
     def trimmed(self) -> "PiecewisePolynomial":
         """Drop identically-zero pieces at both ends (zero-outside semantics
         make them redundant); interior zero pieces are kept."""
-        nz = [i for i, c in enumerate(self.coeffs) if np.any(c != 0.0)]
-        if not nz:
-            b = self.breakpoints
-            return PiecewisePolynomial(b[:2], (np.zeros(1),), self.smoothness_order)
+        nz = self._nonzero_rows()
+        b = self.breakpoints
+        if not nz.size:
+            return PiecewisePolynomial(b[:2], np.zeros((1, 1)), self.smoothness_order)
         lo, hi = nz[0], nz[-1]
-        return PiecewisePolynomial(self.breakpoints[lo: hi + 2],
-                                   self.coeffs[lo: hi + 1], self.smoothness_order)
+        return PiecewisePolynomial(b[lo: hi + 2], self.coeffs[lo: hi + 1],
+                                   self.smoothness_order)
 
     def restrict(self, lo: float, hi: float) -> "PiecewisePolynomial":
         """Restriction to [lo, hi] (zero outside is preserved by convention)."""
-        pieces, breaks = [], [lo]
         b = self.breakpoints
         cuts = np.unique(np.concatenate([[lo, hi], b[(b > lo) & (b < hi)]]))
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            pieces.append(self._coeffs_on(u))
-            breaks.append(v)
-        return PiecewisePolynomial(np.asarray(cuts), tuple(pieces), self.smoothness_order)
-
-
-def _eval_local(c: np.ndarray, xi, order: int):
-    if order:
-        if order >= len(c):
-            return np.zeros_like(xi) if np.ndim(xi) else 0.0
-        j = np.arange(order, len(c))
-        fac = np.exp(gammaln(j + 1) - gammaln(j - order + 1))
-        c = c[order:] * fac
-    r = np.zeros_like(xi) if np.ndim(xi) else 0.0
-    for cc in c[::-1]:
-        r = r * xi + cc
-    return r
-
-
-def _add_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    out = np.zeros(n)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
+        return PiecewisePolynomial(cuts, self._rows_at(cuts[:-1]), self.smoothness_order)
 
 
 def _dedup(pts: np.ndarray) -> np.ndarray:
+    """Sorted pts, dropping each point within DEDUP_REL_TOL * span of the
+    last point kept before it.
+
+    Each pass recomputes every decision from the previous pass's kept set;
+    a decision depends only on earlier points, so the passes settle on the
+    left-to-right greedy result.
+    """
     pts = np.sort(np.asarray(pts, dtype=float))
-    span = max(pts[-1] - pts[0], 1e-300)
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > DEDUP_REL_TOL * span:
-            keep.append(p)
-    return np.asarray(keep)
+    tol = DEDUP_REL_TOL * max(pts[-1] - pts[0], 1e-300)
+    idx = np.arange(len(pts))
+    keep = np.ones(len(pts), dtype=bool)
+    while True:
+        last_kept = np.maximum.accumulate(np.where(keep, idx, 0))[:-1]
+        new = np.concatenate([[True], pts[1:] - pts[last_kept] > tol])
+        if np.array_equal(new, keep):
+            return pts[keep]
+        keep = new
+
+
+def _mul_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row-by-row product of the polynomials in a and c."""
+    if a.shape[1] < c.shape[1]:
+        a, c = c, a
+    out = np.zeros((len(a), a.shape[1] + c.shape[1] - 1))
+    for j, col in enumerate(c.T):
+        out[:, j: j + a.shape[1]] += a * col[:, None]
+    return out
 
 
 def _combine(f: PiecewisePolynomial, g: PiecewisePolynomial, mul: bool) -> PiecewisePolynomial:
     b = _dedup(np.concatenate([f.breakpoints, g.breakpoints]))
-    pieces = []
-    for u in b[:-1]:
-        cf = f._coeffs_on(u)
-        cg = g._coeffs_on(u)
-        if mul:
-            if (len(cf) == 1 and cf[0] == 0.0) or (len(cg) == 1 and cg[0] == 0.0):
-                pieces.append(np.zeros(1))
-            else:
-                pieces.append(np.convolve(cf, cg))
-        else:
-            pieces.append(_add_coeffs(cf, cg))
     sm = min(f.smoothness_order, g.smoothness_order)
-    return PiecewisePolynomial(b, tuple(pieces), sm)
+    if mul:
+        # the product is zero unless a piece starts inside both spans
+        lo, hi = max(f.span[0], g.span[0]), min(f.span[1], g.span[1])
+        inside = np.flatnonzero((b[:-1] >= lo) & (b[:-1] < hi))
+        if not inside.size:
+            return PiecewisePolynomial(b[:2], np.zeros((1, 1)), sm)
+        b = b[inside[0]: inside[-1] + 2]
+        return PiecewisePolynomial(
+            b, _mul_rows(f._rows_at(b[:-1]), g._rows_at(b[:-1])), sm)
+    cf, cg = f._rows_at(b[:-1]), g._rows_at(b[:-1])
+    out = np.zeros((len(cf), max(cf.shape[1], cg.shape[1])))
+    out[:, : cf.shape[1]] += cf
+    out[:, : cg.shape[1]] += cg
+    return PiecewisePolynomial(b, out, sm)
 
 
 def indicator(lo: float, hi: float) -> PiecewisePolynomial:
-    return PiecewisePolynomial(np.array([lo, hi]), (np.array([1.0]),), -1)
+    return PiecewisePolynomial(np.array([lo, hi]), np.ones((1, 1)), -1)
 
 
 def constant_on(lo: float, hi: float, value: float = 1.0,
                 smoothness: int = 10 ** 6) -> PiecewisePolynomial:
-    return PiecewisePolynomial(np.array([lo, hi]), (np.array([value]),), smoothness)
+    return PiecewisePolynomial(np.array([lo, hi]), np.full((1, 1), value), smoothness)
 
 
 def from_poly(coeffs_about_a, a: float, lo: float, hi: float,
               smoothness: int = 10 ** 6) -> PiecewisePolynomial:
     """One-piece pp on [lo, hi] from coefficients about the point a."""
-    c = shift_poly(np.asarray(coeffs_about_a, dtype=float), lo - a)
-    return PiecewisePolynomial(np.array([lo, hi]), (c,), smoothness)
+    return PiecewisePolynomial(np.array([lo, hi]),
+                               taylor_shift(coeffs_about_a, lo - a), smoothness)

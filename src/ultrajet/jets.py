@@ -207,13 +207,16 @@ def _log_order_weights(F: Jet, cap: int, log_W: np.ndarray, log_Wr: np.ndarray,
     + log_kfac[n-1, k] - log_Wr[n]."""
     V = np.array([F.values[float(a)][: cap + 1] for a in F.carried()])
     R, dist = remainder_table(F)
-    p = np.arange(cap)[:, None]
-    k = np.arange(cap)[None, :]
+    R = R[:, :cap, :cap]
+    k = np.arange(cap)
     with np.errstate(divide="ignore"):
         w = np.max(np.log(np.abs(V)), axis=0) - log_W[: cap + 1]
-        log_r = np.max(np.log(np.abs(R[:, :cap, :cap]))
-                       - (p + 1 - k) * np.log(dist)[:, None, None],
-                       axis=0, initial=-np.inf)
+        # reduced in place: the table is the only array of its size
+        np.log(np.abs(R, out=R), out=R)
+        log_d = np.log(dist)[:, None]
+        for p in range(cap):
+            R[:, p] -= (p + 1 - k) * log_d
+        log_r = np.max(R, axis=0, initial=-np.inf)
     w[1:] = np.maximum(w[1:], np.max(log_r + log_kfac, axis=1, initial=-np.inf)
                        - log_Wr[1: cap + 1])
     return w

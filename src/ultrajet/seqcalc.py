@@ -62,9 +62,6 @@ class WeightSequence:
         k = np.arange(self.K + 1)
         return self.log_M - gammaln(k + 1)
 
-    def value(self, k: int) -> float:
-        return float(math.exp(min(self.log_M[k], 700.0)))
-
     def truncated(self, K_new: int) -> "WeightSequence":
         if K_new > self.K:
             raise PrefixExhausted(f"prefix has K={self.K}, asked for {K_new}")

@@ -168,10 +168,8 @@ def descendant_csv_columns(N: WeightSequence, D) -> dict:
 
 def ppoly_csv_columns(pp) -> dict:
     """Flat spline table: piece index, breakpoints, then coefficients."""
-    deg = pp.degree
-    n = len(pp.coeffs)
-    cols = {"piece": np.arange(n),
+    cols = {"piece": np.arange(len(pp.coeffs)),
             "left": pp.breakpoints[:-1], "right": pp.breakpoints[1:]}
-    for j in range(deg + 1):
-        cols[f"c{j}"] = np.array([c[j] if j < len(c) else 0.0 for c in pp.coeffs])
+    for j, col in enumerate(pp.coeffs.T):
+        cols[f"c{j}"] = col
     return cols

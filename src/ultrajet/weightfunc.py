@@ -182,9 +182,6 @@ class WeightMatrix:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> WeightSequence:
-        return self.rows[i]
-
     def pointwise_ordered(self) -> bool:
         tol = 1e-9
         for a, b in zip(self.rows[:-1], self.rows[1:]):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ultrajet.extend import ppoly
 
@@ -81,7 +81,7 @@ class TestAlgebra:
 
     def test_shift_poly_roundtrip(self):
         c = np.array([1.0, -2.0, 0.5, 3.0])
-        back = ppoly.shift_poly(ppoly.shift_poly(c, 0.7), -0.7)
+        back = ppoly.taylor_shift(ppoly.taylor_shift([c], 0.7), -0.7)[0]
         assert np.allclose(back, c, atol=1e-12)
 
     def test_trimmed(self):
@@ -102,7 +102,7 @@ class TestAlgebra:
     def test_shift_invariance(self, h, x):
         c = np.array([0.3, 1.0, -0.25, 0.05])
         val_orig = sum(cc * (x - 0.0) ** j for j, cc in enumerate(c))
-        shifted = ppoly.shift_poly(c, h)
+        shifted = ppoly.taylor_shift([c], h)[0]
         val_shift = sum(cc * (x - h) ** j for j, cc in enumerate(shifted))
         assert val_shift == pytest.approx(val_orig, rel=1e-9, abs=1e-9)
 
@@ -111,9 +111,9 @@ class TestDividedShift:
     def test_matches_plain_difference(self):
         c = np.array([0.5, 1.5, -0.7, 0.2, 0.04])
         h1, d = 0.3, 0.05
-        direct = (ppoly.shift_poly(c, -(h1 + d)) - ppoly.shift_poly(c, -h1)) / d
+        direct = (ppoly.taylor_shift([c], -(h1 + d)) - ppoly.taylor_shift([c], -h1))[0] / d
         # _divided_shift computes coefficients of [p(h1+d+xi) - p(h1+xi)]/d
-        dd = ppoly._divided_shift(c, h1, d)
+        dd = ppoly._divided_shift([c], h1, d)[0]
         xs = np.linspace(-0.2, 0.2, 9)
         for x in xs:
             lhs = sum(cc * x ** j for j, cc in enumerate(dd))
@@ -124,5 +124,88 @@ class TestDividedShift:
     def test_no_cancellation_for_tiny_width(self):
         # linear piece: result must be the exact slope even for width 1e-9
         c = np.array([5.0, 1.0])
-        dd = ppoly._divided_shift(c, 0.25, 1e-9)
+        dd = ppoly._divided_shift([c], 0.25, 1e-9)[0]
         assert dd[0] == pytest.approx(1.0, rel=1e-14)
+
+
+def _reference(b, c, x, order=0):
+    """Piece-by-piece evaluation with numpy.polynomial, zero outside the span."""
+    out = np.zeros(len(x))
+    for i, xv in enumerate(x):
+        if b[0] <= xv <= b[-1]:
+            j = min(int(np.searchsorted(b, xv, side="right")) - 1, len(c) - 1)
+            coef = np.polynomial.polynomial.polyder(c[j], order) if order else c[j]
+            out[i] = np.polynomial.polynomial.polyval(xv - b[j], coef)
+    return out
+
+
+@st.composite
+def splines(draw):
+    n = draw(st.integers(2, 6))
+    deg = draw(st.integers(0, 5))
+    start = draw(st.floats(-2.0, -1.0))
+    widths = draw(st.lists(st.floats(0.01, 0.5), min_size=n, max_size=n))
+    b = start + np.concatenate([[0.0], np.cumsum(widths)])
+    c = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * (deg + 1),
+                      max_size=n * (deg + 1)))
+    return ppoly.PiecewisePolynomial(b, np.reshape(c, (n, deg + 1)), 0)
+
+
+def _majorant(f, x):
+    """sum_j |c_ij| (x - b_i)^j: the scale of the rounding in f(x)."""
+    return ppoly.PiecewisePolynomial(f.breakpoints, np.abs(f.coeffs))(x)
+
+
+class TestArrayOperations:
+    @given(f=splines(), g=splines(), seed=st.integers(0, 2 ** 32 - 1),
+           lo=st.floats(-2.0, 0.0), hi=st.floats(0.5, 2.0),
+           center=st.floats(-1.0, 1.0), scale=st.floats(0.25, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_random_splines_match_pointwise(self, f, g, seed, lo, hi, center, scale):
+        # breakpoints of f and g closer than the merge tolerance are merged by design
+        gaps = np.diff(np.union1d(f.breakpoints, g.breakpoints))
+        assume(np.all(gaps > 1e-6))
+        x = np.random.default_rng(seed).uniform(-2.5, 2.5, 50)
+        cuts = np.concatenate([f.breakpoints, g.breakpoints, [lo, hi]])
+        x = x[np.min(np.abs(x[:, None] - cuts[None, :]), axis=1) > 1e-6]
+        fx, gx = _reference(f.breakpoints, f.coeffs, x), _reference(g.breakpoints, g.coeffs, x)
+        tol = 1e-12 * (_majorant(f, x) + 1.0) * (_majorant(g, x) + 1.0)
+        assert np.all(np.abs((f * g)(x) - fx * gx) <= tol)
+        assert np.all(np.abs((f + g)(x) - (fx + gx)) <= tol)
+        assert np.all(np.abs((f - g)(x) - (fx - gx)) <= tol)
+        inside = (x > lo) & (x < hi)
+        assert np.all(np.abs(f.restrict(lo, hi)(x) - np.where(inside, fx, 0.0)) <= tol)
+        df = _reference(f.breakpoints, f.coeffs, x, order=1)
+        dtol = 1e-12 * (5.0 * _majorant(f, x) + 1.0)
+        assert np.all(np.abs(f.derivative()(x) - df) <= dtol)
+        assert np.all(np.abs(f(x, order=1) - df) <= dtol)
+        y = (x - center) / scale
+        y_ok = np.min(np.abs(y[:, None] - f.breakpoints[None, :]), axis=1) > 1e-6
+        ref = _reference(f.breakpoints, f.coeffs, y[y_ok])
+        err = np.abs(f.compose_affine(center, scale)(x[y_ok]) - ref)
+        assert np.all(err <= 1e-12 * (_majorant(f, y[y_ok]) + 1.0))
+
+    def test_degree_ignores_trailing_zero_columns(self):
+        f = ppoly.PiecewisePolynomial(np.array([0.0, 1.0, 2.0]),
+                                      np.array([[1.0, 2.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]]))
+        assert f.degree == 1 and f.coeffs.shape == (2, 2)
+        q = ppoly.from_poly([1.0, 0.0, 1.0], 0.0, -1.0, 1.0)
+        assert (q - q).degree == 0
+        assert (q + ppoly.from_poly([0.0, 0.0, -1.0], 0.0, -1.0, 1.0)).degree == 0
+
+    def test_product_stores_only_the_overlap(self, trapezoid):
+        prod = ppoly.constant_on(-5.0, 5.0) - trapezoid.compose_affine(-2.0, 1.0)
+        psi = trapezoid.compose_affine(2.0, 0.5)
+        p = psi * prod
+        assert p.span == (1.0, 3.0)
+        merged = np.union1d(prod.breakpoints, psi.breakpoints)
+        assert len(p.coeffs) == np.count_nonzero((merged >= 1.0) & (merged < 3.0))
+        xs = np.linspace(-5.0, 5.0, 301)
+        assert np.allclose(p(xs), psi(xs) * prod(xs), atol=1e-14)
+
+    def test_product_keeps_piece_with_merged_overlap_end(self):
+        # g's breakpoint 1 - 1e-13 absorbs f's right end 1 (dedup tolerance)
+        f = ppoly.constant_on(0.0, 1.0)
+        g = ppoly.PiecewisePolynomial(np.array([-1.0, 1.0 - 1e-13, 2.0]),
+                                      np.array([[2.0], [3.0]]))
+        assert (f * g)(1.0 - 0.5e-13) == 3.0
