@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtensionError, QuasianalyticInput
+from .errors import (ExtensionError, PrefixExhausted, QuasianalyticInput,
+                     UltrajetError)
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence, check_nonquasianalytic
 from .tails import log_suffix_sums
@@ -88,20 +89,40 @@ def check_14(M: WeightSequence, N: WeightSequence) -> CheckReport:
 
 
 def phi_pk(M: WeightSequence, N: WeightSequence, p: int, k: int) -> float:
-    """phi_{p,k} = sup_{0 <= j < k} (M_k / (p^k N_j))^{1/(k-j)}, log-domain."""
+    """phi_{p,k} = sup_{0 <= j < k} (M_k / (p^k N_j))^{1/(k-j)}: the last entry
+    of :func:`log_phi_pk_all`, exponentiated under the 700 clamp."""
     if k < 1:
-        raise ValueError("phi_pk needs k >= 1")
-    j = np.arange(0, k)
-    logs = (M.log_M[k] - k * math.log(p) - N.log_M[j]) / (k - j)
-    return float(math.exp(min(np.max(logs), 700.0)))
+        raise UltrajetError(f"phi_pk needs k >= 1, got k={k}", code="BAD_INDEX")
+    return float(math.exp(min(log_phi_pk_all(M, N, (p,), k)[0, -1], 700.0)))
 
 
-def log_phi_pk_all(M: WeightSequence, N: WeightSequence, p: int, K_eff: int) -> np.ndarray:
-    out = np.empty(K_eff)
-    for k in range(1, K_eff + 1):
-        j = np.arange(0, k)
-        out[k - 1] = np.max((M.log_M[k] - k * math.log(p) - N.log_M[j]) / (k - j))
+def log_phi_pk_all(M: WeightSequence, N: WeightSequence, p_grid,
+                   K_eff: int) -> np.ndarray:
+    """log phi_{p,k} for every p in ``p_grid`` and k = 1..K_eff, as a
+    (len(p_grid), K_eff) array.
+
+    Entry (k, j) of the masked table is (log M_k - k log p - log N_j) / (k - j)
+    for j < k and -inf above the diagonal; row k's max is log phi_{p,k}.  Each
+    entry is the scalar definition's IEEE expression and a max does not depend
+    on evaluation order, so the rows equal the definition bit for bit.
+    """
+    _require_prefix(K_eff, min(M.K, N.K + 1), "phi_{p,k}")
+    k = np.arange(1, K_eff + 1)
+    d = np.subtract.outer(k, np.arange(K_eff))                 # k - j
+    log_N = np.where(d > 0, N.log_M[:K_eff], np.inf)          # j >= k gives -inf
+    d = np.maximum(d, 1).astype(float)
+    out = np.empty((len(p_grid), K_eff))
+    table = np.empty((K_eff, K_eff))
+    for row, p in zip(out, p_grid):
+        np.subtract((M.log_M[1:K_eff + 1] - k * math.log(p))[:, None], log_N, out=table)
+        table /= d
+        table.max(axis=1, out=row)
     return out
+
+
+def _require_prefix(K_eff: int, K: int, what: str) -> None:
+    if K_eff > K:
+        raise PrefixExhausted(f"{what} on k <= {K_eff} needs K >= K_eff (K={K})")
 
 
 def _log_tail(Ndot: WeightSequence) -> np.ndarray:
@@ -120,6 +141,7 @@ def _pair_tail_witness(N: WeightSequence, log_T_dot: np.ndarray,
 def check_519(mat: WeightMatrix, K_eff: int | None = None) -> ExtensionVerdict:
     """For each row N, find a sampled row Ndot with tail <~ k/nu_k."""
     K_eff = K_eff or mat.K // 2
+    _require_prefix(K_eff, mat.K, "5.19")
     rows = mat.rows
     tails = [_log_tail(nd) for nd in rows]
     partners = best_partners(partner_table(
@@ -135,20 +157,21 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
               K_eff: int | None = None) -> ExtensionVerdict:
     """phi-weakened condition: tail of Ndot dominated by k / phi_{p,k}^{N,Ndot}.
 
-    One partner table per p; each row takes the smallest witness over all
-    (Ndot, p), ties to the smallest Ndot, then the smallest p.
+    One phi table per ordered row pair covers the whole p grid; each row
+    takes the smallest witness over all (Ndot, p), ties to the smallest Ndot,
+    then the smallest p.
     """
     K_eff = K_eff or mat.K // 2
+    _require_prefix(K_eff, mat.K, "5.18")
     rows = mat.rows
     n = len(rows)
     tails = [_log_tail(nd)[:K_eff] for nd in rows]
     log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
-    tables = {p: partner_table(
-        n, lambda i, j: tails[j] + log_phi_pk_all(rows[i], rows[j], p, K_eff) - log_k,
-        K_eff) for p in p_grid}
-    partners = best_partners(
-        [[tables[p][i][j] for j in range(n) for p in p_grid] for i in range(n)],
-        labels=[(j, p) for j in range(n) for p in p_grid])
+    table = [[report_from_log_witnesses(log_w, K_eff)
+              for j in range(n)
+              for log_w in tails[j] + log_phi_pk_all(rows[i], rows[j], p_grid, K_eff) - log_k]
+             for i in range(n)]
+    partners = best_partners(table, labels=[(j, p) for j in range(n) for p in p_grid])
     rep = existential_verdict(partners, n, K_eff,
                               "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
     return ExtensionVerdict(
@@ -170,10 +193,15 @@ def lemma_510_coherent(mat: WeightMatrix, p_grid=P_GRID_DEFAULT) -> dict:
     domination.  Returns the three verdicts plus an agreement flag; callers
     surface disagreement as a diagnostic."""
     v17 = check_517(mat)
+    v18, v19, agree = _lemma_510(v17.verdict, mat, p_grid)
+    return {"5.17": v17, "5.18": v18, "5.19": v19, "agree": agree}
+
+
+def _lemma_510(rep_517: CheckReport, mat: WeightMatrix, p_grid) -> tuple:
+    """5.18, 5.19 and whether they agree, given the root-domination report."""
     v18 = check_518(mat, p_grid)
     v19 = check_519(mat)
-    agree = (v17.verdict.verdict != HOLDS) or (v18.verdict.verdict == v19.verdict.verdict)
-    return {"5.17": v17, "5.18": v18, "5.19": v19, "agree": agree}
+    return v18, v19, (rep_517.verdict != HOLDS) or (v18.verdict.verdict == v19.verdict.verdict)
 
 
 def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
@@ -194,11 +222,11 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
         raise ExtensionError(f"matrix not admissible in sample: {hard_bad} fail",
                              code="NOT_ADMISSIBLE_IN_SAMPLE")
     verdicts = {"admissibility": {k: v.to_dict() for k, v in adm.items()}}
-    coher = lemma_510_coherent(mat)
-    v19 = coher["5.19"]
+    # 5.17 is Def 4.6 item 4: admissibility's report already holds it
+    v18, v19, agree = _lemma_510(adm["4.6-4"], mat, P_GRID_DEFAULT)
     verdicts["5.19"] = v19.to_dict()
-    verdicts["5.18"] = coher["5.18"].to_dict()
-    verdicts["lemma_5.10_agree"] = coher["agree"]
+    verdicts["5.18"] = v18.to_dict()
+    verdicts["lemma_5.10_agree"] = agree
     headline = v19.verdict.verdict
     if weight_function is not None:
         from .weightfunc import check_omega_nonquasianalytic

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 
 class UltrajetError(Exception):
-    """Base error with a stable machine-readable code."""
+    """Base error with a stable machine-readable code.
+
+    Codes raised on the base class: BAD_INDEX (an index outside the range a
+    definition accepts, such as phi_{p,k} with k < 1).
+    """
 
     code = "INTERNAL"
 
@@ -60,4 +64,5 @@ class CutoffError(UltrajetError):
 
 
 class ExtensionError(UltrajetError):
-    """Codes: JET_NOT_IN_CLASS, ROW_CHAIN_UNAVAILABLE, NOT_ADMISSIBLE_IN_SAMPLE."""
+    """Codes: JET_NOT_IN_CLASS, ROW_CHAIN_UNAVAILABLE, NOT_ADMISSIBLE_IN_SAMPLE,
+    COVER_INCOMPLETE."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ExtensionError
 from ..jets import CompactSet1D
 
 RADIUS_RATIO = 0.25      # r_i = d(x_i) / 4
@@ -131,6 +132,6 @@ def _verify_coverage(cov: WhitneyCover1D, n_probes: int = 1000):
     need = d >= cov.d_min
     missed = need & ~cov.covers(xs)
     if np.any(missed):
-        raise AssertionError(
+        raise ExtensionError(
             f"cover misses {np.count_nonzero(missed)} probes, first at "
-            f"x={xs[missed][0]:.6g} (d={d[missed][0]:.3g})")
+            f"x={xs[missed][0]:.6g} (d={d[missed][0]:.3g})", code="COVER_INCOMPLETE")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from ultrajet import descend as dsc
 from ultrajet import seqcalc as sq
-from ultrajet.errors import CutoffError
+from ultrajet.errors import CutoffError, ExtensionError
 from ultrajet.extend import cover as cov_mod
 from ultrajet.extend import cutoffs
 from ultrajet.jets import CompactSet1D
@@ -99,6 +100,14 @@ class TestWhitneyCover:
         xs = np.linspace(cov.working[0], cov.working[1], 1000)
         need = E.distance(xs) >= cov.d_min
         assert np.all(cov.covers(xs)[need])
+
+    def test_gap_is_coded(self):
+        cov = cov_mod.whitney_cover(CompactSet1D(points=(0.0,)), d_min=1e-6)
+        widest = max(cov.balls, key=lambda b: b[1])
+        gappy = dataclasses.replace(cov, balls=tuple(b for b in cov.balls if b != widest))
+        with pytest.raises(ExtensionError) as exc:
+            cov_mod._verify_coverage(gappy)
+        assert exc.value.code == "COVER_INCOMPLETE"
 
     def test_single_point_symmetric(self):
         cov = cov_mod.whitney_cover(CompactSet1D(points=(0.0,)), d_min=1e-6)

@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrajet import decide as dec
 from ultrajet import seqcalc as sq
 from ultrajet import weightfunc as wf
-from ultrajet.errors import QuasianalyticInput
+from ultrajet.errors import PrefixExhausted, QuasianalyticInput, UltrajetError
 from ultrajet.report import HOLDS
+
+
+def _log_phi_pk_oracle(M, N, p, K_eff):
+    """The scalar definition: one max over j < k per k."""
+    out = np.empty(K_eff)
+    for k in range(1, K_eff + 1):
+        j = np.arange(0, k)
+        out[k - 1] = np.max((M.log_M[k] - k * math.log(p) - N.log_M[j]) / (k - j))
+    return out
 
 
 class TestCheck43:
@@ -70,6 +80,39 @@ class TestPhiPk:
             assert dec.phi_pk(gevrey1, gevrey1, p, k) == pytest.approx(max(vals),
                                                                        rel=1e-9)
 
+    def test_k_below_one_is_coded(self, gevrey1):
+        with pytest.raises(UltrajetError) as exc:
+            dec.phi_pk(gevrey1, gevrey1, 1, 0)
+        assert exc.value.code == "BAD_INDEX"
+
+    def test_k_past_prefix_is_coded(self, gevrey1):
+        with pytest.raises(PrefixExhausted):
+            dec.phi_pk(gevrey1, gevrey1, 1, gevrey1.K + 1)
+
+
+class TestLogPhiTable:
+    @given(s_M=st.floats(min_value=1.5, max_value=4), s_N=st.floats(min_value=1.5, max_value=4),
+           K=st.integers(2, 96), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_scalar_definition(self, s_M, s_N, K, data):
+        M, N = sq.gevrey(s_M, K=K), sq.gevrey(s_N, K=K)
+        K_eff = data.draw(st.sampled_from([1, 2, K, data.draw(st.integers(1, K))]))
+        table = dec.log_phi_pk_all(M, N, dec.P_GRID_DEFAULT, K_eff)
+        assert table.shape == (len(dec.P_GRID_DEFAULT), K_eff)
+        for row, p in zip(table, dec.P_GRID_DEFAULT):
+            assert np.array_equal(row, _log_phi_pk_oracle(M, N, p, K_eff))
+
+    def test_past_prefix_is_coded(self, gevrey2):
+        with pytest.raises(PrefixExhausted):
+            dec.log_phi_pk_all(gevrey2, gevrey2, dec.P_GRID_DEFAULT, gevrey2.K + 1)
+
+    def test_checks_past_prefix_are_coded(self):
+        mat = wf.matrix_from_rows([sq.gevrey(2, K=16)], params=[1.0])
+        with pytest.raises(PrefixExhausted):
+            dec.check_518(mat, K_eff=17)
+        with pytest.raises(PrefixExhausted):
+            dec.check_519(mat, K_eff=17)
+
 
 class TestMatrixConditions:
     def test_519_omega2(self, omega2_matrix):
@@ -112,6 +155,21 @@ class TestMatrixConditions:
                                           weight_function=wf.omega_s(2))
         assert v["extension_property"] == "YES"
         assert len(calls) == 1
+
+    def test_decide_builds_two_domination_tables(self, omega2_matrix, monkeypatch):
+        calls = []
+        domination_table = wf.domination_table
+
+        def counted(mat, item):
+            calls.append(item)
+            return domination_table(mat, item)
+
+        monkeypatch.setattr(wf, "domination_table", counted)
+        monkeypatch.setattr(dec, "domination_table", counted)
+        v = dec.decide_extension_property(omega2_matrix,
+                                          weight_function=wf.omega_s(2))
+        assert v["extension_property"] == "YES"
+        assert sorted(calls) == [4, 5]
 
     def test_decide_yes_gevrey2(self, gevrey2):
         mat = wf.matrix_from_rows([gevrey2], params=[1.0])
