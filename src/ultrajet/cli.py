@@ -131,18 +131,19 @@ def _assoc_csv(M: sq.WeightSequence, path: str) -> None:
     hi = -float(M.log_mu[0]) if M.log_mu[0] > 0 else -1e-3
     hi = min(hi, -1e-3)
     lts = np.linspace(min(lo, hi - 5.0), hi, 200)
-    cols = {"log_t": lts}
-    log_h, gam, sig, om = [], [], [], []
-    for lt in lts:
-        log_h.append(sq.log_h_assoc(M, lt))
-        # Gamma(t), Sigma(1/t) and omega(1/t) need 1/t < mu_K; -1 past that edge
-        inside = -lt < M.log_mu[-1]
-        gam.append(sq.gamma_count(M, lt) if inside else -1)
-        sig.append(sq.sigma_count(M, -lt) if inside else -1)
-        om.append(sq.omega_assoc(M, -lt) if inside else -1)
-    cols.update({"log_h": log_h, "Gamma": gam, "Sigma_at_1_over_t": sig,
-                 "omega_at_1_over_t": om})
-    serial.write_csv(path, cols)
+    # Gamma(t), Sigma(1/t) and omega(1/t) need 1/t < mu_K; -1 past that edge
+    inside = -lts < M.log_mu[-1]
+
+    def per_point(fn, sign):
+        return [fn(M, sign * lt) if ok else -1 for lt, ok in zip(lts, inside)]
+
+    serial.write_csv(path, {
+        "log_t": lts,
+        "log_h": sq.log_h_assoc(M, lts),
+        "Gamma": per_point(sq.gamma_count, 1.0),
+        "Sigma_at_1_over_t": per_point(sq.sigma_count, -1.0),
+        "omega_at_1_over_t": per_point(sq.omega_assoc, -1.0),
+    })
 
 
 def cmd_descend(args) -> int:

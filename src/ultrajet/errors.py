@@ -60,9 +60,11 @@ class ConjugateUnbounded(UltrajetError):
 
 
 class CutoffError(UltrajetError):
-    """Codes: A_TOO_SMALL, DEPTH_INSUFFICIENT, WIDTH_BUDGET."""
+    """Codes: A_TOO_SMALL, BAD_INDEX (an interpolation order p < 1),
+    DEPTH_INSUFFICIENT, NON_POSITIVE (a cutoff with eps <= 0 or t <= 1),
+    WIDTH_BUDGET."""
 
 
 class ExtensionError(UltrajetError):
     """Codes: JET_NOT_IN_CLASS, ROW_CHAIN_UNAVAILABLE, NOT_ADMISSIBLE_IN_SAMPLE,
-    COVER_INCOMPLETE."""
+    COVER_INCOMPLETE, NON_POSITIVE (a cover with d_min <= 0)."""

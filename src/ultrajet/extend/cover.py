@@ -50,8 +50,8 @@ def whitney_cover(E: CompactSet1D, d_min: float = 1e-6,
     constants (a, b) and the overlap count n0 of the c-inflated intervals,
     and returns them with the cover.
     """
-    if d_min <= 0:
-        raise ValueError("d_min must be positive")
+    if not d_min > 0:
+        raise ExtensionError(f"d_min must be positive, got {d_min}", code="NON_POSITIVE")
     lo_E, hi_E = E.hull
     lo, hi = lo_E - margin, hi_E + margin
     balls: list[tuple[float, float]] = []

@@ -6,6 +6,11 @@ then a multiple of the growth row), chosen so that the width sum stays
 below 1 and the k-th derivative is bounded by eps^k Ndot_k over the
 h-function of the descendant at scale eps (t - 1).
 
+The bump depends on eps only through the order p of its interpolation
+sequence (:func:`cutoff_order`): two cutoffs with equal p, t and requested
+smoothness are the same spline, so callers building many of them key their
+cache on p.
+
 Everything is verified numerically after construction; the constants
 (A, delta, B) are searched or computed, never assumed.
 """
@@ -49,7 +54,7 @@ def alpha_sequence(D: Descendant, Ndot: WeightSequence, p: int, A: float,
     geometric tail bound past the stored prefix) stays at most 1.
     """
     if p < 1:
-        raise ValueError("alpha_sequence needs p >= 1")
+        raise CutoffError(f"alpha_sequence needs p >= 1, got {p}", code="BAD_INDEX")
     K_avail = min(D.K_eff - 1, Ndot.K)
     p_used = min(p, K_avail - 1)
     n = K_avail if n_terms is None else min(n_terms, K_avail)
@@ -124,35 +129,41 @@ class CutoffResult:
     lattice_only: bool
 
 
+def cutoff_order(fam: CutoffFamily, epsilon: float, t: float) -> int:
+    """The order p of the interpolation sequence of phi_{eps,t}: the largest
+    with sigma*_p <= 2A / (eps (t-1) / delta), clamped to 1..p_cap.
+
+    Raises ``CutoffError`` NON_POSITIVE unless eps > 0 and t > 1.
+    """
+    if not (epsilon > 0.0 and t > 1.0):
+        raise CutoffError(f"cutoff needs epsilon > 0 and t > 1, got "
+                          f"epsilon={epsilon}, t={t}", code="NON_POSITIVE")
+    eta_t = epsilon * (t - 1.0) / fam.delta
+    log_bound = math.log(2.0 * fam.A) - math.log(eta_t)
+    if log_bound < 0.0:
+        return 1        # eta past the top of the scale: reuse the coarsest bump
+    p = int(np.searchsorted(fam.D.log_sigma_star, log_bound, side="right"))
+    return max(1, min(p, fam.p_cap))
+
+
 def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
                  min_smoothness: int | None = None) -> CutoffResult:
     """phi_{eps,t}: 1 on [-1, 1], 0 outside (-t, t), derivative bounds per
     the family.
 
-    The box widths are the alpha quotients scaled by (t - 1); the order p is
-    the largest with sigma*_p <= 2A / (eps (t-1) / delta), clamped to the
-    family's p_cap.  Convolutions stop at the family depth or when widths
-    fall below representable spacing; the declared smoothness order is the
-    number of convolutions minus one, and callers needing derivative orders
-    beyond that get DEPTH_INSUFFICIENT.
+    The box widths are the alpha quotients of order p = :func:`cutoff_order`
+    scaled by (t - 1), so eps enters only through p.  Convolutions stop at
+    the family depth or when widths fall below representable spacing; the
+    declared smoothness order is the number of convolutions minus one, and
+    callers needing derivative orders beyond that get DEPTH_INSUFFICIENT.
     """
-    if t <= 1.0:
-        raise ValueError("build_cutoff needs t > 1")
-    if epsilon <= 0.0:
-        raise ValueError("build_cutoff needs epsilon > 0")
+    p = cutoff_order(fam, epsilon, t)
     # Convolutions beyond the claimed smoothness only shrink the derivative
     # bounds we never assert; stopping there keeps the piece count linear in
     # the lattice regime and geometric only over claimed orders.
     depth_cap = fam.conv_depth if min_smoothness is None else min(
         fam.conv_depth, max(min_smoothness + 1, 2))
     lam = t - 1.0
-    eta_t = epsilon * lam / fam.delta
-    log_bound = math.log(2.0 * fam.A) - math.log(eta_t)
-    if log_bound < 0.0:
-        p = 1           # eta past the top of the scale: reuse the coarsest bump
-    else:
-        p = int(np.searchsorted(fam.D.log_sigma_star, log_bound, side="right"))
-        p = max(1, min(p, fam.p_cap))
     alpha = alpha_sequence(fam.D, fam.Ndot, p, fam.A, n_terms=None)
     if not alpha.valid:
         raise CutoffError(f"ratio sum {alpha.ratio_sum:.4f} > 1 at p={p}, A={fam.A}",

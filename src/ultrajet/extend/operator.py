@@ -24,7 +24,8 @@ from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
                        h_power_log_constant, log_h_assoc)
 from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
-from .cutoffs import CutoffFamily, CutoffResult, build_cutoff, make_cutoff_family
+from .cutoffs import (CutoffFamily, CutoffResult, build_cutoff, cutoff_order,
+                      make_cutoff_family)
 from .ppoly import PiecewisePolynomial, constant_on, taylor_shift
 
 
@@ -44,97 +45,111 @@ class Partition:
 
 def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
                        min_smoothness: int | None = None,
-                       landing_small_s: WeightSequence | None = None) -> Partition:
+                       landing_small_s: WeightSequence | None = None,
+                       lemma410_A: float | None = None) -> Partition:
     """Telescoped family phi_j = psi_j prod_{k<j} (1 - psi_k).
 
     psi_i is the family cutoff at epsilon r_i / n0 rescaled to the ball;
     the running product is maintained as 1 - sum(phi) so each step is one
-    local multiply and one local subtract.
+    local multiply and one local subtract.  The cutoff depends on
+    epsilon r_i / n0 only through its order, so one is built per order.
+    ``lemma410_A`` is A of Lemma 4.10 for this family, landing row and
+    cover (h_s(t) <= h_land(A t)^{n0}) when the caller has it already.
     """
     lo, hi = cover.working
     prod = constant_on(lo, hi, 1.0)
     funcs = []
-    cache: dict[float, CutoffResult] = {}
+    cache: dict[int, CutoffResult] = {}
     for (cx, r) in cover.balls:
         eps_i = epsilon * r / cover.n0
-        key = round(math.log(eps_i), 9)
-        if key not in cache:
-            cache[key] = build_cutoff(fam, eps_i, OVERLAP_C,
-                                      min_smoothness=min_smoothness)
-        psi = cache[key].pp.compose_affine(cx, r)
+        p = cutoff_order(fam, eps_i, OVERLAP_C)
+        if p not in cache:
+            cache[p] = build_cutoff(fam, eps_i, OVERLAP_C,
+                                    min_smoothness=min_smoothness)
+        psi = cache[p].pp.compose_affine(cx, r)
         phi = (psi * prod).trimmed()
         prod = prod - phi
         funcs.append(phi)
     land = landing_small_s if landing_small_s is not None else fam.D.small_s
-    A410, B1 = lemma410_B1(fam, land, cover)
-    return Partition(cover, epsilon, tuple(funcs), prod, fam, B1, A410, land)
+    A410 = (lemma410_A if lemma410_A is not None
+            else h_power_constant(fam.D.small_s, land, cover.n0))
+    return Partition(cover, epsilon, tuple(funcs), prod, fam,
+                     lemma410_B1(fam, cover, A410), A410, land)
 
 
-def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n: int) -> float:
+def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n):
     """Smallest power-of-two C <= 2^59 with h_num(t) <= h_den(C t)^n at 48
-    values of log t evenly spaced from -0.9 log mu_K (of ``s_num``) to -1e-3."""
+    values of log t evenly spaced from -0.9 log mu_K (of ``s_num``) to -1e-3.
+
+    ``n`` is a scalar (a float is returned) or a 1-D array (a list, one C
+    per entry, from one pass over h_num)."""
     grid = np.linspace(-0.9 * float(s_num.log_mu[-1]), -1e-3, 48)
-    e = math.ceil(h_power_log_constant(s_num, s_den, n, grid) / math.log(2.0))
-    if e > 59:
+    e = np.ceil(np.asarray(h_power_log_constant(s_num, s_den, n, grid)) / math.log(2.0))
+    if np.any(e > 59):
         raise ExtensionError(f"no C up to 2^59 satisfies h_num(t) <= h_den(C t)^{n}",
                              code="ROW_CHAIN_UNAVAILABLE")
-    return 2.0 ** e
+    return (2.0 ** e).tolist()
 
 
-def lemma410_B1(fam: CutoffFamily, s_land: WeightSequence,
-                cover: WhitneyCover1D) -> tuple[float, float]:
-    """(A, B1): A of Lemma 4.10, h_s(t) <= h_(s_land)(A t)^{n0}, and the
-    partition's derivative-bound scale B1 = B (c - 1) / (A n0 b)."""
-    A = h_power_constant(fam.D.small_s, s_land, cover.n0)
-    return A, fam.B * (OVERLAP_C - 1.0) / (A * cover.n0 * cover.b)
+def lemma410_B1(fam: CutoffFamily, cover: WhitneyCover1D, A: float) -> float:
+    """The partition's derivative-bound scale B1 = B (c - 1) / (A n0 b), from
+    A of Lemma 4.10: h_s(t) <= h_land(A t)^{n0}."""
+    return fam.B * (OVERLAP_C - 1.0) / (A * cover.n0 * cover.b)
 
 
 def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
                      n_probes: int = 1000, rng=None) -> dict:
     """Sum-to-one, range, support containment, and the derivative bound
-    |phi_i^(b)| <= eps^b Ndot_b / h(B1 eps d(x)) in log domain."""
+    |phi_i^(b)| <= eps^b Ndot_b / h(B1 eps d(x)) in log domain.
+
+    One pass over the functions: each phi_i is evaluated once on the probe
+    grid, and log h once per probe with d(x) > 0 before the pass.
+    """
     rng = np.random.default_rng(0) if rng is None else rng
     cov = part.cover
     lo, hi = cov.working
     xs = np.linspace(lo, hi, n_probes)
-    covered = cov.covers(xs) & (cov.E.distance(xs) >= cov.d_min)
-    s = sum(f(xs) for f in part.functions)
-    out = {
-        "sum_max_err": float(np.max(np.abs(s[covered] - 1.0))) if np.any(covered) else 0.0,
-        "range_ok": all(bool(np.all((f(xs) >= -1e-12) & (f(xs) <= 1 + 1e-12)))
-                        for f in part.functions),
-    }
-    sup_ok = True
+    d_all = cov.E.distance(xs)
+    pos = d_all > 0
+    log_nd = np.concatenate([[0.0], np.cumsum(part.fam.Ndot.log_mu)])
+    log_b1_eps = math.log(part.B1) + math.log(part.epsilon)
+    log_h = np.zeros(len(xs))
+    # math.log, as in the bound's scalar form: NumPy's vector log can round
+    # the last bit differently, and the margins are reported
+    log_h[pos] = log_h_assoc(part.landing_small_s,
+                             log_b1_eps + np.array([math.log(d) for d in d_all[pos]]))
+
+    s = np.zeros(len(xs))
+    range_ok = sup_ok = True
+    worst = {k: -math.inf for k in orders}
+    viol = {k: 0 for k in orders}
     for f, (cx, r) in zip(part.functions, cov.balls):
+        v = f(xs)
+        s += v
+        range_ok &= bool(np.all((v >= -1e-12) & (v <= 1 + 1e-12)))
         slo, shi = f.support()
         if slo < cx - cov.c * r - 1e-12 or shi > cx + cov.c * r + 1e-12:
             sup_ok = False
-    out["support_ok"] = sup_ok
-
-    worst = {k: -math.inf for k in orders}
-    viol = {k: 0 for k in orders}
-    d_all = cov.E.distance(xs)
-    log_nd = np.concatenate([[0.0], np.cumsum(part.fam.Ndot.log_mu)])
-    log_b1_eps = math.log(part.B1) + math.log(part.epsilon)
-    for f in part.functions:
-        slo, shi = f.support()
-        sel = (xs > slo) & (xs < shi) & (d_all > 0)
+        sel = (xs > slo) & (xs < shi) & pos
         if not np.any(sel):
             continue
         for k in orders:
             if k > max(f.smoothness_order, 0) + 1:
                 continue
-            lhs = np.log(np.maximum(np.abs(f(xs[sel], order=k)), 1e-300))
-            rhs = np.array([
-                k * math.log(part.epsilon) + log_nd[k]
-                - log_h_assoc(part.landing_small_s, log_b1_eps + math.log(dv))
-                for dv in d_all[sel]])
+            fk = v[sel] if k == 0 else f(xs[sel], order=k)
+            lhs = np.log(np.maximum(np.abs(fk), 1e-300))
+            rhs = k * math.log(part.epsilon) + log_nd[k] - log_h[sel]
             viol[k] += int(np.sum(lhs > rhs + 1e-9))
             worst[k] = max(worst[k], float(np.max(lhs - rhs)))
-    out["bound_violations"] = viol
-    out["bound_margins"] = worst
-    out["bound_ok"] = all(v == 0 for v in viol.values())
-    return out
+    covered = cov.covers(xs) & (d_all >= cov.d_min)
+    return {
+        "sum_max_err": float(np.max(np.abs(s[covered] - 1.0))) if np.any(covered) else 0.0,
+        "range_ok": range_ok,
+        "support_ok": sup_ok,
+        "bound_violations": viol,
+        "bound_margins": worst,
+        "bound_ok": all(n == 0 for n in viol.values()),
+    }
 
 
 # -- the extension operator ------------------------------------------------------
@@ -198,11 +213,9 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
     i0 = base_row
     i1 = find_link(i0)
     i2 = find_link(i1)
-    base, dot, ddot = mat.rows[i0], mat.rows[i1], mat.rows[i2]
-    return RowChain(base, dot, ddot, (i0, i1, i2),
-                    descend(base, K_eff=K_eff),
-                    descend(dot, K_eff=K_eff),
-                    descend(ddot, K_eff=K_eff))
+    desc = {i: descend(mat.rows[i], K_eff=K_eff) for i in dict.fromkeys((i0, i1, i2))}
+    return RowChain(mat.rows[i0], mat.rows[i1], mat.rows[i2], (i0, i1, i2),
+                    desc[i0], desc[i1], desc[i2])
 
 
 def fit_rho(F: Jet, D: Descendant, rho_grid) -> tuple[float, float]:
@@ -254,7 +267,6 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     C_fit, rho_fit = fit_rho(F, chain.S, cfg.rho_grid)
 
     lam = search_lambda(chain.S, chain.S_dot)
-    Dconst = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s, 2)
     half = chain.S.K_eff // 2 - 1
     kk = np.arange(1, half)
     log_s = np.concatenate([[0.0], np.cumsum(chain.S.log_sigma_star)])
@@ -264,6 +276,10 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
 
     cover = whitney_cover(F.E, d_min=cfg.d_min, margin=cfg.margin)
     fam = make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=cfg.K_conv)
+    # D (n = 2) and A of Lemma 4.10 (n = n0, landing in s_ddot) compare the
+    # same two rows, so one pass over h_(s_dot) gives both
+    Dconst, A410 = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s,
+                                    [2, cover.n0])
 
     D1 = 4.0 / lam
     L = cfg.L if cfg.L is not None else max(D1 * max(rho_fit, 1.0), 1.0)
@@ -276,12 +292,11 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
             break
         L *= 2.0
 
-    _, B1 = lemma410_B1(fam, chain.S_ddot.small_s, cover)
     epsilon = cfg.epsilon if cfg.epsilon is not None else max(
-        L * cover.b * Dconst / B1, 1e-6)
+        L * cover.b * Dconst / lemma410_B1(fam, cover, A410), 1e-6)
     part = partition_of_unity(cover, fam, epsilon,
                               min_smoothness=min(cfg.p_max_eval, cfg.K_conv - 2),
-                              landing_small_s=chain.S_ddot.small_s)
+                              landing_small_s=chain.S_ddot.small_s, lemma410_A=A410)
 
     # Stable assembly: with base the nearest-anchor Taylor field (degree as
     # at d_min) and sum(phi) + leftover == 1 exactly by construction,

@@ -155,11 +155,17 @@ def validate_sequence(log_M: np.ndarray, family_tag: str) -> WeightSequence:
 
 # -- associated functions ----------------------------------------------------
 
-def _log_terms(M: WeightSequence, log_t: float) -> np.ndarray:
-    """log(M_k t^k) for k = 0..K; t = 0 (log t = -inf) has no finite terms."""
-    if not log_t > -math.inf:
+# Entries of the (points x K+1) term table that log_h_assoc builds at once.
+_LOG_H_BLOCK = 1 << 14
+
+
+def _log_terms(M: WeightSequence, log_t) -> np.ndarray:
+    """log(M_k t^k) for k = 0..K, one row per entry of ``log_t`` (a single
+    row for a scalar); t = 0 (log t = -inf) has no finite terms."""
+    lt = np.asarray(log_t, dtype=float)
+    if not np.all(lt > -math.inf):
         raise ValueError(f"h needs t > 0, got log t = {log_t}")
-    return M.log_M + np.arange(M.K + 1) * log_t
+    return M.log_M + np.arange(M.K + 1) * lt[..., None]
 
 
 def h_assoc(M: WeightSequence, log_t: float):
@@ -178,9 +184,20 @@ def h_assoc(M: WeightSequence, log_t: float):
     return math.exp(m), k, bool(k < M.K)
 
 
-def log_h_assoc(M: WeightSequence, log_t: float) -> float:
-    """log h(t) at ``log_t = log t``; raises ``ValueError`` at log t = -inf."""
-    return float(np.min(_log_terms(M, log_t)))
+def log_h_assoc(M: WeightSequence, log_t):
+    """log h(t) at ``log_t = log t``, a scalar (a float is returned) or an
+    array (an array of its shape); raises ``ValueError`` at log t = -inf.
+
+    Points are taken in blocks of at most ``_LOG_H_BLOCK`` table entries, so
+    a long grid never holds the whole (points x K+1) term table.
+    """
+    lt = np.asarray(log_t, dtype=float)
+    flat = lt.reshape(-1)
+    out = np.empty(len(flat))
+    step = max(1, _LOG_H_BLOCK // (M.K + 1))
+    for i in range(0, len(flat), step):
+        out[i: i + step] = np.min(_log_terms(M, flat[i: i + step]), axis=1)
+    return float(out[0]) if lt.ndim == 0 else out.reshape(lt.shape)
 
 
 def gamma_count(M: WeightSequence, log_t: float) -> int:
@@ -383,21 +400,21 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
     return {"2.11": rep11, "2.12": rep12, "2.13": rep13, "2.14": rep14}
 
 
-def h_power_log_constant(M: WeightSequence, N: WeightSequence, n: int,
-                         log_t: np.ndarray) -> float:
+def h_power_log_constant(M: WeightSequence, N: WeightSequence, n,
+                         log_t: np.ndarray):
     """Smallest log C >= 0 with log h_M(t) <= n log h_N(C t) + 1e-9 at every
-    grid point ``log_t``.
+    grid point ``log_t``.  ``n`` is a scalar (a float is returned) or a 1-D
+    array (a list, one log C per entry, from one pass over h_M).
 
     No search: x -> log h_N(e^x) = min_k (log N_k + k x) is concave and
     nondecreasing, so log h_N(e^x) >= y exactly when
     x >= max_{k >= 1} (y - log N_k) / k (the k = 0 term 0 >= y holds because
     h_M <= 1).  The answer is the largest such x - log t over the grid.
     """
-    lt = np.asarray(log_t, dtype=float)[:, None]
-    log_hM = np.min(M.log_M + np.arange(M.K + 1) * lt, axis=1)
-    y = (log_hM - 1e-9) / n
-    x_star = np.max((y[:, None] - N.log_M[1:]) / np.arange(1, N.K + 1), axis=1)
-    return max(0.0, float(np.max(x_star - lt[:, 0])))
+    lt = np.asarray(log_t, dtype=float)
+    y = (log_h_assoc(M, lt) - 1e-9) / np.asarray(n, dtype=float)[..., None]
+    x_star = np.max((y[..., None] - N.log_M[1:]) / np.arange(1, N.K + 1), axis=-1)
+    return np.maximum(0.0, np.max(x_star - lt, axis=-1)).tolist()
 
 
 def gamma_doubling_lambda(M: WeightSequence,

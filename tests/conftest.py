@@ -1,3 +1,6 @@
+import functools
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,27 @@ def kplus1_sq():
     log_M = np.concatenate([[0.0], np.cumsum(2.0 * np.log(k + 1.0))])
     return sq.make_sequence({"family": "table",
                              "params": {"log_values": log_M}, "K": K})
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` wraps ``fn`` under every ultrajet module attribute
+    that holds it (callers look the name up in their own module) and returns
+    the list that receives each call's positional arguments."""
+    def install(fn):
+        calls = []
+
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        holders = [(mod, name) for modname, mod in list(sys.modules.items())
+                   if modname == "ultrajet" or modname.startswith("ultrajet.")
+                   for name, obj in list(vars(mod).items()) if obj is fn]
+        assert holders, f"no ultrajet module holds {fn.__name__}"
+        for mod, name in holders:
+            monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install

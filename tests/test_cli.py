@@ -112,6 +112,14 @@ class TestExtendCmd:
         assert os.path.exists(os.path.join(out, "probes.csv"))
         assert os.path.exists(os.path.join(out, "plot_extension.gp"))
 
+    def test_zero_epsilon_is_coded(self, tmp_path, om2_spec, capsys):
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        code = cli.main(["--out", str(tmp_path / "o"), "extend", jet, om2_spec,
+                         "--d-min", "1e-3", "--p-max-eval", "4", "--epsilon", "0"])
+        assert code == 2
+        assert "error [NON_POSITIVE]" in capsys.readouterr().err
+
     def test_selftest(self):
         assert cli.main(["selftest"]) == 0
 

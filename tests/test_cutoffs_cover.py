@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ultrajet import descend as dsc
 from ultrajet import seqcalc as sq
 from ultrajet.errors import CutoffError, ExtensionError
 from ultrajet.extend import cover as cov_mod
-from ultrajet.extend import cutoffs
+from ultrajet.extend import cutoffs, select_row_chain
 from ultrajet.jets import CompactSet1D
 
 
@@ -17,6 +18,12 @@ def gev2_family():
     g2 = sq.gevrey(2, K=512)
     D = dsc.descend(g2, K_eff=256)
     return cutoffs.make_cutoff_family(D, g2, conv_depth=24)
+
+
+@pytest.fixture(scope="module")
+def omega2_family(omega2_matrix):
+    chain = select_row_chain(omega2_matrix, 0, 256)
+    return cutoffs.make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=24)
 
 
 class TestAlphaSequence:
@@ -43,6 +50,12 @@ class TestAlphaSequence:
         a = cutoffs.alpha_sequence(fam.D, fam.Ndot, 4, 0.25)
         assert not a.valid
 
+    def test_order_below_one_is_coded(self, gev2_family):
+        fam = gev2_family
+        with pytest.raises(CutoffError) as err:
+            cutoffs.alpha_sequence(fam.D, fam.Ndot, 0, fam.A)
+        assert err.value.code == "BAD_INDEX"
+
 
 class TestBuildCutoff:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
@@ -66,10 +79,29 @@ class TestBuildCutoff:
         assert err.value.code == "DEPTH_INSUFFICIENT"
 
     def test_invalid_inputs(self, gev2_family):
-        with pytest.raises(ValueError):
-            cutoffs.build_cutoff(gev2_family, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cutoffs.build_cutoff(gev2_family, 0.0, 2.0)
+        for eps, t in ((1.0, 1.0), (0.0, 2.0), (-1.0, 2.0)):
+            with pytest.raises(CutoffError) as err:
+                cutoffs.build_cutoff(gev2_family, eps, t)
+            assert err.value.code == "NON_POSITIVE"
+
+    # Orders move with log10 eps on these windows: [-1, 3.5] for gevrey(2),
+    # [3.5, 8] for the omega_2 chain (both reach p_cap = 64 and p = 1).
+    @given(data=st.data(), which=st.sampled_from(["gev2", "omega2"]),
+           t=st.sampled_from([1.5, 2.0]), smooth=st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_order_equal_spline(self, gev2_family, omega2_family,
+                                      data, which, t, smooth):
+        fam, lo, hi = ((gev2_family, -1.0, 3.5) if which == "gev2"
+                       else (omega2_family, 3.5, 8.0))
+        e1 = data.draw(st.floats(lo, hi))
+        e2 = e1 + data.draw(st.floats(-0.3, 0.3))
+        eps1, eps2 = 10.0 ** e1, 10.0 ** e2
+        assume(eps1 != eps2)
+        assume(cutoffs.cutoff_order(fam, eps1, t) == cutoffs.cutoff_order(fam, eps2, t))
+        a = cutoffs.build_cutoff(fam, eps1, t, min_smoothness=smooth).pp
+        b = cutoffs.build_cutoff(fam, eps2, t, min_smoothness=smooth).pp
+        assert np.array_equal(a.breakpoints, b.breakpoints)
+        assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_omega2_chain_cutoff(self, omega2_matrix):
         mat = omega2_matrix
@@ -108,6 +140,12 @@ class TestWhitneyCover:
         with pytest.raises(ExtensionError) as exc:
             cov_mod._verify_coverage(gappy)
         assert exc.value.code == "COVER_INCOMPLETE"
+
+    def test_non_positive_d_min_is_coded(self):
+        for d_min in (0.0, -1e-3):
+            with pytest.raises(ExtensionError) as exc:
+                cov_mod.whitney_cover(CompactSet1D(points=(0.0,)), d_min=d_min)
+            assert exc.value.code == "NON_POSITIVE"
 
     def test_single_point_symmetric(self):
         cov = cov_mod.whitney_cover(CompactSet1D(points=(0.0,)), d_min=1e-6)

@@ -142,34 +142,19 @@ class TestMatrixConditions:
         assert v["extension_property"] == "YES"
         assert v["lemma_5.10_agree"]
 
-    def test_decide_checks_519_once(self, omega2_matrix, monkeypatch):
-        calls = []
-        check_519 = dec.check_519
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return check_519(*args, **kwargs)
-
-        monkeypatch.setattr(dec, "check_519", counted)
+    def test_decide_checks_519_once(self, omega2_matrix, count_calls):
+        calls = count_calls(dec.check_519)
         v = dec.decide_extension_property(omega2_matrix,
                                           weight_function=wf.omega_s(2))
         assert v["extension_property"] == "YES"
         assert len(calls) == 1
 
-    def test_decide_builds_two_domination_tables(self, omega2_matrix, monkeypatch):
-        calls = []
-        domination_table = wf.domination_table
-
-        def counted(mat, item):
-            calls.append(item)
-            return domination_table(mat, item)
-
-        monkeypatch.setattr(wf, "domination_table", counted)
-        monkeypatch.setattr(dec, "domination_table", counted)
+    def test_decide_builds_two_domination_tables(self, omega2_matrix, count_calls):
+        calls = count_calls(wf.domination_table)
         v = dec.decide_extension_property(omega2_matrix,
                                           weight_function=wf.omega_s(2))
         assert v["extension_property"] == "YES"
-        assert sorted(calls) == [4, 5]
+        assert sorted(args[1] for args in calls) == [4, 5]
 
     def test_decide_yes_gevrey2(self, gevrey2):
         mat = wf.matrix_from_rows([gevrey2], params=[1.0])

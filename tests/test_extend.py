@@ -13,7 +13,53 @@ from ultrajet.extend import (ExtensionConfig, check_taylor_difference_bound,
                              select_row_chain, verify_partition, whitney_cover)
 from hypothesis import given, settings, strategies as st
 
+from ultrajet.extend.cover import OVERLAP_C
 from ultrajet.extend.operator import fit_rho, h_power_constant, search_lambda
+
+
+def _verify_partition_oracle(part, orders, n_probes=1000):
+    """The scalar form of verify_partition: every phi evaluated per check,
+    log h per (ball, order, probe)."""
+    cov = part.cover
+    lo, hi = cov.working
+    xs = np.linspace(lo, hi, n_probes)
+    covered = cov.covers(xs) & (cov.E.distance(xs) >= cov.d_min)
+    s = sum(f(xs) for f in part.functions)
+    out = {
+        "sum_max_err": float(np.max(np.abs(s[covered] - 1.0))) if np.any(covered) else 0.0,
+        "range_ok": all(bool(np.all((f(xs) >= -1e-12) & (f(xs) <= 1 + 1e-12)))
+                        for f in part.functions),
+    }
+    sup_ok = True
+    for f, (cx, r) in zip(part.functions, cov.balls):
+        slo, shi = f.support()
+        if slo < cx - cov.c * r - 1e-12 or shi > cx + cov.c * r + 1e-12:
+            sup_ok = False
+    out["support_ok"] = sup_ok
+    worst = {k: -math.inf for k in orders}
+    viol = {k: 0 for k in orders}
+    d_all = cov.E.distance(xs)
+    log_nd = np.concatenate([[0.0], np.cumsum(part.fam.Ndot.log_mu)])
+    log_b1_eps = math.log(part.B1) + math.log(part.epsilon)
+    for f in part.functions:
+        slo, shi = f.support()
+        sel = (xs > slo) & (xs < shi) & (d_all > 0)
+        if not np.any(sel):
+            continue
+        for k in orders:
+            if k > max(f.smoothness_order, 0) + 1:
+                continue
+            lhs = np.log(np.maximum(np.abs(f(xs[sel], order=k)), 1e-300))
+            rhs = np.array([
+                k * math.log(part.epsilon) + log_nd[k]
+                - sq.log_h_assoc(part.landing_small_s, log_b1_eps + math.log(dv))
+                for dv in d_all[sel]])
+            viol[k] += int(np.sum(lhs > rhs + 1e-9))
+            worst[k] = max(worst[k], float(np.max(lhs - rhs)))
+    out["bound_violations"] = viol
+    out["bound_margins"] = worst
+    out["bound_ok"] = all(v == 0 for v in viol.values())
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +118,35 @@ class TestPartition:
         assert rep["support_ok"] and rep["bound_ok"]
 
 
+    def test_one_cutoff_per_order(self, gev2_family, count_calls):
+        # epsilon 1e3 spreads the 20 ball radii of this cover over several
+        # orders p; one cutoff is built per order, not per radius
+        cov = whitney_cover(jets.CompactSet1D(points=(0.0,)), d_min=1e-3)
+        calls = count_calls(cutoffs.build_cutoff)
+        part = partition_of_unity(cov, gev2_family, epsilon=1e3, min_smoothness=4)
+        orders = {cutoffs.cutoff_order(gev2_family, 1e3 * r / cov.n0, OVERLAP_C)
+                  for _, r in cov.balls}
+        assert 1 < len(orders) < len({r for _, r in cov.balls})
+        assert len(calls) == len(orders)
+        assert verify_partition(part, orders=(0, 1, 2))["sum_max_err"] < 1e-9
+
+    @pytest.mark.parametrize("E", [jets.CompactSet1D(points=(0.0,)),
+                                   jets.CompactSet1D(points=(2.0,),
+                                                     intervals=((0.0, 1.0),))])
+    def test_verify_equals_scalar_oracle(self, gev2_family, E):
+        cov = whitney_cover(E, d_min=1e-4)
+        part = partition_of_unity(cov, gev2_family, epsilon=2.0, min_smoothness=4)
+        orders = (0, 1, 2, 3, 4)
+        assert verify_partition(part, orders) == _verify_partition_oracle(part, orders)
+
+
 class TestRowChain:
-    def test_singleton_chain(self, gev2_matrix):
+    def test_singleton_chain(self, gev2_matrix, count_calls):
+        calls = count_calls(dsc.descend)
         chain = select_row_chain(gev2_matrix, 0, 256)
         assert chain.indices == (0, 0, 0)
+        assert len(calls) == 1
+        assert chain.S is chain.S_dot is chain.S_ddot
 
     def test_omega2_chain(self, omega2_matrix):
         chain = select_row_chain(omega2_matrix, 0, 256)
@@ -114,6 +185,7 @@ class TestHPowerConstant:
                     for lt in grid]
 
         assert C == 2.0 ** round(math.log2(C)) and C >= 1.0
+        assert h_power_constant(num, den, [n, 1]) == [C, h_power_constant(num, den, 1)]
         assert all(holds_at(C))
         if C > 1.0:
             assert not all(holds_at(C / 2.0))

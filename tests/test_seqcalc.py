@@ -240,6 +240,35 @@ class TestGrowthChecks:
         assert rep.details["checked_k"] == 0
 
 
+def _log_h_oracle(M, log_t):
+    """The scalar form: the minimum of the full term row at one point."""
+    return float(np.min(M.log_M + np.arange(M.K + 1) * log_t))
+
+
+class TestLogHArray:
+    # log t reaches -2e4 so that the deepest omega_2 row (log mu_K ~ 1.6e4)
+    # has interior minimizers; lengths span several blocks of K = 512 rows
+    @given(which=st.sampled_from(["gevrey", "omega2_rho64"]),
+           s=st.floats(1.0, 3.5), K=st.integers(2, 600),
+           log_t=st.lists(st.floats(-2e4, 10.0), max_size=150))
+    @settings(max_examples=60, deadline=None)
+    def test_array_equals_scalar(self, omega2_rho64, which, s, K, log_t):
+        M = omega2_rho64 if which == "omega2_rho64" else sq.gevrey(s, K=K)
+        got = sq.log_h_assoc(M, np.array(log_t))
+        assert got.shape == (len(log_t),)
+        assert np.array_equal(got, [_log_h_oracle(M, lt) for lt in log_t])
+        if log_t:
+            assert sq.log_h_assoc(M, log_t[0]) == _log_h_oracle(M, log_t[0])
+
+    @given(log_t=st.lists(st.floats(-50.0, 5.0), min_size=1, max_size=80),
+           i=st.integers(0, 79))
+    @settings(max_examples=30, deadline=None)
+    def test_minus_inf_entry_raises(self, omega2_rho64, log_t, i):
+        log_t.insert(i % (len(log_t) + 1), -math.inf)
+        with pytest.raises(ValueError):
+            sq.log_h_assoc(omega2_rho64, np.array(log_t))
+
+
 class TestHypothesisInvariants:
     @given(s=st.floats(min_value=1.0, max_value=3.5),
            t=st.floats(min_value=1e-6, max_value=10.0))
