@@ -45,16 +45,13 @@ class Partition:
 
 def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
                        min_smoothness: int | None = None,
-                       landing_small_s: WeightSequence | None = None,
-                       lemma410_A: float | None = None) -> Partition:
+                       landing_small_s: WeightSequence | None = None) -> Partition:
     """Telescoped family phi_j = psi_j prod_{k<j} (1 - psi_k).
 
     psi_i is the family cutoff at epsilon r_i / n0 rescaled to the ball;
     the running product is maintained as 1 - sum(phi) so each step is one
     local multiply and one local subtract.  The cutoff depends on
     epsilon r_i / n0 only through its order, so one is built per order.
-    ``lemma410_A`` is A of Lemma 4.10 for this family, landing row and
-    cover (h_s(t) <= h_land(A t)^{n0}) when the caller has it already.
     """
     lo, hi = cover.working
     prod = constant_on(lo, hi, 1.0)
@@ -71,30 +68,27 @@ def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
         prod = prod - phi
         funcs.append(phi)
     land = landing_small_s if landing_small_s is not None else fam.D.small_s
-    A410 = (lemma410_A if lemma410_A is not None
-            else h_power_constant(fam.D.small_s, land, cover.n0))
-    return Partition(cover, epsilon, tuple(funcs), prod, fam,
-                     lemma410_B1(fam, cover, A410), A410, land)
+    A410, B1 = lemma410_B1(fam, land, cover)
+    return Partition(cover, epsilon, tuple(funcs), prod, fam, B1, A410, land)
 
 
-def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n):
+def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n: int) -> float:
     """Smallest power-of-two C <= 2^59 with h_num(t) <= h_den(C t)^n at 48
-    values of log t evenly spaced from -0.9 log mu_K (of ``s_num``) to -1e-3.
-
-    ``n`` is a scalar (a float is returned) or a 1-D array (a list, one C
-    per entry, from one pass over h_num)."""
+    values of log t evenly spaced from -0.9 log mu_K (of ``s_num``) to -1e-3."""
     grid = np.linspace(-0.9 * float(s_num.log_mu[-1]), -1e-3, 48)
-    e = np.ceil(np.asarray(h_power_log_constant(s_num, s_den, n, grid)) / math.log(2.0))
-    if np.any(e > 59):
+    e = math.ceil(h_power_log_constant(s_num, s_den, n, grid) / math.log(2.0))
+    if e > 59:
         raise ExtensionError(f"no C up to 2^59 satisfies h_num(t) <= h_den(C t)^{n}",
                              code="ROW_CHAIN_UNAVAILABLE")
-    return (2.0 ** e).tolist()
+    return 2.0 ** e
 
 
-def lemma410_B1(fam: CutoffFamily, cover: WhitneyCover1D, A: float) -> float:
-    """The partition's derivative-bound scale B1 = B (c - 1) / (A n0 b), from
-    A of Lemma 4.10: h_s(t) <= h_land(A t)^{n0}."""
-    return fam.B * (OVERLAP_C - 1.0) / (A * cover.n0 * cover.b)
+def lemma410_B1(fam: CutoffFamily, s_land: WeightSequence,
+                cover: WhitneyCover1D) -> tuple[float, float]:
+    """(A, B1): A of Lemma 4.10, h_s(t) <= h_(s_land)(A t)^{n0}, and the
+    partition's derivative-bound scale B1 = B (c - 1) / (A n0 b)."""
+    A = h_power_constant(fam.D.small_s, s_land, cover.n0)
+    return A, fam.B * (OVERLAP_C - 1.0) / (A * cover.n0 * cover.b)
 
 
 def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
@@ -267,6 +261,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     C_fit, rho_fit = fit_rho(F, chain.S, cfg.rho_grid)
 
     lam = search_lambda(chain.S, chain.S_dot)
+    Dconst = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s, 2)
     half = chain.S.K_eff // 2 - 1
     kk = np.arange(1, half)
     log_s = np.concatenate([[0.0], np.cumsum(chain.S.log_sigma_star)])
@@ -276,10 +271,6 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
 
     cover = whitney_cover(F.E, d_min=cfg.d_min, margin=cfg.margin)
     fam = make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=cfg.K_conv)
-    # D (n = 2) and A of Lemma 4.10 (n = n0, landing in s_ddot) compare the
-    # same two rows, so one pass over h_(s_dot) gives both
-    Dconst, A410 = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s,
-                                    [2, cover.n0])
 
     D1 = 4.0 / lam
     L = cfg.L if cfg.L is not None else max(D1 * max(rho_fit, 1.0), 1.0)
@@ -292,11 +283,12 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
             break
         L *= 2.0
 
+    _, B1 = lemma410_B1(fam, chain.S_ddot.small_s, cover)
     epsilon = cfg.epsilon if cfg.epsilon is not None else max(
-        L * cover.b * Dconst / lemma410_B1(fam, cover, A410), 1e-6)
+        L * cover.b * Dconst / B1, 1e-6)
     part = partition_of_unity(cover, fam, epsilon,
                               min_smoothness=min(cfg.p_max_eval, cfg.K_conv - 2),
-                              landing_small_s=chain.S_ddot.small_s, lemma410_A=A410)
+                              landing_small_s=chain.S_ddot.small_s)
 
     # Stable assembly: with base the nearest-anchor Taylor field (degree as
     # at d_min) and sum(phi) + leftover == 1 exactly by construction,

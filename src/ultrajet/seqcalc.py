@@ -400,11 +400,10 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
     return {"2.11": rep11, "2.12": rep12, "2.13": rep13, "2.14": rep14}
 
 
-def h_power_log_constant(M: WeightSequence, N: WeightSequence, n,
-                         log_t: np.ndarray):
+def h_power_log_constant(M: WeightSequence, N: WeightSequence, n: int,
+                         log_t: np.ndarray) -> float:
     """Smallest log C >= 0 with log h_M(t) <= n log h_N(C t) + 1e-9 at every
-    grid point ``log_t``.  ``n`` is a scalar (a float is returned) or a 1-D
-    array (a list, one log C per entry, from one pass over h_M).
+    grid point ``log_t``.
 
     No search: x -> log h_N(e^x) = min_k (log N_k + k x) is concave and
     nondecreasing, so log h_N(e^x) >= y exactly when
@@ -412,9 +411,9 @@ def h_power_log_constant(M: WeightSequence, N: WeightSequence, n,
     h_M <= 1).  The answer is the largest such x - log t over the grid.
     """
     lt = np.asarray(log_t, dtype=float)
-    y = (log_h_assoc(M, lt) - 1e-9) / np.asarray(n, dtype=float)[..., None]
-    x_star = np.max((y[..., None] - N.log_M[1:]) / np.arange(1, N.K + 1), axis=-1)
-    return np.maximum(0.0, np.max(x_star - lt, axis=-1)).tolist()
+    y = (log_h_assoc(M, lt) - 1e-9) / n
+    x_star = np.max((y[:, None] - N.log_M[1:]) / np.arange(1, N.K + 1), axis=1)
+    return max(0.0, float(np.max(x_star - lt)))
 
 
 def gamma_doubling_lambda(M: WeightSequence,
