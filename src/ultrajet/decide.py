@@ -96,28 +96,42 @@ def phi_pk(M: WeightSequence, N: WeightSequence, p: int, k: int) -> float:
     return float(math.exp(min(log_phi_pk_all(M, N, (p,), k)[0, -1], 700.0)))
 
 
-def log_phi_pk_all(M: WeightSequence, N: WeightSequence, p_grid,
-                   K_eff: int) -> np.ndarray:
+def log_phi_pk_all(M: WeightSequence, N, p_grid, K_eff: int) -> np.ndarray:
     """log phi_{p,k} for every p in ``p_grid`` and k = 1..K_eff, as a
-    (len(p_grid), K_eff) array.
+    (len(p_grid), K_eff) array.  ``N`` may also be a list of sequences (the
+    rows of a matrix): the result is then one such array per row of ``N``,
+    of shape (len(N), len(p_grid), K_eff).
 
-    Entry (k, j) of the masked table is (log M_k - k log p - log N_j) / (k - j)
-    for j < k and -inf above the diagonal; row k's max is log phi_{p,k}.  Each
-    entry is the scalar definition's IEEE expression and a max does not depend
-    on evaluation order, so the rows equal the definition bit for bit.
+    Only the entries j < k are formed: entry (k, j) = (log M_k - k log p -
+    log N_j) / (k - j) is stored packed row after row, row k at ``starts[k-1]``
+    = k (k - 1) / 2, with the M side repeated along the row (a gather by the
+    packed row index) and the N side gathered by the packed column index j;
+    ``np.maximum.reduceat`` takes each row's max, log phi_{p,k}.  Each entry
+    is the scalar definition's IEEE expression, a max does not depend on
+    evaluation order, and every row reduces exactly its k entries, so the
+    rows equal the definition bit for bit with no -inf padding above the
+    diagonal.  The index and denominator arrays are built once per call and
+    shared by every row of ``N`` and every p; nothing outlives the call.
     """
-    _require_prefix(K_eff, min(M.K, N.K + 1), "phi_{p,k}")
+    rows = [N] if isinstance(N, WeightSequence) else N
+    _require_prefix(K_eff, min(M.K, min(n.K for n in rows) + 1), "phi_{p,k}")
     k = np.arange(1, K_eff + 1)
-    d = np.subtract.outer(k, np.arange(K_eff))                 # k - j
-    log_N = np.where(d > 0, N.log_M[:K_eff], np.inf)          # j >= k gives -inf
-    d = np.maximum(d, 1).astype(float)
-    out = np.empty((len(p_grid), K_eff))
-    table = np.empty((K_eff, K_eff))
-    for row, p in zip(out, p_grid):
-        np.subtract((M.log_M[1:K_eff + 1] - k * math.log(p))[:, None], log_N, out=table)
-        table /= d
-        table.max(axis=1, out=row)
-    return out
+    starts = k * (k - 1) // 2
+    j = np.arange(K_eff * (K_eff + 1) // 2)
+    j -= np.repeat(starts, k)
+    d = np.repeat(k.astype(float), k)
+    d -= j
+    lhs = [M.log_M[1:K_eff + 1] - k * math.log(p) for p in p_grid]
+    out = np.empty((len(rows), len(p_grid), K_eff))
+    log_N = np.empty(len(j))
+    for out_N, n in zip(out, rows):
+        np.take(n.log_M, j, out=log_N)
+        for row, a in zip(out_N, lhs):
+            buf = np.repeat(a, k)
+            buf -= log_N
+            buf /= d
+            np.maximum.reduceat(buf, starts, out=row)
+    return out[0] if isinstance(N, WeightSequence) else out
 
 
 def _require_prefix(K_eff: int, K: int, what: str) -> None:
@@ -157,20 +171,20 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
               K_eff: int | None = None) -> ExtensionVerdict:
     """phi-weakened condition: tail of Ndot dominated by k / phi_{p,k}^{N,Ndot}.
 
-    One phi table per ordered row pair covers the whole p grid; each row
-    takes the smallest witness over all (Ndot, p), ties to the smallest Ndot,
-    then the smallest p.
+    One :func:`log_phi_pk_all` call per row N covers every Ndot and the
+    whole p grid; each row takes the smallest witness over all (Ndot, p),
+    ties to the smallest Ndot, then the smallest p.
     """
     K_eff = K_eff or mat.K // 2
     _require_prefix(K_eff, mat.K, "5.18")
     rows = mat.rows
     n = len(rows)
-    tails = [_log_tail(nd)[:K_eff] for nd in rows]
+    tails = np.array([_log_tail(nd)[:K_eff] for nd in rows])[:, None, :]
     log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
     table = [[report_from_log_witnesses(log_w, K_eff)
-              for j in range(n)
-              for log_w in tails[j] + log_phi_pk_all(rows[i], rows[j], p_grid, K_eff) - log_k]
-             for i in range(n)]
+              for log_w in (log_phi_pk_all(N, rows, p_grid, K_eff) + tails - log_k)
+              .reshape(-1, K_eff)]
+             for N in rows]
     partners = best_partners(table, labels=[(j, p) for j in range(n) for p in p_grid])
     rep = existential_verdict(partners, n, K_eff,
                               "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")

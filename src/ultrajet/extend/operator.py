@@ -308,7 +308,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         slo, shi = phi.support()
         if shi <= slo:
             continue
-        diff = _taylor_difference(F, _nearest_carried(F, xhat), p_i,
+        diff = _taylor_difference(F, float(_nearest(anchors, xhat)), p_i,
                                   anchors, cuts, p_col, slo, shi)
         if diff is None:
             continue
@@ -331,7 +331,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         "boundary": _boundary_match(f, F, cfg),
         "growth": _growth_fit(f, F.E, chain.ddot, cfg),
         "assembly_consistency": _assembly_consistency(
-            f, part, F, chain, degrees, gcut, L, cfg),
+            f, part, F, anchors, chain, degrees, gcut, L, cfg),
     }
     return ExtensionResult(f, cover, part, tuple(degrees), constants,
                            verification, chain, F)
@@ -507,26 +507,26 @@ def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
             "finite": bool(np.isfinite(Cs[i]))}
 
 
-def _nearest_carried(F: Jet, x: float) -> float:
-    pts = F.carried()
-    return float(pts[int(np.argmin(np.abs(pts - x)))])
+def _nearest(carried: np.ndarray, x):
+    """The carried point nearest to each x, ties to the first."""
+    return carried[np.argmin(np.abs(np.subtract.outer(x, carried)), axis=-1)]
 
 
-def _assembly_consistency(f, part: Partition, F: Jet, chain: RowChain,
-                          degrees, gcut, L: float, cfg: ExtensionConfig,
-                          n_probes: int = 200) -> dict:
-    """The spline f must reproduce the defining sum evaluated directly."""
+def _assembly_consistency(f, part: Partition, F: Jet, carried: np.ndarray,
+                          chain: RowChain, degrees, gcut, L: float,
+                          cfg: ExtensionConfig, n_probes: int = 200) -> dict:
+    """The spline f must reproduce the defining sum evaluated directly;
+    ``carried`` is ``F.carried()``."""
     rng = np.random.default_rng(cfg.seed + 2)
     lo, hi = part.cover.working
     xs = rng.uniform(lo, hi, n_probes)
     p_col = taylor_degree(chain.S_dot, L, cfg.d_min, cfg, F.order_cap)
-    anchors = [_nearest_carried(F, F.E.nearest_point(cx)[0])
-               for cx, _ in part.cover.balls]
+    anchors = _nearest(carried, [F.E.nearest_point(cx)[0] for cx, _ in part.cover.balls])
     phis = np.array([phi(xs) for phi in part.functions])
     worst = 0.0
-    for x, pv, g, fx in zip(xs, phis.T, gcut(xs), f(xs)):
+    for x, a, pv, g, fx in zip(xs, _nearest(carried, xs), phis.T, gcut(xs), f(xs)):
         x = float(x)
-        base = eval_taylor_deriv(F, _nearest_carried(F, x), p_col, x, 0)
+        base = eval_taylor_deriv(F, a, p_col, x, 0)
         direct = base
         for i in np.flatnonzero(pv):
             direct += pv[i] * (eval_taylor_deriv(F, anchors[i], degrees[i], x, 0) - base)

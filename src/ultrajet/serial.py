@@ -62,19 +62,25 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+CSV_BLOCK_ROWS = 256   # rows per formatting pass: bounds the per-value strings held
+
+
 def write_csv(path: str, columns: dict) -> None:
-    keys = list(columns)
-    rows = zip(*[np.atleast_1d(columns[k]) for k in keys])
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Header, then one line per row.  Integer columns print as ``str``,
+    every other column (bool included) as the shortest round-trip ``repr``
+    of its float values."""
+    atomic_write_text(path, "".join(_csv_blocks(columns)))
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _csv_blocks(columns: dict):
+    """The CSV text in pieces of CSV_BLOCK_ROWS rows; each column of a piece
+    is formatted in one pass."""
+    cols = [(str, c) if c.dtype.kind in "iu" else (repr, c.astype(float, copy=False))
+            for c in map(np.atleast_1d, columns.values())]
+    yield ",".join(columns) + "\n"
+    for lo in range(0, min((len(c) for _, c in cols), default=0), CSV_BLOCK_ROWS):
+        block = [map(fmt, c[lo:lo + CSV_BLOCK_ROWS].tolist()) for fmt, c in cols]
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 # -- spec loaders ---------------------------------------------------------------

@@ -127,35 +127,44 @@ def omega_s_conjugate_exact(s: float, x) -> np.ndarray:
     return C_s * np.power(np.asarray(x, dtype=float), r)
 
 
-def young_conjugate(w: WeightFunction, x: float) -> float:
-    """phi*(x) = sup_{y >= 0} (x y - phi(y)) by ternary search.
+def young_conjugate(w: WeightFunction, x):
+    """phi*(x) = sup_{y >= 0} (x y - phi(y)) by ternary search, for a float
+    or, lane by lane, for an array of x.
 
-    The conjugand is concave in y (phi convex), so the search brackets the
-    unique maximizer after doubling y_max until the slope turns negative.
+    The conjugand is concave in y (phi convex), so each lane brackets its
+    unique maximizer by doubling y_max until the conjugand decreases, then
+    narrows the bracket until it is shorter than TERNARY_REL_TOL relative.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("young_conjugate needs x >= 0")
-    if x == 0.0:
-        return 0.0
-    f = lambda y: x * y - float(w.phi(y))
+    xs = x.ravel()
+    f = lambda i, y: xs[i] * y - w.phi(y)
     # concavity: once f(2y) < f(y) the maximizer lies below 2y
-    y_hi = 1.0
-    while f(2.0 * y_hi) >= f(y_hi):
-        y_hi *= 2.0
-        if y_hi > Y_MAX_CAP:
+    y_hi = np.ones_like(xs)
+    i = np.flatnonzero(xs > 0.0)
+    while i.size:
+        i = i[f(i, 2.0 * y_hi[i]) >= f(i, y_hi[i])]
+        y_hi[i] *= 2.0
+        if np.any(y_hi[i] > Y_MAX_CAP):
             raise ConjugateUnbounded(
-                f"x y - phi(y) still increasing at y = {y_hi:.2e}; "
+                f"x y - phi(y) still increasing at y = {y_hi[i].max():.2e}; "
                 "omega grows too slowly (log t = o(omega) violated)")
     y_hi *= 2.0
-    y_lo = 0.0
-    while y_hi - y_lo > TERNARY_REL_TOL * max(1.0, y_hi):
-        m1 = y_lo + (y_hi - y_lo) / 3.0
-        m2 = y_hi - (y_hi - y_lo) / 3.0
-        if f(m1) < f(m2):
-            y_lo = m1
-        else:
-            y_hi = m2
-    return max(0.0, f(0.5 * (y_lo + y_hi)))
+    y_lo = np.zeros_like(xs)
+    i = np.flatnonzero(xs > 0.0)
+    while True:
+        i = i[y_hi[i] - y_lo[i] > TERNARY_REL_TOL * np.maximum(1.0, y_hi[i])]
+        if not i.size:
+            break
+        m1 = y_lo[i] + (y_hi[i] - y_lo[i]) / 3.0
+        m2 = y_hi[i] - (y_hi[i] - y_lo[i]) / 3.0
+        left = f(i, m1) < f(i, m2)
+        y_lo[i[left]] = m1[left]
+        y_hi[i[~left]] = m2[~left]
+    y = 0.5 * (y_lo + y_hi)
+    out = np.where(xs > 0.0, np.maximum(0.0, xs * y - w.phi(y)), 0.0)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -201,21 +210,23 @@ def associated_matrix(w: WeightFunction, params=DEFAULT_PARAMS, K: int = 512,
     """
     params = tuple(sorted(float(p) for p in params))
     k = np.arange(K + 1, dtype=float)
-    rows = []
-    for x in params:
-        if w.kind == "omega_s":
-            log_row = omega_s_conjugate_exact(w.s, x * k) / x
-            if crosscheck:
-                for kk in (1, 2, 5, min(17, K)):
-                    num = young_conjugate(w, x * kk) / x
-                    if abs(num - log_row[kk]) > 1e-6 * max(1.0, abs(log_row[kk])):
-                        raise SequenceSpecError(
-                            f"closed-form/numeric conjugate mismatch at x={x}, k={kk}",
-                            code="NON_POSITIVE")
-        else:
-            log_row = np.array([young_conjugate(w, x * kk) / x for kk in k])
-            log_row = _clamp_tiny_quotient_dips(log_row)
-        rows.append(validate_sequence(log_row, f"{w.tag}|x={x:g}"))
+    if w.kind == "omega_s":
+        log_rows = [omega_s_conjugate_exact(w.s, x * k) / x for x in params]
+        if crosscheck:
+            kk = np.array([1, 2, 5, min(17, K)])
+            x = np.array(params)[:, None]
+            num = young_conjugate(w, x * kk) / x
+            exact = np.array([r[kk] for r in log_rows])
+            bad = np.abs(num - exact) > 1e-6 * np.maximum(1.0, np.abs(exact))
+            if np.any(bad):
+                i, c = np.unravel_index(np.argmax(bad), bad.shape)
+                raise SequenceSpecError(
+                    f"closed-form/numeric conjugate mismatch at x={params[i]}, k={kk[c]}",
+                    code="NON_POSITIVE")
+    else:
+        log_rows = [_clamp_tiny_quotient_dips(young_conjugate(w, x * k) / x)
+                    for x in params]
+    rows = [validate_sequence(r, f"{w.tag}|x={x:g}") for x, r in zip(params, log_rows)]
     return WeightMatrix(params, tuple(rows), origin=w.tag)
 
 

@@ -112,6 +112,28 @@ class TestExtendCmd:
         assert os.path.exists(os.path.join(out, "probes.csv"))
         assert os.path.exists(os.path.join(out, "plot_extension.gp"))
 
+    def test_writes_pass_whole_text(self, tmp_path, om2_spec, monkeypatch):
+        # every output reaches atomic_write_text as one str holding the file
+        written = {}
+        write_text = serial.atomic_write_text
+
+        def record(path, text):
+            write_text(path, text)
+            written[path] = text
+
+        monkeypatch.setattr(serial, "atomic_write_text", record)
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        out = str(tmp_path / "o")
+        assert cli.main(["--out", out, "extend", jet, om2_spec,
+                         "--d-min", "1e-4", "--p-max-eval", "4"]) == 0
+        names = {os.path.basename(p) for p in written}
+        assert {"extension.json", "extension_spline.csv", "probes.csv",
+                "plot_extension.gp"} <= names
+        for path, text in written.items():
+            assert isinstance(text, str)
+            assert len(text.encode()) == os.path.getsize(path)
+
     def test_zero_epsilon_is_coded(self, tmp_path, om2_spec, capsys):
         jet = write(tmp_path, "jet.json",
                     {"kind": "exp", "points": [0.0], "order_cap": 16})
@@ -145,3 +167,33 @@ class TestSerial:
         lines = open(path).read().strip().split("\n")
         assert lines[0] == "a,b"
         assert len(lines) == 3
+
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        def fmt(v):   # the per-value formatter the column writer replaced
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            return repr(float(v))
+
+        n = 2 * serial.CSV_BLOCK_ROWS + 3   # two full blocks and a partial one
+        rng = np.random.default_rng(0)
+        cases = [
+            {"i": np.array([0, -3, 2 ** 40, 7, 1]),
+             "u": np.arange(5, dtype=np.uint8),
+             "f": np.array([0.1, -0.0, 1e-300, 2.5e17, 1 / 3]),
+             "b": np.array([True, False, True, True, False]),
+             "nan": np.array([np.nan, np.inf, -np.inf, 0.0, -1.5]),
+             "f32": np.array([0.1, 2, 3, 4, 5], dtype=np.float32),
+             "list": [1, 2, -1, 4, 5]},
+            {"i": np.arange(n) - 7, "f": rng.standard_normal(n) * 1e5,
+             "b": rng.random(n) < 0.5},
+            # unequal lengths: rows stop at the shortest column
+            {"long": rng.standard_normal(n), "short": np.arange(serial.CSV_BLOCK_ROWS + 1)},
+            {"short": rng.standard_normal(3), "long": np.arange(n)},
+        ]
+        for k, cols in enumerate(cases):
+            path = str(tmp_path / f"t{k}.csv")
+            serial.write_csv(path, cols)
+            rows = zip(*[np.atleast_1d(c) for c in cols.values()])
+            expect = "\n".join([",".join(cols)] + [",".join(map(fmt, r)) for r in rows]) + "\n"
+            with open(path, "rb") as fh:
+                assert fh.read() == expect.encode()

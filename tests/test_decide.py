@@ -8,7 +8,7 @@ from ultrajet import decide as dec
 from ultrajet import seqcalc as sq
 from ultrajet import weightfunc as wf
 from ultrajet.errors import PrefixExhausted, QuasianalyticInput, UltrajetError
-from ultrajet.report import HOLDS
+from ultrajet.report import HOLDS, report_from_log_witnesses
 
 
 def _log_phi_pk_oracle(M, N, p, K_eff):
@@ -112,6 +112,26 @@ class TestLogPhiTable:
             dec.check_518(mat, K_eff=17)
         with pytest.raises(PrefixExhausted):
             dec.check_519(mat, K_eff=17)
+
+    def test_check_518_matches_oracle_reference(self):
+        rows = [sq.gevrey(s, K=64) for s in (1.5, 2.0, 3.0)]
+        mat = wf.matrix_from_rows(rows, params=[1.0, 2.0, 3.0])
+        K_eff = 32
+        log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
+        table = [[report_from_log_witnesses(
+                      dec._log_tail(Nd)[:K_eff] + _log_phi_pk_oracle(N, Nd, p, K_eff) - log_k,
+                      K_eff)
+                  for Nd in rows for p in dec.P_GRID_DEFAULT] for N in rows]
+        partners = wf.best_partners(
+            table, labels=[(j, p) for j in range(3) for p in dec.P_GRID_DEFAULT])
+        v = dec.check_518(mat)
+        assert v.verdict == wf.existential_verdict(
+            partners, 3, K_eff, "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
+        assert v.witnessing_row_pairs == tuple(
+            (i, j, p) for i, ((j, p), _) in partners.items())
+        assert v.constants == {f"{i}->{j},p={p}": r.witness_constant
+                               for i, ((j, p), r) in partners.items()}
+        assert len(v.witnessing_row_pairs) == 3
 
 
 class TestMatrixConditions:

@@ -10,6 +10,25 @@ from ultrajet.errors import ConjugateUnbounded
 from ultrajet.report import FAILS, HOLDS, NOT_WITNESSED
 
 
+def _young_conjugate_oracle(w, x):
+    """The scalar search: bracket doubling, then ternary steps on one x."""
+    if x == 0.0:
+        return 0.0
+    f = lambda y: x * y - float(w.phi(y))
+    y_hi = 1.0
+    while f(2.0 * y_hi) >= f(y_hi):
+        y_hi *= 2.0
+    y_hi, y_lo = 2.0 * y_hi, 0.0
+    while y_hi - y_lo > wf.TERNARY_REL_TOL * max(1.0, y_hi):
+        m1 = y_lo + (y_hi - y_lo) / 3.0
+        m2 = y_hi - (y_hi - y_lo) / 3.0
+        if f(m1) < f(m2):
+            y_lo = m1
+        else:
+            y_hi = m2
+    return max(0.0, f(0.5 * (y_lo + y_hi)))
+
+
 class TestYoungConjugate:
     def test_omega2_closed_form_points(self):
         w = wf.omega_s(2)
@@ -38,6 +57,21 @@ class TestYoungConjugate:
                             (math.e ** 8, 8.0)])
         with pytest.raises(ConjugateUnbounded):
             wf.young_conjugate(w, 5.0)
+
+    @pytest.mark.parametrize("w", [
+        wf.omega_s(2), wf.omega_s(2.6),
+        wf.omega_table([(1.0, 0.0)] + [(math.exp(u), u ** 2)
+                                       for u in np.linspace(0.05, 40, 300)])],
+        ids=["omega_2", "omega_2.6", "table"])
+    def test_array_form_matches_scalar_form(self, w):
+        xs = np.concatenate([[0.0], np.geomspace(0.01, 60, 97)]).reshape(7, 14)
+        batch = wf.young_conjugate(w, xs)
+        assert batch.shape == xs.shape
+        scalar = np.array([wf.young_conjugate(w, float(x)) for x in xs.ravel()])
+        oracle = np.array([_young_conjugate_oracle(w, float(x)) for x in xs.ravel()])
+        assert np.allclose(batch.ravel(), scalar, rtol=1e-12, atol=0.0)
+        assert np.allclose(batch.ravel(), oracle, rtol=1e-12, atol=0.0)
+        assert batch[0, 0] == 0.0
 
     @given(x=st.floats(min_value=0.01, max_value=30.0),
            y=st.floats(min_value=0.0, max_value=60.0))
