@@ -24,7 +24,7 @@ from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence, check_nonquasianalytic
 from .tails import log_suffix_sums
 from .weightfunc import (WeightMatrix, best_partners, check_admissible_matrix,
-                         domination_table, existential_verdict, partner_table)
+                         domination_table, existential_verdict)
 
 P_GRID_DEFAULT = (1, 2, 4, 8, 16)
 
@@ -147,9 +147,9 @@ def _log_tail(Ndot: WeightSequence) -> np.ndarray:
 def _pair_tail_witness(N: WeightSequence, log_T_dot: np.ndarray,
                        K_eff: int) -> np.ndarray:
     """Log witnesses of sum_{l>=k} 1/nudot_l <= C k/nu_k on the prefix, from
-    the partner's ``log_T_dot = _log_tail(Ndot)``."""
+    the partner's ``log_T_dot = _log_tail(Ndot)`` or a stack of such rows."""
     k = np.arange(1, K_eff + 1, dtype=float)
-    return log_T_dot[:K_eff] + N.log_mu[:K_eff] - np.log(k)
+    return log_T_dot[..., :K_eff] + N.log_mu[:K_eff] - np.log(k)
 
 
 def check_519(mat: WeightMatrix, K_eff: int | None = None) -> ExtensionVerdict:
@@ -157,9 +157,8 @@ def check_519(mat: WeightMatrix, K_eff: int | None = None) -> ExtensionVerdict:
     K_eff = K_eff or mat.K // 2
     _require_prefix(K_eff, mat.K, "5.19")
     rows = mat.rows
-    tails = [_log_tail(nd) for nd in rows]
-    partners = best_partners(partner_table(
-        len(rows), lambda i, j: _pair_tail_witness(rows[i], tails[j], K_eff), K_eff))
+    tails = np.array([_log_tail(nd) for nd in rows])
+    partners = best_partners((_pair_tail_witness(N, tails, K_eff) for N in rows), K_eff)
     rep = existential_verdict(partners, len(rows), K_eff,
                               "sum_{l>=k} 1/nudot_l <= C k/nu_k per row")
     return ExtensionVerdict(
@@ -172,8 +171,8 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
     """phi-weakened condition: tail of Ndot dominated by k / phi_{p,k}^{N,Ndot}.
 
     One :func:`log_phi_pk_all` call per row N covers every Ndot and the
-    whole p grid; each row takes the smallest witness over all (Ndot, p),
-    ties to the smallest Ndot, then the smallest p.
+    whole p grid, reduced before the next row's; each row takes the smallest
+    witness over all (Ndot, p), ties to the smallest Ndot, then smallest p.
     """
     K_eff = K_eff or mat.K // 2
     _require_prefix(K_eff, mat.K, "5.18")
@@ -181,11 +180,10 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
     n = len(rows)
     tails = np.array([_log_tail(nd)[:K_eff] for nd in rows])[:, None, :]
     log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
-    table = [[report_from_log_witnesses(log_w, K_eff)
-              for log_w in (log_phi_pk_all(N, rows, p_grid, K_eff) + tails - log_k)
-              .reshape(-1, K_eff)]
-             for N in rows]
-    partners = best_partners(table, labels=[(j, p) for j in range(n) for p in p_grid])
+    partners = best_partners(
+        ((log_phi_pk_all(N, rows, p_grid, K_eff) + tails - log_k).reshape(-1, K_eff)
+         for N in rows),
+        K_eff, labels=[(j, p) for j in range(n) for p in p_grid])
     rep = existential_verdict(partners, n, K_eff,
                               "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
     return ExtensionVerdict(
@@ -196,7 +194,7 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
 def check_517(mat: WeightMatrix) -> ExtensionVerdict:
     """Root domination: each row N has a sampled Ndot with nu_k <= C Ndot_k^{1/k}
     (Def 4.6 item 4)."""
-    partners = best_partners(domination_table(mat, 4))
+    partners = best_partners(domination_table(mat, 4), mat.K)
     rep = existential_verdict(partners, len(mat.rows), mat.K,
                               "nu_k <= C Ndot_k^{1/k} per row")
     return ExtensionVerdict("5.17", rep, tuple((i, j) for i, (j, _) in partners.items()))

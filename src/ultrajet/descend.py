@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonincreasingResult, QuasianalyticInput
+from .errors import NonincreasingResult, PrefixExhausted, QuasianalyticInput
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence, check_nonquasianalytic, from_log_quotients
 from .tails import TailEstimate, log_suffix_sums, tail_sums
@@ -87,7 +87,7 @@ def descend(N: WeightSequence, K_eff: int | None = None, *,
     if K_eff is None:
         K_eff = K // 2
     if K_eff > K:
-        raise ValueError("K_eff exceeds the stored prefix")
+        raise PrefixExhausted(f"descendant on k <= {K_eff} needs K >= K_eff (K={K})")
     log_inv_nu = -N.log_mu
     log_T, est = log_suffix_sums(log_inv_nu, rel_cap=tail_rel_cap)
     k = np.arange(1, K_eff + 1, dtype=float)

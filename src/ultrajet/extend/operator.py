@@ -20,6 +20,7 @@ from ..descend import Descendant, descend
 from ..errors import ExtensionError, PrefixExhausted
 from ..jets import (Jet, eval_taylor_deriv, fit_jet_constants, grid_constants,
                     jet_norm_profile, taylor_coeffs_local)
+from ..report import HOLDS, log_witness_maxima, trend_verdict
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
                        h_power_log_constant, log_h_assoc)
 from ..weightfunc import WeightMatrix, domination_table
@@ -194,11 +195,12 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
     growth.  Raises ROW_CHAIN_UNAVAILABLE when the sample cannot provide the
     links.
     """
-    root, dbl = domination_table(mat, 4), domination_table(mat, 5)
+    root, dbl = (trend_verdict(*log_witness_maxima(domination_table(mat, item))) == HOLDS
+                 for item in (4, 5))
 
     def find_link(i: int) -> int:
         for j in range(i, len(mat.rows)):
-            if root[i][j].holds and dbl[i][j].holds:
+            if root[i, j] and dbl[i, j]:
                 return j
         raise ExtensionError(
             f"no sampled row dominates row {i} (need root and doubling links)",

@@ -12,11 +12,13 @@ whether it is still growing with the prefix.  A check therefore returns a
 * ``INCONCLUSIVE`` -- neither pattern is clear,
 * ``NOT_WITNESSED_IN_SAMPLE`` -- an existential search over a sampled family
   found no witness (never a proof of failure).
+
+There is one trend rule, :func:`trend_verdict`, on the (half-prefix max, full
+max) pair that :func:`log_witness_maxima` takes from any block of witnesses.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -69,56 +71,58 @@ class CheckReport:
             out["details"] = self.details
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+
+def log_witness_maxima(log_w) -> tuple[np.ndarray, np.ndarray]:
+    """(half-prefix max, full max) along the last axis of ``log_w``, skipping
+    non-finite entries: the half prefix of n finite entries is the first
+    max(1, n // 2).  A row with none gives -inf twice, read as INCONCLUSIVE."""
+    finite = np.isfinite(log_w)
+    if finite.all():  # the same rule on views: no block-sized temporaries
+        return (np.max(log_w[..., :max(1, log_w.shape[-1] // 2)], axis=-1),
+                np.max(log_w, axis=-1))
+    rank = np.cumsum(finite, axis=-1)
+    w = np.where(finite, log_w, -np.inf)
+    half = rank <= np.maximum(1, rank[..., -1:] // 2)
+    return np.max(np.where(half, w, -np.inf), axis=-1), np.max(w, axis=-1)
+
+
+def trend_verdict(m_half, m_full):
+    """FAILS when the full-prefix max passes the hard cap or grows from the
+    half-prefix max by GROW_FAILS, HOLDS when it grows by at most GROW_HOLDS,
+    else INCONCLUSIVE; elementwise on arrays, a str on scalars."""
+    with np.errstate(invalid="ignore"):
+        growth = np.subtract(m_full, m_half)
+        v = np.where((m_full > LOG_WITNESS_CAP) | (growth >= GROW_FAILS), FAILS,
+                     np.where(growth <= GROW_HOLDS, HOLDS, INCONCLUSIVE))
+    return v if v.ndim else str(v)
 
 
 def report_from_log_witnesses(log_w: np.ndarray, prefix_K: int, note: str = "") -> CheckReport:
     """Verdict for a `lhs <= C * rhs` condition from per-index log witnesses.
 
     ``log_w[i]`` is the log of the smallest constant validating the condition
-    at index ``i`` (ordered by index).  The condition is declared FAILS when
-    the running max still grows from the half prefix to the full prefix, or
-    exceeds the hard cap.
+    at index ``i`` (ordered by index).  The verdict is :func:`trend_verdict`
+    of its :func:`log_witness_maxima`; a failure names the first finite index
+    that reaches both the capped full max and the half max plus GROW_FAILS / 2.
     """
     log_w = np.asarray(log_w, dtype=float)
     log_w = log_w[np.isfinite(log_w)]
     if log_w.size == 0:
         return CheckReport(INCONCLUSIVE, prefix_K, note=note or "no finite witnesses")
-    half = max(1, log_w.size // 2)
-    m_half = float(np.max(log_w[:half]))
-    m_full = float(np.max(log_w))
-    growth = m_full - m_half
-    witness = float(math.exp(min(m_full, 700.0)))
-    if m_full > LOG_WITNESS_CAP or growth >= GROW_FAILS:
-        over = np.nonzero(log_w > max(m_half + GROW_FAILS / 2, min(m_full, LOG_WITNESS_CAP)) - 1e-12)[0]
-        idx = int(over[0]) + 1 if over.size else log_w.size
-        return CheckReport(
-            FAILS, prefix_K, witness_constant=witness, counterexample_index=idx,
-            note=note, details={"log_witness_growth": growth},
-        )
-    if growth <= GROW_HOLDS:
-        return CheckReport(HOLDS, prefix_K, witness_constant=witness, note=note,
-                           details={"log_witness_growth": growth})
-    return CheckReport(INCONCLUSIVE, prefix_K, witness_constant=witness, note=note,
-                       details={"log_witness_growth": growth})
+    m_half, m_full = (float(m) for m in log_witness_maxima(log_w))
+    over = np.flatnonzero(log_w > max(m_half + GROW_FAILS / 2, min(m_full, LOG_WITNESS_CAP)) - 1e-12)
+    return report_from_prefix_witnesses(m_half, m_full, prefix_K,
+                                        int(over[0]) + 1 if over.size else log_w.size, note)
 
 
 def report_from_prefix_witnesses(log_w_half: float, log_w_full: float, prefix_K: int,
                                  counterexample_index: int | None = None,
                                  note: str = "") -> CheckReport:
-    """Same trend semantics when only (half-prefix, full-prefix) witnesses exist."""
-    growth = log_w_full - log_w_half
-    witness = float(math.exp(min(log_w_full, 700.0)))
-    if log_w_full > LOG_WITNESS_CAP or growth >= GROW_FAILS:
-        return CheckReport(FAILS, prefix_K, witness_constant=witness,
-                           counterexample_index=counterexample_index or prefix_K,
-                           note=note, details={"log_witness_growth": growth})
-    if growth <= GROW_HOLDS:
-        return CheckReport(HOLDS, prefix_K, witness_constant=witness, note=note,
-                           details={"log_witness_growth": growth})
-    return CheckReport(INCONCLUSIVE, prefix_K, witness_constant=witness, note=note,
-                       details={"log_witness_growth": growth})
+    """Report of the trend rule on a (half-prefix, full-prefix) witness pair."""
+    verdict = trend_verdict(log_w_half, log_w_full)
+    idx = (counterexample_index or prefix_K) if verdict == FAILS else None
+    return CheckReport(verdict, prefix_K, float(math.exp(min(log_w_full, 700.0))), idx,
+                       note, {"log_witness_growth": log_w_full - log_w_half})
 
 
 def verdicts_agree(reports) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConjugateUnbounded, SequenceSpecError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
-                     report_from_log_witnesses)
+                     log_witness_maxima, report_from_log_witnesses, trend_verdict)
 from .seqcalc import WeightSequence, check_nonquasianalytic, validate_sequence
 
 TERNARY_REL_TOL = 1e-10
@@ -46,6 +46,12 @@ class WeightFunction:
             return f"omega_s({self.s:g})"
         return "omega_table"
 
+    @property
+    def last_slope(self) -> float:
+        """Slope of a table's last segment in log t: phi's slope past the table."""
+        return float((self.table_w[-1] - self.table_w[-2])
+                     / (self.table_log_t[-1] - self.table_log_t[-2]))
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "omega_s":
@@ -57,9 +63,8 @@ class WeightFunction:
         out = np.interp(lt, self.table_log_t, self.table_w)
         right = lt > self.table_log_t[-1]
         if np.any(right):
-            sl = ((self.table_w[-1] - self.table_w[-2])
-                  / (self.table_log_t[-1] - self.table_log_t[-2]))
-            out = np.where(right, self.table_w[-1] + sl * (lt - self.table_log_t[-1]), out)
+            out = np.where(right, self.table_w[-1]
+                           + self.last_slope * (lt - self.table_log_t[-1]), out)
         out = np.where(t <= 1.0, np.minimum(out, _interp_at_one(self)), out)
         return out if out.shape else float(out)
 
@@ -137,7 +142,7 @@ def young_conjugate(w: WeightFunction, x):
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
-        raise ValueError("young_conjugate needs x >= 0")
+        raise SequenceSpecError("young_conjugate needs x >= 0", code="NON_POSITIVE")
     xs = x.ravel()
     f = lambda i, y: xs[i] * y - w.phi(y)
     # concavity: once f(2y) < f(y) the maximizer lies below 2y
@@ -224,6 +229,12 @@ def associated_matrix(w: WeightFunction, params=DEFAULT_PARAMS, K: int = 512,
                     f"closed-form/numeric conjugate mismatch at x={params[i]}, k={kk[c]}",
                     code="NON_POSITIVE")
     else:
+        # phi is linear past the table, so phi*(x k) is finite iff x k <= its slope
+        if params[-1] * K > w.last_slope:
+            raise ConjugateUnbounded(
+                f"phi*(x k) is infinite for x k > {w.last_slope:.6g}, the slope of phi "
+                f"past the table's last log t = {w.table_log_t[-1]:.6g}; at K = {K} "
+                f"x must be <= {w.last_slope / K:.6g}, got x = {params[-1]:g}")
         log_rows = [_clamp_tiny_quotient_dips(young_conjugate(w, x * k) / x)
                     for x in params]
     rows = [validate_sequence(r, f"{w.tag}|x={x:g}") for x, r in zip(params, log_rows)]
@@ -297,51 +308,41 @@ def check_admissible_matrix(mat: WeightMatrix, check_43=None) -> dict[str, Check
         note="quotient regularity (4.3) per row")
 
     out["4.6-4"] = existential_verdict(
-        best_partners(domination_table(mat, 4)), len(mat.rows), K,
+        best_partners(domination_table(mat, 4), K), len(mat.rows), K,
         "nu_k <= C Ndot_k^{1/k} for some sampled row")
     out["4.6-5"] = existential_verdict(
-        best_partners(domination_table(mat, 5)), len(mat.rows), K,
+        best_partners(domination_table(mat, 5), K), len(mat.rows), K,
         "nu_{2k} <= C nudot_k for some sampled row")
     return out
 
 
-def _root_domination_witness(n: WeightSequence, nd: WeightSequence):
-    k = np.arange(1, n.K + 1)
-    return n.log_mu - nd.log_M[1:] / k
+def domination_table(mat: WeightMatrix, item: int) -> np.ndarray:
+    """(rows, rows, k) log witnesses of Def 4.6 item 4 (nu_k <= C Ndot_k^{1/k},
+    k <= K) or item 5 (nu_{2k} <= C nudot_k, k <= K/2): entry ``[i, j]`` is
+    N = row i against Ndot = row j."""
+    log_M = np.array([r.log_M for r in mat.rows])
+    log_mu = np.array([r.log_mu for r in mat.rows])
+    if item == 4:
+        return log_mu[:, None] - (log_M[:, 1:] / np.arange(1, mat.K + 1))[None]
+    kk = np.arange(1, mat.K // 2 + 1)
+    return (log_M[:, 2 * kk] - log_M[:, 2 * kk - 1])[:, None] - log_mu[None, :, kk - 1]
 
 
-def _doubling_domination_witness(n: WeightSequence, nd: WeightSequence):
-    half = n.K // 2
-    kk = np.arange(1, half + 1)
-    return (n.log_M[2 * kk] - n.log_M[2 * kk - 1]) - nd.log_mu[kk - 1]
-
-
-def domination_table(mat: WeightMatrix, item: int) -> list:
-    """Partner table of Def 4.6 item 4 (nu_k <= C Ndot_k^{1/k}) or item 5
-    (nu_{2k} <= C nudot_k) over the sampled rows, on the whole prefix."""
-    witness = {4: _root_domination_witness, 5: _doubling_domination_witness}[item]
-    rows = mat.rows
-    return partner_table(len(rows), lambda i, j: witness(rows[i], rows[j]), mat.K)
-
-
-def partner_table(n_rows: int, log_witness, K: int) -> list:
-    """Reports of a `row i <= C row j` condition for every ordered pair of
-    rows: entry ``[i][j]`` is ``report_from_log_witnesses(log_witness(i, j), K)``."""
-    return [[report_from_log_witnesses(log_witness(i, j), K) for j in range(n_rows)]
-            for i in range(n_rows)]
-
-
-def best_partners(table, labels=None) -> dict:
-    """Row i -> ``(label, report)`` of the holding entry of ``table[i]`` with
-    the smallest witness, ties to the first.  ``labels`` name the entries of
-    each row (default: their column index); rows with no holding entry are
-    left out."""
+def best_partners(log_w, K: int, labels=None) -> dict:
+    """Row i -> ``(label, report)`` of the holding entry of ``log_w[i]`` with
+    the smallest witness, ties to the first; rows with no holding entry are
+    left out.  ``log_w`` yields one (entries, k) block of log witnesses per
+    row, an array or a generator; ``labels`` name a block's entries (default:
+    their index).  Each block is reduced once by :func:`log_witness_maxima`
+    and only the chosen entry gets a report.
+    """
     out = {}
-    for i, reps in enumerate(table):
-        held = [(lab, rep) for lab, rep in zip(labels or range(len(reps)), reps)
-                if rep.holds]
-        if held:
-            out[i] = min(held, key=lambda c: c[1].witness_constant)
+    for i, block in enumerate(log_w):
+        m_half, m_full = log_witness_maxima(block)
+        held = np.flatnonzero(trend_verdict(m_half, m_full) == HOLDS)
+        if held.size:
+            j = int(held[np.argmin([math.exp(min(m, 700.0)) for m in m_full[held]])])
+            out[i] = (labels[j] if labels else j, report_from_log_witnesses(block[j], K))
     return out
 
 

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultrajet import decide as dec
 from ultrajet import seqcalc as sq
 from ultrajet import weightfunc as wf
 from ultrajet.errors import PrefixExhausted, QuasianalyticInput, UltrajetError
-from ultrajet.report import HOLDS, report_from_log_witnesses
+from ultrajet.report import CheckReport, HOLDS, report_from_log_witnesses
 
 
 def _log_phi_pk_oracle(M, N, p, K_eff):
@@ -18,6 +18,57 @@ def _log_phi_pk_oracle(M, N, p, K_eff):
         j = np.arange(0, k)
         out[k - 1] = np.max((M.log_M[k] - k * math.log(p) - N.log_M[j]) / (k - j))
     return out
+
+
+def _best_partners_oracle(table, labels=None):
+    """The search over a table of reports: row i -> (label, report) of the
+    holding entry of ``table[i]`` with the smallest witness, ties to the first."""
+    out = {}
+    for i, reps in enumerate(table):
+        held = [(lab, rep) for lab, rep in zip(labels or range(len(reps)), reps)
+                if rep.holds]
+        if held:
+            out[i] = min(held, key=lambda c: c[1].witness_constant)
+    return out
+
+
+# witness rows near the trend thresholds (growth log 1.25 holds, log 1.75
+# fails, cap 60), with non-finite entries; entries of a block repeat rows
+# of a small pool, so exact witness ties are common
+_ENTRY = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.2, 61.0]),
+                   st.floats(-5.0, 65.0))
+
+
+@st.composite
+def _witness_blocks(draw):
+    k = draw(st.integers(1, 12))
+    row = st.one_of(
+        st.lists(_ENTRY, min_size=k, max_size=k),
+        st.builds(lambda v, g: [v + g * i for i in range(k)], _ENTRY,
+                  st.sampled_from([0.0, 0.01, 0.05, 0.1, 1.0])))
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    n_rows, n_entries = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    pick = st.lists(st.integers(0, len(pool) - 1), min_size=n_entries, max_size=n_entries)
+    return np.array([[pool[i] for i in draw(pick)] for _ in range(n_rows)])
+
+
+class TestBestPartners:
+    @given(blocks=_witness_blocks(), K=st.integers(1, 600), labelled=st.booleans())
+    @example(blocks=np.array([
+        [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, math.nan, 1.0, 1.0]],  # tie
+        [[0.0, 0.0, 5.0, 5.0], [61.0, 61.0, 61.0, 61.0], [math.nan] * 4],  # none holds
+        [[math.inf, 2.0, -math.inf, 2.1], [3.0, 0.0, 3.0, 0.0], [0.0, 0.3, 0.3, 0.3]],
+    ]), K=8, labelled=True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_report_oracle(self, blocks, K, labelled):
+        labels = ([("row", j) for j in range(blocks.shape[1])] if labelled else None)
+        want = _best_partners_oracle(
+            [[report_from_log_witnesses(w, K) for w in block] for block in blocks], labels)
+        got = wf.best_partners((b for b in blocks), K, labels)
+        assert list(got) == list(want)
+        for i in want:
+            assert got[i][0] == want[i][0]
+            assert got[i][1].to_dict() == want[i][1].to_dict()
 
 
 class TestCheck43:
@@ -122,7 +173,7 @@ class TestLogPhiTable:
                       dec._log_tail(Nd)[:K_eff] + _log_phi_pk_oracle(N, Nd, p, K_eff) - log_k,
                       K_eff)
                   for Nd in rows for p in dec.P_GRID_DEFAULT] for N in rows]
-        partners = wf.best_partners(
+        partners = _best_partners_oracle(
             table, labels=[(j, p) for j in range(3) for p in dec.P_GRID_DEFAULT])
         v = dec.check_518(mat)
         assert v.verdict == wf.existential_verdict(
@@ -175,6 +226,21 @@ class TestMatrixConditions:
                                           weight_function=wf.omega_s(2))
         assert v["extension_property"] == "YES"
         assert sorted(args[1] for args in calls) == [4, 5]
+
+    def test_decide_builds_few_reports(self, omega2_matrix, monkeypatch):
+        # existential searches build a report only for the partner they keep
+        made = []
+        post_init = CheckReport.__post_init__
+
+        def counted(rep):
+            made.append(rep)
+            post_init(rep)
+
+        monkeypatch.setattr(CheckReport, "__post_init__", counted)
+        v = dec.decide_extension_property(omega2_matrix,
+                                          weight_function=wf.omega_s(2))
+        assert v["extension_property"] == "YES"
+        assert len(made) <= 200
 
     def test_decide_yes_gevrey2(self, gevrey2):
         mat = wf.matrix_from_rows([gevrey2], params=[1.0])

@@ -6,7 +6,7 @@ from scipy.special import polygamma
 
 from ultrajet import descend as dsc
 from ultrajet import seqcalc as sq
-from ultrajet.errors import NonincreasingResult, QuasianalyticInput
+from ultrajet.errors import NonincreasingResult, PrefixExhausted, QuasianalyticInput
 from ultrajet.report import FAILS, HOLDS
 
 
@@ -14,6 +14,10 @@ class TestDescend:
     def test_quasianalytic_rejected(self, gevrey1):
         with pytest.raises(QuasianalyticInput):
             dsc.descend(gevrey1)
+
+    def test_past_prefix_is_coded(self):
+        with pytest.raises(PrefixExhausted):
+            dsc.descend(sq.gevrey(2, K=16), K_eff=17)
 
     def test_sigma_star_starts_at_one(self, kplus1_sq):
         D = dsc.descend(kplus1_sq, K_eff=512)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultrajet import decide
 from ultrajet import weightfunc as wf
-from ultrajet.errors import ConjugateUnbounded
+from ultrajet.errors import ConjugateUnbounded, SequenceSpecError
 from ultrajet.report import FAILS, HOLDS, NOT_WITNESSED
 
 
@@ -57,6 +57,11 @@ class TestYoungConjugate:
                             (math.e ** 8, 8.0)])
         with pytest.raises(ConjugateUnbounded):
             wf.young_conjugate(w, 5.0)
+
+    def test_negative_x_is_coded(self):
+        with pytest.raises(SequenceSpecError) as exc:
+            wf.young_conjugate(wf.omega_s(2), np.array([1.0, -0.5]))
+        assert exc.value.code == "NON_POSITIVE"
 
     @pytest.mark.parametrize("w", [
         wf.omega_s(2), wf.omega_s(2.6),
@@ -135,6 +140,24 @@ class TestMatrix:
                                            for u in np.linspace(0.05, 40, 300)])
         mat = wf.associated_matrix(w, params=[0.5, 1.0, 2.0], K=32)
         assert mat.pointwise_ordered()
+
+    def test_table_past_its_slope_is_named(self):
+        # omega = (log t)^2.2 on 60 knots up to log t = 40: phi's last slope
+        # is 182.2, so at K = 128 only x <= 1.42 has a finite phi*(x k)
+        w = wf.omega_table([(math.exp(u), u ** 2.2) for u in np.linspace(0.5, 40, 60)])
+        assert w.last_slope == pytest.approx(182.19, abs=0.01)
+        with pytest.raises(ConjugateUnbounded,
+                           match=r"x k > 182\.187, the slope of phi past the table's "
+                                 r"last log t = 40; at K = 128 x must be <= 1\.42333, "
+                                 r"got x = 64"):
+            wf.associated_matrix(w, K=128)
+        params = [0.125, 0.25, 0.5, 1.0]
+        mat = wf.associated_matrix(w, params=params, K=128)
+        assert len(mat.rows) == 4 and mat.pointwise_ordered()
+        k = np.arange(129, dtype=float)
+        for x, row in zip(params, mat.rows):
+            assert np.allclose(row.log_M, wf.young_conjugate(w, x * k) / x,
+                               rtol=1e-9, atol=1e-12)
 
 
 class TestAdmissibility:
