@@ -24,7 +24,8 @@ from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence, check_nonquasianalytic
 from .tails import log_suffix_sums
 from .weightfunc import (WeightMatrix, best_partners, check_admissible_matrix,
-                         domination_table, existential_verdict)
+                         check_omega_nonquasianalytic, domination_table,
+                         existential_verdict)
 
 P_GRID_DEFAULT = (1, 2, 4, 8, 16)
 
@@ -241,7 +242,6 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
     verdicts["lemma_5.10_agree"] = agree
     headline = v19.verdict.verdict
     if weight_function is not None:
-        from .weightfunc import check_omega_nonquasianalytic
         cor = check_omega_nonquasianalytic(weight_function)
         verdicts["cor5.13-2"] = v19.to_dict()  # same condition, per-parameter form
         verdicts["cor5.13-3"] = {k: v.to_dict() for k, v in cor.items()}

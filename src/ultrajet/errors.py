@@ -25,7 +25,18 @@ class UltrajetError(Exception):
 class SequenceSpecError(UltrajetError):
     """Invalid weight-sequence data.
 
-    Codes: NON_LOGCONVEX, NOT_NORMALIZED, NON_POSITIVE.
+    Codes: NON_LOGCONVEX, NOT_NORMALIZED, NON_POSITIVE, PREFIX_TOO_SHORT (a
+    check that needs K >= 8), PREFIX_MISMATCH (two sequences of different K).
+    """
+
+
+class JetSpecError(UltrajetError):
+    """Invalid compact set or jet data.
+
+    Codes: NON_POSITIVE (an interval of length <= 0), OVERLAP (intervals that
+    are not disjoint), EMPTY_SET, BAD_JET_VALUES (values that are not finite
+    or not of length order_cap + 1), UNKNOWN_FAMILY (a jet kind
+    ``sample_jet`` does not build).
     """
 
 
@@ -62,6 +73,7 @@ class ConjugateUnbounded(UltrajetError):
 class CutoffError(UltrajetError):
     """Codes: A_TOO_SMALL, BAD_INDEX (an interpolation order p < 1),
     DEPTH_INSUFFICIENT, NON_POSITIVE (a cutoff with eps <= 0 or t <= 1),
+    TOO_MANY_PIECES (a box pass whose input spline exceeds the piece ceiling),
     WIDTH_BUDGET."""
 
 

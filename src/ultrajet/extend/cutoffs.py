@@ -28,6 +28,10 @@ from ..seqcalc import WeightSequence, log_h_assoc
 from .ppoly import DEDUP_REL_TOL, PiecewisePolynomial, indicator
 
 WIDTH_FLOOR_REL = 1e-14
+# Largest spline a box pass may convolve: in the lattice regime of low orders
+# p each pass roughly doubles the pieces, so a full-depth build runs out of
+# memory long before its last pass.
+MAX_CUTOFF_PIECES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,8 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
     the family depth or when widths fall below representable spacing; the
     declared smoothness order is the number of convolutions minus one, and
     callers needing derivative orders beyond that get DEPTH_INSUFFICIENT.
+    A box pass whose input has more than ``MAX_CUTOFF_PIECES`` pieces raises
+    TOO_MANY_PIECES instead of running.
     """
     p = cutoff_order(fam, epsilon, t)
     # Convolutions beyond the claimed smoothness only shrink the derivative
@@ -186,7 +192,12 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
             code="DEPTH_INSUFFICIENT")
     c0 = 0.5 * (t + 1.0)
     pp = indicator(-c0, c0)
-    for w in widths[:n]:
+    for i, w in enumerate(widths[:n]):
+        if len(pp.coeffs) > MAX_CUTOFF_PIECES:
+            raise CutoffError(
+                f"cutoff of order p={p} has {len(pp.coeffs)} pieces before box pass "
+                f"{i + 1} of {n}, over the ceiling of {MAX_CUTOFF_PIECES}; pass "
+                f"min_smoothness to stop at the orders you check", code="TOO_MANY_PIECES")
         pp = pp.convolve_box(float(w))
     lo, hi = pp.span
     if not (-t - 1e-9 <= lo and hi <= t + 1e-9):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..descend import Descendant, descend
 from ..errors import ExtensionError, PrefixExhausted
@@ -22,7 +21,7 @@ from ..jets import (Jet, eval_taylor_deriv, fit_jet_constants, grid_constants,
                     jet_norm_profile, taylor_coeffs_local)
 from ..report import HOLDS, log_witness_maxima, trend_verdict
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
-                       h_power_log_constant, log_h_assoc)
+                       h_power_log_constant, log_factorial, log_h_assoc)
 from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
 from .cutoffs import (CutoffFamily, CutoffResult, build_cutoff, cutoff_order,
@@ -437,7 +436,7 @@ def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
             if k < p:
                 val2 = val - F.value(xhat, k)
                 lhs2 = math.log(max(abs(val2), 1e-300))
-                rhs2 = (logC + (k + 1) * math.log(2 * L) + gammaln(k + 1)
+                rhs2 = (logC + (k + 1) * math.log(2 * L) + log_factorial(k)
                         + log_s[k + 1] + math.log(max(dist, 1e-300)))
                 out["5.5"]["checked"] += 1
                 if lhs2 > rhs2 + 1e-9:
@@ -455,7 +454,7 @@ def check_taylor_difference_bound(F: Jet, D: Descendant, a1: float, a2: float,
     log_s = np.concatenate([[0.0], np.cumsum(D.log_sigma_star)])
     base = abs(a1 - x) + abs(a1 - a2)
     log_rhs = (math.log(max(C, 1e-300)) + (p + 1) * math.log(2 * rho)
-               + gammaln(k + 1) + log_s[p + 1]
+               + log_factorial(k) + log_s[p + 1]
                + (p + 1 - k) * math.log(max(base, 1e-300)))
     return lhs, float(math.exp(min(log_rhs, 700.0)))
 

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import OrderExceeded, PoleOnSet
-from .seqcalc import WeightSequence
+from .errors import JetSpecError, OrderExceeded, PoleOnSet
+from .seqcalc import WeightSequence, log_factorial
 
 INTERVAL_GRID_FRACTION = 1.0 / 64.0
 
@@ -32,14 +31,16 @@ class CompactSet1D:
         ivs = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
         for a, b in ivs:
             if b <= a:
-                raise ValueError("intervals must have positive length")
+                raise JetSpecError(f"interval [{a}, {b}] must have positive length",
+                                   code="NON_POSITIVE")
         for (a1, b1), (a2, b2) in zip(ivs[:-1], ivs[1:]):
             if a2 <= b1:
-                raise ValueError("intervals must be disjoint")
+                raise JetSpecError(f"intervals [{a1}, {b1}] and [{a2}, {b2}] must be "
+                                   "disjoint", code="OVERLAP")
         pts = tuple(p for p in pts
                     if not any(a <= p <= b for a, b in ivs))
         if not pts and not ivs:
-            raise ValueError("empty compact set")
+            raise JetSpecError("empty compact set", code="EMPTY_SET")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "intervals", ivs)
 
@@ -117,7 +118,8 @@ class Jet:
         for p in pts:
             v = np.asarray(self.values[float(p)], dtype=float)
             if len(v) != self.order_cap + 1 or not np.all(np.isfinite(v)):
-                raise ValueError(f"jet values at {p} must be finite of length cap+1")
+                raise JetSpecError(f"jet values at {p} must be finite of length cap+1",
+                                   code="BAD_JET_VALUES")
             vals[float(p)] = v
         object.__setattr__(self, "values", vals)
 
@@ -151,8 +153,7 @@ def taylor_coeffs_local(F: Jet, a: float, p: int) -> np.ndarray:
     if p > F.order_cap:
         raise OrderExceeded(f"degree {p} exceeds jet cap {F.order_cap}")
     v = F.values[float(a)]
-    k = np.arange(p + 1)
-    return v[: p + 1] * np.exp(-gammaln(k + 1))
+    return v[: p + 1] * np.exp(-log_factorial(np.arange(p + 1)))
 
 
 def eval_taylor_deriv(F: Jet, a: float, p: int, x: float, order: int) -> float:
@@ -165,7 +166,7 @@ def eval_taylor_deriv(F: Jet, a: float, p: int, x: float, order: int) -> float:
     term_pows = np.arange(0, p + 1 - order)
     if len(term_pows) == 0:
         return 0.0
-    terms = v[order: p + 1] * np.power(dx, term_pows) * np.exp(-gammaln(term_pows + 1))
+    terms = v[order: p + 1] * np.power(dx, term_pows) * np.exp(-log_factorial(term_pows))
     return float(np.sum(terms))
 
 
@@ -176,7 +177,7 @@ def remainder(F: Jet, a: float, b: float, p: int, k: int = 0) -> float:
     head = F.value(b, k)
     j = np.arange(0, p - k + 1)
     va = F.values[float(a)][k: p + 1]
-    return float(head - np.sum(va * np.power(b - a, j) * np.exp(-gammaln(j + 1))))
+    return float(head - np.sum(va * np.power(b - a, j) * np.exp(-log_factorial(j))))
 
 
 def remainder_table(F: Jet) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +195,7 @@ def remainder_table(F: Jet) -> tuple[np.ndarray, np.ndarray]:
         j = np.arange(n)
         k = np.arange(cap - n + 1)
         terms = (np.lib.stride_tricks.sliding_window_view(V[ia, :cap], n, axis=1)
-                 * np.power(d[:, None], j)[:, None, :] * np.exp(-gammaln(j + 1)))
+                 * np.power(d[:, None], j)[:, None, :] * np.exp(-log_factorial(j)))
         R[:, k + n - 1, k] = V[ib, : cap - n + 1] - np.sum(terms, axis=-1)
     return R, np.abs(d)
 
@@ -264,7 +265,7 @@ def jet_norm_profile(F: Jet, M: WeightSequence, rho_grid=None) -> JetNormProfile
     p = np.arange(cap)[:, None]
     k = np.arange(cap)[None, :]
     per_order = _log_order_weights(F, cap, M.log_M, M.log_M,
-                                   gammaln(np.maximum(p + 2 - k, 1)))
+                                   log_factorial(np.maximum(p + 1 - k, 0)))
     orders = np.nonzero(np.isfinite(per_order))[0]
     log_w = per_order[orders]
     C_of_rho, i = grid_constants(orders, log_w, rho_grid)
@@ -301,8 +302,8 @@ def fit_jet_constants(F: Jet, log_sigma_star: np.ndarray,
     log_s = np.concatenate([[0.0], np.cumsum(np.asarray(log_sigma_star, dtype=float))])
     k = np.arange(len(log_s))
     cap = min(F.order_cap, len(log_s) - 2)
-    log_w = _log_order_weights(F, cap, log_s + gammaln(k + 1), log_s,
-                               -gammaln(k[:cap] + 1))
+    log_kfac = log_factorial(k)
+    log_w = _log_order_weights(F, cap, log_s + log_kfac, log_s, -log_kfac[:cap])
     return grid_constants(k[: cap + 1], log_w, rho_grid, log_floor=0.0)
 
 
@@ -340,7 +341,7 @@ def sample_jet(f_spec, E: CompactSet1D, p_max: int = 16) -> Jet:
             vals[float(a)] = _rational_derivs(num, den, a, p_max)
         label = "rational"
     else:
-        raise ValueError(f"unknown jet family {kind!r}")
+        raise JetSpecError(f"unknown jet family {kind!r}", code="UNKNOWN_FAMILY")
     return Jet(E, p_max, vals, label=label)
 
 

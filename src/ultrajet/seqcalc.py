@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import PrefixExhausted, SequenceSpecError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE,
@@ -25,6 +24,32 @@ from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE,
 # Relative slack for monotonicity of quotients; absorbs rounding in rows that
 # come out of numerical Young conjugation.
 MU_MONOTONE_TOL = 1e-9
+
+# log k! for k < len: entry k is the rounded log of the exact integer k!
+_LOG_FACTORIAL = np.zeros(1)
+
+
+def log_factorial(k):
+    """log k! for an int or an int array of k >= 0 (a float, or an array of
+    k's shape).
+
+    Reads a module table that grows to the largest k asked for.  Entry k is
+    ``math.log(math.factorial(k))``, within 1.3 ulp of log k! for k < 4100;
+    ``math.lgamma(k + 1)`` is off by up to 3.2 ulp (at k = 2).
+    """
+    global _LOG_FACTORIAL
+    try:
+        out = _LOG_FACTORIAL[k]
+    except IndexError:
+        n, top = len(_LOG_FACTORIAL), int(np.max(k))
+        f = math.factorial(n - 1)
+        grown = []
+        for i in range(n, top + 1):
+            f *= i
+            grown.append(math.log(f))
+        _LOG_FACTORIAL = np.concatenate([_LOG_FACTORIAL, grown])
+        out = _LOG_FACTORIAL[k]
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)
@@ -59,8 +84,7 @@ class WeightSequence:
     @property
     def log_m_small(self) -> np.ndarray:
         """log m_k with m_k = M_k / k!."""
-        k = np.arange(self.K + 1)
-        return self.log_M - gammaln(k + 1)
+        return self.log_M - log_factorial(np.arange(self.K + 1))
 
     def truncated(self, K_new: int) -> "WeightSequence":
         if K_new > self.K:
@@ -103,7 +127,7 @@ def make_sequence(spec, K: int | None = None) -> WeightSequence:
     k = np.arange(K + 1, dtype=float)
     if family == "gevrey":
         s = float(params["s"])
-        log_M = s * gammaln(k + 1)
+        log_M = s * log_factorial(np.arange(K + 1))
         tag = f"gevrey({s:g})"
     elif family == "qgevrey":
         q = float(params["q"])
@@ -265,7 +289,8 @@ def check_moderate_growth(M: WeightSequence) -> dict[str, CheckReport]:
     should treat disagreement as a diagnostic, not resolve it.
     """
     if M.K < 8:
-        raise ValueError("moderate growth check needs K >= 8")
+        raise SequenceSpecError(f"moderate growth check needs K >= 8, got K = {M.K}",
+                                code="PREFIX_TOO_SHORT")
     K = M.K
     reports: dict[str, CheckReport] = {}
 
@@ -354,7 +379,8 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
     counting-function form 2 Gamma_Mdot(t) <= Gamma_M(lambda t).
     """
     if M.K != Mdot.K:
-        raise ValueError("sequences must share prefix length")
+        raise SequenceSpecError(f"sequences must share prefix length, got K = {M.K} "
+                                f"and {Mdot.K}", code="PREFIX_MISMATCH")
     K = M.K
     half = K // 2
     kk = np.arange(1, half + 1)
@@ -459,7 +485,8 @@ def check_nonquasianalytic(N: WeightSequence) -> CheckReport:
     are part of the contract.
     """
     if N.K < 8:
-        raise ValueError("non-quasianalyticity check needs K >= 8")
+        raise SequenceSpecError(f"non-quasianalyticity check needs K >= 8, got K = {N.K}",
+                                code="PREFIX_TOO_SHORT")
     K = N.K
     k = np.arange(1, K + 1)
     log_inv = -N.log_mu  # log(1/nu_k)
@@ -486,7 +513,8 @@ def check_equivalence(M: WeightSequence, N: WeightSequence) -> dict[str, CheckRe
     root sequences follows from it.
     """
     if M.K != N.K:
-        raise ValueError("sequences must share prefix length")
+        raise SequenceSpecError(f"sequences must share prefix length, got K = {M.K} "
+                                f"and {N.K}", code="PREFIX_MISMATCH")
     K = M.K
     k = np.arange(1, K + 1)
     fwd = (M.log_M[1:] - N.log_M[1:]) / k

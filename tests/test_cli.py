@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,3 +199,28 @@ class TestSerial:
             expect = "\n".join([",".join(cols)] + [",".join(map(fmt, r)) for r in rows]) + "\n"
             with open(path, "rb") as fh:
                 assert fh.read() == expect.encode()
+
+
+NO_SCIPY_RUN = """
+import sys
+from ultrajet import cli, decide, jets, seqcalc, weightfunc as wf
+from ultrajet.extend import ExtensionConfig, extend_jet
+w = wf.omega_s(2)
+v = decide.decide_extension_property(wf.associated_matrix(w, K=512), weight_function=w)
+assert v["extension_property"] == "YES", v["extension_property"]
+F = jets.sample_jet({"kind": "exp"}, jets.CompactSet1D(points=(0.0,)), 3)
+mat = wf.matrix_from_rows([seqcalc.gevrey(2, K=512)], params=[1.0])
+extend_jet(F, mat, ExtensionConfig(p_max_eval=3, d_min=1e-3))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runs_import_no_scipy():
+    # a fresh interpreter: the test process itself imports scipy for oracles
+    import ultrajet
+    src = os.path.dirname(os.path.dirname(ultrajet.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -78,6 +78,17 @@ class TestBuildCutoff:
             cutoffs.build_cutoff(gev2_family, 1.0, 2.0, min_smoothness=200)
         assert err.value.code == "DEPTH_INSUFFICIENT"
 
+    def test_piece_ceiling(self, gev2_family, monkeypatch):
+        # eps = 10^1.5 is order p = 12: at full depth each late box pass
+        # doubles the pieces (106,495 at the end), so a low ceiling trips
+        monkeypatch.setattr(cutoffs, "MAX_CUTOFF_PIECES", 1000)
+        eps = 10.0 ** 1.5
+        with pytest.raises(CutoffError, match=r"order p=12 .*min_smoothness") as err:
+            cutoffs.build_cutoff(gev2_family, eps, 1.5)
+        assert err.value.code == "TOO_MANY_PIECES"
+        res = cutoffs.build_cutoff(gev2_family, eps, 1.5, min_smoothness=6)
+        assert res.p == 12 and len(res.pp.coeffs) <= 1000
+
     def test_invalid_inputs(self, gev2_family):
         for eps, t in ((1.0, 1.0), (0.0, 2.0), (-1.0, 2.0)):
             with pytest.raises(CutoffError) as err:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ultrajet import jets
 from ultrajet import seqcalc as sq
 from ultrajet.descend import descend
-from ultrajet.errors import OrderExceeded, PoleOnSet
+from ultrajet.errors import JetSpecError, OrderExceeded, PoleOnSet
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +49,24 @@ class TestCompactSet:
                         (1.0, 3.0, True, False)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(JetSpecError) as err:
             jets.CompactSet1D()
+        assert err.value.code == "EMPTY_SET"
+
+    @pytest.mark.parametrize("build, code", [
+        (lambda: jets.CompactSet1D(intervals=((1.0, 1.0),)), "NON_POSITIVE"),
+        (lambda: jets.CompactSet1D(intervals=((0.0, 1.0), (1.0, 2.0))), "OVERLAP"),
+        (lambda: jets.Jet(jets.CompactSet1D(points=(0.0,)), 2, {0.0: [1.0, 2.0]}),
+         "BAD_JET_VALUES"),
+        (lambda: jets.Jet(jets.CompactSet1D(points=(0.0,)), 1, {0.0: [1.0, math.nan]}),
+         "BAD_JET_VALUES"),
+        (lambda: jets.sample_jet({"kind": "bessel"}, jets.CompactSet1D(points=(0.0,))),
+         "UNKNOWN_FAMILY"),
+    ])
+    def test_bad_input_is_coded(self, build, code):
+        with pytest.raises(JetSpecError) as err:
+            build()
+        assert err.value.code == code
 
 
 class TestTaylorRemainder:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 from ultrajet import seqcalc as sq
 from ultrajet.errors import PrefixExhausted, SequenceSpecError
@@ -189,6 +190,17 @@ class TestGrowthChecks:
         r = sq.check_nonquasianalytic(gevrey2)
         assert r.witness_constant == pytest.approx(np.pi ** 2 / 6, abs=2e-3)
 
+    def test_short_or_mismatched_prefix_is_coded(self, gevrey2):
+        short = sq.gevrey(2, K=7)
+        for check in (sq.check_moderate_growth, sq.check_nonquasianalytic):
+            with pytest.raises(SequenceSpecError) as err:
+                check(short)
+            assert err.value.code == "PREFIX_TOO_SHORT"
+        for check in (sq.check_mixed_growth, sq.check_equivalence):
+            with pytest.raises(SequenceSpecError) as err:
+                check(gevrey2, sq.gevrey(2, K=256))
+            assert err.value.code == "PREFIX_MISMATCH"
+
     def test_equivalence_reflexive(self, gevrey2):
         reps = sq.check_equivalence(gevrey2, gevrey2)
         assert reps["equivalent"].verdict == HOLDS
@@ -267,6 +279,41 @@ class TestLogHArray:
         log_t.insert(i % (len(log_t) + 1), -math.inf)
         with pytest.raises(ValueError):
             sq.log_h_assoc(omega2_rho64, np.array(log_t))
+
+
+class TestLogFactorial:
+    def test_within_two_ulp_of_gammaln(self):
+        k = np.arange(4100)
+        ref = gammaln(k + 1.0)
+        got = sq.log_factorial(k)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_exact_for_small_k(self):
+        for k in range(21):
+            assert sq.log_factorial(k) == math.log(math.factorial(k))
+
+    @given(k=st.one_of(st.integers(0, 4099),
+                       st.lists(st.integers(0, 4099), max_size=40)
+                       .map(lambda v: np.array(v, dtype=int)),
+                       st.lists(st.integers(0, 4099), min_size=6, max_size=6)
+                       .map(lambda v: np.array(v).reshape(2, 3))))
+    @settings(max_examples=100, deadline=None)
+    def test_ints_and_arrays(self, k):
+        got = sq.log_factorial(k)
+        ref = gammaln(np.asarray(k) + 1.0)
+        if isinstance(k, int):
+            assert isinstance(got, float)
+        else:
+            assert got.shape == k.shape
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_growth_keeps_small_values(self, monkeypatch):
+        monkeypatch.setattr(sq, "_LOG_FACTORIAL", np.zeros(1))
+        small = sq.log_factorial(np.arange(30))
+        assert len(sq._LOG_FACTORIAL) == 30
+        assert sq.log_factorial(4000) == pytest.approx(gammaln(4001.0), rel=1e-15)
+        assert len(sq._LOG_FACTORIAL) == 4001
+        assert np.array_equal(sq.log_factorial(np.arange(30)), small)
 
 
 class TestHypothesisInvariants:

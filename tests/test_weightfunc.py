@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.special import gammainc
 
 from ultrajet import decide
 from ultrajet import weightfunc as wf
@@ -193,6 +195,46 @@ class TestOmegaNonquasianalytic:
                               (1e4, 1e4 - 1), (1e8, 1e8 - 1)])
         reps = wf.check_omega_nonquasianalytic(lin)
         assert reps["integral"].verdict == FAILS
+
+    @pytest.mark.parametrize("s", [1.2, 1.5, 2.0, 2.37, 3.0])
+    def test_integral_is_incomplete_gamma(self, s):
+        # int_1^T (log t)^s / t^2 dt = int_0^Y y^s e^{-y} dy, Y = log T
+        rep = wf.check_omega_nonquasianalytic(wf.omega_s(s))["integral"]
+        Y = rep.prefix_K * math.log(2.0)
+        exact = math.gamma(s + 1) * gammainc(s + 1, Y)
+        assert rep.witness_constant == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("w", [
+        wf.omega_s(1.5), wf.omega_s(2.0), wf.omega_s(3.0),
+        wf.omega_table([(math.exp(u), u ** 2.2) for u in np.linspace(0.5, 40, 60)])],
+        ids=["omega_1.5", "omega_2", "omega_3", "table_60_knots"])
+    def test_averaged_integrals_match_quad(self, w):
+        t_grid = np.concatenate([[1.5], np.geomspace(4.0, 1e6, 25)])
+        got = wf._exp_weighted_panels(w, np.log(t_grid), wf._AVERAGED_EDGES).sum(axis=1)
+        hi = wf._AVERAGED_EDGES[-1]
+        for t, I in zip(t_grid, got):
+            y0 = math.log(t)
+            cut = w.table_log_t - y0 if w.kind == "table" else None
+            ref, _ = quad(lambda u: float(w.phi(y0 + u)) * math.exp(-u), 0.0, hi,
+                          points=None if cut is None else cut[(cut > 0) & (cut < hi)],
+                          limit=500, epsabs=0.0, epsrel=1e-12)
+            assert I == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("w, head", [
+        (wf.omega_s(2), [(HOLDS, 36, None), (HOLDS, 25, None, 4.0)]),
+        (wf.omega_s(3), [(HOLDS, 42, None), (HOLDS, 25, None, 16.0)]),
+        (wf.omega_table([(1.0, 0.0), (2.0, 1.0), (10.0, 9.0), (100.0, 99.0),
+                         (1e4, 1e4 - 1), (1e8, 1e8 - 1)]),
+         [(FAILS, 27, 27), (FAILS, 25, 25, 2048.0)]),
+    ], ids=["omega_2", "omega_3", "linear_table"])
+    def test_verdicts_as_adaptive_quadrature(self, w, head):
+        # verdicts, panel counts and A as given by the adaptive-quadrature
+        # version of the check
+        reps = wf.check_omega_nonquasianalytic(w)
+        got = [(r.verdict, r.prefix_K, r.counterexample_index)
+               for r in (reps["integral"], reps["averaged"])]
+        assert got[0] == head[0]
+        assert got[1] + (reps["averaged"].details["A"],) == head[1]
 
     def test_props_omega_s(self):
         for s in (2.0, 3.0):
