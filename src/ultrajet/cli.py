@@ -239,8 +239,8 @@ def _probe_csv(res, path: str, cfg) -> None:
     xs = np.linspace(lo, hi, 400)
     d = res.cover.E.distance(xs)
     rows = {"x": [], "d": [], "k": [], "f_k": []}
-    for k in range(0, cfg.p_max_eval + 1):
-        vals = res.f(xs, order=k)
+    orders = range(0, cfg.p_max_eval + 1)
+    for k, vals in zip(orders, res.f(xs, order=orders)):
         rows["x"].extend(xs)
         rows["d"].extend(d)
         rows["k"].extend([k] * len(xs))

@@ -70,6 +70,15 @@ class ConjugateUnbounded(UltrajetError):
     code = "UNBOUNDED"
 
 
+class SplineError(UltrajetError):
+    """Invalid piecewise-polynomial data.
+
+    Codes: BAD_SHAPE (coefficient rows that do not match the pieces),
+    NOT_INCREASING (breakpoints), NON_POSITIVE (an affine scale or box width
+    <= 0).
+    """
+
+
 class CutoffError(UltrajetError):
     """Codes: A_TOO_SMALL, BAD_INDEX (an interpolation order p < 1),
     DEPTH_INSUFFICIENT, NON_POSITIVE (a cutoff with eps <= 0 or t <= 1),

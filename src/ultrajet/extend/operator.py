@@ -18,7 +18,7 @@ import numpy as np
 from ..descend import Descendant, descend
 from ..errors import ExtensionError, PrefixExhausted
 from ..jets import (Jet, eval_taylor_deriv, fit_jet_constants, grid_constants,
-                    jet_norm_profile, taylor_coeffs_local)
+                    jet_norm_profile, taylor_coeffs_local, taylor_values)
 from ..report import HOLDS, log_witness_maxima, trend_verdict
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
                        h_power_log_constant, log_factorial, log_h_assoc)
@@ -118,7 +118,10 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
     worst = {k: -math.inf for k in orders}
     viol = {k: 0 for k in orders}
     for f, (cx, r) in zip(part.functions, cov.balls):
-        v = f(xs)
+        ks = [k for k in orders if k <= max(f.smoothness_order, 0) + 1]
+        higher = [k for k in ks if k > 0]
+        vk = dict(zip([0] + higher, f(xs, order=[0] + higher)))
+        v = vk[0]
         s += v
         range_ok &= bool(np.all((v >= -1e-12) & (v <= 1 + 1e-12)))
         slo, shi = f.support()
@@ -127,10 +130,8 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
         sel = (xs > slo) & (xs < shi) & pos
         if not np.any(sel):
             continue
-        for k in orders:
-            if k > max(f.smoothness_order, 0) + 1:
-                continue
-            fk = v[sel] if k == 0 else f(xs[sel], order=k)
+        for k in ks:
+            fk = vk[k][sel]
             lhs = np.log(np.maximum(np.abs(fk), 1e-300))
             rhs = k * math.log(part.epsilon) + log_nd[k] - log_h[sel]
             viol[k] += int(np.sum(lhs > rhs + 1e-9))
@@ -420,29 +421,35 @@ def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
     if C == 0.0:
         return out
     logC = math.log(C)
+    probes = []                     # (x, xhat, dist, p, k), one per check
     for x in xs:
         xhat, dist = F.E.nearest_point(float(x))
         if dist <= 0:
             continue
         p = taylor_degree(chain.S_dot, L, dist, cfg, F.order_cap)
-        for k in range(0, min(p, cfg.p_max_eval) + 1):
-            val = eval_taylor_deriv(F, xhat, p, float(x), k)
-            lhs = math.log(max(abs(val), 1e-300))
-            rhs = logC + (k + 1) * math.log(2 * L) + log_S[k]
-            out["5.4"]["checked"] += 1
-            if lhs > rhs + 1e-9:
-                out["5.4"]["violations"] += 1
-            out["5.4"]["max_log_margin"] = max(out["5.4"]["max_log_margin"], lhs - rhs)
-            if k < p:
-                val2 = val - F.value(xhat, k)
-                lhs2 = math.log(max(abs(val2), 1e-300))
-                rhs2 = (logC + (k + 1) * math.log(2 * L) + log_factorial(k)
-                        + log_s[k + 1] + math.log(max(dist, 1e-300)))
-                out["5.5"]["checked"] += 1
-                if lhs2 > rhs2 + 1e-9:
-                    out["5.5"]["violations"] += 1
-                out["5.5"]["max_log_margin"] = max(out["5.5"]["max_log_margin"],
-                                                   lhs2 - rhs2)
+        probes += [(float(x), xhat, dist, p, k)
+                   for k in range(0, min(p, cfg.p_max_eval) + 1)]
+    if not probes:
+        return out
+    px, pa, _, pp, pk = map(np.array, zip(*probes))
+    vals = taylor_values(F, pa, pp, px, pk).tolist()
+    for (x, xhat, dist, p, k), val in zip(probes, vals):
+        lhs = math.log(max(abs(val), 1e-300))
+        rhs = logC + (k + 1) * math.log(2 * L) + log_S[k]
+        out["5.4"]["checked"] += 1
+        if lhs > rhs + 1e-9:
+            out["5.4"]["violations"] += 1
+        out["5.4"]["max_log_margin"] = max(out["5.4"]["max_log_margin"], lhs - rhs)
+        if k < p:
+            val2 = val - F.value(xhat, k)
+            lhs2 = math.log(max(abs(val2), 1e-300))
+            rhs2 = (logC + (k + 1) * math.log(2 * L) + log_factorial(k)
+                    + log_s[k + 1] + math.log(max(dist, 1e-300)))
+            out["5.5"]["checked"] += 1
+            if lhs2 > rhs2 + 1e-9:
+                out["5.5"]["violations"] += 1
+            out["5.5"]["max_log_margin"] = max(out["5.5"]["max_log_margin"],
+                                               lhs2 - rhs2)
     return out
 
 
@@ -471,18 +478,20 @@ def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig,
     out = {"points": {}, "monotone_ok": True, "final_max_err": 0.0,
            "transition_zone_max": 0.0}
     d = d0 * 2.0 ** -np.arange(n_levels)
+    orders = range(0, cfg.p_max_eval + 1)
     for a in F.E.points:
         ladders = {}
-        for k in range(0, cfg.p_max_eval + 1):
-            errs = np.maximum(np.abs(f(a + d, order=k) - F.value(a, k)),
-                              np.abs(f(a - d, order=k) - F.value(a, k)))
+        vals = f(np.concatenate([a + d, a - d, [a + 0.1]]), order=orders)
+        for k in orders:
+            up, down, far = np.split(vals[k], [n_levels, 2 * n_levels])
+            errs = np.maximum(np.abs(up - F.value(a, k)), np.abs(down - F.value(a, k)))
             dec_ok = bool(np.all(errs[1:] <= errs[:-1] * 1.10 + 1e-12))
             ladders[k] = {"errors": errs.tolist(), "monotone": dec_ok}
             out["monotone_ok"] &= dec_ok
             out["final_max_err"] = max(out["final_max_err"], float(errs[-1]))
             out["transition_zone_max"] = max(
                 out["transition_zone_max"],
-                float(abs(f(a + 0.1, order=k) - F.value(a, k))))
+                float(abs(far[0] - F.value(a, k))))
         out["points"][a] = ladders
     return out
 
@@ -496,8 +505,8 @@ def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
                          rng.uniform(lo, hi, n_probes // 2)])
     log_N = np.concatenate([[0.0], np.cumsum(out_row.log_mu)])
     per_k = {}
-    for k in range(0, cfg.p_max_eval + 1):
-        m = float(np.max(np.abs(f(xs, order=k))))
+    for k, fk in enumerate(f(xs, order=range(0, cfg.p_max_eval + 1))):
+        m = float(np.max(np.abs(fk)))
         if m > 0:
             per_k[k] = math.log(m) - log_N[k]
     if not per_k:
@@ -523,14 +532,17 @@ def _assembly_consistency(f, part: Partition, F: Jet, carried: np.ndarray,
     xs = rng.uniform(lo, hi, n_probes)
     p_col = taylor_degree(chain.S_dot, L, cfg.d_min, cfg, F.order_cap)
     anchors = _nearest(carried, [F.E.nearest_point(cx)[0] for cx, _ in part.cover.balls])
-    phis = np.array([phi(xs) for phi in part.functions])
-    worst = 0.0
-    for x, a, pv, g, fx in zip(xs, _nearest(carried, xs), phis.T, gcut(xs), f(xs)):
-        x = float(x)
-        base = eval_taylor_deriv(F, a, p_col, x, 0)
-        direct = base
-        for i in np.flatnonzero(pv):
-            direct += pv[i] * (eval_taylor_deriv(F, anchors[i], degrees[i], x, 0) - base)
-        direct *= g
-        worst = max(worst, abs(direct - fx))
-    return {"max_abs_gap": float(worst)}
+    phis = np.array([phi(xs) for phi in part.functions]).reshape(-1, n_probes)
+    base = taylor_values(F, _nearest(carried, xs), p_col, xs, 0)
+    # (probe, ball) pairs with phi != 0, balls ascending within each probe
+    pi, bi = np.nonzero(phis.T)
+    terms = phis[bi, pi] * (taylor_values(F, anchors[bi], np.asarray(degrees)[bi],
+                                          xs[pi], 0) - base[pi])
+    rank = np.arange(len(pi)) - np.searchsorted(pi, pi)
+    direct = base.copy()
+    # round r adds each probe's r-th term: the per-probe sum runs in ball order
+    for r in range(int(rank.max(initial=-1)) + 1):
+        sel = rank == r
+        direct[pi[sel]] += terms[sel]
+    direct *= gcut(xs)
+    return {"max_abs_gap": float(np.max(np.abs(direct - f(xs)), initial=0.0))}

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import SplineError
+
 DEDUP_REL_TOL = 1e-12
 
 
@@ -37,21 +39,34 @@ def taylor_shift(rows, h) -> np.ndarray:
     """Each row of coefficients re-anchored h to the right.
 
     sum_j a_j (x - t0)^j = sum_i b_i (x - (t0 + h))^i, row by row, with h a
-    scalar or one value per row.  Synthetic division (repeated Horner steps)
-    runs only on the rows with h != 0; the others are copied unchanged.
+    scalar or one value per row.  Synthetic division runs only on the rows
+    with h != 0; the others are copied unchanged.
+
+    Synthetic division is m - 1 Horner passes over the m coefficients, pass
+    i updating c_j += h c_{j+1} for j = m-2 down to i.  Entry (pass i, j)
+    needs only (i, j+1) and (i-1, j), so the entries of one anti-diagonal
+    i + (m-2-j) = t are independent, and the passes run as m - 1 slice
+    updates: step t = 0..m-2 is c[m-2-t : m-1] += h c[m-1-t : m], whose
+    right side is read whole before any entry is written.  Each entry gets
+    the same multiply and add as pass by pass, so the result is bit for bit
+    the same.
     """
     out = np.array(rows, dtype=float, ndmin=2)
-    h = np.broadcast_to(np.asarray(h, dtype=float), out.shape[:1])
-    moved = np.flatnonzero(h != 0.0)
-    m = out.shape[1]
-    if moved.size and m > 1:
-        c = out[moved].T.copy()
-        hm = h[moved]
-        for i in range(m - 1):
-            for j in range(m - 2, i - 1, -1):
-                c[j] += hm * c[j + 1]
-        out[moved] = c.T
+    _shift_in_place(out, np.broadcast_to(np.asarray(h, dtype=float), out.shape[:1]))
     return out
+
+
+def _shift_in_place(c: np.ndarray, h: np.ndarray) -> None:
+    """:func:`taylor_shift` of the rows of c by h, written into c."""
+    m = c.shape[1]
+    moved = np.flatnonzero(h != 0.0)
+    if not moved.size or m < 2:
+        return
+    rows = slice(None) if moved.size == len(c) else moved
+    ct, hm = c[rows].T.copy(), h[rows]
+    for t in range(m - 1):
+        ct[m - 2 - t: m - 1] += hm * ct[m - 1 - t:]
+    c[rows] = ct.T
 
 
 def _divided_shift(rows, h_minus, d: float) -> np.ndarray:
@@ -107,11 +122,17 @@ class PiecewisePolynomial:
         object.__setattr__(self, "breakpoints", b)
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 2 or c.shape[1] == 0 or len(b) != len(c) + 1:
-            raise ValueError("need one coefficient row per piece")
+            raise SplineError(f"need one coefficient row per piece: {len(b)} "
+                              f"breakpoints, coefficients of shape {c.shape}",
+                              code="BAD_SHAPE")
         if np.any(np.diff(b) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        nz = np.flatnonzero(np.any(c != 0.0, axis=0))
-        c = c[:, : nz[-1] + 1 if nz.size else 1]
+            raise SplineError("breakpoints must be strictly increasing",
+                              code="NOT_INCREASING")
+        # trailing all-zero columns, checked from the right
+        m = c.shape[1]
+        while m > 1 and not c[:, m - 1].any():
+            m -= 1
+        c = c[:, :m]
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -136,17 +157,28 @@ class PiecewisePolynomial:
             return float(b[0]), float(b[0])
         return float(b[nz[0]]), float(b[nz[-1] + 1])
 
-    def __call__(self, x, order: int = 0):
+    def __call__(self, x, order=0):
+        """Derivative of the given order at x, zero outside the span.
+
+        ``order`` may be a sequence: one piece lookup then serves every
+        order, and the result has one row per order (one value per order
+        for scalar x), each bit for bit the single-order call.
+        """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        orders = np.atleast_1d(order)
         b = self.breakpoints
         # the right endpoint belongs to the last piece
         idx = np.clip(np.searchsorted(b, x_arr, side="right") - 1, 0, len(self.coeffs) - 1)
         inside = (x_arr >= b[0]) & (x_arr <= b[-1])
         idx = idx[inside]
-        out = np.zeros_like(x_arr)
-        out[inside] = _horner(_derivative_rows(self.coeffs, order)[idx],
-                              x_arr[inside] - b[idx])
-        return out if np.ndim(x) else float(out[0])
+        c, xi = self.coeffs[idx], x_arr[inside] - b[idx]
+        out = np.zeros((len(orders),) + x_arr.shape)
+        for r, k in enumerate(orders):
+            out[r, inside] = _horner(_derivative_rows(c, k), xi)
+        if np.ndim(order) == 0:
+            out = out[0]
+            return out if np.ndim(x) else float(out[0])
+        return out if np.ndim(x) else out[:, 0]
 
     def derivative(self, order: int = 1) -> "PiecewisePolynomial":
         return PiecewisePolynomial(self.breakpoints,
@@ -185,12 +217,22 @@ class PiecewisePolynomial:
 
     def _rows_at(self, u: np.ndarray) -> np.ndarray:
         """Rows re-anchored at each u, of the piece containing u; zero rows
-        for u outside [first breakpoint, last breakpoint)."""
+        for u outside [first breakpoint, last breakpoint).
+
+        u must be nondecreasing (merged breakpoints and ``restrict`` cuts
+        are): one ``searchsorted`` on u finds the window of u inside the
+        span, and only those rows are gathered and shifted, in place.
+        """
         b = self.breakpoints
-        i = np.clip(np.searchsorted(b, u, side="right") - 1, 0, len(self.coeffs) - 1)
-        outside = (u < b[0]) | (u >= b[-1])
-        rows = taylor_shift(self.coeffs[i], np.where(outside, 0.0, u - b[i]))
-        rows[outside] = 0.0
+        lo, hi = np.searchsorted(u, b[[0, -1]])
+        ui = u[lo:hi]
+        i = np.searchsorted(b, ui, side="right") - 1
+        inner = self.coeffs[i]
+        _shift_in_place(inner, ui - b[i])
+        if hi - lo == len(u):
+            return inner
+        rows = np.zeros((len(u), self.coeffs.shape[1]))
+        rows[lo:hi] = inner
         return rows
 
     def translate(self, c: float) -> "PiecewisePolynomial":
@@ -200,7 +242,7 @@ class PiecewisePolynomial:
     def compose_affine(self, center: float, scale: float) -> "PiecewisePolynomial":
         """g(x) = f((x - center)/scale) for scale > 0."""
         if scale <= 0:
-            raise ValueError("scale must be positive")
+            raise SplineError(f"scale must be positive, got {scale}", code="NON_POSITIVE")
         return PiecewisePolynomial(center + scale * self.breakpoints,
                                    self.coeffs * scale ** -np.arange(self.degree + 1),
                                    self.smoothness_order)
@@ -229,7 +271,7 @@ class PiecewisePolynomial:
         would otherwise erode plateaus of iterated convolutions.
         """
         if d <= 0:
-            raise ValueError("box width must be positive")
+            raise SplineError(f"box width must be positive, got {d}", code="NON_POSITIVE")
         b = self.breakpoints
         n = len(b) - 1
         parts, total = self.antiderivative_parts()

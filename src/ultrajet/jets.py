@@ -156,18 +156,37 @@ def taylor_coeffs_local(F: Jet, a: float, p: int) -> np.ndarray:
     return v[: p + 1] * np.exp(-log_factorial(np.arange(p + 1)))
 
 
+def taylor_values(F: Jet, anchors, p, xs, order) -> np.ndarray:
+    """(d/dx)^order of T_a^p F at x for each entry of the broadcast
+    arguments (anchors a are carried points), evaluated stably about a:
+    sum_{k >= order} F^k(a) (x - a)^{k-order} / (k-order)!, 0 when p < order.
+
+    Entries with the same number of terms p + 1 - order share one row-wise
+    ``np.sum`` over their terms, so each equals the one-entry call bit for
+    bit.
+    """
+    a, p, x, order = np.broadcast_arrays(np.asarray(anchors, dtype=float),
+                                         np.asarray(p), np.asarray(xs, dtype=float),
+                                         np.asarray(order))
+    if np.any(p > F.order_cap):
+        raise OrderExceeded(f"degree {int(np.max(p))} exceeds jet cap {F.order_cap}")
+    uniq, which = np.unique(a, return_inverse=True)
+    V = np.array([F.values[float(u)] for u in uniq]).reshape(len(uniq), F.order_cap + 1)
+    which = which.reshape(a.shape)
+    n_terms = p + 1 - order
+    out = np.zeros(a.shape)
+    for n in np.unique(n_terms[n_terms > 0]):
+        sel = n_terms == n
+        j = np.arange(n)
+        terms = (V[which[sel][:, None], order[sel][:, None] + j]
+                 * np.power((x[sel] - a[sel])[:, None], j) * np.exp(-log_factorial(j)))
+        out[sel] = np.sum(terms, axis=-1)
+    return out
+
+
 def eval_taylor_deriv(F: Jet, a: float, p: int, x: float, order: int) -> float:
-    """(d/dx)^order of T_a^p F at x, evaluated stably about a."""
-    if p > F.order_cap:
-        raise OrderExceeded(f"degree {p} exceeds jet cap {F.order_cap}")
-    v = F.values[float(a)]
-    dx = x - a
-    # sum_{k >= order} v[k] dx^{k-order} / (k-order)!
-    term_pows = np.arange(0, p + 1 - order)
-    if len(term_pows) == 0:
-        return 0.0
-    terms = v[order: p + 1] * np.power(dx, term_pows) * np.exp(-log_factorial(term_pows))
-    return float(np.sum(terms))
+    """(d/dx)^order of T_a^p F at x: one entry of :func:`taylor_values`."""
+    return float(taylor_values(F, a, p, x, order))
 
 
 def remainder(F: Jet, a: float, b: float, p: int, k: int = 0) -> float:

@@ -66,3 +66,33 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture(scope="session")
+def extend_point_input(omega2_matrix):
+    """(jet, matrix, config) of the extend-point benchmark at its default
+    point: exp jet (order cap 16) at {0}, omega_2 matrix, K = 512."""
+    from ultrajet import jets
+    from ultrajet.extend import ExtensionConfig
+    F = jets.sample_jet({"kind": "exp"}, jets.CompactSet1D(points=(0.0,)), 16)
+    return F, omega2_matrix, ExtensionConfig(p_max_eval=6, d_min=1e-3)
+
+
+@pytest.fixture(scope="session")
+def extend_interval_input(gevrey2):
+    """(jet, matrix, config) of the extend-interval benchmark at offset 0:
+    exp jet (order cap 3) on [0, 1] u {2}, gevrey(2) singleton matrix."""
+    from ultrajet import jets
+    from ultrajet.extend import ExtensionConfig
+    E = jets.CompactSet1D(points=(2.0,), intervals=((0.0, 1.0),))
+    F = jets.sample_jet({"kind": "exp"}, E, 3)
+    mat = wf.matrix_from_rows([gevrey2], params=[1.0], origin="gevrey2-singleton")
+    return F, mat, ExtensionConfig(p_max_eval=3, d_min=1e-3)
+
+
+@pytest.fixture(scope="session", params=["point", "interval"])
+def extension_case(request):
+    """One of the two benchmark inputs and its extension: (inputs, result)."""
+    from ultrajet.extend import extend_jet
+    inputs = request.getfixturevalue(f"extend_{request.param}_input")
+    return inputs, extend_jet(*inputs)

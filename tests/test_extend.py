@@ -14,6 +14,7 @@ from ultrajet.extend import (ExtensionConfig, check_taylor_difference_bound,
 from hypothesis import given, settings, strategies as st
 
 from ultrajet.extend.cover import OVERLAP_C
+from ultrajet.extend import operator
 from ultrajet.extend.operator import fit_rho, h_power_constant, search_lambda
 
 
@@ -298,3 +299,94 @@ class TestTaylorEstimates:
             lhs, rhs = check_taylor_difference_bound(F, chain.S, a1, a2, p, k, x,
                                                      C, rho)
             assert lhs <= rhs * (1 + 1e-9)
+
+
+# -- array Taylor checks against their scalar loops ------------------------------
+
+def _scalar_taylor(F, a, p, x, order):
+    j = np.arange(0, p + 1 - order)
+    if len(j) == 0:
+        return 0.0
+    return float(np.sum(F.values[float(a)][order: p + 1] * np.power(x - a, j)
+                        * np.exp(-sq.log_factorial(j))))
+
+
+def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
+    """One scalar Taylor evaluation per probe and order."""
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cover.working
+    xs = rng.uniform(lo, hi, n_probes)
+    log_S = chain.S.big_S.log_M
+    log_s = np.concatenate([[0.0], np.cumsum(chain.S.log_sigma_star)])
+    out = {"5.4": {"violations": 0, "max_log_margin": -math.inf, "checked": 0},
+           "5.5": {"violations": 0, "max_log_margin": -math.inf, "checked": 0}}
+    if C == 0.0:
+        return out
+    logC = math.log(C)
+    for x in xs:
+        xhat, dist = F.E.nearest_point(float(x))
+        if dist <= 0:
+            continue
+        p = operator.taylor_degree(chain.S_dot, L, dist, cfg, F.order_cap)
+        for k in range(0, min(p, cfg.p_max_eval) + 1):
+            val = _scalar_taylor(F, xhat, p, float(x), k)
+            lhs = math.log(max(abs(val), 1e-300))
+            rhs = logC + (k + 1) * math.log(2 * L) + log_S[k]
+            out["5.4"]["checked"] += 1
+            if lhs > rhs + 1e-9:
+                out["5.4"]["violations"] += 1
+            out["5.4"]["max_log_margin"] = max(out["5.4"]["max_log_margin"], lhs - rhs)
+            if k < p:
+                val2 = val - F.value(xhat, k)
+                lhs2 = math.log(max(abs(val2), 1e-300))
+                rhs2 = (logC + (k + 1) * math.log(2 * L) + sq.log_factorial(k)
+                        + log_s[k + 1] + math.log(max(dist, 1e-300)))
+                out["5.5"]["checked"] += 1
+                if lhs2 > rhs2 + 1e-9:
+                    out["5.5"]["violations"] += 1
+                out["5.5"]["max_log_margin"] = max(out["5.5"]["max_log_margin"],
+                                                   lhs2 - rhs2)
+    return out
+
+
+def _assembly_loop(f, part, F, carried, chain, degrees, gcut, L, cfg, n_probes=200):
+    """Per probe, the defining sum term by term in ball order."""
+    rng = np.random.default_rng(cfg.seed + 2)
+    lo, hi = part.cover.working
+    xs = rng.uniform(lo, hi, n_probes)
+    p_col = operator.taylor_degree(chain.S_dot, L, cfg.d_min, cfg, F.order_cap)
+    anchors = operator._nearest(carried, [F.E.nearest_point(cx)[0]
+                                          for cx, _ in part.cover.balls])
+    phis = np.array([phi(xs) for phi in part.functions])
+    worst = 0.0
+    for x, a, pv, g, fx in zip(xs, operator._nearest(carried, xs), phis.T,
+                               gcut(xs), f(xs)):
+        x = float(x)
+        base = _scalar_taylor(F, a, p_col, x, 0)
+        direct = base
+        for i in np.flatnonzero(pv):
+            direct += pv[i] * (_scalar_taylor(F, anchors[i], degrees[i], x, 0) - base)
+        direct *= g
+        worst = max(worst, abs(direct - fx))
+    return {"max_abs_gap": float(worst)}
+
+
+class TestArrayTaylorChecks:
+    def test_taylor_estimates_equal_scalar_loop(self, extension_case):
+        (F, _, cfg), res = extension_case
+        c = res.constants
+        args = (F, res.chain, c["C"], c["rho"], c["L"], res.cover, cfg)
+        got = operator._check_taylor_estimates(*args)
+        assert got == _taylor_estimates_loop(*args)
+        assert got == res.verification["taylor_estimates"]
+        assert got["5.4"]["checked"] > 0
+
+    def test_assembly_consistency_equals_scalar_loop(self, extension_case):
+        (F, _, cfg), res = extension_case
+        gcut = operator._global_cutoff(F.E, res.partition.fam, res.constants["epsilon"],
+                                       res.cover, cfg)
+        args = (res.f, res.partition, F, F.carried(), res.chain, res.degrees, gcut,
+                res.constants["L"], cfg)
+        got = operator._assembly_consistency(*args)
+        assert got == _assembly_loop(*args)
+        assert got == res.verification["assembly_consistency"]

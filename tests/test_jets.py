@@ -252,3 +252,49 @@ class TestRemainderTable:
             expect.append(math.exp(best))
         np.testing.assert_allclose(Cs, expect, rtol=1e-12)
         assert i == next(j for j, c in enumerate(Cs) if c <= 2.0 * Cs[-1])
+
+
+def _scalar_taylor(F, a, p, x, order):
+    """(d/dx)^order T_a^p F (x) as one np.sum over its p + 1 - order terms."""
+    j = np.arange(0, p + 1 - order)
+    if len(j) == 0:
+        return 0.0
+    terms = (F.values[float(a)][order: p + 1] * np.power(x - a, j)
+             * np.exp(-sq.log_factorial(j)))
+    return float(np.sum(terms))
+
+
+class TestTaylorValues:
+    @given(family=st.sampled_from(["exp", "sin", "polynomial"]),
+           cap=st.integers(min_value=0, max_value=16),
+           points=st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                           min_size=1, max_size=4, unique=True),
+           with_interval=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_entries_equal_scalar_formula(self, family, cap, points, with_interval, seed):
+        ivs = ((3.5, 4.0),) if with_interval else ()
+        F = jets.sample_jet(FAMILIES[family], jets.CompactSet1D(points=tuple(points),
+                                                                  intervals=ivs), cap)
+        rng = np.random.default_rng(seed)
+        n = 200
+        a = rng.choice(F.carried(), n)              # mixed anchors
+        p = rng.integers(0, cap + 1, n)
+        order = rng.integers(0, p + 2)              # order p + 1: no terms
+        x = a + rng.uniform(-2.0, 2.0, n)
+        vals = jets.taylor_values(F, a, p, x, order)
+        assert vals.shape == (n,)
+        for i in range(n):
+            expect = _scalar_taylor(F, a[i], int(p[i]), float(x[i]), int(order[i]))
+            assert vals[i] == expect and math.copysign(1.0, vals[i]) == math.copysign(1.0, expect)
+            assert jets.eval_taylor_deriv(F, a[i], int(p[i]), float(x[i]), int(order[i])) == expect
+
+    def test_broadcast_and_empty_range(self, exp_jet):
+        xs = np.linspace(-1.0, 2.0, 7)
+        vals = jets.taylor_values(exp_jet, 0.0, 5, xs, 2)
+        assert np.array_equal(vals, [_scalar_taylor(exp_jet, 0.0, 5, x, 2) for x in xs])
+        assert np.array_equal(jets.taylor_values(exp_jet, 1.0, 3, xs, 4), np.zeros(7))
+        assert jets.eval_taylor_deriv(exp_jet, 1.0, 3, 0.5, 4) == 0.0
+
+    def test_order_exceeded(self, exp_jet):
+        with pytest.raises(OrderExceeded):
+            jets.taylor_values(exp_jet, [0.0, 1.0], [3, 13], 0.5, 0)

@@ -1,8 +1,12 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ultrajet.extend import ppoly
+from ultrajet.errors import SplineError
+from ultrajet.extend import extend_jet, ppoly
 
 
 @pytest.fixture
@@ -209,3 +213,161 @@ class TestArrayOperations:
         g = ppoly.PiecewisePolynomial(np.array([-1.0, 1.0 - 1e-13, 2.0]),
                                       np.array([[2.0], [3.0]]))
         assert (f * g)(1.0 - 0.5e-13) == 3.0
+
+
+class TestCodedErrors:
+    @pytest.mark.parametrize("build, code", [
+        (lambda: ppoly.PiecewisePolynomial(np.array([0.0, 1.0, 2.0]), np.ones((1, 2))),
+         "BAD_SHAPE"),
+        (lambda: ppoly.PiecewisePolynomial(np.array([0.0, 1.0, 1.0]), np.ones((2, 1))),
+         "NOT_INCREASING"),
+        (lambda: ppoly.indicator(0.0, 1.0).compose_affine(0.5, 0.0), "NON_POSITIVE"),
+        (lambda: ppoly.indicator(0.0, 1.0).convolve_box(-0.25), "NON_POSITIVE"),
+    ], ids=["shape", "breakpoints", "scale", "box-width"])
+    def test_bad_input_is_coded(self, build, code):
+        with pytest.raises(SplineError) as err:
+            build()
+        assert err.value.code == code
+
+
+# -- reference kernels: the pass-by-pass forms the array kernels must match bit for bit
+
+def reference_taylor_shift(rows, h):
+    """Synthetic division pass by pass: pass i sets c_j += h c_{j+1} for
+    j = m-2 down to i, on the rows with h != 0."""
+    out = np.array(rows, dtype=float, ndmin=2)
+    h = np.broadcast_to(np.asarray(h, dtype=float), out.shape[:1])
+    moved = np.flatnonzero(h != 0.0)
+    m = out.shape[1]
+    if moved.size and m > 1:
+        c = out[moved].T.copy()
+        hm = h[moved]
+        for i in range(m - 1):
+            for j in range(m - 2, i - 1, -1):
+                c[j] += hm * c[j + 1]
+        out[moved] = c.T
+    return out
+
+
+def reference_rows_at(f, u):
+    """Every u looked up (clipped) and shifted, rows outside the span zeroed."""
+    b = f.breakpoints
+    i = np.clip(np.searchsorted(b, u, side="right") - 1, 0, len(f.coeffs) - 1)
+    outside = (u < b[0]) | (u >= b[-1])
+    rows = reference_taylor_shift(f.coeffs[i], np.where(outside, 0.0, u - b[i]))
+    rows[outside] = 0.0
+    return rows
+
+
+def reference_call(f, x, order=0):
+    """One evaluation per order: derivative rows of every piece, gathered,
+    then Horner over the columns."""
+    if np.ndim(order):
+        return np.array([reference_call(f, x, k) for k in order]).reshape(
+            (len(order),) + np.shape(x))
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    b, c = f.breakpoints, f.coeffs
+    m = c.shape[1]
+    if order >= m:
+        dc = np.zeros((len(c), 1))
+    elif order:
+        dc = c[:, order:] * np.array([math.perm(j, order) for j in range(order, m)],
+                                     dtype=float)
+    else:
+        dc = c
+    idx = np.clip(np.searchsorted(b, x_arr, side="right") - 1, 0, len(c) - 1)
+    inside = (x_arr >= b[0]) & (x_arr <= b[-1])
+    idx = idx[inside]
+    xi = x_arr[inside] - b[idx]
+    r = np.zeros(len(xi))
+    for col in dc[idx].T[::-1]:
+        r = r * xi + col
+    out = np.zeros_like(x_arr)
+    out[inside] = r
+    return out if np.ndim(x) else float(out[0])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _coefficients(rng, shape):
+    """Signed mantissas in [-1, 1) times powers of ten in 1e-30..1e30."""
+    return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-30, 31, shape)
+
+
+@st.composite
+def increasing_splines(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    b = np.cumsum(np.concatenate([[rng.uniform(-2.0, 0.0)], rng.uniform(0.05, 0.6, n)]))
+    return ppoly.PiecewisePolynomial(b, rng.uniform(-2.0, 2.0, (n, m)), 0), rng
+
+
+class TestKernelsBitIdentical:
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 35),
+           n=st.integers(0, 60), h_kind=st.sampled_from(["mixed", "all-zero", "scalar"]))
+    @settings(max_examples=150, deadline=None)
+    def test_taylor_shift_matches_pass_by_pass(self, seed, m, n, h_kind):
+        rng = np.random.default_rng(seed)
+        rows = _coefficients(rng, (n, m))
+        if h_kind == "scalar":
+            h = float(rng.uniform(-4.0, 4.0))
+        else:
+            h = rng.uniform(-4.0, 4.0, n) * (rng.random(n) < 0.7)
+            if h_kind == "all-zero":
+                h[:] = 0.0
+        assert _same_bits(ppoly.taylor_shift(rows, h), reference_taylor_shift(rows, h))
+
+    def test_taylor_shift_single_row_and_no_rows(self):
+        c = np.array([1.0, -2.0, 0.5, 3.0, 1e-30, -7e29])
+        assert _same_bits(ppoly.taylor_shift(c, 0.37), reference_taylor_shift(c, 0.37))
+        empty = np.zeros((0, 5))
+        assert ppoly.taylor_shift(empty, np.zeros(0)).shape == (0, 5)
+
+    @given(case=increasing_splines(), n_u=st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_at_matches_clip_and_where(self, case, n_u):
+        f, rng = case
+        b = f.breakpoints
+        # left of, right of, and exactly at the span ends and breakpoints
+        u = np.concatenate([rng.uniform(b[0] - 1.0, b[-1] + 1.0, n_u),
+                            rng.choice(b, min(n_u, len(b))),
+                            [b[-1]] if n_u % 2 else []])
+        u = np.unique(u)
+        assert _same_bits(f._rows_at(u), reference_rows_at(f, u))
+
+    @given(case=increasing_splines(), n_x=st.integers(1, 30),
+           orders=st.lists(st.integers(0, 15), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_multi_order_call_matches_per_order(self, case, n_x, orders):
+        f, rng = case
+        b = f.breakpoints
+        x = np.concatenate([rng.uniform(b[0] - 0.5, b[-1] + 0.5, n_x), b[[0, -1]]])
+        per_order = np.array([f(x, order=k) for k in orders])
+        assert _same_bits(f(x, order=orders), per_order)
+        assert _same_bits(per_order, reference_call(f, x, orders))
+        x0 = float(x[0])
+        assert _same_bits(f(x0, order=orders), np.array([f(x0, order=k) for k in orders]))
+        assert _same_bits(f(x0, order=orders), reference_call(f, x0, orders))
+        assert f(x0, order=orders[0]) == reference_call(f, x0, orders[0])
+
+
+def test_extension_with_reference_kernels_is_identical(extension_case, monkeypatch):
+    """The whole extension, rebuilt with the pass-by-pass kernels, gives the
+    same spline and verification: catches a ``_rows_at`` caller whose u is
+    not increasing."""
+    inputs, res = extension_case
+    holders = [mod for name, mod in list(sys.modules.items())
+               if name.startswith("ultrajet")
+               and getattr(mod, "taylor_shift", None) is ppoly.taylor_shift]
+    for mod in holders:
+        monkeypatch.setattr(mod, "taylor_shift", reference_taylor_shift)
+    monkeypatch.setattr(ppoly.PiecewisePolynomial, "_rows_at", reference_rows_at)
+    monkeypatch.setattr(ppoly.PiecewisePolynomial, "__call__", reference_call)
+    ref = extend_jet(*inputs)
+    assert np.array_equal(ref.f.breakpoints, res.f.breakpoints)
+    assert np.array_equal(ref.f.coeffs, res.f.coeffs)
+    assert ref.verification == res.verification
