@@ -70,6 +70,13 @@ class ConjugateUnbounded(UltrajetError):
     code = "UNBOUNDED"
 
 
+class ReportError(UltrajetError):
+    """Invalid check report data.
+
+    Codes: NO_COUNTEREXAMPLE (a FAILS verdict without a counterexample index).
+    """
+
+
 class SplineError(UltrajetError):
     """Invalid piecewise-polynomial data.
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ReportError
+
 HOLDS = "HOLDS_UP_TO_K"
 FAILS = "FAILS"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -52,7 +54,8 @@ class CheckReport:
 
     def __post_init__(self):
         if self.verdict == FAILS and self.counterexample_index is None:
-            raise ValueError("FAILS verdict requires a counterexample index")
+            raise ReportError("FAILS verdict requires a counterexample index",
+                              "NO_COUNTEREXAMPLE")
 
     @property
     def holds(self) -> bool:

@@ -14,7 +14,6 @@ Writes are atomic (temp file + rename) and deterministic for a fixed spec.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os

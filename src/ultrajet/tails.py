@@ -7,6 +7,8 @@ cover the sequences we meet:
 * power-law fit ``log(1/nu_j) ~ log a - b log j + sum_q c_q j^{-q}`` on the
   tail half of the prefix, summed past K with Hurwitz zeta values (after
   expanding the exponential of the correction series to matching order);
+  :func:`hurwitz_zeta` computes them in NumPy, a short direct sum closed
+  by the Euler-Maclaurin formula with the Bernoulli numbers B_2..B_16;
 * a geometric bracket from the last quotient, for super-power decay where
   the log-log fit has no meaning.
 
@@ -18,14 +20,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import TailUnreliable
 
 FIT_ORDERS = 4
 RESID_GOOD = 1e-7
+
+
+# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin coefficients of hurwitz_zeta
+_EM_COEFFS = tuple(float(Fraction(b) / math.factorial(2 * j)) for j, b in enumerate(
+    ["1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510"], 1))
+
+
+def hurwitz_zeta(s, a: float) -> np.ndarray:
+    """Hurwitz zeta(s, a) = sum_{n >= 0} (a + n)^-s, entry by entry of s.
+
+    Every entry of ``s`` must exceed 1 and ``a >= 1``.  For each entry the
+    first N = max(0, ceil(s - a) + 10) terms are summed directly, smallest
+    first; the rest is the Euler-Maclaurin tail at x = a + N,
+    x^(1-s)/(s-1) + x^-s/2 + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) x^(-s-2j+1),
+    j = 1..8.  The result is within 3e-15 relative of zeta for s <= 60
+    (within 5e-16 for s <= 12), and every entry equals its one-element call
+    bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    n = np.maximum(0.0, np.ceil(s - a) + 10.0)
+    x = a + n
+    # rows are the terms n = max N, ..., 1, 0, zeroed where n >= the entry's
+    # own N (row max N always); accumulate adds them strictly in this order,
+    # so the zeros ahead of an entry's terms leave its sum unchanged
+    m = np.arange(np.max(n), -1.0, -1.0)
+    rows = np.where(np.less.outer(m, n), np.power.outer(a + m, -s), 0.0)
+    direct = np.add.accumulate(rows, axis=0)[-1]
+    x_s = x ** -s
+    # the Bernoulli sum by Horner's rule, smallest term first: term j + 1 is
+    # term j times (s + 2j - 1)(s + 2j) / x^2
+    tail = _EM_COEFFS[-1]
+    for j in range(len(_EM_COEFFS) - 1, 0, -1):
+        tail = _EM_COEFFS[j - 1] + (s + (2 * j - 1)) * (s + 2 * j) / (x * x) * tail
+    return direct + (x * x_s / (s - 1.0) + (0.5 * x_s + s * x_s / x * tail))
 
 
 @dataclass(frozen=True)
@@ -59,11 +95,8 @@ def _powerlaw_fit(vals: np.ndarray, K: int, orders: int, lo_frac: float):
     if np.max(np.abs(e[1:]) * (1.0 / K) ** np.arange(1, orders + 1)) > 0.5:
         return None  # corrections too large on the window: not power-law data
     a = math.exp(min(coef[0], 700.0))
-    try:
-        est = a * sum(float(e[q]) * float(mpmath.zeta(b + q, K + 1))
-                      for q in range(0, orders + 1))
-    except (ValueError, OverflowError):
-        return None
+    z = hurwitz_zeta(b + np.arange(orders + 1), K + 1)
+    est = a * sum(float(e[q]) * float(z[q]) for q in range(0, orders + 1))
     if not np.isfinite(est) or est < 0:
         return None
     return est, resid

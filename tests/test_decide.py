@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from ultrajet import decide as dec
 from ultrajet import seqcalc as sq
 from ultrajet import weightfunc as wf
-from ultrajet.errors import PrefixExhausted, QuasianalyticInput, UltrajetError
-from ultrajet.report import CheckReport, HOLDS, report_from_log_witnesses
+from ultrajet.errors import PrefixExhausted, QuasianalyticInput, ReportError, UltrajetError
+from ultrajet.report import FAILS, CheckReport, HOLDS, report_from_log_witnesses
 
 
 def _log_phi_pk_oracle(M, N, p, K_eff):
@@ -50,6 +50,13 @@ def _witness_blocks(draw):
     n_rows, n_entries = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     pick = st.lists(st.integers(0, len(pool) - 1), min_size=n_entries, max_size=n_entries)
     return np.array([[pool[i] for i in draw(pick)] for _ in range(n_rows)])
+
+
+def test_fails_report_needs_counterexample():
+    with pytest.raises(ReportError) as err:
+        CheckReport(FAILS, 64)
+    assert err.value.code == "NO_COUNTEREXAMPLE"
+    assert CheckReport(FAILS, 64, counterexample_index=7).counterexample_index == 7
 
 
 class TestBestPartners:
