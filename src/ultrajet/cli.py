@@ -134,15 +134,18 @@ def _assoc_csv(M: sq.WeightSequence, path: str) -> None:
     # Gamma(t), Sigma(1/t) and omega(1/t) need 1/t < mu_K; -1 past that edge
     inside = -lts < M.log_mu[-1]
 
-    def per_point(fn, sign):
-        return [fn(M, sign * lt) if ok else -1 for lt, ok in zip(lts, inside)]
+    def on_inside(fn, sign):
+        vals = fn(M, sign * lts[inside])
+        col = np.full(len(lts), -1, dtype=vals.dtype)
+        col[inside] = vals
+        return col
 
     serial.write_csv(path, {
         "log_t": lts,
         "log_h": sq.log_h_assoc(M, lts),
-        "Gamma": per_point(sq.gamma_count, 1.0),
-        "Sigma_at_1_over_t": per_point(sq.sigma_count, -1.0),
-        "omega_at_1_over_t": per_point(sq.omega_assoc, -1.0),
+        "Gamma": on_inside(sq.gamma_count, 1.0),
+        "Sigma_at_1_over_t": on_inside(sq.sigma_count, -1.0),
+        "omega_at_1_over_t": on_inside(sq.omega_assoc, -1.0),
     })
 
 
@@ -186,7 +189,7 @@ def cmd_matrix(args) -> int:
     out = _outdir(args)
     serial.write_csv(os.path.join(out, "matrix.csv"),
                      serial.matrix_csv_columns(mat))
-    adm = wfn.check_admissible_matrix(mat, check_43=dec.check_43)
+    adm = wfn.check_admissible_matrix(mat)
     serial.dump_json(os.path.join(out, "admissibility.json"),
                      {k: r.to_dict() for k, r in sorted(adm.items())})
     worst = [k for k, r in adm.items() if r.verdict == FAILS]

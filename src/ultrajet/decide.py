@@ -5,10 +5,10 @@ condition: for each row N there is a row Ndot with
 
     sum_{l >= k} 1/nudot_l  <=  C k / nu_k.
 
-This module evaluates that condition, its phi_{p,k}-weakening, the paired
-single-sequence condition from the classical setting, and the
-quotient-regularity condition, all on stored prefixes with the shared tail
-machinery.
+This module evaluates that condition, its phi_{p,k}-weakening and the
+paired single-sequence condition from the classical setting, all on stored
+prefixes with the shared tail machinery; quotient regularity (4.3) is
+``descend.check_43``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .descend import check_43
 from .errors import (ExtensionError, PrefixExhausted, QuasianalyticInput,
                      UltrajetError)
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
@@ -44,36 +45,6 @@ class ExtensionVerdict:
             "witnessing_row_pairs": list(self.witnessing_row_pairs),
             "constants": self.constants,
         }
-
-
-def check_43(N: WeightSequence, K_eff: int | None = None) -> CheckReport:
-    """Quotient regularity: nu_{k+1}/nu_k <= (C+1) + C nu*_{k+1} sum_{j>k} 1/nu_j.
-
-    The smallest admissible C per index solves the inequality directly; the
-    report carries the prefix max with trend semantics.
-    """
-    nq = check_nonquasianalytic(N)
-    if nq.verdict == FAILS:
-        raise QuasianalyticInput(f"{N.family_tag} is quasianalytic (trend)")
-    K = N.K
-    if K_eff is None:
-        K_eff = K // 2
-    log_T, _ = log_suffix_sums(-N.log_mu, rel_cap=None)
-    k = np.arange(1, K_eff, dtype=float)       # condition at k -> k+1
-    log_ratio_m1 = _log_expm1(N.log_mu[1:K_eff] - N.log_mu[:K_eff - 1])
-    log_nu_star_next = np.cumsum(N.log_mu)[1:K_eff] - np.log(k + 1.0)
-    log_denom = np.logaddexp(0.0, log_nu_star_next + log_T[1:K_eff])
-    return report_from_log_witnesses(
-        log_ratio_m1 - log_denom, K_eff,
-        note="quotient regularity (4.3); witness is the smallest validating C")
-
-
-def _log_expm1(x: np.ndarray) -> np.ndarray:
-    """log(e^x - 1) for x >= 0, stable for both tiny and huge x."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 30.0, x, np.log(np.maximum(np.expm1(np.minimum(x, 30.0)),
-                                                  1e-300)))
-    return out
 
 
 def check_14(M: WeightSequence, N: WeightSequence) -> CheckReport:
@@ -228,7 +199,7 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
     existential conditions missing witnesses only for a suffix of rows is
     reported but tolerated (sampling boundary).
     """
-    adm = check_admissible_matrix(mat, check_43=check_43)
+    adm = check_admissible_matrix(mat)
     hard_bad = [cid for cid in ("4.6-1", "4.6-2", "4.6-3")
                 if adm[cid].verdict == FAILS]
     if hard_bad and require_admissible:

@@ -12,10 +12,13 @@ extension constructions.
 
 Rows derived from weight functions push tau far below double range within a
 few dozen indices, so the whole construction runs in the log domain.
+Quotient regularity (4.3), equivalent to sigma_{k+1} <~ sigma_k, is
+``check_43``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,19 +58,19 @@ class Descendant:
     def sigma_star(self) -> np.ndarray:
         return np.exp(np.minimum(self.log_sigma_star, 709.0))
 
-    @property
+    @functools.cached_property
     def small_s(self) -> WeightSequence:
         """s with S_k = k! s_k; quotients are sigma*_k (>= 1, increasing)."""
         return from_log_quotients(self.log_sigma_star, f"desc-s({self.source_tag})")
 
-    @property
+    @functools.cached_property
     def big_S(self) -> WeightSequence:
         """S_k = sigma_1 ... sigma_k as a weight sequence."""
         return from_log_quotients(self.log_sigma, f"desc-S({self.source_tag})")
 
     def to_rows(self):
         k = np.arange(1, self.K_eff + 1)
-        s_small = np.exp(np.minimum(np.cumsum(self.log_sigma_star), 709.0))
+        s_small = np.exp(np.minimum(self.small_s.log_M[1:], 709.0))
         return {"k": k, "tau": self.tau, "sigma": self.sigma,
                 "sigma_star": self.sigma_star, "s": s_small}
 
@@ -134,7 +137,6 @@ def check_lemma42(N: WeightSequence, D: Descendant,
 
     lhs = report_from_log_witnesses(np.diff(D.log_sigma), K_eff,
                                     note="sigma_{k+1} <= C sigma_k")
-    from .decide import check_43  # local import to avoid a cycle
     rhs = check_43(N, K_eff=K_eff)
     agree = lhs.verdict == rhs.verdict
     out["4.2-4"] = CheckReport(
@@ -165,6 +167,36 @@ def check_lemma42(N: WeightSequence, D: Descendant,
             counterexample_index=None if ok else K_eff,
             note="nu_{2k} <~ nudot_k implies sigma_{2k} <~ sigmadot_k",
             details={"hypothesis": hyp.to_dict(), "conclusion": con.to_dict()})
+    return out
+
+
+def check_43(N: WeightSequence, K_eff: int | None = None) -> CheckReport:
+    """Quotient regularity: nu_{k+1}/nu_k <= (C+1) + C nu*_{k+1} sum_{j>k} 1/nu_j.
+
+    The smallest admissible C per index solves the inequality directly; the
+    report carries the prefix max with trend semantics.
+    """
+    nq = check_nonquasianalytic(N)
+    if nq.verdict == FAILS:
+        raise QuasianalyticInput(f"{N.family_tag} is quasianalytic (trend)")
+    K = N.K
+    if K_eff is None:
+        K_eff = K // 2
+    log_T, _ = log_suffix_sums(-N.log_mu, rel_cap=None)
+    k = np.arange(1, K_eff, dtype=float)       # condition at k -> k+1
+    log_ratio_m1 = _log_expm1(N.log_mu[1:K_eff] - N.log_mu[:K_eff - 1])
+    log_nu_star_next = np.cumsum(N.log_mu)[1:K_eff] - np.log(k + 1.0)
+    log_denom = np.logaddexp(0.0, log_nu_star_next + log_T[1:K_eff])
+    return report_from_log_witnesses(
+        log_ratio_m1 - log_denom, K_eff,
+        note="quotient regularity (4.3); witness is the smallest validating C")
+
+
+def _log_expm1(x: np.ndarray) -> np.ndarray:
+    """log(e^x - 1) for x >= 0, stable for both tiny and huge x."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x > 30.0, x, np.log(np.maximum(np.expm1(np.minimum(x, 30.0)),
+                                                  1e-300)))
     return out
 
 

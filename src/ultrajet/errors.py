@@ -11,7 +11,8 @@ class UltrajetError(Exception):
     """Base error with a stable machine-readable code.
 
     Codes raised on the base class: BAD_INDEX (an index outside the range a
-    definition accepts, such as phi_{p,k} with k < 1).
+    definition accepts, such as phi_{p,k} with k < 1), NON_POSITIVE (an
+    argument that must be positive, such as t in h(t)).
     """
 
     code = "INTERNAL"

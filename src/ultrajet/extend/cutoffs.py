@@ -49,8 +49,8 @@ class AlphaSequence:
         return np.exp(np.maximum(la[:n] - la[1 : n + 1], -745.0))
 
 
-def alpha_sequence(D: Descendant, Ndot: WeightSequence, p: int, A: float,
-                   n_terms: int | None = None) -> AlphaSequence:
+def alpha_sequence(D: Descendant, Ndot: WeightSequence, p: int,
+                   A: float) -> AlphaSequence:
     """The order-p interpolation sequence with constant A.
 
     alpha_k = (2p)^k for k <= p and (A / sigma*_{p+1})^k Ndot_k beyond;
@@ -59,9 +59,8 @@ def alpha_sequence(D: Descendant, Ndot: WeightSequence, p: int, A: float,
     """
     if p < 1:
         raise CutoffError(f"alpha_sequence needs p >= 1, got {p}", code="BAD_INDEX")
-    K_avail = min(D.K_eff - 1, Ndot.K)
-    p_used = min(p, K_avail - 1)
-    n = K_avail if n_terms is None else min(n_terms, K_avail)
+    n = min(D.K_eff - 1, Ndot.K)
+    p_used = min(p, n - 1)
     k = np.arange(n + 1, dtype=float)
     log_np = np.cumsum(np.concatenate([[0.0], Ndot.log_mu]))[: n + 1]  # log Ndot_k
     log_sig_star_next = D.log_sigma_star[p_used]  # sigma*_{p+1} (0-based index p)
@@ -170,7 +169,7 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
     depth_cap = fam.conv_depth if min_smoothness is None else min(
         fam.conv_depth, max(min_smoothness + 1, 2))
     lam = t - 1.0
-    alpha = alpha_sequence(fam.D, fam.Ndot, p, fam.A, n_terms=None)
+    alpha = alpha_sequence(fam.D, fam.Ndot, p, fam.A)
     if not alpha.valid:
         raise CutoffError(f"ratio sum {alpha.ratio_sum:.4f} > 1 at p={p}, A={fam.A}",
                           code="A_TOO_SMALL")

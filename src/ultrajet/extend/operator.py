@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..descend import Descendant, descend
-from ..errors import ExtensionError, PrefixExhausted
+from ..errors import ExtensionError
 from ..jets import (Jet, eval_taylor_deriv, fit_jet_constants, grid_constants,
                     jet_norm_profile, taylor_coeffs_local, taylor_values)
 from ..report import HOLDS, log_witness_maxima, trend_verdict
@@ -92,14 +92,13 @@ def lemma410_B1(fam: CutoffFamily, s_land: WeightSequence,
 
 
 def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
-                     n_probes: int = 1000, rng=None) -> dict:
+                     n_probes: int = 1000) -> dict:
     """Sum-to-one, range, support containment, and the derivative bound
     |phi_i^(b)| <= eps^b Ndot_b / h(B1 eps d(x)) in log domain.
 
     One pass over the functions: each phi_i is evaluated once on the probe
     grid, and log h once per probe with d(x) > 0 before the pass.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     cov = part.cover
     lo, hi = cov.working
     xs = np.linspace(lo, hi, n_probes)
@@ -149,19 +148,21 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
 
 # -- the extension operator ------------------------------------------------------
 
+MARGIN = 2.0                     # the working domain is E's hull widened by this
+DEG_FLOOR = 4                    # smallest per-ball Taylor degree
+RHO_GRID = tuple(2.0 ** j for j in range(-3, 13))   # rho candidates of the jet fit
+L_CAP = 2.0 ** 20                # the doubling search for L stops here
+
+
 @dataclass(frozen=True)
 class ExtensionConfig:
     L: float | None = None          # None: searched from the fitted rho
     epsilon: float | None = None    # None: L * b * D / B1
     d_min: float = 1e-6
-    margin: float = 2.0
     K_conv: int = 24
     p_max_eval: int = 8
-    deg_floor: int = 4
     base_row: int = 0
-    rho_grid: tuple = tuple(2.0 ** j for j in range(-3, 13))
     seed: int = 0
-    L_cap: float = 2.0 ** 20
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
 def fit_rho(F: Jet, D: Descendant, rho_grid) -> tuple[float, float]:
     """(C, rho) for the starred-form jet bounds: the smallest grid rho whose
     C is within a factor 2 of the grid limit."""
-    Cs, i = fit_jet_constants(F, D.log_sigma_star, rho_grid)
+    Cs, i = fit_jet_constants(F, D.small_s, rho_grid)
     return float(Cs[i]), float(rho_grid[i])
 
 
@@ -234,14 +235,15 @@ def search_lambda(S: Descendant, S_dot: Descendant) -> float:
     return lam
 
 
-def taylor_degree(S_dot: Descendant, L: float, dist: float, cfg: ExtensionConfig,
-                  cap: int) -> int:
+def taylor_degree(S_dot: Descendant, L: float, dists, cap: int) -> np.ndarray:
+    """Taylor degree min(max(2 Gamma(L d), DEG_FLOOR), cap) at each distance
+    d in ``dists``, with Gamma the counting function of S_dot's small row;
+    past Gamma's prefix edge, Gamma reads K - 1."""
     sd = S_dot.small_s
-    try:
-        g = gamma_count(sd, math.log(L) + math.log(dist))
-    except PrefixExhausted:
-        g = sd.K - 1
-    return int(min(max(2 * g, cfg.deg_floor), cap))
+    # math.log per entry: NumPy's vector log can round the last bit differently
+    log_Ld = math.log(L) + np.array([math.log(d) for d in dists])
+    g = gamma_count(sd, log_Ld, past_edge=sd.K - 1)
+    return np.minimum(np.maximum(2 * g, DEG_FLOOR), cap)
 
 
 def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig()) -> ExtensionResult:
@@ -260,18 +262,17 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         raise ExtensionError(
             f"jet-norm profile diverges (order slope {prof.order_requirement_slope:.2f})",
             code="JET_NOT_IN_CLASS")
-    C_fit, rho_fit = fit_rho(F, chain.S, cfg.rho_grid)
+    C_fit, rho_fit = fit_rho(F, chain.S, RHO_GRID)
 
     lam = search_lambda(chain.S, chain.S_dot)
     Dconst = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s, 2)
     half = chain.S.K_eff // 2 - 1
     kk = np.arange(1, half)
-    log_s = np.concatenate([[0.0], np.cumsum(chain.S.log_sigma_star)])
-    log_sd = np.concatenate([[0.0], np.cumsum(chain.S_dot.log_sigma_star)])
+    log_s, log_sd = chain.S.small_s.log_M, chain.S_dot.small_s.log_M
     Bconst = float(np.exp(np.max(
         (log_s[2 * kk + 1] - 2.0 * log_sd[kk]) / (2 * kk + 1))))
 
-    cover = whitney_cover(F.E, d_min=cfg.d_min, margin=cfg.margin)
+    cover = whitney_cover(F.E, d_min=cfg.d_min, margin=MARGIN)
     fam = make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=cfg.K_conv)
 
     D1 = 4.0 / lam
@@ -281,7 +282,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         checks = _check_taylor_estimates(F, chain, C_fit, rho_fit, L, cover, cfg)
         if checks["5.4"]["violations"] == 0 and checks["5.5"]["violations"] == 0:
             break
-        if cfg.L is not None or L >= cfg.L_cap:
+        if cfg.L is not None or L >= L_CAP:
             break
         L *= 2.0
 
@@ -299,19 +300,20 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     # the partition, whose derivatives near E are huge and cancel only
     # analytically; forming the differences first keeps evaluation noise at
     # the scale of the Whitney increments.
+    # Ball i is anchored at the carried point nearest to its nearest point
+    # of E, with the degree at its distance to E; the base field's is at d_min.
     cap = F.order_cap
-    degrees = []
-    base, anchors, cuts, p_col = _taylor_field(F, chain, L, cfg, cap, cover.working)
+    p_col = int(taylor_degree(chain.S_dot, L, [cfg.d_min], cap)[0])
+    base, anchors, cuts = _taylor_field(F, p_col, cover.working)
+    near = [F.E.nearest_point(cx) for cx, _ in cover.balls]
+    ball_anchors = _nearest(anchors, np.array([xhat for xhat, _ in near]))
+    degrees = taylor_degree(chain.S_dot, L, [dist for _, dist in near], cap).tolist()
     f_inner = base
-    for (cx, r), phi in zip(cover.balls, part.functions):
-        xhat, dist = F.E.nearest_point(cx)
-        p_i = taylor_degree(chain.S_dot, L, dist, cfg, cap)
-        degrees.append(p_i)
+    for phi, a_i, p_i in zip(part.functions, ball_anchors, degrees):
         slo, shi = phi.support()
         if shi <= slo:
             continue
-        diff = _taylor_difference(F, float(_nearest(anchors, xhat)), p_i,
-                                  anchors, cuts, p_col, slo, shi)
+        diff = _taylor_difference(F, float(a_i), p_i, anchors, cuts, p_col, slo, shi)
         if diff is None:
             continue
         term = (phi * diff).trimmed()
@@ -324,7 +326,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         "lambda": lam, "D": Dconst, "B_split": Bconst, "B1": part.B1,
         "D1": D1, "A": fam.A, "delta": fam.delta, "B": fam.B,
         "a": cover.a, "b": cover.b, "n0": cover.n0, "c": cover.c,
-        "rows": chain.indices, "deg_floor": cfg.deg_floor,
+        "rows": chain.indices, "deg_floor": DEG_FLOOR,
         "degree_cap_hit": bool(any(d >= cap for d in degrees)),
     }
     verification = {
@@ -333,17 +335,16 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         "boundary": _boundary_match(f, F, cfg),
         "growth": _growth_fit(f, F.E, chain.ddot, cfg),
         "assembly_consistency": _assembly_consistency(
-            f, part, F, anchors, chain, degrees, gcut, L, cfg),
+            f, part, F, anchors, ball_anchors, degrees, p_col, gcut, cfg),
     }
     return ExtensionResult(f, cover, part, tuple(degrees), constants,
                            verification, chain, F)
 
 
-def _taylor_field(F: Jet, chain: RowChain, L: float, cfg: ExtensionConfig,
-                  cap: int, working):
-    """Nearest-carried-anchor Taylor polynomial of F over the working domain,
-    at the depth-d_min degree (pieces split at anchor midpoints)."""
-    p_col = taylor_degree(chain.S_dot, L, cfg.d_min, cfg, cap)
+def _taylor_field(F: Jet, p_col: int, working):
+    """Nearest-carried-anchor Taylor polynomial of F of degree ``p_col`` over
+    the working domain (pieces split at anchor midpoints), with the anchors
+    and cuts."""
     lo_w, hi_w = working
     anchors = F.carried()
     cuts = np.concatenate([[lo_w], 0.5 * (anchors[1:] + anchors[:-1]), [hi_w]])
@@ -352,7 +353,7 @@ def _taylor_field(F: Jet, chain: RowChain, L: float, cfg: ExtensionConfig,
     rows = np.array([taylor_coeffs_local(F, float(x), p_col) for x in a])
     field = PiecewisePolynomial(np.append(u, cuts[1:][keep][-1]),
                                 taylor_shift(rows, u - a), 10 ** 6)
-    return field, anchors, cuts, p_col
+    return field, anchors, cuts
 
 
 def _taylor_difference(F: Jet, a_i: float, p_i: int, anchors, cuts, p_col: int,
@@ -414,21 +415,18 @@ def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cover.working
     xs = rng.uniform(lo, hi, n_probes)
-    log_S = chain.S.big_S.log_M
-    log_s = np.concatenate([[0.0], np.cumsum(chain.S.log_sigma_star)])
+    log_S, log_s = chain.S.big_S.log_M, chain.S.small_s.log_M
     out = {"5.4": {"violations": 0, "max_log_margin": -math.inf, "checked": 0},
            "5.5": {"violations": 0, "max_log_margin": -math.inf, "checked": 0}}
     if C == 0.0:
         return out
     logC = math.log(C)
+    near = ((float(x), *F.E.nearest_point(float(x))) for x in xs)
+    off_E = [(x, xhat, dist) for x, xhat, dist in near if dist > 0]
+    degs = taylor_degree(chain.S_dot, L, [dist for *_, dist in off_E], F.order_cap)
     probes = []                     # (x, xhat, dist, p, k), one per check
-    for x in xs:
-        xhat, dist = F.E.nearest_point(float(x))
-        if dist <= 0:
-            continue
-        p = taylor_degree(chain.S_dot, L, dist, cfg, F.order_cap)
-        probes += [(float(x), xhat, dist, p, k)
-                   for k in range(0, min(p, cfg.p_max_eval) + 1)]
+    for (x, xhat, dist), p in zip(off_E, degs.tolist()):
+        probes += [(x, xhat, dist, p, k) for k in range(0, min(p, cfg.p_max_eval) + 1)]
     if not probes:
         return out
     px, pa, _, pp, pk = map(np.array, zip(*probes))
@@ -458,10 +456,9 @@ def check_taylor_difference_bound(F: Jet, D: Descendant, a1: float, a2: float,
                                   rho: float) -> tuple[float, float]:
     """Both sides of the two-anchor Taylor difference estimate (n = 1)."""
     lhs = abs(eval_taylor_deriv(F, a1, p, x, k) - eval_taylor_deriv(F, a2, p, x, k))
-    log_s = np.concatenate([[0.0], np.cumsum(D.log_sigma_star)])
     base = abs(a1 - x) + abs(a1 - a2)
     log_rhs = (math.log(max(C, 1e-300)) + (p + 1) * math.log(2 * rho)
-               + log_factorial(k) + log_s[p + 1]
+               + log_factorial(k) + D.small_s.log_M[p + 1]
                + (p + 1 - k) * math.log(max(base, 1e-300)))
     return lhs, float(math.exp(min(log_rhs, 700.0)))
 
@@ -523,15 +520,15 @@ def _nearest(carried: np.ndarray, x):
 
 
 def _assembly_consistency(f, part: Partition, F: Jet, carried: np.ndarray,
-                          chain: RowChain, degrees, gcut, L: float,
+                          anchors: np.ndarray, degrees, p_col: int, gcut,
                           cfg: ExtensionConfig, n_probes: int = 200) -> dict:
     """The spline f must reproduce the defining sum evaluated directly;
-    ``carried`` is ``F.carried()``."""
+    ``carried`` is ``F.carried()``, and ``anchors``, ``degrees`` and
+    ``p_col`` are the per-ball anchors and degrees and the base field's
+    degree the assembly used."""
     rng = np.random.default_rng(cfg.seed + 2)
     lo, hi = part.cover.working
     xs = rng.uniform(lo, hi, n_probes)
-    p_col = taylor_degree(chain.S_dot, L, cfg.d_min, cfg, F.order_cap)
-    anchors = _nearest(carried, [F.E.nearest_point(cx)[0] for cx, _ in part.cover.balls])
     phis = np.array([phi(xs) for phi in part.functions]).reshape(-1, n_probes)
     base = taylor_values(F, _nearest(carried, xs), p_col, xs, 0)
     # (probe, ball) pairs with phi != 0, balls ascending within each probe

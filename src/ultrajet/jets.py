@@ -308,7 +308,7 @@ def jet_norm_profile(F: Jet, M: WeightSequence, rho_grid=None) -> JetNormProfile
                           F.E.has_intervals)
 
 
-def fit_jet_constants(F: Jet, log_sigma_star: np.ndarray,
+def fit_jet_constants(F: Jet, s: WeightSequence,
                       rho_grid) -> tuple[np.ndarray, int]:
     """Smallest C >= 1 for the starred-form bounds at each grid rho, and the
     index of the grid rho :func:`grid_constants` picks.
@@ -316,9 +316,10 @@ def fit_jet_constants(F: Jet, log_sigma_star: np.ndarray,
     These are the bounds the extension estimates consume:
     |F^k(a)| <= C rho^k S_k and
     |(R_a^p F)^k(b)| <= C rho^{p+1} k! s_{p+1} |b-a|^{p+1-k},
-    with S_k = k! s_k and s built from the log starred quotients.
+    with S_k = k! s_k and ``s`` the descendant's small row (quotients
+    sigma*_k).
     """
-    log_s = np.concatenate([[0.0], np.cumsum(np.asarray(log_sigma_star, dtype=float))])
+    log_s = s.log_M
     k = np.arange(len(log_s))
     cap = min(F.order_cap, len(log_s) - 2)
     log_kfac = log_factorial(k)

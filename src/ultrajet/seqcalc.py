@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PrefixExhausted, SequenceSpecError
+from .errors import PrefixExhausted, SequenceSpecError, UltrajetError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE,
                      report_from_log_witnesses, report_from_prefix_witnesses)
 
@@ -188,7 +188,7 @@ def _log_terms(M: WeightSequence, log_t) -> np.ndarray:
     row for a scalar); t = 0 (log t = -inf) has no finite terms."""
     lt = np.asarray(log_t, dtype=float)
     if not np.all(lt > -math.inf):
-        raise ValueError(f"h needs t > 0, got log t = {log_t}")
+        raise UltrajetError(f"h needs t > 0, got log t = {log_t}", code="NON_POSITIVE")
     return M.log_M + np.arange(M.K + 1) * lt[..., None]
 
 
@@ -198,8 +198,8 @@ def h_assoc(M: WeightSequence, log_t: float):
     Returns ``(value, attained_k, trusted)`` where ``trusted`` is False when
     the minimum sits at the prefix boundary (the true infimum may be smaller).
     Ties resolve to the smallest index.  ``value`` underflows to 0.0 on deep
-    rows; :func:`log_h_assoc` gives its logarithm.  Raises ``ValueError`` at
-    log t = -inf.
+    rows; :func:`log_h_assoc` gives its logarithm.  Raises ``UltrajetError``
+    NON_POSITIVE at log t = -inf.
     """
     vals = _log_terms(M, log_t)
     m = float(np.min(vals))
@@ -210,7 +210,8 @@ def h_assoc(M: WeightSequence, log_t: float):
 
 def log_h_assoc(M: WeightSequence, log_t):
     """log h(t) at ``log_t = log t``, a scalar (a float is returned) or an
-    array (an array of its shape); raises ``ValueError`` at log t = -inf.
+    array (an array of its shape); raises ``UltrajetError`` NON_POSITIVE at
+    log t = -inf.
 
     Points are taken in blocks of at most ``_LOG_H_BLOCK`` table entries, so
     a long grid never holds the whole (points x K+1) term table.
@@ -224,59 +225,73 @@ def log_h_assoc(M: WeightSequence, log_t):
     return float(out[0]) if lt.ndim == 0 else out.reshape(lt.shape)
 
 
-def gamma_count(M: WeightSequence, log_t: float) -> int:
+def _prefix_count(M: WeightSequence, n, log_t, past_edge, edge: str):
+    """The counts ``n`` at ``log_t`` (an int for a scalar).  A count equal to
+    K is exactly the past-the-prefix case: such entries read ``past_edge``,
+    or else ``PrefixExhausted`` names the first of them."""
+    n = np.asarray(n)
+    at_edge = n == M.K
+    if at_edge.any():
+        if past_edge is None:
+            first = float(np.ravel(log_t)[np.argmax(at_edge.ravel())])
+            raise PrefixExhausted(f"{edge} (K={M.K}, log t={first:g})")
+        n = np.where(at_edge, past_edge, n)
+    return int(n) if n.ndim == 0 else n
+
+
+def gamma_count(M: WeightSequence, log_t, past_edge: int | None = None):
     """Gamma(t) = min{k : mu_{k+1} >= 1/t}, the index attaining h(t), at
-    ``log_t = log t``.
+    ``log_t = log t`` (a scalar, or an array: an array of its shape).
 
     At exact quotient points mu_{k+1} = 1/t the tie resolves downward (the
-    smallest minimizing index), matched by a relative tolerance.  Raises
-    ``PrefixExhausted`` when -log t > log mu_K (and at log t = -inf).
+    smallest minimizing index), matched by a relative tolerance.  Past the
+    prefix, -log t > log mu_K (and log t = -inf), the count is K: such
+    entries raise ``PrefixExhausted`` or read ``past_edge``.
     """
-    target = -log_t  # log(1/t)
-    target -= 1e-12 * max(1.0, abs(target))
-    log_mu = M.log_mu
-    if not target <= log_mu[-1]:  # the negation also catches log t = -inf
-        raise PrefixExhausted(f"mu_K < 1/t (K={M.K}, log t={log_t:g})")
-    return int(np.searchsorted(log_mu, target, side="left"))
+    target = -np.asarray(log_t, dtype=float)  # log(1/t)
+    with np.errstate(invalid="ignore"):       # log t = -inf gives nan: past the edge
+        target = target - 1e-12 * np.maximum(1.0, np.abs(target))
+    return _prefix_count(M, np.searchsorted(M.log_mu, target, side="left"),
+                         log_t, past_edge, "mu_K < 1/t")
 
 
-def sigma_count(M: WeightSequence, log_t: float) -> int:
+def sigma_count(M: WeightSequence, log_t):
     """Sigma(t) = #{k >= 1 : mu_k <= t} = max{k : mu_k <= t}, at
-    ``log_t = log t``.
+    ``log_t = log t`` (a scalar, or an array: an array of its shape).
 
-    Returns 0 at log t = -inf; raises ``PrefixExhausted`` when
-    log t >= log mu_K.
+    Is 0 at log t = -inf.  Past the prefix, log t >= log mu_K, the count is
+    K, and ``PrefixExhausted`` is raised.
     """
-    log_mu = M.log_mu
-    if log_t >= log_mu[-1]:
-        raise PrefixExhausted(f"t >= mu_K (K={M.K}, log t={log_t:g})")
-    return int(np.searchsorted(log_mu, log_t, side="right"))
+    return _prefix_count(M, np.searchsorted(M.log_mu, log_t, side="right"),
+                         log_t, None, "t >= mu_K")
 
 
-def omega_assoc(M: WeightSequence, log_t: float) -> float:
-    """omega(t) = sum over mu_k <= t of log(t / mu_k) (exact piecewise form),
-    at ``log_t = log t``.
-
-    Returns 0 at log t = -inf; raises ``PrefixExhausted`` where
-    :func:`sigma_count` does.
-    """
-    n = sigma_count(M, log_t)
-    return float(np.sum(log_t - M.log_mu[:n]))
+def omega_assoc(M: WeightSequence, log_t):
+    """omega(t) = sum over mu_k <= t of log(t / mu_k) = n log t - sum_{k<=n}
+    log mu_k with n = Sigma(t), at ``log_t = log t`` (a scalar, or an array:
+    an array of its shape).  Is 0 at log t = -inf; raises ``PrefixExhausted``
+    where :func:`sigma_count` does."""
+    lt = np.asarray(log_t, dtype=float)
+    n = np.asarray(sigma_count(M, lt))
+    csum = np.concatenate([[0.0], np.cumsum(M.log_mu)])
+    om = n * np.where(n > 0, lt, 0.0) - csum[n]    # n = 0 reads 0, even at -inf
+    return float(om) if om.ndim == 0 else om
 
 
 # -- growth checks -----------------------------------------------------------
 
-def _pairwise_log_witness(log_v: np.ndarray) -> np.ndarray:
-    """For condition V_{j+k} <= C^{j+k} V_j V_k: per-total-order log witness.
+def _pairwise_log_witness(log_top: np.ndarray, log_pair: np.ndarray,
+                          j_min: int) -> np.ndarray:
+    """For condition T_{j+k} <= C^{j+k} P_j P_k: per-total-order log witness.
 
-    Entry ``i`` (total order n = i + 2) is max over j + k = n of
-    ``(log V_n - log V_j - log V_k) / n``.
+    Entry ``i`` (total order n = i + 2) is max over j + k = n, j_min <= j <= k,
+    of ``(log T_n - log P_j - log P_k) / n``.
     """
-    K = len(log_v) - 1
+    K = len(log_top) - 1
     out = np.full(K - 1, -np.inf)
     for n in range(2, K + 1):
-        j = np.arange(1, n // 2 + 1)
-        w = (log_v[n] - log_v[j] - log_v[n - j]) / n
+        j = np.arange(j_min, n // 2 + 1)
+        w = (log_top[n] - log_pair[j] - log_pair[n - j]) / n
         out[n - 2] = float(np.max(w))
     return out
 
@@ -295,9 +310,10 @@ def check_moderate_growth(M: WeightSequence) -> dict[str, CheckReport]:
     reports: dict[str, CheckReport] = {}
 
     reports["L2.2-0"] = report_from_log_witnesses(
-        _pairwise_log_witness(M.log_m_small), K, note="m_{j+k} <= C^{j+k} m_j m_k")
+        _pairwise_log_witness(M.log_m_small, M.log_m_small, 1), K,
+        note="m_{j+k} <= C^{j+k} m_j m_k")
     reports["L2.2-1"] = report_from_log_witnesses(
-        _pairwise_log_witness(M.log_M), K, note="M_{j+k} <= C^{j+k} M_j M_k")
+        _pairwise_log_witness(M.log_M, M.log_M, 1), K, note="M_{j+k} <= C^{j+k} M_j M_k")
 
     k = np.arange(1, K + 1)
     w2 = M.log_mu - M.log_M[1:] / k
@@ -308,56 +324,37 @@ def check_moderate_growth(M: WeightSequence) -> dict[str, CheckReport]:
     w3 = M.log_M[2 * kk] - M.log_M[2 * kk - 1] - M.log_mu[kk - 1]
     reports["L2.2-3"] = report_from_log_witnesses(w3, K, note="mu_{2k} <= C mu_k")
 
-    # (4): 2 Sigma(t) <= Sigma(Ct).  Binding t are the quotient points; the
-    # smallest admissible C at t = mu_k is mu_{2k} / mu_k, evaluated here
-    # through Sigma lookups to keep the route independent of (3).
-    w4 = []
-    log_mu = M.log_mu
-    for kc in range(1, half + 1):
-        t_log = log_mu[kc - 1]
-        need = 2 * kc  # need Sigma(C t) >= 2k
-        w4.append(log_mu[need - 1] - t_log)
-    reports["L2.2-4"] = report_from_log_witnesses(
-        np.asarray(w4), K, note="2 Sigma(t) <= Sigma(Ct)")
+    # (4): 2 Sigma(t) <= Sigma(Ct).  Binding t are the quotient points, and
+    # Sigma(C mu_k) >= 2k exactly when C mu_k >= mu_{2k}: the smallest
+    # admissible C at t = mu_k is mu_{2k} / mu_k.
+    w4 = M.log_mu[2 * kk - 1] - M.log_mu[kk - 1]
+    reports["L2.2-4"] = report_from_log_witnesses(w4, K, note="2 Sigma(t) <= Sigma(Ct)")
 
     reports["L2.2-5"] = _check_omega_doubling(M)
     return reports
-
-
-def _omega_on_quotients(M: WeightSequence, upto: int) -> np.ndarray:
-    """omega(mu_k) for k = 1..upto computed from the exact sum formula."""
-    log_mu = M.log_mu[:upto]
-    csum = np.cumsum(log_mu)
-    k = np.arange(1, upto + 1)
-    return k * log_mu - csum
 
 
 def _check_omega_doubling(M: WeightSequence) -> CheckReport:
     """Condition (5): exists C with 2 omega(t) <= omega(Ct) + C for all t.
 
     The witness at prefix K' is the smallest log C on a half-unit grid that
-    validates the inequality at every quotient point below the prefix edge;
+    validates the inequality at every quotient point t = mu_k, k <= K', with
+    C t inside the prefix (C t < mu_K, where omega is evaluated honestly);
     trend semantics then compare the half and full prefix witnesses.
     """
     K = M.K
-
-    csum = np.concatenate([[0.0], np.cumsum(M.log_mu)])
+    edge = M.log_mu[-1]
 
     def smallest_logC(upto: int) -> tuple[float, int]:
-        om = _omega_on_quotients(M, upto)
-        log_mu = M.log_mu[:upto]
-        bad = np.array([True])
+        lt = M.log_mu[:upto]
+        lt = lt[lt < edge]            # C >= 1: only these t can have C t inside
+        om = omega_assoc(M, lt)
         for logC in np.arange(0.0, 3 * 700.0, 0.5):
-            # omega(C t) at t = mu_k: count quotients <= C t, exact sum.
-            # Only quotient points with C t inside the stored range are
-            # binding; past the edge omega(Ct) cannot be evaluated honestly.
-            ct = log_mu + logC
-            inside = ct <= M.log_mu[-1]
+            inside = lt + logC < edge
             if not np.any(inside):
                 return logC, -1  # vacuous on the prefix; trend/cap decides
-            n = np.searchsorted(M.log_mu, ct[inside], side="right")
-            om_ct = n * ct[inside] - csum[n]
-            bad = 2 * om[inside] > om_ct + math.exp(min(logC, 700.0))
+            bad = 2 * om[inside] > (omega_assoc(M, lt[inside] + logC)
+                                    + math.exp(min(logC, 700.0)))
             if not np.any(bad):
                 return logC, -1
         return float("inf"), int(np.nonzero(bad)[0][0]) + 1
@@ -388,11 +385,7 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
     rep11 = report_from_log_witnesses(w11, K, note="mu_{2k} <= C mudot_k")
 
     # (2.14): M_{k+j} <= C^{k+j} Mdot_j Mdot_k, per total order
-    out = np.full(K - 1, -np.inf)
-    for n in range(2, K + 1):
-        j = np.arange(0, n // 2 + 1)
-        w = (M.log_M[n] - Mdot.log_M[j] - Mdot.log_M[n - j]) / n
-        out[n - 2] = float(np.max(w))
+    out = _pairwise_log_witness(M.log_M, Mdot.log_M, 0)
     rep14 = report_from_log_witnesses(out, K, note="M_{k+j} <= C^{k+j} Mdot_j Mdot_k")
 
     # (2.12): h_M(t) <= h_Mdot(Ct)^2 on a trusted log grid of t; the witness
@@ -457,11 +450,10 @@ def gamma_doubling_lambda(M: WeightSequence,
     k1 = np.arange(1, Mdot.K)
     for e in range(1, 30):
         lam = 2.0 ** -e
-        lt = (-Mdot.log_mu[:-1] + 1e-12) + math.log(lam)
-        inside = -lt <= M.log_mu[-1]
-        n = len(k1) if inside.all() else int(np.argmin(inside))
-        i = np.searchsorted(M.log_mu, -lt[:n], side="left")
-        if np.all(2 * k1[:n] <= i):
+        g = gamma_count(M, (-Mdot.log_mu[:-1] + 1e-12) + math.log(lam), past_edge=M.K)
+        past = g == M.K
+        n = int(np.argmax(past)) if past.any() else len(k1)
+        if np.all(2 * k1[:n] <= g[:n]):
             return lam, n
     return None, 0
 

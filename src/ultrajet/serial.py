@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .errors import SequenceSpecError
-from .jets import CompactSet1D, Jet
+from .jets import CompactSet1D, Jet, sample_jet
 from .seqcalc import WeightSequence, make_sequence
 from .weightfunc import (DEFAULT_PARAMS, WeightFunction, WeightMatrix,
                          associated_matrix, matrix_from_rows, omega_s,
@@ -115,7 +115,6 @@ def jet_from_file(spec: dict, p_default: int = 16) -> Jet:
     if "kind" in spec and "values" not in spec:
         E = CompactSet1D(points=tuple(spec.get("points", ())),
                          intervals=tuple(tuple(iv) for iv in spec.get("intervals", ())))
-        from .jets import sample_jet
         return sample_jet(spec, E, p_max=int(spec.get("order_cap", p_default)))
     E = CompactSet1D(points=tuple(spec.get("points", ())),
                      intervals=tuple(tuple(iv) for iv in spec.get("intervals", ())))
@@ -166,7 +165,7 @@ def matrix_csv_columns(mat: WeightMatrix) -> dict:
 def descendant_csv_columns(N: WeightSequence, D) -> dict:
     rows = D.to_rows()
     with np.errstate(over="ignore"):
-        nu = np.exp(np.minimum(np.cumsum(N.log_mu)[: D.K_eff], 709.0))
+        nu = np.exp(np.minimum(N.log_mu[: D.K_eff], 709.0))
     return {"k": rows["k"], "nu": nu, "tau": rows["tau"], "sigma": rows["sigma"],
             "sigma_star": rows["sigma_star"], "s": rows["s"]}
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .descend import check_43
 from .errors import ConjugateUnbounded, SequenceSpecError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
                      log_witness_maxima, report_from_log_witnesses, trend_verdict)
@@ -260,19 +261,15 @@ def matrix_from_rows(rows, params=None, origin: str = "manual") -> WeightMatrix:
 
 # -- admissibility (Def of an admissible matrix) ------------------------------
 
-def check_admissible_matrix(mat: WeightMatrix, check_43=None) -> dict[str, CheckReport]:
+def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
     """Five admissibility conditions on a sampled matrix.
 
     (1) pairwise quotient comparability; (2) non-quasianalyticity per row;
-    (3) the quotient-regularity condition per row (delegated to the decision
-    module and injected here to avoid an import cycle); (4) for each row N
+    (3) the quotient-regularity condition (4.3) per row; (4) for each row N
     some row Ndot with nu_k <= C Ndot_k^{1/k}; (5) for each row some Ndot
     with nu_{2k} <= C nudot_k.  Existential clauses search the sample only:
     a missing witness is NOT_WITNESSED_IN_SAMPLE, never a disproof.
     """
-    if check_43 is None:
-        from .decide import check_43 as _c43
-        check_43 = _c43
     K = mat.K
     out: dict[str, CheckReport] = {}
 

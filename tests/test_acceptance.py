@@ -282,7 +282,7 @@ def test_criterion_9_taylor_estimates(omega2_matrix):
         xhat, dist = E.nearest_point(float(x))
         if dist <= 0:
             continue
-        p = taylor_degree(chain.S_dot, L, dist, cfg, F.order_cap)
+        p = int(taylor_degree(chain.S_dot, L, [dist], F.order_cap)[0])
         for k in range(0, min(p, 8) + 1):
             val = jets.eval_taylor_deriv(F, xhat, p, float(x), k)
             rhs = math.log(C) + (k + 1) * math.log(2 * L) + log_S[k]

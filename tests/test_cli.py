@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -78,6 +79,13 @@ class TestDescendDecide:
         assert cli.main(["--out", out, "descend", gev2_spec]) == 0
         header = open(os.path.join(out, "descendant.csv")).readline().strip()
         assert header == "k,nu,tau,sigma,sigma_star,s"
+
+    def test_descendant_nu_column_is_nu_k(self, tmp_path, gev2_spec):
+        # gevrey(2): nu_k = M_k / M_{k-1} = k^2
+        out = str(tmp_path / "o")
+        assert cli.main(["--out", out, "descend", gev2_spec]) == 0
+        tab = np.genfromtxt(os.path.join(out, "descendant.csv"), delimiter=",", names=True)
+        assert np.allclose(tab["nu"], tab["k"] ** 2, rtol=1e-12, atol=0.0)
 
     def test_decide_yes(self, tmp_path, om2_spec):
         out = str(tmp_path / "o")
@@ -227,3 +235,29 @@ def test_runs_import_no_scipy():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_no_function_local_imports():
+    # every ultrajet module imports the others at module level, so no import
+    # cycle hides inside a function
+    import ultrajet
+    root = os.path.dirname(ultrajet.__file__)
+    local = []
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.ImportFrom):
+                        mods = [node.module or ""] if node.level == 0 else ["ultrajet"]
+                    elif isinstance(node, ast.Import):
+                        mods = [a.name for a in node.names]
+                    else:
+                        continue
+                    if any(m.split(".")[0] == "ultrajet" for m in mods):
+                        local.append(f"{os.path.relpath(path, root)}:{node.lineno}")
+    assert local == []

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -311,6 +312,17 @@ def _scalar_taylor(F, a, p, x, order):
                         * np.exp(-sq.log_factorial(j))))
 
 
+def _taylor_degree_scalar(S_dot, L, dist, cap):
+    """The per-entry degree rule: min(max(2 Gamma(L d), DEG_FLOOR), cap) with
+    Gamma(t) = min{k : sigma*_{k+1} >= 1/t} under a 1e-12 relative tie
+    tolerance, and K - 1 past the prefix edge."""
+    log_mu = S_dot.small_s.log_mu
+    target = -(math.log(L) + math.log(dist))
+    target -= 1e-12 * max(1.0, abs(target))
+    g = int(np.searchsorted(log_mu, target)) if target <= log_mu[-1] else len(log_mu) - 1
+    return int(min(max(2 * g, operator.DEG_FLOOR), cap))
+
+
 def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
     """One scalar Taylor evaluation per probe and order."""
     rng = np.random.default_rng(cfg.seed)
@@ -327,7 +339,7 @@ def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
         xhat, dist = F.E.nearest_point(float(x))
         if dist <= 0:
             continue
-        p = operator.taylor_degree(chain.S_dot, L, dist, cfg, F.order_cap)
+        p = _taylor_degree_scalar(chain.S_dot, L, dist, F.order_cap)
         for k in range(0, min(p, cfg.p_max_eval) + 1):
             val = _scalar_taylor(F, xhat, p, float(x), k)
             lhs = math.log(max(abs(val), 1e-300))
@@ -354,7 +366,7 @@ def _assembly_loop(f, part, F, carried, chain, degrees, gcut, L, cfg, n_probes=2
     rng = np.random.default_rng(cfg.seed + 2)
     lo, hi = part.cover.working
     xs = rng.uniform(lo, hi, n_probes)
-    p_col = operator.taylor_degree(chain.S_dot, L, cfg.d_min, cfg, F.order_cap)
+    p_col = _taylor_degree_scalar(chain.S_dot, L, cfg.d_min, F.order_cap)
     anchors = operator._nearest(carried, [F.E.nearest_point(cx)[0]
                                           for cx, _ in part.cover.balls])
     phis = np.array([phi(xs) for phi in part.functions])
@@ -387,6 +399,44 @@ class TestArrayTaylorChecks:
                                        res.cover, cfg)
         args = (res.f, res.partition, F, F.carried(), res.chain, res.degrees, gcut,
                 res.constants["L"], cfg)
-        got = operator._assembly_consistency(*args)
+        anchors = operator._nearest(F.carried(), [F.E.nearest_point(cx)[0]
+                                                  for cx, _ in res.cover.balls])
+        p_col = _taylor_degree_scalar(res.chain.S_dot, res.constants["L"], cfg.d_min,
+                                      F.order_cap)
+        got = operator._assembly_consistency(res.f, res.partition, F, F.carried(),
+                                             anchors, res.degrees, p_col, gcut, cfg)
         assert got == _assembly_loop(*args)
         assert got == res.verification["assembly_consistency"]
+
+    def test_degrees_equal_scalar_rule(self, extension_case):
+        (F, _, cfg), res = extension_case
+        L = res.constants["L"]
+        assert list(res.degrees) == [
+            _taylor_degree_scalar(res.chain.S_dot, L, F.E.nearest_point(cx)[1], F.order_cap)
+            for cx, _ in res.cover.balls]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_desc(which):
+    row = (sq.gevrey(2, K=512) if which == "gevrey2"
+           else wf.associated_matrix(wf.omega_s(2), K=512).rows[2])
+    return dsc.descend(row, K_eff=256)
+
+
+class TestTaylorDegree:
+    @given(which=st.sampled_from(["gevrey2", "omega2"]), log_L=st.floats(0.0, 25.0),
+           cap=st.one_of(st.integers(1, 60), st.just(10 ** 6)), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_array_equals_scalar_rule(self, which, log_L, cap, data):
+        """Distances at Gamma's jumps (1/(L sigma*_k), and within its tie
+        window), anywhere, and so small that L d falls past the prefix."""
+        S_dot = _small_desc(which)
+        L = math.exp(log_L)
+        lm = S_dot.small_s.log_mu
+        at_jump = st.tuples(st.integers(0, len(lm) - 1), st.floats(-3e-12, 3e-12)).map(
+            lambda p: math.exp(-float(lm[p[0]]) * (1.0 + p[1]) - log_L))
+        dists = data.draw(st.lists(st.one_of(
+            at_jump, st.floats(1e-300, 10.0), st.floats(1e-300, 1e-200)), max_size=40))
+        got = operator.taylor_degree(S_dot, L, dists, cap)
+        assert got.shape == (len(dists),)
+        assert got.tolist() == [_taylor_degree_scalar(S_dot, L, d, cap) for d in dists]

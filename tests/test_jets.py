@@ -222,9 +222,10 @@ class TestRemainderTable:
     def test_fit_jet_constants_brute_force(self, family):
         E = jets.CompactSet1D(points=(-0.6, 0.25, 1.0))
         F = jets.sample_jet(FAMILIES[family], E, 8)
-        log_sigma_star = descend(sq.gevrey(2, K=64), K_eff=32).log_sigma_star
+        D = descend(sq.gevrey(2, K=64), K_eff=32)
+        log_sigma_star = D.log_sigma_star
         rho_grid = [2.0 ** j for j in range(-3, 13)]
-        Cs, i = jets.fit_jet_constants(F, log_sigma_star, rho_grid)
+        Cs, i = jets.fit_jet_constants(F, D.small_s, rho_grid)
 
         log_s = np.concatenate([[0.0], np.cumsum(log_sigma_star)])
         cap = min(F.order_cap, len(log_s) - 2)

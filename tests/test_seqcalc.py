@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from ultrajet import seqcalc as sq
-from ultrajet.errors import PrefixExhausted, SequenceSpecError
+from ultrajet.errors import PrefixExhausted, SequenceSpecError, UltrajetError
 from ultrajet.report import FAILS, HOLDS, INCONCLUSIVE, verdicts_agree
 
 
@@ -277,8 +278,109 @@ class TestLogHArray:
     @settings(max_examples=30, deadline=None)
     def test_minus_inf_entry_raises(self, omega2_rho64, log_t, i):
         log_t.insert(i % (len(log_t) + 1), -math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(UltrajetError) as exc:
             sq.log_h_assoc(omega2_rho64, np.array(log_t))
+        assert exc.value.code == "NON_POSITIVE"
+
+
+def _gamma_oracle(M, lt):
+    """The scalar Gamma: the count with its tie tolerance, or None past the
+    edge (-log t > log mu_K, or log t = -inf)."""
+    target = -lt
+    target -= 1e-12 * max(1.0, abs(target))
+    if not target <= M.log_mu[-1]:
+        return None
+    return int(np.searchsorted(M.log_mu, target, side="left"))
+
+
+def _sigma_oracle(M, lt):
+    """The scalar Sigma, or None past the edge (log t >= log mu_K)."""
+    if lt >= M.log_mu[-1]:
+        return None
+    return int(np.searchsorted(M.log_mu, lt, side="right"))
+
+
+def _omega_oracle(M, lt):
+    """omega(t) as the sum of log(t / mu_k) over mu_k <= t, or None past the edge."""
+    n = _sigma_oracle(M, lt)
+    return None if n is None else float(np.sum(lt - M.log_mu[:n]))
+
+
+@st.composite
+def _log_t_near_quotients(draw, M, sign, window=True):
+    """log t values that hit the quotient points sign * log mu_k exactly, sit
+    within the Gamma tie window of them (if ``window``), or fall anywhere,
+    -inf included."""
+    lm = M.log_mu
+    k = st.integers(0, M.K - 1)
+    at = k.map(lambda i: sign * float(lm[i]))
+    tie = st.tuples(k, st.floats(-3e-12, 3e-12)).map(
+        lambda p: sign * float(lm[p[0]]) * (1.0 + p[1]))
+    anywhere = st.floats(-1.2 * float(lm[-1]) - 1.0, 1.2 * float(lm[-1]) + 1.0)
+    kinds = [at, anywhere, st.just(-math.inf)] + ([tie] if window else [])
+    return draw(st.lists(st.one_of(kinds), max_size=40))
+
+
+def _row(which, s, K, omega2_rho64):
+    return omega2_rho64 if which == "omega2_rho64" else sq.gevrey(s, K=K)
+
+
+class TestCountingArrays:
+    """gamma_count, sigma_count and omega_assoc on an array of log t against
+    their scalar definitions, entry by entry."""
+
+    @given(which=st.sampled_from(["gevrey", "omega2_rho64"]),
+           s=st.floats(1.0, 3.0), K=st.integers(8, 300), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_gamma_array_equals_entries(self, omega2_rho64, which, s, K, data):
+        M = _row(which, s, K, omega2_rho64)
+        lts = data.draw(_log_t_near_quotients(M, -1.0))
+        expect = [_gamma_oracle(M, lt) for lt in lts]
+        got = sq.gamma_count(M, np.array(lts, dtype=float), past_edge=M.K)
+        assert got.shape == (len(lts),)
+        assert got.tolist() == [M.K if g is None else g for g in expect]
+        for lt, g in zip(lts, expect):
+            if g is not None:
+                assert sq.gamma_count(M, lt) == g
+        past = [lt for lt, g in zip(lts, expect) if g is None]
+        if past:
+            with pytest.raises(PrefixExhausted, match=re.escape(f"log t={past[0]:g})")):
+                sq.gamma_count(M, np.array(lts))
+        else:
+            assert np.array_equal(sq.gamma_count(M, np.array(lts, dtype=float)), got)
+
+    @given(which=st.sampled_from(["gevrey", "omega2_rho64"]),
+           s=st.floats(1.0, 3.0), K=st.integers(8, 300), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sigma_omega_arrays_equal_entries(self, omega2_rho64, which, s, K, data):
+        M = _row(which, s, K, omega2_rho64)
+        lts = data.draw(_log_t_near_quotients(M, 1.0))
+        expect = [_sigma_oracle(M, lt) for lt in lts]
+        inside = [lt for lt, n in zip(lts, expect) if n is not None]
+        got = sq.sigma_count(M, np.array(inside, dtype=float))
+        assert got.tolist() == [n for n in expect if n is not None]
+        om = sq.omega_assoc(M, np.array(inside, dtype=float))
+        assert om.shape == (len(inside),)
+        for lt, n, w in zip(inside, got, om):
+            assert sq.sigma_count(M, lt) == n
+            assert sq.omega_assoc(M, lt) == w
+            assert w == pytest.approx(_omega_oracle(M, lt), rel=1e-13, abs=1e-13)
+        past = [lt for lt, n in zip(lts, expect) if n is None]
+        for fn in (sq.sigma_count, sq.omega_assoc):
+            if past:
+                with pytest.raises(PrefixExhausted, match=re.escape(f"log t={past[0]:g})")):
+                    fn(M, np.array(lts))
+
+    @given(s=st.floats(1.0, 3.0), K=st.integers(8, 200), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gamma_is_h_argmin_on_arrays(self, s, K, data):
+        # inside the tie window h's tolerance (on log values) and Gamma's (on
+        # log 1/t) may resolve a near tie differently; exact ties agree
+        M = sq.gevrey(s, K=K)
+        lts = [lt for lt in data.draw(_log_t_near_quotients(M, -1.0, window=False))
+               if _gamma_oracle(M, lt) is not None]
+        got = sq.gamma_count(M, np.array(lts, dtype=float))
+        assert got.tolist() == [sq.h_assoc(M, lt)[1] for lt in lts]
 
 
 class TestLogFactorial:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from ultrajet import decide
 from ultrajet import weightfunc as wf
 from ultrajet.errors import ConjugateUnbounded, SequenceSpecError
 from ultrajet.report import FAILS, HOLDS, NOT_WITNESSED
@@ -164,17 +163,17 @@ class TestMatrix:
 
 class TestAdmissibility:
     def test_omega2_all_hold(self, omega2_matrix):
-        adm = wf.check_admissible_matrix(omega2_matrix, check_43=decide.check_43)
+        adm = wf.check_admissible_matrix(omega2_matrix)
         assert all(r.verdict == HOLDS for r in adm.values())
 
     def test_gevrey2_singleton(self, gevrey2):
         mat = wf.matrix_from_rows([gevrey2], params=[1.0])
-        adm = wf.check_admissible_matrix(mat, check_43=decide.check_43)
+        adm = wf.check_admissible_matrix(mat)
         assert all(r.verdict == HOLDS for r in adm.values())
 
     def test_qgevrey_singleton_not_witnessed(self, qgevrey2):
         mat = wf.matrix_from_rows([qgevrey2], params=[1.0])
-        adm = wf.check_admissible_matrix(mat, check_43=decide.check_43)
+        adm = wf.check_admissible_matrix(mat)
         assert adm["4.6-4"].verdict == NOT_WITNESSED
 
 
