@@ -209,6 +209,7 @@ def cmd_extend(args) -> int:
                           base_row=args.base_row, seed=args.seed)
     out = _outdir(args)
     res = extend_jet(F, mat, cfg)
+    kept = int(np.sum(res.f.row_degrees() + 1))
     manifest = {
         "jet": {"label": F.label, "order_cap": F.order_cap,
                 "points": list(F.E.points),
@@ -218,7 +219,8 @@ def cmd_extend(args) -> int:
         "degrees": list(res.degrees),
         "verification": res.verification,
         "spline": {"pieces": len(res.f.coeffs), "degree": res.f.degree,
-                   "span": list(res.f.span)},
+                   "span": list(res.f.span), "coefficients": kept,
+                   "coefficients_dropped": res.coefficients_dropped},
     }
     serial.dump_json(os.path.join(out, "extension.json"), manifest)
     serial.write_csv(os.path.join(out, "extension_spline.csv"),
@@ -226,29 +228,26 @@ def cmd_extend(args) -> int:
     _probe_csv(res, os.path.join(out, "probes.csv"), cfg)
     _gnuplot_script(out)
     bm = res.verification["boundary"]
-    print(f"extension built: {len(res.f.coeffs)} pieces, degree {res.f.degree}; "
+    print(f"extension built: {len(res.f.coeffs)} pieces, degree {res.f.degree}, "
+          f"{kept} coefficients; "
           f"boundary error {bm['final_max_err']:.2e} "
           f"({'monotone' if bm['monotone_ok'] else 'NOT monotone'}); "
           f"growth C'={res.verification['growth']['C_prime']:.3g} at "
           f"rho'={res.verification['growth']['rho_prime']:g}")
+    taylor = res.verification["taylor_estimates"]
     ok = (bm["monotone_ok"]
           and res.verification["partition"]["bound_ok"]
-          and res.verification["taylor_estimates"]["5.4"]["violations"] == 0)
+          and taylor["5.4"]["violations"] == 0 and taylor["5.5"]["violations"] == 0)
     return EXIT_OK if ok else EXIT_FAILS
 
 
 def _probe_csv(res, path: str, cfg) -> None:
     lo, hi = res.f.span
     xs = np.linspace(lo, hi, 400)
-    d = res.cover.E.distance(xs)
-    rows = {"x": [], "d": [], "k": [], "f_k": []}
-    orders = range(0, cfg.p_max_eval + 1)
-    for k, vals in zip(orders, res.f(xs, order=orders)):
-        rows["x"].extend(xs)
-        rows["d"].extend(d)
-        rows["k"].extend([k] * len(xs))
-        rows["f_k"].extend(vals)
-    serial.write_csv(path, {k: np.asarray(v) for k, v in rows.items()})
+    cols = {"x": xs, "d": res.cover.E.distance(xs)}
+    for k, vals in enumerate(res.f(xs, order=range(cfg.p_max_eval + 1))):
+        cols[f"f{k}"] = vals
+    serial.write_csv(path, cols)
 
 
 def _gnuplot_script(out: str) -> None:
@@ -257,7 +256,7 @@ set datafile separator ','
 set key autotitle columnhead
 set xlabel 'x'
 set ylabel 'f^{(k)}(x)'
-plot for [k=0:2] 'probes.csv' using ($3==k ? $1 : 1/0):4 with lines title sprintf('order %d', k)
+plot for [k=0:2] 'probes.csv' using 1:(column(3+k)) with lines title sprintf('order %d', k)
 pause -1
 """
     serial.atomic_write_text(os.path.join(out, "plot_extension.gp"), script)

@@ -186,6 +186,7 @@ class ExtensionResult:
     verification: dict
     chain: RowChain
     jet: Jet
+    coefficients_dropped: int     # coefficients of f zeroed by its chop
 
 
 def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
@@ -252,8 +253,9 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     Builds the cover and partition, assembles
     f = sum_i phi_i T_{xhat_i}^{p_i} F + (1 - sum phi_i) T_nearest F
     inside the distance-1/2 neighborhood of E (a global cutoff kills the
-    rest), and verifies boundary matching, the output growth bound, and the
-    two Taylor estimates at probe points.
+    rest), chops each row of f to the coefficients that matter for orders
+    up to ``cfg.p_max_eval``, and verifies boundary matching, the output
+    growth bound, and the two Taylor estimates at probe points.
     """
     K_eff = mat.K // 2
     chain = select_row_chain(mat, cfg.base_row, K_eff)
@@ -319,7 +321,9 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         term = (phi * diff).trimmed()
         f_inner = f_inner + term
     gcut = _global_cutoff(F.E, fam, epsilon, cover, cfg)
-    f = (f_inner * gcut).trimmed()
+    # chopped before any check, so every gate sees the spline that is returned
+    full = (f_inner * gcut).trimmed()
+    f = full.chopped(cfg.p_max_eval)
 
     constants = {
         "C": C_fit, "rho": rho_fit, "L": L, "epsilon": epsilon,
@@ -338,7 +342,8 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
             f, part, F, anchors, ball_anchors, degrees, p_col, gcut, cfg),
     }
     return ExtensionResult(f, cover, part, tuple(degrees), constants,
-                           verification, chain, F)
+                           verification, chain, F,
+                           int(np.sum(full.row_degrees() - f.row_degrees())))
 
 
 def _taylor_field(F: Jet, p_col: int, working):

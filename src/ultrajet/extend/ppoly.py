@@ -8,6 +8,9 @@ breakpoint, and ``degree`` is the last column that is nonzero in some row.
 The function is zero outside the breakpoint span.  All operations (sum,
 product, derivative, affine substitution, convolution with a normalized
 box) are array expressions over the rows, exact up to float rounding.
+``chopped`` drops, row by row, the trailing coefficients that lie below
+rounding for every derivative order up to a given one; ``row_degrees``
+then reads each row's own degree off ``coeffs``.
 
 Box convolution is the workhorse: convolving with width-d boxes raises the
 max piece degree by one and the smoothness order by one per pass, which is
@@ -25,6 +28,7 @@ import numpy as np
 from ..errors import SplineError
 
 DEDUP_REL_TOL = 1e-12
+CHOP_REL_TOL = 1e-16
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,6 +95,12 @@ def _divided_shift(rows, h_minus, d: float) -> np.ndarray:
     return out
 
 
+def _falling_factorials(order: int, m: int) -> np.ndarray:
+    """j!/(j - order)! for j = order..m-1: d^order/dx^order of x^j is that
+    times x^(j - order)."""
+    return np.array([math.perm(j, order) for j in range(order, m)], dtype=float)
+
+
 def _derivative_rows(c: np.ndarray, order: int) -> np.ndarray:
     """Coefficient rows of the order-th derivative of each piece."""
     m = c.shape[1]
@@ -98,8 +108,7 @@ def _derivative_rows(c: np.ndarray, order: int) -> np.ndarray:
         return c
     if order >= m:
         return np.zeros((len(c), 1))
-    fac = np.array([math.perm(j, order) for j in range(order, m)], dtype=float)
-    return c[:, order:] * fac
+    return c[:, order:] * _falling_factorials(order, m)
 
 
 def _horner(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -145,6 +154,11 @@ class PiecewisePolynomial:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[1] - 1
+
+    def row_degrees(self) -> np.ndarray:
+        """Last nonzero column of each row; 0 for a zero row."""
+        nz = self.coeffs != 0.0
+        return np.where(nz.any(axis=1), self.degree - np.argmax(nz[:, ::-1], axis=1), 0)
 
     def _nonzero_rows(self) -> np.ndarray:
         return np.flatnonzero(np.any(self.coeffs != 0.0, axis=1))
@@ -327,6 +341,33 @@ class PiecewisePolynomial:
             return PiecewisePolynomial(b[:2], np.zeros((1, 1)), self.smoothness_order)
         lo, hi = nz[0], nz[-1]
         return PiecewisePolynomial(b[lo: hi + 2], self.coeffs[lo: hi + 1],
+                                   self.smoothness_order)
+
+    def chopped(self, max_order: int) -> "PiecewisePolynomial":
+        """Each row cut after its last coefficient that matters for some
+        derivative order r <= max_order.
+
+        On a piece of width h, c_k contributes at most |c_k| h^k k!/(k-r)!
+        to h^r f^(r).  c_k matters for r when that term is nonzero and at
+        least CHOP_REL_TOL times the row's largest term for r.  Every
+        coefficient past the last one that matters is zeroed; interior
+        coefficients are kept whatever their size.  Judging at r = 0 alone
+        would not do: a coefficient negligible for f can dominate f^(r).
+        """
+        c = self.coeffs
+        m = c.shape[1]
+        k = np.arange(m)
+        # one line per power k, one column per piece: the reductions run
+        # across pieces, not along short rows
+        scaled = np.abs(c.T.copy()) * np.diff(self.breakpoints) ** k[:, None]
+        matters = np.zeros(scaled.shape, dtype=bool)
+        for r in range(min(max_order, m - 1) + 1):
+            t = scaled[r:] * _falling_factorials(r, m)[:, None]
+            # t >= the smallest positive float is t > 0
+            matters[r:] |= t >= np.maximum(CHOP_REL_TOL * t.max(axis=0),
+                                           np.finfo(float).smallest_subnormal)
+        last = np.where(matters.any(axis=0), m - 1 - np.argmax(matters[::-1], axis=0), -1)
+        return PiecewisePolynomial(self.breakpoints, np.where(k <= last[:, None], c, 0.0),
                                    self.smoothness_order)
 
     def restrict(self, lo: float, hi: float) -> "PiecewisePolynomial":

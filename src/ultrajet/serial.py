@@ -9,6 +9,14 @@ Matrices: a weight-function spec plus "params"/"K", or
 Jets: {"points": [...], "intervals": [[a,b], ...], "order_cap": p,
        "values": [[...], ...]} (values row-aligned with carried points).
 
+Spline tables (``extension_spline.csv``): one line per piece,
+``piece,left,right,degree,c0..c{D}`` with D the spline's largest row
+degree; row i is sum_j c_j (x - left)^j on [left, right], and the cells
+past the row's own ``degree`` are empty (read them as 0), so every line
+has the same number of fields.
+Probe tables (``probes.csv``): one line per probe x,
+``x,d,f0..f{p}`` with d the distance from x to E and f{k} = f^(k)(x).
+
 Writes are atomic (temp file + rename) and deterministic for a fixed spec.
 """
 
@@ -67,7 +75,7 @@ CSV_BLOCK_ROWS = 256   # rows per formatting pass: bounds the per-value strings 
 def write_csv(path: str, columns: dict) -> None:
     """Header, then one line per row.  Integer columns print as ``str``,
     every other column (bool included) as the shortest round-trip ``repr``
-    of its float values."""
+    of its float values.  A masked cell (``np.ma``) is an empty field."""
     atomic_write_text(path, "".join(_csv_blocks(columns)))
 
 
@@ -78,8 +86,17 @@ def _csv_blocks(columns: dict):
             for c in map(np.atleast_1d, columns.values())]
     yield ",".join(columns) + "\n"
     for lo in range(0, min((len(c) for _, c in cols), default=0), CSV_BLOCK_ROWS):
-        block = [map(fmt, c[lo:lo + CSV_BLOCK_ROWS].tolist()) for fmt, c in cols]
+        block = [_column_text(fmt, c[lo:lo + CSV_BLOCK_ROWS]) for fmt, c in cols]
         yield "\n".join(map(",".join, zip(*block))) + "\n"
+
+
+def _column_text(fmt, c):
+    """fmt of each value of c, "" for a masked cell."""
+    if not np.ma.is_masked(c):
+        return map(fmt, np.ma.getdata(c).tolist())
+    text = np.full(len(c), "", dtype=object)
+    text[~c.mask] = list(map(fmt, c.compressed().tolist()))
+    return text.tolist()
 
 
 # -- spec loaders ---------------------------------------------------------------
@@ -171,9 +188,13 @@ def descendant_csv_columns(N: WeightSequence, D) -> dict:
 
 
 def ppoly_csv_columns(pp) -> dict:
-    """Flat spline table: piece index, breakpoints, then coefficients."""
+    """Flat spline table: piece index, breakpoints, row degree, then the
+    coefficients, masked past each row's degree."""
+    degrees = pp.row_degrees()
     cols = {"piece": np.arange(len(pp.coeffs)),
-            "left": pp.breakpoints[:-1], "right": pp.breakpoints[1:]}
-    for j, col in enumerate(pp.coeffs.T):
-        cols[f"c{j}"] = col
+            "left": pp.breakpoints[:-1], "right": pp.breakpoints[1:],
+            "degree": degrees}
+    past = np.arange(pp.degree + 1) > degrees[:, None]
+    for j, (col, mask) in enumerate(zip(pp.coeffs.T, past.T)):
+        cols[f"c{j}"] = np.ma.array(col, mask=mask)
     return cols

@@ -1,4 +1,6 @@
 import ast
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from ultrajet import cli, serial
+from ultrajet.extend import extend_jet
 from ultrajet.jets import CompactSet1D, sample_jet
 
 
@@ -144,6 +147,61 @@ class TestExtendCmd:
             assert isinstance(text, str)
             assert len(text.encode()) == os.path.getsize(path)
 
+    def test_taylor_55_violation_exits_1(self, tmp_path, om2_spec, monkeypatch):
+        def one_55_violation(*args):
+            res = extend_jet(*args)
+            v = json.loads(json.dumps(res.verification, default=str))
+            v["taylor_estimates"]["5.5"]["violations"] = 1
+            return dataclasses.replace(res, verification=v)
+
+        monkeypatch.setattr(cli, "extend_jet", one_55_violation)
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        assert cli.main(["--out", str(tmp_path / "o"), "extend", jet, om2_spec,
+                         "--d-min", "1e-4", "--p-max-eval", "4"]) == 1
+
+    def test_csv_files_round_trip(self, tmp_path, om2_spec, monkeypatch, capsys):
+        results = []
+
+        def record(*args):
+            results.append(extend_jet(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "extend_jet", record)
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "extend", jet, om2_spec,
+                         "--d-min", "1e-4", "--p-max-eval", "4"]) == 0
+        f = results[0].f
+        man = json.loads((out / "extension.json").read_text())
+        kept = int(np.sum(f.row_degrees() + 1))
+        assert man["spline"]["coefficients"] == kept
+        assert man["spline"]["coefficients_dropped"] == results[0].coefficients_dropped > 0
+        assert f"{kept} coefficients" in capsys.readouterr().out
+
+        with open(out / "extension_spline.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["piece", "left", "right", "degree"] + [
+            f"c{j}" for j in range(f.degree + 1)]
+        assert {len(r) for r in rows} == {len(header)}
+        table = np.array([[float(v) if v else 0.0 for v in r] for r in rows])
+        breakpoints = np.append(table[:, 1], table[-1, 2])
+        assert breakpoints.tobytes() == f.breakpoints.tobytes()
+        assert table[:, 4:].tobytes() == f.coeffs.tobytes()
+        assert np.array_equal(table[:, 3], f.row_degrees())
+        # a cell is empty exactly past its row's degree
+        empty = np.array([[v == "" for v in r[4:]] for r in rows])
+        assert np.array_equal(empty, np.arange(f.degree + 1) > f.row_degrees()[:, None])
+
+        with open(out / "probes.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["x", "d", "f0", "f1", "f2", "f3", "f4"]
+        probes = np.array(rows, dtype=float)
+        assert len(probes) == 400
+        for k in range(5):
+            assert probes[:, 2 + k].tobytes() == f(probes[:, 0], order=k).tobytes()
+
     def test_zero_epsilon_is_coded(self, tmp_path, om2_spec, capsys):
         jet = write(tmp_path, "jet.json",
                     {"kind": "exp", "points": [0.0], "order_cap": 16})
@@ -180,6 +238,8 @@ class TestSerial:
 
     def test_csv_bytes_match_per_value_format(self, tmp_path):
         def fmt(v):   # the per-value formatter the column writer replaced
+            if v is np.ma.masked:
+                return ""
             if isinstance(v, (int, np.integer)):
                 return str(int(v))
             return repr(float(v))
@@ -199,6 +259,12 @@ class TestSerial:
             # unequal lengths: rows stop at the shortest column
             {"long": rng.standard_normal(n), "short": np.arange(serial.CSV_BLOCK_ROWS + 1)},
             {"short": rng.standard_normal(3), "long": np.arange(n)},
+            # masked cells are empty fields, across the block boundaries
+            {"i": np.arange(n),
+             "m": np.ma.array(rng.standard_normal(n), mask=np.arange(n) % 3 == 1),
+             "all": np.ma.array(rng.standard_normal(n), mask=True),
+             "none": np.ma.array(rng.standard_normal(n), mask=False),
+             "mi": np.ma.array(np.arange(n), mask=np.arange(n) >= serial.CSV_BLOCK_ROWS - 2)},
         ]
         for k, cols in enumerate(cases):
             path = str(tmp_path / f"t{k}.csv")

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultrajet.extend.cover import OVERLAP_C
 from ultrajet.extend import operator
+from ultrajet.extend.ppoly import PiecewisePolynomial
 from ultrajet.extend.operator import fit_rho, h_power_constant, search_lambda
 
 
@@ -407,6 +408,23 @@ class TestArrayTaylorChecks:
                                              anchors, res.degrees, p_col, gcut, cfg)
         assert got == _assembly_loop(*args)
         assert got == res.verification["assembly_consistency"]
+
+    def test_chop_moves_no_checked_derivative(self, extension_case, monkeypatch):
+        inputs, res = extension_case
+        cfg = inputs[2]
+        with monkeypatch.context() as m:
+            m.setattr(PiecewisePolynomial, "chopped", lambda self, max_order: self)
+            full = extend_jet(*inputs)
+        f = full.f.chopped(cfg.p_max_eval)
+        assert np.array_equal(f.breakpoints, res.f.breakpoints)
+        assert f.coeffs.tobytes() == res.f.coeffs.tobytes()
+        xs = np.linspace(*res.f.span, 4000)
+        orders = range(cfg.p_max_eval + 1)
+        for before, after in zip(full.f(xs, order=orders), res.f(xs, order=orders)):
+            assert np.max(np.abs(after - before)) <= 1e-15 * np.max(np.abs(before))
+        assert full.verification == res.verification
+        assert res.coefficients_dropped == int(np.sum(full.f.row_degrees()
+                                                      - res.f.row_degrees()))
 
     def test_degrees_equal_scalar_rule(self, extension_case):
         (F, _, cfg), res = extension_case

@@ -355,6 +355,76 @@ class TestKernelsBitIdentical:
         assert f(x0, order=orders[0]) == reference_call(f, x0, orders[0])
 
 
+def reference_chopped(f, max_order):
+    """The chop rule coefficient by coefficient: cut each row after its last
+    c_k with |c_k| h^k k!/(k-r)! nonzero and >= CHOP_REL_TOL x the row's
+    largest such term, for some r <= max_order."""
+    out = np.zeros_like(f.coeffs)
+    for i, row in enumerate(f.coeffs):
+        h = f.breakpoints[i + 1] - f.breakpoints[i]
+        last = -1
+        for r in range(max_order + 1):
+            terms = [abs(row[k]) * h ** k * float(math.perm(k, r)) for k in range(len(row))]
+            top = max(terms)
+            last = max([last] + [k for k in range(r, len(row))
+                                 if terms[k] > 0.0 and terms[k] >= ppoly.CHOP_REL_TOL * top])
+        out[i, : last + 1] = row[: last + 1]
+    return out
+
+
+@st.composite
+def wide_range_splines(draw):
+    """Splines whose coefficients span 1e-30..1e30, so rows do get chopped.
+    Zero coefficients are +0.0, the zero the chop writes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 16))
+    b = np.cumsum(np.concatenate([[rng.uniform(-2.0, 0.0)],
+                                  10.0 ** rng.uniform(-6.0, 0.5, n)]))
+    c = np.where(rng.random((n, m)) < 0.8, _coefficients(rng, (n, m)), 0.0)
+    return ppoly.PiecewisePolynomial(b, c, 0)
+
+
+class TestChopped:
+    @given(f=wide_range_splines(), max_order=st.integers(0, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rule_idempotent_never_raises_degree(self, f, max_order):
+        g = f.chopped(max_order)
+        assert np.array_equal(g.breakpoints, f.breakpoints)
+        ref = reference_chopped(f, max_order)
+        assert _same_bits(g.coeffs, ref[:, : g.coeffs.shape[1]])
+        assert not ref[:, g.coeffs.shape[1]:].any()
+        assert _same_bits(g.chopped(max_order).coeffs, g.coeffs)
+        assert np.all(g.row_degrees() <= f.row_degrees())
+        # a row with no negligible coefficient, even at r = 0, is kept whole
+        h = np.diff(f.breakpoints)[:, None]
+        t = np.abs(f.coeffs) * h ** np.arange(f.degree + 1)
+        top = t.max(axis=1, keepdims=True)
+        whole = np.all((f.coeffs == 0.0) | (t >= ppoly.CHOP_REL_TOL * top), axis=1)
+        assert _same_bits(g.coeffs[whole], f.coeffs[whole, : g.coeffs.shape[1]])
+        assert not f.coeffs[whole, g.coeffs.shape[1]:].any()
+
+    def test_rule_is_per_derivative_order(self):
+        # c2 is 1e-20 of c0, but it is all of f'' and most of f'
+        f = ppoly.PiecewisePolynomial(np.array([0.0, 1.0]), np.array([[1.0, 0.0, 1e-20]]))
+        assert f.chopped(0).degree == 0
+        assert _same_bits(f.chopped(1).coeffs, f.coeffs)
+        assert f.chopped(0)(0.5, order=0) == 1.0
+
+    def test_interior_coefficients_are_kept(self):
+        f = ppoly.PiecewisePolynomial(np.array([0.0, 1.0, 2.0]),
+                                      np.array([[1.0, 1e-30, 1.0, 1e-30], [0.0, 0.0, 0.0, 0.0]]))
+        g = f.chopped(2)
+        assert _same_bits(g.coeffs, np.array([[1.0, 1e-30, 1.0], [0.0, 0.0, 0.0]]))
+        assert g.row_degrees().tolist() == [2, 0]
+
+    def test_row_degrees(self):
+        f = ppoly.PiecewisePolynomial(np.arange(4.0), np.array(
+            [[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.5]]))
+        assert f.row_degrees().tolist() == [2, 0, 3]
+        assert ppoly.indicator(0.0, 1.0).row_degrees().tolist() == [0]
+
+
 def test_extension_with_reference_kernels_is_identical(extension_case, monkeypatch):
     """The whole extension, rebuilt with the pass-by-pass kernels, gives the
     same spline and verification: catches a ``_rows_at`` caller whose u is
