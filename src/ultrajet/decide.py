@@ -7,7 +7,8 @@ condition: for each row N there is a row Ndot with
 
 This module evaluates that condition, its phi_{p,k}-weakening and the
 paired single-sequence condition from the classical setting, all on stored
-prefixes with the shared tail machinery; quotient regularity (4.3) is
+prefixes; the matrix conditions read each row's one tail,
+``WeightSequence.tail``, with no cap.  Quotient regularity (4.3) is
 ``descend.check_43``.
 """
 
@@ -53,10 +54,11 @@ def check_14(M: WeightSequence, N: WeightSequence) -> CheckReport:
     if nq.verdict != HOLDS:
         raise QuasianalyticInput(f"{N.family_tag}: verdict {nq.verdict}")
     K = min(M.K, N.K)
-    log_T, _ = log_suffix_sums(-N.log_mu[:K], rel_cap=0.01, what="sum 1/nu")
+    tail = log_suffix_sums(-N.log_mu[:K])
+    tail.require_reliable(N.family_tag)
     k = np.arange(1, K + 1, dtype=float)
     rhs = np.log(k) - M.log_mu[:K]
-    return report_from_log_witnesses(log_T - rhs, K,
+    return report_from_log_witnesses(tail.log_T - rhs, K,
                                      note="sum_{l>=k} 1/nu_l <= C k/mu_k")
 
 
@@ -111,15 +113,10 @@ def _require_prefix(K_eff: int, K: int, what: str) -> None:
         raise PrefixExhausted(f"{what} on k <= {K_eff} needs K >= K_eff (K={K})")
 
 
-def _log_tail(Ndot: WeightSequence) -> np.ndarray:
-    """log sum_{l >= k} 1/nudot_l for k = 1..K, with the estimated tail."""
-    return log_suffix_sums(-Ndot.log_mu, rel_cap=None)[0]
-
-
 def _pair_tail_witness(N: WeightSequence, log_T_dot: np.ndarray,
                        K_eff: int) -> np.ndarray:
     """Log witnesses of sum_{l>=k} 1/nudot_l <= C k/nu_k on the prefix, from
-    the partner's ``log_T_dot = _log_tail(Ndot)`` or a stack of such rows."""
+    the partner's ``log_T_dot = Ndot.tail.log_T`` or a stack of such rows."""
     k = np.arange(1, K_eff + 1, dtype=float)
     return log_T_dot[..., :K_eff] + N.log_mu[:K_eff] - np.log(k)
 
@@ -129,7 +126,7 @@ def check_519(mat: WeightMatrix, K_eff: int | None = None) -> ExtensionVerdict:
     K_eff = K_eff or mat.K // 2
     _require_prefix(K_eff, mat.K, "5.19")
     rows = mat.rows
-    tails = np.array([_log_tail(nd) for nd in rows])
+    tails = np.array([nd.tail.log_T for nd in rows])
     partners = best_partners((_pair_tail_witness(N, tails, K_eff) for N in rows), K_eff)
     rep = existential_verdict(partners, len(rows), K_eff,
                               "sum_{l>=k} 1/nudot_l <= C k/nu_k per row")
@@ -150,7 +147,7 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
     _require_prefix(K_eff, mat.K, "5.18")
     rows = mat.rows
     n = len(rows)
-    tails = np.array([_log_tail(nd)[:K_eff] for nd in rows])[:, None, :]
+    tails = np.array([nd.tail.log_T[:K_eff] for nd in rows])[:, None, :]
     log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
     partners = best_partners(
         ((log_phi_pk_all(N, rows, p_grid, K_eff) + tails - log_k).reshape(-1, K_eff)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NonincreasingResult, PrefixExhausted, QuasianalyticInput
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence, check_nonquasianalytic, from_log_quotients
-from .tails import TailEstimate, log_suffix_sums, tail_sums
+from .tails import TailEstimate, estimate_tail
 
 
 @dataclass(frozen=True)
@@ -36,27 +36,13 @@ class Descendant:
 
     source_tag: str
     log_tau: np.ndarray        # log tau_k
-    tau_err: float             # error bar of the tail estimate entering tau
     log_sigma: np.ndarray      # log sigma_k
     log_sigma_star: np.ndarray
-    tail_info: TailEstimate
-    K_data: int                # prefix length of the source sequence
+    tail_info: TailEstimate    # the source row's tail estimate entering tau
 
     @property
     def K_eff(self) -> int:
         return len(self.log_tau)
-
-    @property
-    def tau(self) -> np.ndarray:
-        return np.exp(np.maximum(self.log_tau, -745.0))
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(np.minimum(self.log_sigma, 709.0))
-
-    @property
-    def sigma_star(self) -> np.ndarray:
-        return np.exp(np.minimum(self.log_sigma_star, 709.0))
 
     @functools.cached_property
     def small_s(self) -> WeightSequence:
@@ -68,19 +54,12 @@ class Descendant:
         """S_k = sigma_1 ... sigma_k as a weight sequence."""
         return from_log_quotients(self.log_sigma, f"desc-S({self.source_tag})")
 
-    def to_rows(self):
-        k = np.arange(1, self.K_eff + 1)
-        s_small = np.exp(np.minimum(self.small_s.log_M[1:], 709.0))
-        return {"k": k, "tau": self.tau, "sigma": self.sigma,
-                "sigma_star": self.sigma_star, "s": s_small}
 
-
-def descend(N: WeightSequence, K_eff: int | None = None, *,
-            tail_rel_cap: float = 0.01) -> Descendant:
+def descend(N: WeightSequence, K_eff: int | None = None) -> Descendant:
     """Descendant of N on the first K_eff indices (default K/2).
 
-    Tail sums run over the stored prefix plus the fitted tail estimate; the
-    estimate's error bar is reported alongside.
+    Tail sums are the row's one ``N.tail``, which must pass the one cap
+    (``require_reliable``); its estimate travels with the result as ``tail_info``.
     """
     nq = check_nonquasianalytic(N)
     if nq.verdict != HOLDS:
@@ -91,15 +70,13 @@ def descend(N: WeightSequence, K_eff: int | None = None, *,
         K_eff = K // 2
     if K_eff > K:
         raise PrefixExhausted(f"descendant on k <= {K_eff} needs K >= K_eff (K={K})")
-    log_inv_nu = -N.log_mu
-    log_T, est = log_suffix_sums(log_inv_nu, rel_cap=tail_rel_cap)
+    N.tail.require_reliable(N.family_tag)
     k = np.arange(1, K_eff + 1, dtype=float)
-    log_k_over_nu = np.log(k) + log_inv_nu[:K_eff]
-    log_tau = np.logaddexp(log_k_over_nu, log_T[:K_eff])
+    log_k_over_nu = np.log(k) - N.log_mu[:K_eff]
+    log_tau = np.logaddexp(log_k_over_nu, N.tail.log_T[:K_eff])
     log_sigma = log_tau[0] + np.log(k) - log_tau
     log_sigma_star = log_tau[0] - log_tau
-    return Descendant(N.family_tag, log_tau, est.err_bar, log_sigma,
-                      log_sigma_star, est, K)
+    return Descendant(N.family_tag, log_tau, log_sigma, log_sigma_star, N.tail.est)
 
 
 def check_lemma42(N: WeightSequence, D: Descendant,
@@ -120,9 +97,8 @@ def check_lemma42(N: WeightSequence, D: Descendant,
     out["4.2-1"] = report_from_log_witnesses(D.log_sigma - log_nu, K_eff,
                                              note="sigma_k <= C nu_k")
 
-    log_T, _ = log_suffix_sums(-N.log_mu, rel_cap=None)
     k = np.arange(1, K_eff + 1, dtype=float)
-    w2 = log_T[:K_eff] - np.log(k) + D.log_sigma
+    w2 = N.tail.log_T[:K_eff] - np.log(k) + D.log_sigma
     out["4.2-2"] = report_from_log_witnesses(w2, K_eff,
                                              note="sum_{j>=k} 1/nu_j <= C k/sigma_k")
 
@@ -182,11 +158,10 @@ def check_43(N: WeightSequence, K_eff: int | None = None) -> CheckReport:
     K = N.K
     if K_eff is None:
         K_eff = K // 2
-    log_T, _ = log_suffix_sums(-N.log_mu, rel_cap=None)
     k = np.arange(1, K_eff, dtype=float)       # condition at k -> k+1
     log_ratio_m1 = _log_expm1(N.log_mu[1:K_eff] - N.log_mu[:K_eff - 1])
     log_nu_star_next = np.cumsum(N.log_mu)[1:K_eff] - np.log(k + 1.0)
-    log_denom = np.logaddexp(0.0, log_nu_star_next + log_T[1:K_eff])
+    log_denom = np.logaddexp(0.0, log_nu_star_next + N.tail.log_T[1:K_eff])
     return report_from_log_witnesses(
         log_ratio_m1 - log_denom, K_eff,
         note="quotient regularity (4.3); witness is the smallest validating C")
@@ -210,7 +185,7 @@ def maximality_probe(N: WeightSequence, D: Descendant,
     """
     K_eff = D.K_eff
     log_nu = N.log_mu[:K_eff]
-    log_T, _ = log_suffix_sums(-N.log_mu, rel_cap=None)
+    log_T = N.tail.log_T
     log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
     logW1 = float(np.max(D.log_sigma - log_nu))
     logW2 = float(np.max(log_T[:K_eff] + D.log_sigma - log_k))
@@ -263,7 +238,7 @@ def recover_predecessor(sigma: np.ndarray, *, source_tag: str = "recovered") -> 
         raise NonincreasingResult("sigma* not increasing: negative recursion steps")
     d = np.maximum(d, 0.0)
     # tail of sum d_m beyond the prefix
-    _, est = tail_sums(np.maximum(d, 1e-300), rel_cap=None)
+    est = estimate_tail(np.maximum(d, 1e-300))
     d_tail = est.beyond if np.isfinite(est.err_bar) else 0.0
     G = float(np.sum(d) + d_tail)
     if not 0.0 < G < 0.5 + 1e-12:

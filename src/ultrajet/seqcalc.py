@@ -12,6 +12,7 @@ Sigma, and omega(t) = int_0^t Sigma(u)/u du, together with the growth checks
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import PrefixExhausted, SequenceSpecError, UltrajetError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE,
                      report_from_log_witnesses, report_from_prefix_witnesses)
+from .tails import SuffixSums, log_suffix_sums
 
 # Relative slack for monotonicity of quotients; absorbs rounding in rows that
 # come out of numerical Young conjugation.
@@ -80,6 +82,12 @@ class WeightSequence:
         if k == 0:
             return 1.0
         return float(math.exp(min(self.log_M[k] - self.log_M[k - 1], 700.0)))
+
+    @functools.cached_property
+    def tail(self) -> SuffixSums:
+        """The one tail of this row, sum_{j >= k} 1/mu_j for k = 1..K, computed
+        on first use and read by every check."""
+        return log_suffix_sums(-self.log_mu)
 
     @property
     def log_m_small(self) -> np.ndarray:

@@ -180,11 +180,13 @@ def matrix_csv_columns(mat: WeightMatrix) -> dict:
 
 
 def descendant_csv_columns(N: WeightSequence, D) -> dict:
-    rows = D.to_rows()
     with np.errstate(over="ignore"):
         nu = np.exp(np.minimum(N.log_mu[: D.K_eff], 709.0))
-    return {"k": rows["k"], "nu": nu, "tau": rows["tau"], "sigma": rows["sigma"],
-            "sigma_star": rows["sigma_star"], "s": rows["s"]}
+    return {"k": np.arange(1, D.K_eff + 1), "nu": nu,
+            "tau": np.exp(np.maximum(D.log_tau, -745.0)),
+            "sigma": np.exp(np.minimum(D.log_sigma, 709.0)),
+            "sigma_star": np.exp(np.minimum(D.log_sigma_star, 709.0)),
+            "s": np.exp(np.minimum(D.small_s.log_M[1:], 709.0))}
 
 
 def ppoly_csv_columns(pp) -> dict:

@@ -14,6 +14,10 @@ cover the sequences we meet:
 
 The estimator is chosen by fit quality; the returned error bar combines the
 model-order and window sensitivities and is empirically conservative.
+
+There is one :class:`SuffixSums` per row, ``WeightSequence.tail``, computed
+once and read by every caller; computing it never raises.  A caller that needs
+a small tail calls ``require_reliable``, which judges it against the one cap.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import TailUnreliable
 
 FIT_ORDERS = 4
 RESID_GOOD = 1e-7
+TAIL_REL_CAP = 0.01  # the one cap: largest tail bound / partial sum
 
 
 # B_2j / (2j)! for j = 1..8, the Euler-Maclaurin coefficients of hurwitz_zeta
@@ -135,47 +140,51 @@ def estimate_tail(vals: np.ndarray, *, positive: bool = True) -> TailEstimate:
     return TailEstimate(0.0, float("inf"), "none", float("nan"))
 
 
-def tail_sums(vals: np.ndarray, *, rel_cap: float | None = 0.01,
-              what: str = "sum 1/nu") -> tuple[np.ndarray, TailEstimate]:
-    """All suffix sums ``T_k = sum_{j >= k} v_j`` (1-based k) with tail.
+@dataclass(frozen=True)
+class SuffixSums:
+    """The suffix sums of one row and the tail estimate they carry."""
 
-    Raises TAIL_UNRELIABLE when the tail estimate (plus its error bar)
-    exceeds ``rel_cap`` times the full partial sum.
-    """
-    vals = np.asarray(vals, dtype=float)
-    est = estimate_tail(vals)
-    beyond = est.beyond if np.isfinite(est.err_bar) else 0.0
-    suffix = np.cumsum(vals[::-1])[::-1] + beyond
-    if rel_cap is not None:
-        total = float(suffix[0])
-        bound = beyond + (est.err_bar if np.isfinite(est.err_bar) else 0.0)
-        if not np.isfinite(est.err_bar) and est.method == "none":
-            # undetectable decay: treat the last term as the scale of the tail
-            bound = float(vals[-1] * len(vals))
-        if bound > rel_cap * total:
+    log_T: np.ndarray      # log sum_{j >= k} v_j, k = 1..K (index 0 is k = 1)
+    est: TailEstimate
+    bound: float           # tail estimate plus its error bar (inf: no decay found)
+    total: float           # the partial sum the bound is judged against
+
+    def __post_init__(self):
+        self.log_T.flags.writeable = False  # a row's one tail, shared by its readers
+
+    def require_reliable(self, tag: str) -> None:
+        """Raise TAIL_UNRELIABLE, naming the row ``tag``, when the tail bound
+        exceeds ``TAIL_REL_CAP`` times the partial sum."""
+        if math.isinf(self.bound):
+            raise TailUnreliable(f"{tag}: no decay detected in deep-underflow regime for sum 1/nu")
+        if self.bound > TAIL_REL_CAP * self.total:
             raise TailUnreliable(
-                f"tail bound {bound:.3e} exceeds {rel_cap:.0%} of partial {what} {total:.3e}")
-    return suffix, est
+                f"{tag}: tail bound {self.bound:.3e} exceeds {TAIL_REL_CAP:.0%} "
+                f"of partial sum 1/nu {self.total:.3e}")
 
 
-def log_suffix_sums(log_vals: np.ndarray, *, rel_cap: float | None = 0.01,
-                    what: str = "sum 1/nu") -> tuple[np.ndarray, TailEstimate]:
-    """log of the suffix sums of exp(log_vals), safe far below double range.
+def log_suffix_sums(log_vals: np.ndarray) -> SuffixSums:
+    """Suffix sums ``T_k = sum_{j >= k} v_j`` of v = exp(log_vals), with the
+    estimated tail past the prefix, in the log domain; never raises.
 
-    Values within double range delegate to :func:`tail_sums`; otherwise the
-    running sums accumulate with logaddexp and the tail past the prefix is
-    bounded geometrically from the last log-decrements.
+    Values within double range are summed directly and the tail comes from
+    :func:`estimate_tail`; otherwise the running sums accumulate with
+    logaddexp and the tail past the prefix is bounded geometrically from the
+    last log-decrements.
     """
     log_vals = np.asarray(log_vals, dtype=float)
     if np.min(log_vals) > -700.0:
-        suffix, est = tail_sums(np.exp(log_vals), rel_cap=rel_cap, what=what)
-        return np.log(suffix), est
+        vals = np.exp(log_vals)
+        est = estimate_tail(vals)
+        finite = np.isfinite(est.err_bar)
+        beyond = est.beyond if finite else 0.0
+        suffix = np.cumsum(vals[::-1])[::-1] + beyond
+        # undetectable decay: treat the last term as the scale of the tail
+        bound = beyond + est.err_bar if finite else vals[-1] * len(vals)
+        return SuffixSums(np.log(suffix), est, float(bound), float(suffix[0]))
     steps = np.diff(log_vals[-8:])
     q = float(np.exp(steps[-1]))
     if np.any(steps > -1e-12) or q >= 0.999:
-        if rel_cap is not None:
-            raise TailUnreliable(
-                f"no decay detected in deep-underflow regime for {what}")
         log_beyond = float(log_vals[-1])  # crude: one more comparable term
         est = TailEstimate(0.0, float("inf"), "none", float("nan"))
     else:
@@ -183,5 +192,5 @@ def log_suffix_sums(log_vals: np.ndarray, *, rel_cap: float | None = 0.01,
                       if q > 0.0 else -math.inf)
         est = TailEstimate(0.0, 0.0, "geometric-log", float("inf"))
     rev = np.concatenate([[log_beyond], log_vals[::-1]])
-    acc = np.logaddexp.accumulate(rev)[1:]
-    return acc[::-1], est
+    log_T = np.logaddexp.accumulate(rev)[1:][::-1]
+    return SuffixSums(log_T, est, est.beyond + est.err_bar, float(np.exp(log_T[0])))

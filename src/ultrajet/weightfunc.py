@@ -14,7 +14,7 @@ conjugate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -265,9 +265,9 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
     """Five admissibility conditions on a sampled matrix.
 
     (1) pairwise quotient comparability; (2) non-quasianalyticity per row;
-    (3) the quotient-regularity condition (4.3) per row; (4) for each row N
-    some row Ndot with nu_k <= C Ndot_k^{1/k}; (5) for each row some Ndot
-    with nu_{2k} <= C nudot_k.  Existential clauses search the sample only:
+    (3) the quotient-regularity condition (4.3) per row that (2) does not
+    fail; (4) for each row N some row Ndot with nu_k <= C Ndot_k^{1/k};
+    (5) for each row some Ndot with nu_{2k} <= C nudot_k.  Existential clauses search the sample only:
     a missing witness is NOT_WITNESSED_IN_SAMPLE, never a disproof.
     """
     K = mat.K
@@ -298,11 +298,17 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
         HOLDS, K, witness_constant=max(r.witness_constant for r in nq),
         note="non-quasianalytic per row")
 
-    c43 = [check_43(r) for r in mat.rows]
+    # (4.3) presumes a non-quasianalytic row: the rows failing (2) are skipped
+    skipped = [i for i, r in enumerate(nq) if r.verdict == FAILS]
+    c43 = [check_43(r) for r, q in zip(mat.rows, nq) if q.verdict != FAILS]
     bad = [r for r in c43 if r.verdict != HOLDS]
     out["4.6-3"] = bad[0] if bad else CheckReport(
-        HOLDS, K, witness_constant=max(r.witness_constant for r in c43),
+        HOLDS if c43 else INCONCLUSIVE, K,
+        witness_constant=max((r.witness_constant for r in c43), default=None),
         note="quotient regularity (4.3) per row")
+    if skipped:
+        out["4.6-3"] = replace(out["4.6-3"], note=out["4.6-3"].note
+                               + f"; skipped quasianalytic rows {skipped}")
 
     out["4.6-4"] = existential_verdict(
         best_partners(domination_table(mat, 4), K), len(mat.rows), K,
@@ -338,7 +344,8 @@ def best_partners(log_w, K: int, labels=None) -> dict:
         m_half, m_full = log_witness_maxima(block)
         held = np.flatnonzero(trend_verdict(m_half, m_full) == HOLDS)
         if held.size:
-            j = int(held[np.argmin([math.exp(min(m, 700.0)) for m in m_full[held]])])
+            # by reported constant exp(m) (m <= LOG_WITNESS_CAP): distinct m may tie
+            j = int(held[np.argmin([math.exp(m) for m in m_full[held]])])
             out[i] = (labels[j] if labels else j, report_from_log_witnesses(block[j], K))
     return out
 

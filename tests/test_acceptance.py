@@ -123,7 +123,7 @@ def test_criterion_4_prop_5_14():
         mat = wf.associated_matrix(wf.omega_s(2), params=[rho, 6 * rho], K=512)
         row, row6 = mat.rows
         # (1) self tail domination with tail machinery, k <= 256
-        w = dec._pair_tail_witness(row, dec._log_tail(row), 256)
+        w = dec._pair_tail_witness(row, row.tail.log_T, 256)
         from ultrajet.report import report_from_log_witnesses
         rep = report_from_log_witnesses(w, 256)
         ok.append(rep.verdict == HOLDS)

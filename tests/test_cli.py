@@ -210,6 +210,20 @@ class TestExtendCmd:
         assert code == 2
         assert "error [NON_POSITIVE]" in capsys.readouterr().err
 
+    def test_omega_s_28_decides_yes_but_extend_names_row(self, tmp_path, capsys):
+        # the decision reads uncapped tails and answers YES; the extension's
+        # descendant requires a reliable tail, which the first omega_s(2.8)
+        # row lacks, and its refusal names the row
+        spec = write(tmp_path, "om28.json", {"kind": "omega_s", "s": 2.8, "K": 512})
+        assert cli.main(["--out", str(tmp_path / "d"), "decide", spec]) == 0
+        assert capsys.readouterr().out == "omega_s(2.8): extension property YES\n"
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        code = cli.main(["--out", str(tmp_path / "o"), "extend", jet, spec,
+                         "--p-max-eval", "6", "--d-min", "1e-3"])
+        assert code == 2
+        assert "error [TAIL_UNRELIABLE]: omega_s(2.8)|x=0.125: tail bound" in capsys.readouterr().err
+
     def test_selftest(self):
         assert cli.main(["selftest"]) == 0
 

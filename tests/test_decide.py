@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ultrajet import decide as dec
+from ultrajet import descend as dsc
 from ultrajet import seqcalc as sq
+from ultrajet import tails
 from ultrajet import weightfunc as wf
 from ultrajet.errors import PrefixExhausted, QuasianalyticInput, ReportError, UltrajetError
 from ultrajet.report import FAILS, CheckReport, HOLDS, report_from_log_witnesses
@@ -66,6 +68,8 @@ class TestBestPartners:
         [[0.0, 0.0, 5.0, 5.0], [61.0, 61.0, 61.0, 61.0], [math.nan] * 4],  # none holds
         [[math.inf, 2.0, -math.inf, 2.1], [3.0, 0.0, 3.0, 0.0], [0.0, 0.3, 0.3, 0.3]],
     ]), K=8, labelled=True)
+    @example(blocks=np.array([[[math.nan] * 8 + [2.05e-200], [0.0] * 9]]),  # exp ties
+             K=1, labelled=False)
     @settings(max_examples=200, deadline=None)
     def test_matches_report_oracle(self, blocks, K, labelled):
         labels = ([("row", j) for j in range(blocks.shape[1])] if labelled else None)
@@ -177,7 +181,7 @@ class TestLogPhiTable:
         K_eff = 32
         log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
         table = [[report_from_log_witnesses(
-                      dec._log_tail(Nd)[:K_eff] + _log_phi_pk_oracle(N, Nd, p, K_eff) - log_k,
+                      Nd.tail.log_T[:K_eff] + _log_phi_pk_oracle(N, Nd, p, K_eff) - log_k,
                       K_eff)
                   for Nd in rows for p in dec.P_GRID_DEFAULT] for N in rows]
         partners = _best_partners_oracle(
@@ -249,6 +253,15 @@ class TestMatrixConditions:
         assert v["extension_property"] == "YES"
         assert len(made) <= 200
 
+    def test_decide_quasianalytic_row(self, gevrey1, gevrey2):
+        mat = wf.matrix_from_rows([gevrey1, gevrey2])
+        with pytest.raises(UltrajetError, match=r"\['4\.6-2'\]") as exc:
+            dec.decide_extension_property(mat)
+        assert exc.value.code == "NOT_ADMISSIBLE_IN_SAMPLE"
+        v = dec.decide_extension_property(mat, require_admissible=False)
+        assert v["admissibility"]["4.6-2"]["verdict"] == FAILS
+        assert v["extension_property"] in ("YES", "NO", "UNDECIDED_IN_SAMPLE")
+
     def test_decide_yes_gevrey2(self, gevrey2):
         mat = wf.matrix_from_rows([gevrey2], params=[1.0])
         assert dec.decide_extension_property(mat)["extension_property"] == "YES"
@@ -267,3 +280,24 @@ class TestMatrixConditions:
         v1 = dec.decide_extension_property(mat)
         v2 = dec.decide_extension_property(scaled)
         assert v1["extension_property"] == v2["extension_property"]
+
+
+class TestOneTailPerRow:
+    def test_decide_computes_each_row_tail_once(self, count_calls):
+        mat = wf.associated_matrix(wf.omega_s(2), K=512)  # no tail cached yet
+        calls = count_calls(tails.log_suffix_sums)
+        v = dec.decide_extension_property(mat, weight_function=wf.omega_s(2))
+        assert v["extension_property"] == "YES"
+        assert len(calls) == len(mat.rows) == 10
+
+    def test_descendant_carries_the_row_tail(self, gevrey2):
+        assert dsc.descend(gevrey2).tail_info is gevrey2.tail.est
+
+    def test_row_tail_equals_a_fresh_one(self, omega2_matrix):
+        for N in omega2_matrix.rows:
+            fresh = tails.log_suffix_sums(-N.log_mu).log_T
+            assert N.tail.log_T.tobytes() == fresh.tobytes()
+
+    def test_deep_underflow_row_is_reliable(self, omega2_rho64):
+        assert omega2_rho64.tail.est.method == "geometric-log"
+        omega2_rho64.tail.require_reliable(omega2_rho64.family_tag)

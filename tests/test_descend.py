@@ -43,7 +43,7 @@ class TestDescend:
         D1 = dsc.descend(kplus1_sq, K_eff=256)
         D2 = dsc.descend(kplus1_sq.truncated(900), K_eff=256)
         dev = np.abs(np.exp(D1.log_tau - D2.log_tau) - 1.0)
-        assert np.max(dev) < max(D1.tau_err, D2.tau_err, 1e-8) * 100
+        assert np.max(dev) < max(D1.tail_info.err_bar, D2.tail_info.err_bar, 1e-8) * 100
 
 
 class TestLemma42:

@@ -5,7 +5,7 @@ from scipy.special import polygamma
 import mpmath
 
 from ultrajet.errors import TailUnreliable
-from ultrajet.tails import estimate_tail, hurwitz_zeta, log_suffix_sums, tail_sums
+from ultrajet.tails import TAIL_REL_CAP, estimate_tail, hurwitz_zeta, log_suffix_sums
 
 
 def _zeta_em_60(s, a):
@@ -91,31 +91,41 @@ def test_log_corrected_family_covered_by_err_bar():
 def test_suffix_sums_match_prefix():
     j = np.arange(1, 257, dtype=float)
     vals = 1.0 / j ** 2
-    suffix, _ = tail_sums(vals, rel_cap=None)
+    suffix = np.exp(log_suffix_sums(np.log(vals)).log_T)
     assert suffix[10] - suffix[200] == pytest.approx(np.sum(vals[10:200]), rel=1e-12)
 
 
 def test_tail_unreliable_raised():
     j = np.arange(1, 65, dtype=float)
     vals = 1.0 / j ** 1.2  # heavy tail: estimate dwarfs the cap
-    with pytest.raises(TailUnreliable):
-        tail_sums(vals, rel_cap=1e-6)
+    tail = log_suffix_sums(np.log(vals))  # computing it never raises
+    assert tail.bound > TAIL_REL_CAP * tail.total
+    with pytest.raises(TailUnreliable, match=r"^heavy: tail bound .* exceeds 1% of partial sum"):
+        tail.require_reliable("heavy")
 
 
 def test_log_suffix_deep_underflow():
     # decays e^{-8} per step: values hit e^{-2000}, far below double range
     k = np.arange(1, 257, dtype=float)
     log_vals = -4.0 * (2.0 * k - 1.0)
-    log_T, est = log_suffix_sums(log_vals, rel_cap=None)
+    log_T = log_suffix_sums(log_vals).log_T
     # T_k is dominated by its first term: log T_k = log v_k + log(1/(1-q))
     q = np.exp(-8.0)
     expect = log_vals + np.log(1.0 / (1.0 - q))
     assert np.allclose(log_T, expect, atol=1e-10)
 
 
+def test_deep_underflow_without_decay_is_unreliable():
+    log_vals = np.concatenate([-4.0 * np.arange(1.0, 201.0), np.full(16, -800.0)])
+    tail = log_suffix_sums(log_vals)  # computing it never raises
+    assert tail.est.method == "none" and tail.bound == np.inf
+    with pytest.raises(TailUnreliable, match="^row: no decay detected in deep-underflow"):
+        tail.require_reliable("row")
+
+
 def test_log_suffix_matches_linear_when_healthy():
     j = np.arange(1, 257, dtype=float)
     vals = 1.0 / j ** 2
-    lt, _ = log_suffix_sums(np.log(vals), rel_cap=None)
-    suffix, _ = tail_sums(vals, rel_cap=None)
-    assert np.allclose(lt, np.log(suffix), atol=1e-12)
+    tail = log_suffix_sums(np.log(vals))
+    suffix = np.cumsum(vals[::-1])[::-1] + tail.est.beyond
+    assert np.allclose(tail.log_T, np.log(suffix), atol=1e-12)

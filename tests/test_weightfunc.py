@@ -176,6 +176,13 @@ class TestAdmissibility:
         adm = wf.check_admissible_matrix(mat)
         assert adm["4.6-4"].verdict == NOT_WITNESSED
 
+    def test_quasianalytic_row_fails_item2(self, gevrey1, gevrey2):
+        # (4.3) presumes non-quasianalyticity: the gevrey(1) row is skipped
+        adm = wf.check_admissible_matrix(wf.matrix_from_rows([gevrey1, gevrey2]))
+        assert adm["4.6-2"].verdict == FAILS
+        assert adm["4.6-3"].verdict == HOLDS
+        assert adm["4.6-3"].note.endswith("skipped quasianalytic rows [0]")
+
 
 class TestOmegaNonquasianalytic:
     def test_omega2_converges(self):
