@@ -103,7 +103,7 @@ def cmd_analyze(args) -> int:
     M = serial.sequence_from_spec(spec, K_default=K)
     out = _outdir(args)
     moderate = sq.check_moderate_growth(M)
-    nq = sq.check_nonquasianalytic(M)
+    nq = M.nonquasianalytic
     report = {
         "family": M.family_tag,
         "prefix_K": M.K,
@@ -271,8 +271,8 @@ def cmd_selftest(args) -> int:
     reps = dsc.check_lemma42(g2, D, Ndot=g2)
     ok &= all(r.verdict != FAILS for r in reps.values())
     mat = wfn.associated_matrix(wfn.omega_s(2.0), K=K)
-    v = dec.check_519(mat)
-    ok &= v.verdict.holds
+    coh = dec.lemma_510_coherent(mat)
+    ok &= coh["5.19"].verdict.holds and coh["5.18"].verdict.holds and coh["agree"]
     print("selftest:", "ok" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_DIACRIT
 

@@ -10,6 +10,12 @@ paired single-sequence condition from the classical setting, all on stored
 prefixes; the matrix conditions read each row's one tail,
 ``WeightSequence.tail``, with no cap.  Quotient regularity (4.3) is
 ``descend.check_43``.
+
+phi_{p,k} = sup_{j<k} (M_k / (p^k Ndot_j))^{1/(k-j)} is found by a peak
+search over j: its log is the slope from (j, log Ndot_j) to
+(k, log M_k - k log p), and over a log-convex row that slope is unimodal in
+j.  A row whose log nudot drops anywhere in the prefix is not log-convex
+and keeps the whole window j < k (see :func:`log_phi_pk_all`).
 """
 
 from __future__ import annotations
@@ -23,13 +29,15 @@ from .descend import check_43
 from .errors import (ExtensionError, PrefixExhausted, QuasianalyticInput,
                      UltrajetError)
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
-from .seqcalc import WeightSequence, check_nonquasianalytic
+from .seqcalc import WeightSequence
 from .tails import log_suffix_sums
 from .weightfunc import (WeightMatrix, best_partners, check_admissible_matrix,
                          check_omega_nonquasianalytic, domination_table,
                          existential_verdict)
 
 P_GRID_DEFAULT = (1, 2, 4, 8, 16)
+# entries j < k formed at once where a whole window is max-reduced
+_WINDOW_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,7 @@ class ExtensionVerdict:
 
 def check_14(M: WeightSequence, N: WeightSequence) -> CheckReport:
     """Classical pair condition: sum_{l>=k} N_{l-1}/N_l <= C k M_{k-1}/M_k."""
-    nq = check_nonquasianalytic(N)
+    nq = N.nonquasianalytic
     if nq.verdict != HOLDS:
         raise QuasianalyticInput(f"{N.family_tag}: verdict {nq.verdict}")
     K = min(M.K, N.K)
@@ -76,35 +84,77 @@ def log_phi_pk_all(M: WeightSequence, N, p_grid, K_eff: int) -> np.ndarray:
     rows of a matrix): the result is then one such array per row of ``N``,
     of shape (len(N), len(p_grid), K_eff).
 
-    Only the entries j < k are formed: entry (k, j) = (log M_k - k log p -
-    log N_j) / (k - j) is stored packed row after row, row k at ``starts[k-1]``
-    = k (k - 1) / 2, with the M side repeated along the row (a gather by the
-    packed row index) and the N side gathered by the packed column index j;
-    ``np.maximum.reduceat`` takes each row's max, log phi_{p,k}.  Each entry
-    is the scalar definition's IEEE expression, a max does not depend on
-    evaluation order, and every row reduces exactly its k entries, so the
-    rows equal the definition bit for bit with no -inf padding above the
-    diagonal.  The index and denominator arrays are built once per call and
-    shared by every row of ``N`` and every p; nothing outlives the call.
+    Entry (k, j) is g(j) = (A - log N_j) / (k - j) with A = log M_k - k log p,
+    the slope from (j, log N_j) to (k, A), and log phi_{p,k} is its max over
+    j < k.  g(j) is the mean of log nu_{j+1} and g(j + 1), weighted 1 and
+    k - j - 1, so g(j + 1) >= g(j) iff log nu_{j+1} <= g(j + 1).  When log N
+    is convex (log nu nondecreasing) the set where g falls is therefore a
+    suffix: g is unimodal in j, and the max is found by a peak search,
+    vectorised over (row of N, p, k).  The right end j = k - 1 is the peak
+    when g(k - 1) >= g(k - 2); the other entries bisect [0, k - 2] for the
+    first j where g falls.  The value returned is the scalar definition's
+    IEEE expression at the peak found.
+
+    Each computed g is within E = eps (|g| + K_eff max|log nu|) of a unimodal
+    sequence: eps |g| from rounding the subtraction and the division, the
+    rest from rounding the stored row about a convex one.  So a peak whose
+    two neighbours both lie more than 4 E below it (twice the 2 E the
+    argument needs) is the float max.  An entry whose neighbour does not,
+    and every entry of a row whose log nu drops anywhere in the prefix (not
+    log-convex), take the max over the whole window j < k.  Either way the
+    table equals the scalar definition bit for bit.
     """
     rows = [N] if isinstance(N, WeightSequence) else N
     _require_prefix(K_eff, min(M.K, min(n.K for n in rows) + 1), "phi_{p,k}")
-    k = np.arange(1, K_eff + 1)
-    starts = k * (k - 1) // 2
-    j = np.arange(K_eff * (K_eff + 1) // 2)
-    j -= np.repeat(starts, k)
-    d = np.repeat(k.astype(float), k)
-    d -= j
-    lhs = [M.log_M[1:K_eff + 1] - k * math.log(p) for p in p_grid]
-    out = np.empty((len(rows), len(p_grid), K_eff))
-    log_N = np.empty(len(j))
-    for out_N, n in zip(out, rows):
-        np.take(n.log_M, j, out=log_N)
-        for row, a in zip(out_N, lhs):
-            buf = np.repeat(a, k)
-            buf -= log_N
-            buf /= d
-            np.maximum.reduceat(buf, starts, out=row)
+    n_pk = len(p_grid) * K_eff
+    col = np.arange(K_eff)
+    A = np.array([M.log_M[1:K_eff + 1] - (col + 1) * math.log(p) for p in p_grid])
+    log_N = np.array([n.log_M[:K_eff] for n in rows]).reshape(len(rows), K_eff)
+    log_nu = np.diff(log_N, axis=1, prepend=0.0)  # column j >= 1: log nu_j
+    convex = np.all(np.diff(log_nu[:, 1:], axis=1) >= 0, axis=1)
+    scale = K_eff * np.max(np.abs(log_nu[:, 1:]), axis=1, initial=0.0)
+    # entry e = (row r of N, p, k) in C order has its A at A.flat[e % n_pk]
+    # and its log N_j at flat_N[r K_eff + j]; the chord through (j - 1,
+    # log N_{j-1}) and (j, log N_j) is flat_cut + x flat_nu there
+    flat_N, flat_nu = log_N.ravel(), log_nu.ravel()
+    flat_cut = (log_N - col * log_nu).ravel()
+
+    def entries(e):
+        r, q = np.divmod(e, n_pk)
+        return A.flat[q], r * K_eff, q % K_eff + 1
+
+    def g(a, base, k, j):
+        return (a - flat_N[base + j]) / (k - j)
+
+    v = (A - log_N[:, None, :]).ravel()  # g(k - 1)
+    nb = np.full((len(rows), len(p_grid), K_eff), -np.inf)
+    nb[..., 1:] = (A[:, 1:] - log_N[:, None, :-1]) / 2  # g(k - 2)
+    nb = nb.ravel()
+    in_convex = np.repeat(convex, n_pk)
+    s = np.flatnonzero(~(v >= nb) & in_convex)
+    if len(s):
+        a, base, k = entries(s)
+        t, top, x = np.zeros(len(s), dtype=int), k - 1, k.astype(float)
+        for step in 1 << np.arange(int(top.max()).bit_length())[::-1]:
+            i = np.minimum(t + step, top)  # g(i) >= g(i - 1): chord i at x = k <= A
+            t = np.where(flat_cut[base + i] + x * flat_nu[base + i] <= a, i, t)
+        v[s] = g(a, base, k, t)
+        nb[s] = np.maximum(
+            np.where(t > 0, g(a, base, k, np.maximum(t - 1, 0)), -np.inf),
+            np.where(t < top, g(a, base, k, np.minimum(t + 1, top)), -np.inf))
+    eps = np.finfo(float).eps
+    exact = v - nb > 4 * eps * (np.abs(v) + np.repeat(scale, n_pk))
+    whole = np.flatnonzero(~(exact & in_convex))
+    block = max(1, _WINDOW_BLOCK // max(K_eff, 1))
+    for i in range(0, len(whole), block):
+        w = whole[i:i + block]
+        a, base, k = entries(w)
+        starts = np.cumsum(k) - k
+        j = np.arange(starts[-1] + k[-1]) - np.repeat(starts, k)
+        buf = np.repeat(a, k) - flat_N[np.repeat(base, k) + j]
+        buf /= np.repeat(k, k) - j
+        v[w] = np.maximum.reduceat(buf, starts)
+    out = v.reshape(len(rows), len(p_grid), K_eff)
     return out[0] if isinstance(N, WeightSequence) else out
 
 
@@ -193,8 +243,9 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
     derived from a weight function the cross-parameter form and the averaged
     integral condition are evaluated alongside.  Admissibility is checked
     first with sampling semantics: conditions (1)-(3) failing is an error,
-    existential conditions missing witnesses only for a suffix of rows is
-    reported but tolerated (sampling boundary).
+    or with ``require_admissible=False`` an UNDECIDED_IN_SAMPLE verdict whose
+    ``warning`` names them; existential conditions missing witnesses only for
+    a suffix of rows is reported but tolerated (sampling boundary).
     """
     adm = check_admissible_matrix(mat)
     hard_bad = [cid for cid in ("4.6-1", "4.6-2", "4.6-3")
@@ -219,6 +270,10 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
             headline = HOLDS
         elif any(v == FAILS for v in [headline, cor["averaged"].verdict]):
             headline = FAILS if headline == FAILS else headline
+    if hard_bad:
+        headline = None
+        verdicts["warning"] = (f"admissibility {hard_bad} fails in sample: the "
+                               "tail conditions decide nothing for this matrix")
     verdicts["extension_property"] = ("YES" if headline == HOLDS else
                                       "NO" if headline == FAILS else
                                       "UNDECIDED_IN_SAMPLE")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonincreasingResult, PrefixExhausted, QuasianalyticInput
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
-from .seqcalc import WeightSequence, check_nonquasianalytic, from_log_quotients
+from .seqcalc import WeightSequence, from_log_quotients
 from .tails import TailEstimate, estimate_tail
 
 
@@ -61,7 +61,7 @@ def descend(N: WeightSequence, K_eff: int | None = None) -> Descendant:
     Tail sums are the row's one ``N.tail``, which must pass the one cap
     (``require_reliable``); its estimate travels with the result as ``tail_info``.
     """
-    nq = check_nonquasianalytic(N)
+    nq = N.nonquasianalytic
     if nq.verdict != HOLDS:
         raise QuasianalyticInput(
             f"{N.family_tag}: non-quasianalyticity verdict {nq.verdict}")
@@ -152,8 +152,7 @@ def check_43(N: WeightSequence, K_eff: int | None = None) -> CheckReport:
     The smallest admissible C per index solves the inequality directly; the
     report carries the prefix max with trend semantics.
     """
-    nq = check_nonquasianalytic(N)
-    if nq.verdict == FAILS:
+    if N.nonquasianalytic.verdict == FAILS:
         raise QuasianalyticInput(f"{N.family_tag} is quasianalytic (trend)")
     K = N.K
     if K_eff is None:

@@ -89,6 +89,13 @@ class WeightSequence:
         on first use and read by every check."""
         return log_suffix_sums(-self.log_mu)
 
+    @functools.cached_property
+    def nonquasianalytic(self) -> CheckReport:
+        """The one non-quasianalyticity report of this row
+        (:func:`check_nonquasianalytic`), computed on first use and read by
+        every check."""
+        return check_nonquasianalytic(self)
+
     @property
     def log_m_small(self) -> np.ndarray:
         """log m_k with m_k = M_k / k!."""

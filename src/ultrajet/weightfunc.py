@@ -22,7 +22,7 @@ from .descend import check_43
 from .errors import ConjugateUnbounded, SequenceSpecError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
                      log_witness_maxima, report_from_log_witnesses, trend_verdict)
-from .seqcalc import WeightSequence, check_nonquasianalytic, validate_sequence
+from .seqcalc import WeightSequence, validate_sequence
 
 TERNARY_REL_TOL = 1e-10
 Y_MAX_CAP = 1e12
@@ -292,7 +292,7 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
                                counterexample_index=out["4.6-1"].counterexample_index,
                                note="pairwise quotient comparability")
 
-    nq = [check_nonquasianalytic(r) for r in mat.rows]
+    nq = [r.nonquasianalytic for r in mat.rows]
     bad = [r for r in nq if r.verdict != HOLDS]
     out["4.6-2"] = bad[0] if bad else CheckReport(
         HOLDS, K, witness_constant=max(r.witness_constant for r in nq),

@@ -152,17 +152,53 @@ class TestPhiPk:
             dec.phi_pk(gevrey1, gevrey1, 1, gevrey1.K + 1)
 
 
+@st.composite
+def _family_row(draw, K):
+    """A gevrey, qgevrey or powerlog row (powerlog with p = 1 is geometric:
+    its log nu is constant, so every slope to (k, A) ties in exact arithmetic)."""
+    family = draw(st.sampled_from(["gevrey", "qgevrey", "powerlog"]))
+    if family == "gevrey":
+        return sq.gevrey(draw(st.floats(1.5, 4)), K=K)
+    if family == "qgevrey":
+        return sq.qgevrey(draw(st.floats(1.01, 3)), K=K)
+    return sq.powerlog(draw(st.floats(1.01, 5)), draw(st.floats(1, 2.5)), K=K)
+
+
+def _not_log_convex_rows(K=64):
+    """A row with a kink (log nu_10 lowered by 3) and a validated row whose
+    log nu drops by 5e-6 at K/2, inside MU_MONOTONE_TOL of log nu ~ 1e4."""
+    log_nu = 2 * np.log(np.arange(1, K + 1.0))
+    log_nu[9] -= 3
+    kink = sq.from_log_quotients(log_nu, "kink")
+    log_nu = 1e4 + 1e-7 * np.arange(K)
+    log_nu[K // 2:] -= 5e-6
+    drop = sq.validate_sequence(np.concatenate([[0.0], np.cumsum(log_nu)]), "drop")
+    return [kink, drop]
+
+
 class TestLogPhiTable:
-    @given(s_M=st.floats(min_value=1.5, max_value=4), s_N=st.floats(min_value=1.5, max_value=4),
-           K=st.integers(2, 96), data=st.data())
+    @given(K=st.integers(2, 96), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_table_equals_scalar_definition(self, s_M, s_N, K, data):
-        M, N = sq.gevrey(s_M, K=K), sq.gevrey(s_N, K=K)
+    def test_table_equals_scalar_definition(self, K, data):
+        M, N = data.draw(_family_row(K)), data.draw(_family_row(K))
         K_eff = data.draw(st.sampled_from([1, 2, K, data.draw(st.integers(1, K))]))
         table = dec.log_phi_pk_all(M, N, dec.P_GRID_DEFAULT, K_eff)
         assert table.shape == (len(dec.P_GRID_DEFAULT), K_eff)
         for row, p in zip(table, dec.P_GRID_DEFAULT):
             assert np.array_equal(row, _log_phi_pk_oracle(M, N, p, K_eff))
+
+    def test_whole_window_rows_equal_scalar_definition(self):
+        # rows that are not log-convex keep the whole window; in an omega_s
+        # matrix log M^(2x)_k = log M^(x)_{2k} / 2, so at p = 1 and k = 2^m
+        # the slopes from row x to row 2^m x tie at j = 0 and 1, and those
+        # entries fall back to the whole window
+        for rows, K_eff in ((_not_log_convex_rows(), 64),
+                            (wf.associated_matrix(wf.omega_s(3), K=64).rows, 32)):
+            for M in [*rows, sq.gevrey(2, K=64)]:
+                table = dec.log_phi_pk_all(M, rows, dec.P_GRID_DEFAULT, K_eff)
+                for N, t_N in zip(rows, table):
+                    for row, p in zip(t_N, dec.P_GRID_DEFAULT):
+                        assert np.array_equal(row, _log_phi_pk_oracle(M, N, p, K_eff))
 
     def test_past_prefix_is_coded(self, gevrey2):
         with pytest.raises(PrefixExhausted):
@@ -176,24 +212,25 @@ class TestLogPhiTable:
             dec.check_519(mat, K_eff=17)
 
     def test_check_518_matches_oracle_reference(self):
-        rows = [sq.gevrey(s, K=64) for s in (1.5, 2.0, 3.0)]
-        mat = wf.matrix_from_rows(rows, params=[1.0, 2.0, 3.0])
-        K_eff = 32
-        log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
-        table = [[report_from_log_witnesses(
-                      Nd.tail.log_T[:K_eff] + _log_phi_pk_oracle(N, Nd, p, K_eff) - log_k,
-                      K_eff)
-                  for Nd in rows for p in dec.P_GRID_DEFAULT] for N in rows]
-        partners = _best_partners_oracle(
-            table, labels=[(j, p) for j in range(3) for p in dec.P_GRID_DEFAULT])
-        v = dec.check_518(mat)
-        assert v.verdict == wf.existential_verdict(
-            partners, 3, K_eff, "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
-        assert v.witnessing_row_pairs == tuple(
-            (i, j, p) for i, ((j, p), _) in partners.items())
-        assert v.constants == {f"{i}->{j},p={p}": r.witness_constant
-                               for i, ((j, p), r) in partners.items()}
-        assert len(v.witnessing_row_pairs) == 3
+        for mat in (wf.matrix_from_rows([sq.gevrey(s, K=64) for s in (1.5, 2.0, 3.0)],
+                                        params=[1.0, 2.0, 3.0]),
+                    wf.associated_matrix(wf.omega_s(2.5), K=128)):
+            rows, n, K_eff = mat.rows, len(mat.rows), mat.K // 2
+            log_k = np.log(np.arange(1, K_eff + 1, dtype=float))
+            table = [[report_from_log_witnesses(
+                          Nd.tail.log_T[:K_eff] + _log_phi_pk_oracle(N, Nd, p, K_eff) - log_k,
+                          K_eff)
+                      for Nd in rows for p in dec.P_GRID_DEFAULT] for N in rows]
+            partners = _best_partners_oracle(
+                table, labels=[(j, p) for j in range(n) for p in dec.P_GRID_DEFAULT])
+            v = dec.check_518(mat)
+            assert v.verdict == wf.existential_verdict(
+                partners, n, K_eff, "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
+            assert v.witnessing_row_pairs == tuple(
+                (i, j, p) for i, ((j, p), _) in partners.items())
+            assert v.constants == {f"{i}->{j},p={p}": r.witness_constant
+                                   for i, ((j, p), r) in partners.items()}
+            assert len(v.witnessing_row_pairs) == n
 
 
 class TestMatrixConditions:
@@ -260,7 +297,8 @@ class TestMatrixConditions:
         assert exc.value.code == "NOT_ADMISSIBLE_IN_SAMPLE"
         v = dec.decide_extension_property(mat, require_admissible=False)
         assert v["admissibility"]["4.6-2"]["verdict"] == FAILS
-        assert v["extension_property"] in ("YES", "NO", "UNDECIDED_IN_SAMPLE")
+        assert v["extension_property"] == "UNDECIDED_IN_SAMPLE"
+        assert "['4.6-2']" in v["warning"]
 
     def test_decide_yes_gevrey2(self, gevrey2):
         mat = wf.matrix_from_rows([gevrey2], params=[1.0])
@@ -286,6 +324,13 @@ class TestOneTailPerRow:
     def test_decide_computes_each_row_tail_once(self, count_calls):
         mat = wf.associated_matrix(wf.omega_s(2), K=512)  # no tail cached yet
         calls = count_calls(tails.log_suffix_sums)
+        v = dec.decide_extension_property(mat, weight_function=wf.omega_s(2))
+        assert v["extension_property"] == "YES"
+        assert len(calls) == len(mat.rows) == 10
+
+    def test_decide_checks_each_row_nonquasianalytic_once(self, count_calls):
+        mat = wf.associated_matrix(wf.omega_s(2), K=512)  # no report cached yet
+        calls = count_calls(sq.check_nonquasianalytic)
         v = dec.decide_extension_property(mat, weight_function=wf.omega_s(2))
         assert v["extension_property"] == "YES"
         assert len(calls) == len(mat.rows) == 10
