@@ -23,7 +23,7 @@ from . import serial
 from . import weightfunc as wfn
 from .errors import UltrajetError
 from .extend import ExtensionConfig, extend_jet
-from .report import FAILS, verdicts_agree
+from .report import FAILS, HOLDS, verdicts_agree
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -81,10 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--L", type=float, default=None)
     pe.add_argument("--epsilon", type=float, default=None)
     pe.add_argument("--d-min", type=float, default=1e-6)
-    pe.add_argument("--K-conv", type=int, default=24)
     pe.add_argument("--p-max-eval", type=int, default=8)
     pe.add_argument("--base-row", type=int, default=0)
-    pe.add_argument("--seed", type=int, default=0)
     pe.set_defaults(func=cmd_extend)
 
     ps = sub.add_parser("selftest", help="quick internal coherence run")
@@ -205,8 +203,7 @@ def cmd_extend(args) -> int:
     mat, _w = serial.matrix_from_spec(mat_spec, K_default=K)
     F = serial.jet_from_file(jet_spec)
     cfg = ExtensionConfig(L=args.L, epsilon=args.epsilon, d_min=args.d_min,
-                          K_conv=args.K_conv, p_max_eval=args.p_max_eval,
-                          base_row=args.base_row, seed=args.seed)
+                          p_max_eval=args.p_max_eval, base_row=args.base_row)
     out = _outdir(args)
     res = extend_jet(F, mat, cfg)
     kept = int(np.sum(res.f.row_degrees() + 1))
@@ -271,8 +268,9 @@ def cmd_selftest(args) -> int:
     reps = dsc.check_lemma42(g2, D, Ndot=g2)
     ok &= all(r.verdict != FAILS for r in reps.values())
     mat = wfn.associated_matrix(wfn.omega_s(2.0), K=K)
-    coh = dec.lemma_510_coherent(mat)
-    ok &= coh["5.19"].verdict.holds and coh["5.18"].verdict.holds and coh["agree"]
+    v = dec.decide_extension_property(mat, require_admissible=False)
+    ok &= v["lemma_5.10_agree"] and all(v[c]["verdict"]["verdict"] == HOLDS
+                                        for c in ("5.18", "5.19"))
     print("selftest:", "ok" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_DIACRIT
 

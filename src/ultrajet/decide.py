@@ -5,11 +5,12 @@ condition: for each row N there is a row Ndot with
 
     sum_{l >= k} 1/nudot_l  <=  C k / nu_k.
 
-This module evaluates that condition, its phi_{p,k}-weakening and the
-paired single-sequence condition from the classical setting, all on stored
-prefixes; the matrix conditions read each row's one tail,
-``WeightSequence.tail``, with no cap.  Quotient regularity (4.3) is
-``descend.check_43``.
+This module evaluates that condition (5.19), its phi_{p,k}-weakening (5.18)
+and their classical single-pair form (1.4, 5.19's witness for one pair) on
+stored prefixes, from each row's one tail, ``WeightSequence.tail``.  Root
+domination (5.17) is Def 4.6 item 4 of admissibility.  The one entry point,
+:func:`decide_extension_property`, computes them and the Lemma 5.10
+agreement.  Quotient regularity (4.3) is ``descend.check_43``.
 
 phi_{p,k} = sup_{j<k} (M_k / (p^k Ndot_j))^{1/(k-j)} is found by a peak
 search over j: its log is the slope from (j, log Ndot_j) to
@@ -21,19 +22,15 @@ and keeps the whole window j < k (see :func:`log_phi_pk_all`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .descend import check_43
-from .errors import (ExtensionError, PrefixExhausted, QuasianalyticInput,
-                     UltrajetError)
+from .errors import ExtensionError, PrefixExhausted, QuasianalyticInput
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence
-from .tails import log_suffix_sums
 from .weightfunc import (WeightMatrix, best_partners, check_admissible_matrix,
-                         check_omega_nonquasianalytic, domination_table,
-                         existential_verdict)
+                         check_omega_nonquasianalytic, existential_verdict)
 
 P_GRID_DEFAULT = (1, 2, 4, 8, 16)
 # entries j < k formed at once where a whole window is max-reduced
@@ -44,8 +41,8 @@ _WINDOW_BLOCK = 1 << 18
 class ExtensionVerdict:
     condition_id: str
     verdict: CheckReport
-    witnessing_row_pairs: tuple = ()
-    constants: dict = field(default_factory=dict)
+    witnessing_row_pairs: tuple
+    constants: dict
 
     def to_dict(self) -> dict:
         return {
@@ -57,25 +54,15 @@ class ExtensionVerdict:
 
 
 def check_14(M: WeightSequence, N: WeightSequence) -> CheckReport:
-    """Classical pair condition: sum_{l>=k} N_{l-1}/N_l <= C k M_{k-1}/M_k."""
+    """Classical pair condition: sum_{l>=k} N_{l-1}/N_l <= C k M_{k-1}/M_k,
+    5.19's pair witness on N's one tail."""
     nq = N.nonquasianalytic
     if nq.verdict != HOLDS:
         raise QuasianalyticInput(f"{N.family_tag}: verdict {nq.verdict}")
+    N.tail.require_reliable(N.family_tag)
     K = min(M.K, N.K)
-    tail = log_suffix_sums(-N.log_mu[:K])
-    tail.require_reliable(N.family_tag)
-    k = np.arange(1, K + 1, dtype=float)
-    rhs = np.log(k) - M.log_mu[:K]
-    return report_from_log_witnesses(tail.log_T - rhs, K,
+    return report_from_log_witnesses(_pair_tail_witness(M, N.tail.log_T, K), K,
                                      note="sum_{l>=k} 1/nu_l <= C k/mu_k")
-
-
-def phi_pk(M: WeightSequence, N: WeightSequence, p: int, k: int) -> float:
-    """phi_{p,k} = sup_{0 <= j < k} (M_k / (p^k N_j))^{1/(k-j)}: the last entry
-    of :func:`log_phi_pk_all`, exponentiated under the 700 clamp."""
-    if k < 1:
-        raise UltrajetError(f"phi_pk needs k >= 1, got k={k}", code="BAD_INDEX")
-    return float(math.exp(min(log_phi_pk_all(M, N, (p,), k)[0, -1], 700.0)))
 
 
 def log_phi_pk_all(M: WeightSequence, N, p_grid, K_eff: int) -> np.ndarray:
@@ -210,31 +197,6 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
         {f"{i}->{j},p={p}": r.witness_constant for i, ((j, p), r) in partners.items()})
 
 
-def check_517(mat: WeightMatrix) -> ExtensionVerdict:
-    """Root domination: each row N has a sampled Ndot with nu_k <= C Ndot_k^{1/k}
-    (Def 4.6 item 4)."""
-    partners = best_partners(domination_table(mat, 4), mat.K)
-    rep = existential_verdict(partners, len(mat.rows), mat.K,
-                              "nu_k <= C Ndot_k^{1/k} per row")
-    return ExtensionVerdict("5.17", rep, tuple((i, j) for i, (j, _) in partners.items()))
-
-
-def lemma_510_coherent(mat: WeightMatrix, p_grid=P_GRID_DEFAULT) -> dict:
-    """Equivalence of the phi-weakened and plain tail conditions under root
-    domination.  Returns the three verdicts plus an agreement flag; callers
-    surface disagreement as a diagnostic."""
-    v17 = check_517(mat)
-    v18, v19, agree = _lemma_510(v17.verdict, mat, p_grid)
-    return {"5.17": v17, "5.18": v18, "5.19": v19, "agree": agree}
-
-
-def _lemma_510(rep_517: CheckReport, mat: WeightMatrix, p_grid) -> tuple:
-    """5.18, 5.19 and whether they agree, given the root-domination report."""
-    v18 = check_518(mat, p_grid)
-    v19 = check_519(mat)
-    return v18, v19, (rep_517.verdict != HOLDS) or (v18.verdict.verdict == v19.verdict.verdict)
-
-
 def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
                               require_admissible: bool = True) -> dict:
     """Extension-property verdict for a sampled weight matrix.
@@ -254,11 +216,12 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
         raise ExtensionError(f"matrix not admissible in sample: {hard_bad} fail",
                              code="NOT_ADMISSIBLE_IN_SAMPLE")
     verdicts = {"admissibility": {k: v.to_dict() for k, v in adm.items()}}
-    # 5.17 is Def 4.6 item 4: admissibility's report already holds it
-    v18, v19, agree = _lemma_510(adm["4.6-4"], mat, P_GRID_DEFAULT)
+    v18, v19 = check_518(mat), check_519(mat)
     verdicts["5.19"] = v19.to_dict()
     verdicts["5.18"] = v18.to_dict()
-    verdicts["lemma_5.10_agree"] = agree
+    # Lemma 5.10: 5.18 and 5.19 agree under root domination (5.17 = 4.6-4)
+    verdicts["lemma_5.10_agree"] = (adm["4.6-4"].verdict != HOLDS
+                                    or v18.verdict.verdict == v19.verdict.verdict)
     headline = v19.verdict.verdict
     if weight_function is not None:
         cor = check_omega_nonquasianalytic(weight_function)

@@ -45,13 +45,15 @@ class Partition:
 
 def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
                        min_smoothness: int | None = None,
-                       landing_small_s: WeightSequence | None = None) -> Partition:
+                       landing: tuple | None = None) -> Partition:
     """Telescoped family phi_j = psi_j prod_{k<j} (1 - psi_k).
 
     psi_i is the family cutoff at epsilon r_i / n0 rescaled to the ball;
     the running product is maintained as 1 - sum(phi) so each step is one
     local multiply and one local subtract.  The cutoff depends on
     epsilon r_i / n0 only through its order, so one is built per order.
+    ``landing`` is (s_land, A, B1): the landing row of Lemma 4.10 and
+    :func:`lemma410_B1` for it; by default the family's own small row.
     """
     lo, hi = cover.working
     prod = constant_on(lo, hi, 1.0)
@@ -67,8 +69,7 @@ def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
         phi = (psi * prod).trimmed()
         prod = prod - phi
         funcs.append(phi)
-    land = landing_small_s if landing_small_s is not None else fam.D.small_s
-    A410, B1 = lemma410_B1(fam, land, cover)
+    land, A410, B1 = landing or (fam.D.small_s, *lemma410_B1(fam, fam.D.small_s, cover))
     return Partition(cover, epsilon, tuple(funcs), prod, fam, B1, A410, land)
 
 
@@ -152,6 +153,7 @@ MARGIN = 2.0                     # the working domain is E's hull widened by thi
 DEG_FLOOR = 4                    # smallest per-ball Taylor degree
 RHO_GRID = tuple(2.0 ** j for j in range(-3, 13))   # rho candidates of the jet fit
 L_CAP = 2.0 ** 20                # the doubling search for L stops here
+PROBE_SEED = 0                   # seeds the random probes of the checks
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,8 @@ class ExtensionConfig:
     L: float | None = None          # None: searched from the fitted rho
     epsilon: float | None = None    # None: L * b * D / B1
     d_min: float = 1e-6
-    K_conv: int = 24
     p_max_eval: int = 8
     base_row: int = 0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         (log_s[2 * kk + 1] - 2.0 * log_sd[kk]) / (2 * kk + 1))))
 
     cover = whitney_cover(F.E, d_min=cfg.d_min, margin=MARGIN)
-    fam = make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=cfg.K_conv)
+    fam = make_cutoff_family(chain.S_dot, chain.ddot)
 
     D1 = 4.0 / lam
     L = cfg.L if cfg.L is not None else max(D1 * max(rho_fit, 1.0), 1.0)
@@ -288,12 +288,13 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
             break
         L *= 2.0
 
-    _, B1 = lemma410_B1(fam, chain.S_ddot.small_s, cover)
+    land = chain.S_ddot.small_s
+    A410, B1 = lemma410_B1(fam, land, cover)
     epsilon = cfg.epsilon if cfg.epsilon is not None else max(
         L * cover.b * Dconst / B1, 1e-6)
     part = partition_of_unity(cover, fam, epsilon,
-                              min_smoothness=min(cfg.p_max_eval, cfg.K_conv - 2),
-                              landing_small_s=chain.S_ddot.small_s)
+                              min_smoothness=min(cfg.p_max_eval, fam.conv_depth - 2),
+                              landing=(land, A410, B1))
 
     # Stable assembly: with base the nearest-anchor Taylor field (degree as
     # at d_min) and sum(phi) + leftover == 1 exactly by construction,
@@ -407,7 +408,7 @@ def _global_cutoff(E, fam: CutoffFamily, epsilon: float, cover: WhitneyCover1D,
         R = 0.5 * (hi - lo)
         t = (R + 0.49) / R
         res = build_cutoff(fam, epsilon, t,
-                           min_smoothness=min(cfg.p_max_eval, cfg.K_conv - 2))
+                           min_smoothness=min(cfg.p_max_eval, fam.conv_depth - 2))
         zeta = res.pp.compose_affine(center, R)
         total = zeta if total is None else total + zeta
     return total
@@ -417,7 +418,7 @@ def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
                             L: float, cover: WhitneyCover1D,
                             cfg: ExtensionConfig, n_probes: int = 60) -> dict:
     """Spot checks of the two Taylor-polynomial estimates at probe points."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(PROBE_SEED)
     lo, hi = cover.working
     xs = rng.uniform(lo, hi, n_probes)
     log_S, log_s = chain.S.big_S.log_M, chain.S.small_s.log_M
@@ -501,7 +502,7 @@ def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig,
 def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
                 cfg: ExtensionConfig, n_probes: int = 400) -> dict:
     """Smallest (C', rho') with |f^{(k)}| <= C' rho'^k N_k at all probes."""
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(PROBE_SEED + 1)
     lo, hi = f.span
     xs = np.concatenate([np.linspace(lo, hi, n_probes),
                          rng.uniform(lo, hi, n_probes // 2)])
@@ -531,7 +532,7 @@ def _assembly_consistency(f, part: Partition, F: Jet, carried: np.ndarray,
     ``carried`` is ``F.carried()``, and ``anchors``, ``degrees`` and
     ``p_col`` are the per-ball anchors and degrees and the base field's
     degree the assembly used."""
-    rng = np.random.default_rng(cfg.seed + 2)
+    rng = np.random.default_rng(PROBE_SEED + 2)
     lo, hi = part.cover.working
     xs = rng.uniform(lo, hi, n_probes)
     phis = np.array([phi(xs) for phi in part.functions]).reshape(-1, n_probes)

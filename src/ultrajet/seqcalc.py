@@ -73,10 +73,13 @@ class WeightSequence:
     def K(self) -> int:
         return len(self.log_M) - 1
 
-    @property
+    @functools.cached_property
     def log_mu(self) -> np.ndarray:
-        """log mu_k for k = 1..K (index 0 of the array is k = 1)."""
-        return np.diff(self.log_M)
+        """log mu_k for k = 1..K (index 0 of the array is k = 1), computed
+        once and read-only, as ``log_M`` is."""
+        arr = np.diff(self.log_M)
+        arr.flags.writeable = False
+        return arr
 
     def mu(self, k: int) -> float:
         if k == 0:

@@ -270,27 +270,28 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
     (5) for each row some Ndot with nu_{2k} <= C nudot_k.  Existential clauses search the sample only:
     a missing witness is NOT_WITNESSED_IN_SAMPLE, never a disproof.
     """
-    K = mat.K
+    K, n = mat.K, len(mat.rows)
     out: dict[str, CheckReport] = {}
 
-    worst = None
-    for i, a in enumerate(mat.rows):
-        for b in mat.rows[i + 1:]:
-            fwd = report_from_log_witnesses(a.log_mu - b.log_mu, K)
-            bwd = report_from_log_witnesses(b.log_mu - a.log_mu, K)
-            best = fwd if (fwd.witness_constant or np.inf) <= (bwd.witness_constant or np.inf) else bwd
-            if best.verdict != HOLDS:
-                best = fwd if fwd.holds else bwd
-            if worst is None or not best.holds:
-                worst = best
-            if not best.holds:
-                break
-    out["4.6-1"] = worst if worst is not None else CheckReport(
-        HOLDS, K, witness_constant=1.0, note="single row")
-    out["4.6-1"] = CheckReport(out["4.6-1"].verdict, K,
-                               witness_constant=out["4.6-1"].witness_constant,
-                               counterexample_index=out["4.6-1"].counterexample_index,
-                               note="pairwise quotient comparability")
+    # (1): each pair i < j keeps the holding direction with the smaller
+    # witness (ties to i -> j), else j -> i.  The report is the first FAILS
+    # pair in (i, j) order, else the first INCONCLUSIVE one, else the largest
+    # witness; only that pair gets a report.
+    pair = CheckReport(HOLDS, K, witness_constant=1.0)  # a single row
+    if n > 1:
+        table = domination_table(mat, 1)
+        m_half, m_full = log_witness_maxima(table)
+        verdict = trend_verdict(m_half, m_full)
+        held = verdict == HOLDS
+        wc = np.vectorize(math.exp)(np.minimum(m_full, 700.0))  # as reported
+        i, j = np.triu_indices(n, 1)
+        fwd = held[i, j] & (~held[j, i] | (wc[i, j] <= wc[j, i]))
+        a, b = np.where(fwd, i, j), np.where(fwd, j, i)
+        bad = [np.flatnonzero(verdict[a, b] == v) for v in (FAILS, INCONCLUSIVE)]
+        pick = next((v[0] for v in bad if v.size), np.argmax(wc[a, b]))
+        pair = report_from_log_witnesses(table[a[pick], b[pick]], K)
+    out["4.6-1"] = CheckReport(pair.verdict, K, pair.witness_constant,
+                               pair.counterexample_index, "pairwise quotient comparability")
 
     nq = [r.nonquasianalytic for r in mat.rows]
     bad = [r for r in nq if r.verdict != HOLDS]
@@ -311,20 +312,23 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
                                + f"; skipped quasianalytic rows {skipped}")
 
     out["4.6-4"] = existential_verdict(
-        best_partners(domination_table(mat, 4), K), len(mat.rows), K,
+        best_partners(domination_table(mat, 4), K), n, K,
         "nu_k <= C Ndot_k^{1/k} for some sampled row")
     out["4.6-5"] = existential_verdict(
-        best_partners(domination_table(mat, 5), K), len(mat.rows), K,
+        best_partners(domination_table(mat, 5), K), n, K,
         "nu_{2k} <= C nudot_k for some sampled row")
     return out
 
 
 def domination_table(mat: WeightMatrix, item: int) -> np.ndarray:
-    """(rows, rows, k) log witnesses of Def 4.6 item 4 (nu_k <= C Ndot_k^{1/k},
-    k <= K) or item 5 (nu_{2k} <= C nudot_k, k <= K/2): entry ``[i, j]`` is
-    N = row i against Ndot = row j."""
+    """(rows, rows, k) log witnesses of Def 4.6 item 1 (mu_k <= C mudot_k,
+    k <= K), item 4 (nu_k <= C Ndot_k^{1/k}, k <= K) or item 5
+    (nu_{2k} <= C nudot_k, k <= K/2): entry ``[i, j]`` is N = row i against
+    Ndot = row j."""
     log_M = np.array([r.log_M for r in mat.rows])
     log_mu = np.array([r.log_mu for r in mat.rows])
+    if item == 1:
+        return log_mu[:, None] - log_mu[None]
     if item == 4:
         return log_mu[:, None] - (log_M[:, 1:] / np.arange(1, mat.K + 1))[None]
     kk = np.arange(1, mat.K // 2 + 1)

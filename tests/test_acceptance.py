@@ -129,7 +129,7 @@ def test_criterion_4_prop_5_14():
         ok.append(rep.verdict == HOLDS)
         details.append(f"rho={rho:g}: (1) C={rep.witness_constant:.3g}")
         # (2) quotient regularity per row
-        ok.append(dec.check_43(row).verdict == HOLDS)
+        ok.append(dsc.check_43(row).verdict == HOLDS)
         # (3) exact inequality against the 6 rho row, k <= 256
         k = np.arange(1, 257)
         lhs = row.log_mu[k]            # log theta_{k+1}
@@ -240,9 +240,9 @@ def test_criterion_8_decision_coherence(omega2_matrix, gevrey2, gevrey1):
                                                params=[1.0, 2.0]),
     }
     for name, mat in matrices.items():
-        coh = dec.lemma_510_coherent(mat)
-        if coh["5.17"].verdict.verdict == HOLDS:
-            ok.append(coh["agree"])
+        # lemma_5.10_agree is true where 5.17 (Def 4.6 item 4) does not hold
+        ok.append(dec.decide_extension_property(
+            mat, require_admissible=False)["lemma_5.10_agree"])
     v1 = dec.decide_extension_property(omega2_matrix, weight_function=wf.omega_s(2))
     v2 = dec.decide_extension_property(matrices["gevrey2-singleton"])
     ok.append(v1["extension_property"] == "YES")

@@ -225,6 +225,12 @@ class TestExtendJet:
         assert res.constants["C"] == pytest.approx(math.e ** 2, rel=1e-12)
         assert res.constants["rho"] == 1.0
 
+    def test_lemma410_constants_computed_once(self, extend_interval_input, count_calls):
+        calls = count_calls(operator.lemma410_B1)
+        res = extend_jet(*extend_interval_input)
+        assert len(calls) == 1
+        assert res.constants["B1"] == res.partition.B1
+
     def test_not_in_class_rejected(self, omega2_matrix):
         # k!^2 outgrows every descendant row of the log-square classes
         E = jets.CompactSet1D(points=(0.0,))
@@ -326,7 +332,7 @@ def _taylor_degree_scalar(S_dot, L, dist, cap):
 
 def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
     """One scalar Taylor evaluation per probe and order."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(operator.PROBE_SEED)
     lo, hi = cover.working
     xs = rng.uniform(lo, hi, n_probes)
     log_S = chain.S.big_S.log_M
@@ -364,7 +370,7 @@ def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
 
 def _assembly_loop(f, part, F, carried, chain, degrees, gcut, L, cfg, n_probes=200):
     """Per probe, the defining sum term by term in ball order."""
-    rng = np.random.default_rng(cfg.seed + 2)
+    rng = np.random.default_rng(operator.PROBE_SEED + 2)
     lo, hi = part.cover.working
     xs = rng.uniform(lo, hi, n_probes)
     p_col = _taylor_degree_scalar(chain.S_dot, L, cfg.d_min, F.order_cap)

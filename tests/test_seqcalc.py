@@ -40,6 +40,11 @@ class TestMakeSequence:
             direct = 2.0 ** (k * k) / 2.0 ** ((k - 1) * (k - 1))
             assert M.mu(k) == pytest.approx(direct, rel=1e-13)
 
+    def test_log_mu_computed_once_read_only(self, gevrey2):
+        assert gevrey2.log_mu is gevrey2.log_mu
+        assert not gevrey2.log_mu.flags.writeable
+        assert np.array_equal(gevrey2.log_mu, np.diff(gevrey2.log_M))
+
     def test_table_non_logconvex_rejected(self):
         with pytest.raises(SequenceSpecError) as err:
             sq.make_sequence({"family": "table",

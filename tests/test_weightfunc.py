@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
+from ultrajet import seqcalc as sq
 from ultrajet import weightfunc as wf
 from ultrajet.errors import ConjugateUnbounded, SequenceSpecError
-from ultrajet.report import FAILS, HOLDS, NOT_WITNESSED
+from ultrajet.report import (FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
+                             report_from_log_witnesses)
 
 
 def _young_conjugate_oracle(w, x):
@@ -161,7 +163,83 @@ class TestMatrix:
                                rtol=1e-9, atol=1e-12)
 
 
+def _comparability_oracle(rows, K):
+    """Def 4.6 item 1 pair by pair: both directions' reports, the holding one
+    with the smaller witness, ties to i -> j, else j -> i."""
+    out = {}
+    for i, a in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            fwd = report_from_log_witnesses(a.log_mu - rows[j].log_mu, K)
+            bwd = report_from_log_witnesses(rows[j].log_mu - a.log_mu, K)
+            best = fwd if (fwd.witness_constant or np.inf) <= (bwd.witness_constant or np.inf) else bwd
+            if best.verdict != HOLDS:
+                best = fwd if fwd.holds else bwd
+            out[i, j] = best
+    return out
+
+
+def _crossing(row, h):
+    """``row`` with log mu raised by h on (K/2, 5K/8], then held flat until
+    the row's own log mu passes it by h: a - b runs 0, -h, then up to h."""
+    log_mu = np.array(row.log_mu)
+    K = len(log_mu)
+    out = log_mu.copy()
+    out[K // 2:5 * K // 8] += h
+    out[5 * K // 8:] = np.maximum(log_mu[5 * K // 8:] - h, out[5 * K // 8 - 1])
+    return sq.from_log_quotients(out, f"crossing({h:g})")
+
+
+_Q = sq.qgevrey(1.2, K=64)
+# pair (0, 1) is INCONCLUSIVE, pairs (0, 2) and (1, 2) FAIL
+_CROSSING_ROWS = [_Q, _crossing(_Q, 0.4), _crossing(_Q, 3.0)]
+
+
+@st.composite
+def _rows(draw):
+    """1-6 rows of gevrey, qgevrey and powerlog, some of them scaled."""
+    K = draw(st.integers(8, 96))
+    row = st.one_of(
+        st.builds(lambda s: sq.gevrey(s, K=K), st.floats(0.5, 4)),
+        st.builds(lambda q: sq.qgevrey(q, K=K), st.floats(1.01, 3)),
+        st.builds(lambda A, p: sq.powerlog(A, p, K=K), st.floats(1.01, 5), st.floats(1, 2.5)))
+    scale = st.one_of(st.just(None), st.floats(0.1, 10))
+    return [r if c is None else r.scaled(c)
+            for r, c in draw(st.lists(st.tuples(row, scale), min_size=1, max_size=6))]
+
+
 class TestAdmissibility:
+    def test_comparability_reports_largest_witness(self):
+        # pairs (0, 1), (0, 2), (1, 2) need 1/3, 0.5 and 1/6
+        g = sq.gevrey(2, K=128)
+        adm = wf.check_admissible_matrix(wf.matrix_from_rows([g, g.scaled(3), g.scaled(0.5)]))
+        assert adm["4.6-1"].verdict == HOLDS
+        assert adm["4.6-1"].witness_constant == pytest.approx(0.5, rel=1e-9)
+
+    def test_comparability_reports_first_failing_pair(self):
+        adm = wf.check_admissible_matrix(wf.matrix_from_rows(_CROSSING_ROWS))
+        assert adm["4.6-1"].verdict == FAILS
+        assert adm["4.6-1"].witness_constant == pytest.approx(math.exp(3.0), rel=1e-9)
+
+    @given(rows=_rows())
+    @example(rows=_CROSSING_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_comparability_matches_pair_oracle(self, rows):
+        K = rows[0].K
+        pairs = _comparability_oracle(rows, K)
+        for (i, j), want in pairs.items():
+            got = wf.check_admissible_matrix(wf.matrix_from_rows([rows[i], rows[j]]))["4.6-1"]
+            assert (got.verdict, got.witness_constant) == (want.verdict, want.witness_constant)
+        # the first FAILS pair, else the first INCONCLUSIVE, else the largest witness
+        bad = [r for v in (FAILS, INCONCLUSIVE) for r in pairs.values() if r.verdict == v]
+        want = bad[0] if bad else max(pairs.values(), key=lambda r: r.witness_constant,
+                                      default=None)
+        got = wf.check_admissible_matrix(wf.matrix_from_rows(rows))["4.6-1"]
+        if want is None:
+            assert (got.verdict, got.witness_constant) == (HOLDS, 1.0)
+        else:
+            assert (got.verdict, got.witness_constant, got.counterexample_index) == (
+                want.verdict, want.witness_constant, want.counterexample_index)
+
     def test_omega2_all_hold(self, omega2_matrix):
         adm = wf.check_admissible_matrix(omega2_matrix)
         assert all(r.verdict == HOLDS for r in adm.values())
