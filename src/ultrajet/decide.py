@@ -42,14 +42,14 @@ class ExtensionVerdict:
     condition_id: str
     verdict: CheckReport
     witnessing_row_pairs: tuple
-    constants: dict
+    log_witnesses: dict       # "i->j" (5.18: "i->j,p=p") -> the pair's log witness
 
     def to_dict(self) -> dict:
         return {
             "condition_id": self.condition_id,
             "verdict": self.verdict.to_dict(),
             "witnessing_row_pairs": list(self.witnessing_row_pairs),
-            "constants": self.constants,
+            "log_witnesses": self.log_witnesses,
         }
 
 
@@ -169,7 +169,7 @@ def check_519(mat: WeightMatrix, K_eff: int | None = None) -> ExtensionVerdict:
                               "sum_{l>=k} 1/nudot_l <= C k/nu_k per row")
     return ExtensionVerdict(
         "5.19", rep, tuple((i, j) for i, (j, _) in partners.items()),
-        {f"{i}->{j}": r.witness_constant for i, (j, r) in partners.items()})
+        {f"{i}->{j}": r.log_witness for i, (j, r) in partners.items()})
 
 
 def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
@@ -194,7 +194,7 @@ def check_518(mat: WeightMatrix, p_grid=P_GRID_DEFAULT,
                               "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
     return ExtensionVerdict(
         "5.18", rep, tuple((i, j, p) for i, ((j, p), _) in partners.items()),
-        {f"{i}->{j},p={p}": r.witness_constant for i, ((j, p), r) in partners.items()})
+        {f"{i}->{j},p={p}": r.log_witness for i, ((j, p), r) in partners.items()})
 
 
 def decide_extension_property(mat: WeightMatrix, *, weight_function=None,

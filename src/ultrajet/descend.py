@@ -107,7 +107,7 @@ def check_lemma42(N: WeightSequence, D: Descendant,
     grows = D.log_sigma_star[-1] - D.log_sigma_star[0] > math.log(4.0)
     out["4.2-3"] = CheckReport(
         HOLDS if (mono and grows) else FAILS, K_eff,
-        witness_constant=float(np.exp(min(D.log_sigma_star[-1], 700.0))),
+        log_witness=float(D.log_sigma_star[-1]),
         counterexample_index=None if (mono and grows) else int(np.argmin(d_star)) + 1,
         note="sigma*_k >= 1 increasing (trend to infinity)")
 
@@ -117,7 +117,7 @@ def check_lemma42(N: WeightSequence, D: Descendant,
     agree = lhs.verdict == rhs.verdict
     out["4.2-4"] = CheckReport(
         lhs.verdict if agree else FAILS, K_eff,
-        witness_constant=lhs.witness_constant,
+        log_witness=lhs.log_witness,
         counterexample_index=None if agree else K_eff,
         note=("sigma_{k+1} <~ sigma_k equivalent to quotient regularity; "
               f"direct={lhs.verdict}, via-(4.3)={rhs.verdict}"),
@@ -139,7 +139,7 @@ def check_lemma42(N: WeightSequence, D: Descendant,
         ok = (not hyp.holds) or con.holds
         out["4.2-6"] = CheckReport(
             HOLDS if ok else FAILS, K_eff,
-            witness_constant=con.witness_constant,
+            log_witness=con.log_witness,
             counterexample_index=None if ok else K_eff,
             note="nu_{2k} <~ nudot_k implies sigma_{2k} <~ sigmadot_k",
             details={"hypothesis": hyp.to_dict(), "conclusion": con.to_dict()})
@@ -196,11 +196,11 @@ def maximality_probe(N: WeightSequence, D: Descendant,
         if cond1 and cond2:
             survivors.append(c)
     if survivors:
-        return CheckReport(FAILS, K_eff, witness_constant=float(survivors[0]),
+        return CheckReport(FAILS, K_eff, log_witness=math.log(survivors[0]),
                            counterexample_index=1,
                            note=f"candidates {survivors} pass (1) and (2): maximality broken")
     return CheckReport(HOLDS, K_eff,
-                       witness_constant=float(np.exp(min(max(logW1, logW2), 700.0))),
+                       log_witness=max(logW1, logW2),
                        note="no scaled candidate dominates the descendant")
 
 

@@ -68,7 +68,7 @@ def alpha_sequence(D: Descendant, Ndot: WeightSequence, p: int,
         k <= p_used,
         k * math.log(2.0 * p),
         k * (math.log(A) - log_sig_star_next) + log_np)
-    ratios = np.exp(np.minimum(log_alpha[:-1] - log_alpha[1:], 700.0))
+    ratios = np.exp(log_alpha[:-1] - log_alpha[1:])
     tail = 0.0
     if n >= 2:
         q = ratios[-1] / max(ratios[-2], 1e-300)
@@ -116,7 +116,7 @@ def make_cutoff_family(D: Descendant, Ndot: WeightSequence,
         A *= 2.0
     else:
         raise CutoffError("no A up to 2^60 validates the ratio sum", code="A_TOO_SMALL")
-    delta = math.exp(min(-log_h_assoc(D.small_s, -math.log(3.0)), 700.0))
+    delta = math.exp(-log_h_assoc(D.small_s, -math.log(3.0)))
     B = 1.0 / (6.0 * delta * A)
     return CutoffFamily(D, Ndot, A, delta, B, p_cap, conv_depth)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..descend import Descendant, descend
 from ..errors import ExtensionError
-from ..jets import (Jet, eval_taylor_deriv, fit_jet_constants, grid_constants,
+from ..jets import (Jet, fit_jet_constants, grid_constants,
                     jet_norm_profile, taylor_coeffs_local, taylor_values)
 from ..report import HOLDS, log_witness_maxima, trend_verdict
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
@@ -460,13 +460,15 @@ def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
 def check_taylor_difference_bound(F: Jet, D: Descendant, a1: float, a2: float,
                                   p: int, k: int, x: float, C: float,
                                   rho: float) -> tuple[float, float]:
-    """Both sides of the two-anchor Taylor difference estimate (n = 1)."""
-    lhs = abs(eval_taylor_deriv(F, a1, p, x, k) - eval_taylor_deriv(F, a2, p, x, k))
+    """``(log lhs, log rhs)`` of the two-anchor Taylor difference estimate
+    (n = 1); log lhs is -inf where the two Taylor polynomials agree at x."""
+    v1, v2 = taylor_values(F, [a1, a2], p, x, k)
+    lhs = abs(v1 - v2)
     base = abs(a1 - x) + abs(a1 - a2)
     log_rhs = (math.log(max(C, 1e-300)) + (p + 1) * math.log(2 * rho)
                + log_factorial(k) + D.small_s.log_M[p + 1]
                + (p + 1 - k) * math.log(max(base, 1e-300)))
-    return lhs, float(math.exp(min(log_rhs, 700.0)))
+    return (math.log(lhs) if lhs > 0.0 else -math.inf), float(log_rhs)
 
 
 def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig,

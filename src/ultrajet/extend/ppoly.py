@@ -434,9 +434,3 @@ def constant_on(lo: float, hi: float, value: float = 1.0,
                 smoothness: int = 10 ** 6) -> PiecewisePolynomial:
     return PiecewisePolynomial(np.array([lo, hi]), np.full((1, 1), value), smoothness)
 
-
-def from_poly(coeffs_about_a, a: float, lo: float, hi: float,
-              smoothness: int = 10 ** 6) -> PiecewisePolynomial:
-    """One-piece pp on [lo, hi] from coefficients about the point a."""
-    return PiecewisePolynomial(np.array([lo, hi]),
-                               taylor_shift(coeffs_about_a, lo - a), smoothness)

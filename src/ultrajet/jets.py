@@ -131,22 +131,6 @@ class Jet:
             raise OrderExceeded(f"order {k} exceeds cap {self.order_cap}")
         return float(self.values[float(a)][k])
 
-    def combine(self, other: "Jet", ca: float, cb: float) -> "Jet":
-        """Pointwise linear combination ca*self + cb*other (same E and cap)."""
-        vals = {p: ca * v + cb * other.values[p] for p, v in self.values.items()}
-        return Jet(self.E, self.order_cap, vals, label=f"{ca:g}*{self.label}+{cb:g}*{other.label}")
-
-
-def taylor_poly(F: Jet, a: float, p: int) -> np.polynomial.Polynomial:
-    """T_a^p F as a polynomial in x (coefficients about a, returned shifted)."""
-    if p > F.order_cap:
-        raise OrderExceeded(f"degree {p} exceeds jet cap {F.order_cap}")
-    v = F.values[float(a)]
-    coeffs_local = [v[k] / math.factorial(k) for k in range(p + 1)]
-    # shift from powers of (x-a) to plain powers of x
-    poly = np.polynomial.Polynomial(coeffs_local, domain=[-1, 1], window=[-1, 1])
-    return poly(np.polynomial.Polynomial([-a, 1.0]))
-
 
 def taylor_coeffs_local(F: Jet, a: float, p: int) -> np.ndarray:
     """Coefficients of T_a^p F in powers of (x - a)."""
@@ -182,11 +166,6 @@ def taylor_values(F: Jet, anchors, p, xs, order) -> np.ndarray:
                  * np.power((x[sel] - a[sel])[:, None], j) * np.exp(-log_factorial(j)))
         out[sel] = np.sum(terms, axis=-1)
     return out
-
-
-def eval_taylor_deriv(F: Jet, a: float, p: int, x: float, order: int) -> float:
-    """(d/dx)^order of T_a^p F at x: one entry of :func:`taylor_values`."""
-    return float(taylor_values(F, a, p, x, order))
 
 
 def remainder(F: Jet, a: float, b: float, p: int, k: int = 0) -> float:
@@ -363,11 +342,6 @@ def sample_jet(f_spec, E: CompactSet1D, p_max: int = 16) -> Jet:
     else:
         raise JetSpecError(f"unknown jet family {kind!r}", code="UNKNOWN_FAMILY")
     return Jet(E, p_max, vals, label=label)
-
-
-def zero_jet(E: CompactSet1D, p_max: int = 16) -> Jet:
-    return Jet(E, p_max, {float(a): np.zeros(p_max + 1) for a in E.carried_points()},
-               label="zero")
 
 
 def table_jet(E: CompactSet1D, per_point_values, p_max: int) -> Jet:

@@ -15,6 +15,11 @@ whether it is still growing with the prefix.  A check therefore returns a
 
 There is one trend rule, :func:`trend_verdict`, on the (half-prefix max, full
 max) pair that :func:`log_witness_maxima` takes from any block of witnesses.
+
+A witness is a log, ``CheckReport.log_witness``: the trend rule's full-prefix
+max, or log c where a check's witness is a plain positive number c (a
+lambda, a partial sum, an A).  It is never exponentiated, because the
+witnesses of rows built from weight functions reach e^16000.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ GROW_FAILS = math.log(1.75)
 class CheckReport:
     verdict: str
     prefix_K: int
-    witness_constant: float | None = None
+    log_witness: float | None = None
     counterexample_index: int | None = None
     note: str = ""
     details: dict = field(default_factory=dict)
@@ -64,7 +69,7 @@ class CheckReport:
     def to_dict(self) -> dict:
         out = {
             "verdict": self.verdict,
-            "witness_constant": self.witness_constant,
+            "log_witness": self.log_witness,
             "counterexample_index": self.counterexample_index,
             "prefix_K": self.prefix_K,
         }
@@ -123,8 +128,9 @@ def report_from_prefix_witnesses(log_w_half: float, log_w_full: float, prefix_K:
                                  note: str = "") -> CheckReport:
     """Report of the trend rule on a (half-prefix, full-prefix) witness pair."""
     verdict = trend_verdict(log_w_half, log_w_full)
-    idx = (counterexample_index or prefix_K) if verdict == FAILS else None
-    return CheckReport(verdict, prefix_K, float(math.exp(min(log_w_full, 700.0))), idx,
+    idx = None if verdict != FAILS else (
+        prefix_K if counterexample_index is None else counterexample_index)
+    return CheckReport(verdict, prefix_K, float(log_w_full), idx,
                        note, {"log_witness_growth": log_w_full - log_w_half})
 
 

@@ -81,11 +81,6 @@ class WeightSequence:
         arr.flags.writeable = False
         return arr
 
-    def mu(self, k: int) -> float:
-        if k == 0:
-            return 1.0
-        return float(math.exp(min(self.log_M[k] - self.log_M[k - 1], 700.0)))
-
     @functools.cached_property
     def tail(self) -> SuffixSums:
         """The one tail of this row, sum_{j >= k} 1/mu_j for k = 1..K, computed
@@ -208,22 +203,6 @@ def _log_terms(M: WeightSequence, log_t) -> np.ndarray:
     if not np.all(lt > -math.inf):
         raise UltrajetError(f"h needs t > 0, got log t = {log_t}", code="NON_POSITIVE")
     return M.log_M + np.arange(M.K + 1) * lt[..., None]
-
-
-def h_assoc(M: WeightSequence, log_t: float):
-    """h(t) = inf_k M_k t^k on the prefix, at ``log_t = log t``.
-
-    Returns ``(value, attained_k, trusted)`` where ``trusted`` is False when
-    the minimum sits at the prefix boundary (the true infimum may be smaller).
-    Ties resolve to the smallest index.  ``value`` underflows to 0.0 on deep
-    rows; :func:`log_h_assoc` gives its logarithm.  Raises ``UltrajetError``
-    NON_POSITIVE at log t = -inf.
-    """
-    vals = _log_terms(M, log_t)
-    m = float(np.min(vals))
-    tied = np.nonzero(vals <= m + 1e-12 * (1.0 + abs(m)))[0]
-    k = int(tied[0])
-    return math.exp(m), k, bool(k < M.K)
 
 
 def log_h_assoc(M: WeightSequence, log_t):
@@ -358,31 +337,28 @@ def _check_omega_doubling(M: WeightSequence) -> CheckReport:
     The witness at prefix K' is the smallest log C on a half-unit grid that
     validates the inequality at every quotient point t = mu_k, k <= K', with
     C t inside the prefix (C t < mu_K, where omega is evaluated honestly);
-    trend semantics then compare the half and full prefix witnesses.
+    trend semantics then compare the half and full prefix witnesses.  The
+    grid stops at the first C >= 2 max omega(t), where the inequality holds
+    at every t because omega >= 0.
     """
     K = M.K
     edge = M.log_mu[-1]
 
-    def smallest_logC(upto: int) -> tuple[float, int]:
+    def smallest_logC(upto: int) -> float:
         lt = M.log_mu[:upto]
         lt = lt[lt < edge]            # C >= 1: only these t can have C t inside
         om = omega_assoc(M, lt)
-        for logC in np.arange(0.0, 3 * 700.0, 0.5):
-            inside = lt + logC < edge
-            if not np.any(inside):
-                return logC, -1  # vacuous on the prefix; trend/cap decides
-            bad = 2 * om[inside] > (omega_assoc(M, lt[inside] + logC)
-                                    + math.exp(min(logC, 700.0)))
-            if not np.any(bad):
-                return logC, -1
-        return float("inf"), int(np.nonzero(bad)[0][0]) + 1
+        logC = 0.0
+        while math.exp(logC) < 2 * np.max(om, initial=0.0):
+            inside = lt + logC < edge  # none inside: vacuous, trend/cap decides
+            if not np.any(2 * om[inside] > omega_assoc(M, lt[inside] + logC)
+                          + math.exp(logC)):
+                break
+            logC += 0.5
+        return logC
 
-    w_half, _ = smallest_logC(K // 2)
-    w_full, idx = smallest_logC(K)
-    return report_from_prefix_witnesses(
-        w_half, w_full, K,
-        counterexample_index=None if math.isfinite(w_full) else max(idx, 1),
-        note="2 omega(t) <= omega(Ct) + C")
+    return report_from_prefix_witnesses(smallest_logC(K // 2), smallest_logC(K), K,
+                                        note="2 omega(t) <= omega(Ct) + C")
 
 
 def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, CheckReport]:
@@ -431,7 +407,7 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
                                           "first binding t, nothing checked",
                             details={"checked_k": 0})
     else:
-        rep13 = CheckReport(HOLDS, K, witness_constant=lam,
+        rep13 = CheckReport(HOLDS, K, log_witness=math.log(lam),
                             note=note13 + "; witness is lambda",
                             details={"checked_k": checked_k})
     return {"2.11": rep11, "2.12": rep12, "2.13": rep13, "2.14": rep14}
@@ -490,7 +466,7 @@ def check_nonquasianalytic(N: WeightSequence) -> CheckReport:
     """Convergence trend for sum_k 1/nu_k.
 
     Log-log slope of 1/nu_k over the tail half of the prefix: slope <= -1.1
-    reports HOLDS (witness = partial sum), slope >= -1.0 reports FAILS, in
+    reports HOLDS (witness: the partial sum), slope >= -1.0 reports FAILS, in
     between is INCONCLUSIVE.  A prefix cannot prove convergence; thresholds
     are part of the contract.
     """
@@ -504,15 +480,15 @@ def check_nonquasianalytic(N: WeightSequence) -> CheckReport:
     x = np.log(k[w])
     y = log_inv[w]
     slope = float(np.polyfit(x, y, 1)[0])
-    partial = float(np.sum(np.exp(np.maximum(log_inv, -700.0))))
+    log_partial = float(np.logaddexp.reduce(log_inv))
     if slope <= -1.1:
-        return CheckReport(HOLDS, K, witness_constant=partial,
+        return CheckReport(HOLDS, K, log_witness=log_partial,
                            note=f"tail slope {slope:.3f} <= -1.1; witness is the partial sum")
     if slope >= -1.0:
-        return CheckReport(FAILS, K, witness_constant=partial,
+        return CheckReport(FAILS, K, log_witness=log_partial,
                            counterexample_index=K,
                            note=f"tail slope {slope:.3f} >= -1.0 (divergence trend)")
-    return CheckReport(INCONCLUSIVE, K, witness_constant=partial,
+    return CheckReport(INCONCLUSIVE, K, log_witness=log_partial,
                        note=f"tail slope {slope:.3f} in (-1.1, -1.0)")
 
 
@@ -535,11 +511,13 @@ def check_equivalence(M: WeightSequence, N: WeightSequence) -> dict[str, CheckRe
     qb = report_from_log_witnesses(N.log_mu - M.log_mu, K, note="nu_k <= C mu_k")
     both = HOLDS if rep_f.holds and rep_b.holds else (
         FAILS if FAILS in (rep_f.verdict, rep_b.verdict) else INCONCLUSIVE)
+    idx = [r.counterexample_index for r in (rep_f, rep_b)
+           if r.counterexample_index is not None]
     summary = CheckReport(
         both, K,
-        witness_constant=max(rep_f.witness_constant or 1.0, rep_b.witness_constant or 1.0),
-        counterexample_index=(rep_f.counterexample_index or rep_b.counterexample_index)
-        if both == FAILS else None,
+        log_witness=max(0.0 if r.log_witness is None else r.log_witness
+                        for r in (rep_f, rep_b)),
+        counterexample_index=idx[0] if both == FAILS else None,
         note="equivalence M^{1/k} ~ N^{1/k}")
     return {"forward": rep_f, "backward": rep_b,
             "quotient_forward": qf, "quotient_backward": qb,

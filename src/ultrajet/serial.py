@@ -16,6 +16,10 @@ past the row's own ``degree`` are empty (read them as 0), so every line
 has the same number of fields.
 Probe tables (``probes.csv``): one line per probe x,
 ``x,d,f0..f{p}`` with d the distance from x to E and f{k} = f^(k)(x).
+Sequence tables are logs only, since rows built from weight functions leave
+double range: ``sequence.csv`` is ``k,logM,log_mu,log_m`` (m_k = M_k / k!)
+for k = 0..K, and ``descendant.csv`` is
+``k,log_nu,log_tau,log_sigma,log_sigma_star,log_s`` for k = 1..K_eff.
 
 Writes are atomic (temp file + rename) and deterministic for a fixed spec.
 """
@@ -146,30 +150,11 @@ def jet_from_file(spec: dict, p_default: int = 16) -> Jet:
     return Jet(E, cap, table)
 
 
-def jet_to_dict(F: Jet) -> dict:
-    carried = F.carried()
-    return {
-        "points": list(F.E.points),
-        "intervals": [list(iv) for iv in F.E.intervals],
-        "order_cap": F.order_cap,
-        "values": [F.values[float(a)].tolist() for a in carried],
-    }
-
-
 # -- canned exports ---------------------------------------------------------------
 
 def sequence_csv_columns(M: WeightSequence) -> dict:
-    k = np.arange(M.K + 1)
-    log_mu = np.concatenate([[0.0], M.log_mu])
-    with np.errstate(over="ignore"):
-        return {
-            "k": k,
-            "logM": M.log_M,
-            "mu": np.exp(np.minimum(log_mu, 709.0)),
-            "m": np.exp(np.minimum(M.log_m_small, 709.0)),
-            "log_mu": log_mu,
-            "log_m": M.log_m_small,
-        }
+    return {"k": np.arange(M.K + 1), "logM": M.log_M,
+            "log_mu": np.concatenate([[0.0], M.log_mu]), "log_m": M.log_m_small}
 
 
 def matrix_csv_columns(mat: WeightMatrix) -> dict:
@@ -180,13 +165,9 @@ def matrix_csv_columns(mat: WeightMatrix) -> dict:
 
 
 def descendant_csv_columns(N: WeightSequence, D) -> dict:
-    with np.errstate(over="ignore"):
-        nu = np.exp(np.minimum(N.log_mu[: D.K_eff], 709.0))
-    return {"k": np.arange(1, D.K_eff + 1), "nu": nu,
-            "tau": np.exp(np.maximum(D.log_tau, -745.0)),
-            "sigma": np.exp(np.minimum(D.log_sigma, 709.0)),
-            "sigma_star": np.exp(np.minimum(D.log_sigma_star, 709.0)),
-            "s": np.exp(np.minimum(D.small_s.log_M[1:], 709.0))}
+    return {"k": np.arange(1, D.K_eff + 1), "log_nu": N.log_mu[: D.K_eff],
+            "log_tau": D.log_tau, "log_sigma": D.log_sigma,
+            "log_sigma_star": D.log_sigma_star, "log_s": D.small_s.log_M[1:]}
 
 
 def ppoly_csv_columns(pp) -> dict:

@@ -33,6 +33,7 @@ from .errors import TailUnreliable
 FIT_ORDERS = 4
 RESID_GOOD = 1e-7
 TAIL_REL_CAP = 0.01  # the one cap: largest tail bound / partial sum
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 # B_2j / (2j)! for j = 1..8, the Euler-Maclaurin coefficients of hurwitz_zeta
@@ -99,7 +100,9 @@ def _powerlaw_fit(vals: np.ndarray, K: int, orders: int, lo_frac: float):
         e[n] = sum(m * c[m] * e[n - m] for m in range(1, n + 1)) / n
     if np.max(np.abs(e[1:]) * (1.0 / K) ** np.arange(1, orders + 1)) > 0.5:
         return None  # corrections too large on the window: not power-law data
-    a = math.exp(min(coef[0], 700.0))
+    if coef[0] > _LOG_DOUBLE_MAX:
+        return None  # the fitted amplitude a leaves double range
+    a = math.exp(coef[0])
     z = hurwitz_zeta(b + np.arange(orders + 1), K + 1)
     est = a * sum(float(e[q]) * float(z[q]) for q in range(0, orders + 1))
     if not np.isfinite(est) or est < 0:

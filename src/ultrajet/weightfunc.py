@@ -34,7 +34,8 @@ DEFAULT_PARAMS = tuple(2.0 ** j for j in range(-3, 7))
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Evaluatable weight function with cached property checks."""
+    """Evaluatable weight function, computed on y = log t: ``phi(y)`` is
+    omega(e^y), and ``w(t)`` is phi(log t)."""
 
     kind: str                 # "omega_s" | "table"
     s: float | None = None
@@ -54,60 +55,26 @@ class WeightFunction:
                      / (self.table_log_t[-1] - self.table_log_t[-2]))
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "omega_s":
-            out = np.where(t > 1.0, np.power(np.log(np.maximum(t, 1.0)), self.s), 0.0)
-            return out if out.shape else float(out)
-        # monotone piecewise-linear interpolation in log t; linear
-        # extrapolation with the last segment's slope past the table
-        lt = np.log(np.maximum(t, 1e-300))
-        out = np.interp(lt, self.table_log_t, self.table_w)
-        right = lt > self.table_log_t[-1]
-        if np.any(right):
-            out = np.where(right, self.table_w[-1]
-                           + self.last_slope * (lt - self.table_log_t[-1]), out)
-        out = np.where(t <= 1.0, np.minimum(out, _interp_at_one(self)), out)
-        return out if out.shape else float(out)
+        """omega(t) = phi(log t)."""
+        with np.errstate(divide="ignore"):  # t = 0: log t = -inf, omega 0
+            return self.phi(np.log(np.asarray(t, dtype=float)))
 
     def phi(self, y):
-        """phi(y) = omega(e^y); y may be any real."""
+        """phi(y) = omega(e^y); y may be any real, or -inf."""
         y = np.asarray(y, dtype=float)
         if self.kind == "omega_s":
             out = np.where(y > 0.0, np.power(np.maximum(y, 0.0), self.s), 0.0)
             return out if out.shape else float(out)
-        return self(np.exp(np.minimum(y, 700.0)))
-
-    def props(self, grid_n: int = 400) -> dict[str, CheckReport]:
-        """Qualitative requirements on a log grid: doubling, linear bound,
-        log t = o(omega), and convexity of phi via second differences."""
-        if self.kind == "omega_s":
-            hi = 30.0
-        else:
-            hi = float(self.table_log_t[-1])
-        y = np.linspace(0.25, hi, grid_n)
-        w = self.phi(y)
-        rep: dict[str, CheckReport] = {}
-        rep["2.15"] = report_from_log_witnesses(
-            np.log(np.maximum(self.phi(y + math.log(2.0)), 1e-300))
-            - np.log(np.maximum(w, 1e-300)), grid_n, note="omega(2t) = O(omega(t))")
-        rep["2.16"] = report_from_log_witnesses(
-            np.log(np.maximum(w, 1e-300)) - y, grid_n, note="omega(t) = O(t)")
-        ratio = w / np.maximum(y, 1e-300)
-        tail = ratio[np.nonzero(w > 0)[0][0]:] if np.any(w > 0) else ratio
-        verdict = HOLDS if tail[-1] >= 4.0 * tail[0] or tail[-1] > 50 else INCONCLUSIVE
-        rep["2.17"] = CheckReport(verdict, grid_n, witness_constant=float(tail[-1]),
-                                  note="log t = o(omega(t)) trend")
-        d2 = w[2:] - 2 * w[1:-1] + w[:-2]
-        ok = bool(np.all(d2 >= -1e-8 * (1 + np.abs(w[1:-1]))))
-        rep["2.18"] = CheckReport(HOLDS if ok else FAILS, grid_n,
-                                  witness_constant=float(np.min(d2)),
-                                  counterexample_index=None if ok else int(np.argmin(d2)) + 1,
-                                  note="phi(y) = omega(e^y) convex (second differences)")
-        return rep
-
-
-def _interp_at_one(w: WeightFunction) -> float:
-    return float(np.interp(0.0, w.table_log_t, w.table_w))
+        # monotone piecewise-linear interpolation in y; linear
+        # extrapolation with the last segment's slope past the table
+        out = np.interp(y, self.table_log_t, self.table_w)
+        right = y > self.table_log_t[-1]
+        if np.any(right):
+            out = np.where(right, self.table_w[-1]
+                           + self.last_slope * (y - self.table_log_t[-1]), out)
+        at_one = np.interp(0.0, self.table_log_t, self.table_w)
+        out = np.where(y <= 0.0, np.minimum(out, at_one), out)
+        return out if out.shape else float(out)
 
 
 def omega_s(s: float) -> WeightFunction:
@@ -197,13 +164,6 @@ class WeightMatrix:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def pointwise_ordered(self) -> bool:
-        tol = 1e-9
-        for a, b in zip(self.rows[:-1], self.rows[1:]):
-            if np.any(a.log_M > b.log_M + tol) or np.any(a.log_mu > b.log_mu + tol):
-                return False
-        return True
-
 
 def associated_matrix(w: WeightFunction, params=DEFAULT_PARAMS, K: int = 512,
                       crosscheck: bool = True) -> WeightMatrix:
@@ -277,26 +237,25 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
     # witness (ties to i -> j), else j -> i.  The report is the first FAILS
     # pair in (i, j) order, else the first INCONCLUSIVE one, else the largest
     # witness; only that pair gets a report.
-    pair = CheckReport(HOLDS, K, witness_constant=1.0)  # a single row
+    pair = CheckReport(HOLDS, K, log_witness=0.0)  # a single row
     if n > 1:
         table = domination_table(mat, 1)
         m_half, m_full = log_witness_maxima(table)
         verdict = trend_verdict(m_half, m_full)
         held = verdict == HOLDS
-        wc = np.vectorize(math.exp)(np.minimum(m_full, 700.0))  # as reported
         i, j = np.triu_indices(n, 1)
-        fwd = held[i, j] & (~held[j, i] | (wc[i, j] <= wc[j, i]))
+        fwd = held[i, j] & (~held[j, i] | (m_full[i, j] <= m_full[j, i]))
         a, b = np.where(fwd, i, j), np.where(fwd, j, i)
         bad = [np.flatnonzero(verdict[a, b] == v) for v in (FAILS, INCONCLUSIVE)]
-        pick = next((v[0] for v in bad if v.size), np.argmax(wc[a, b]))
+        pick = next((v[0] for v in bad if v.size), np.argmax(m_full[a, b]))
         pair = report_from_log_witnesses(table[a[pick], b[pick]], K)
-    out["4.6-1"] = CheckReport(pair.verdict, K, pair.witness_constant,
+    out["4.6-1"] = CheckReport(pair.verdict, K, pair.log_witness,
                                pair.counterexample_index, "pairwise quotient comparability")
 
     nq = [r.nonquasianalytic for r in mat.rows]
     bad = [r for r in nq if r.verdict != HOLDS]
     out["4.6-2"] = bad[0] if bad else CheckReport(
-        HOLDS, K, witness_constant=max(r.witness_constant for r in nq),
+        HOLDS, K, log_witness=max(r.log_witness for r in nq),
         note="non-quasianalytic per row")
 
     # (4.3) presumes a non-quasianalytic row: the rows failing (2) are skipped
@@ -305,7 +264,7 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
     bad = [r for r in c43 if r.verdict != HOLDS]
     out["4.6-3"] = bad[0] if bad else CheckReport(
         HOLDS if c43 else INCONCLUSIVE, K,
-        witness_constant=max((r.witness_constant for r in c43), default=None),
+        log_witness=max((r.log_witness for r in c43), default=None),
         note="quotient regularity (4.3) per row")
     if skipped:
         out["4.6-3"] = replace(out["4.6-3"], note=out["4.6-3"].note
@@ -348,9 +307,9 @@ def best_partners(log_w, K: int, labels=None) -> dict:
         m_half, m_full = log_witness_maxima(block)
         held = np.flatnonzero(trend_verdict(m_half, m_full) == HOLDS)
         if held.size:
-            # by reported constant exp(m) (m <= LOG_WITNESS_CAP): distinct m may tie
-            j = int(held[np.argmin([math.exp(m) for m in m_full[held]])])
-            out[i] = (labels[j] if labels else j, report_from_log_witnesses(block[j], K))
+            j = int(held[np.argmin(m_full[held])])
+            out[i] = (j if labels is None else labels[j],
+                      report_from_log_witnesses(block[j], K))
     return out
 
 
@@ -365,17 +324,17 @@ def existential_verdict(partners: dict, n_rows: int, K: int, note: str) -> Check
     if not partners:
         return CheckReport(NOT_WITNESSED, K, note=note + "; no row witnessed")
     missing = [i for i in range(n_rows) if i not in partners]
-    worst = max(rep.witness_constant for _, rep in partners.values())
-    detail = {str(i): {"partner": lab, "witness": rep.witness_constant}
+    worst = max(rep.log_witness for _, rep in partners.values())
+    detail = {str(i): {"partner": lab, "log_witness": rep.log_witness}
               for i, (lab, rep) in partners.items()}
     if missing != list(range(n_rows - len(missing), n_rows)):
         return CheckReport(
-            NOT_WITNESSED, K, witness_constant=worst,
+            NOT_WITNESSED, K, log_witness=worst,
             note=note + f"; unwitnessed sampled rows {missing}",
             details={"witnessed": detail, "unwitnessed_rows": missing})
     note_sfx = (f"; top rows {missing} lack partners in the sample "
                 "(sampling boundary)") if missing else ""
-    return CheckReport(HOLDS, K, witness_constant=worst, note=note + note_sfx,
+    return CheckReport(HOLDS, K, log_witness=worst, note=note + note_sfx,
                        details={"witnessed": detail, "boundary_rows": missing})
 
 
@@ -439,20 +398,22 @@ def check_omega_nonquasianalytic(w: WeightFunction, t_grid=None) -> dict[str, Ch
 
     # tables only support the verdict inside their data range; past it the
     # log-linear extrapolation would decide the asymptotics by fiat
-    T_cap = math.exp(w.table_log_t[-1]) if w.kind == "table" else float("inf")
+    y_cap = w.table_log_t[-1] if w.kind == "table" else math.inf
     inc = _exp_weighted_panels(w, np.zeros(1), _DOUBLING_EDGES, _FIRST_PANEL_SPLITS)[0]
-    stop = (inc < 1e-8) | (2.0 ** np.arange(1, 61) >= T_cap)
+    stop = (inc < 1e-8) | (_DOUBLING_EDGES[1:] >= y_cap)
     increments = inc[: int(np.argmax(stop)) + 1 if stop.any() else len(inc)]
     total = float(np.sum(increments))
+    log_total = math.log(total) if total > 0.0 else -math.inf
     converged = increments[-1] < 1e-8
     if converged:
-        reps["integral"] = CheckReport(HOLDS, len(increments), witness_constant=total,
+        reps["integral"] = CheckReport(HOLDS, len(increments), log_witness=log_total,
                                        note="int_1^inf omega(t)/t^2 dt converged")
     else:
         growing = len(increments) > 4 and increments[-1] > 0.5 * increments[-2]
         reps["integral"] = CheckReport(
             FAILS if growing else INCONCLUSIVE, len(increments),
-            witness_constant=total, counterexample_index=len(increments) if growing else None,
+            log_witness=log_total,
+            counterexample_index=len(increments) if growing else None,
             note="doubling increments not vanishing")
 
     if t_grid is None:
@@ -472,7 +433,7 @@ def check_omega_nonquasianalytic(w: WeightFunction, t_grid=None) -> dict[str, Ch
     verdict = HOLDS if (converged and flat) else (FAILS if not converged and
                                                   reps["integral"].verdict == FAILS else INCONCLUSIVE)
     reps["averaged"] = CheckReport(
-        verdict, len(t_grid), witness_constant=A,
+        verdict, len(t_grid), log_witness=math.log(A),
         counterexample_index=len(t_grid) if verdict == FAILS else None,
         note=f"int omega(ty)/y^2 dy <= A omega(t) + B with A={A:g}, B={B:.3g}",
         details={"A": A, "B": B, "ratio_last": float(ratio[-1])})

@@ -69,6 +69,18 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def combine():
+    """``combine(F, G, ca, cb)``: the jet ca F + cb G of two jets on one set
+    with one order cap."""
+    from ultrajet import jets
+
+    def lin(F, G, ca, cb):
+        return jets.table_jet(F.E, {a: ca * v + cb * G.values[a]
+                                    for a, v in F.values.items()}, F.order_cap)
+    return lin
+
+
+@pytest.fixture(scope="session")
 def extend_point_input(omega2_matrix):
     """(jet, matrix, config) of the extend-point benchmark at its default
     point: exp jet (order cap 16) at {0}, omega_2 matrix, K = 512."""

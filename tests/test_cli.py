@@ -81,14 +81,14 @@ class TestDescendDecide:
         out = str(tmp_path / "o")
         assert cli.main(["--out", out, "descend", gev2_spec]) == 0
         header = open(os.path.join(out, "descendant.csv")).readline().strip()
-        assert header == "k,nu,tau,sigma,sigma_star,s"
+        assert header == "k,log_nu,log_tau,log_sigma,log_sigma_star,log_s"
 
     def test_descendant_nu_column_is_nu_k(self, tmp_path, gev2_spec):
         # gevrey(2): nu_k = M_k / M_{k-1} = k^2
         out = str(tmp_path / "o")
         assert cli.main(["--out", out, "descend", gev2_spec]) == 0
         tab = np.genfromtxt(os.path.join(out, "descendant.csv"), delimiter=",", names=True)
-        assert np.allclose(tab["nu"], tab["k"] ** 2, rtol=1e-12, atol=0.0)
+        assert np.allclose(tab["log_nu"], 2 * np.log(tab["k"]), rtol=1e-12, atol=0.0)
 
     def test_decide_yes(self, tmp_path, om2_spec):
         out = str(tmp_path / "o")
@@ -232,7 +232,8 @@ class TestSerial:
     def test_jet_roundtrip(self, tmp_path):
         E = CompactSet1D(points=(0.0, 1.0))
         F = sample_jet({"kind": "exp"}, E, p_max=8)
-        d = serial.jet_to_dict(F)
+        d = {"points": list(E.points), "intervals": [], "order_cap": F.order_cap,
+             "values": [F.values[float(a)].tolist() for a in F.carried()]}
         F2 = serial.jet_from_file(d)
         assert F2.order_cap == 8
         assert np.allclose(F2.values[1.0], F.values[1.0])

@@ -30,7 +30,7 @@ def _best_partners_oracle(table, labels=None):
         held = [(lab, rep) for lab, rep in zip(labels or range(len(reps)), reps)
                 if rep.holds]
         if held:
-            out[i] = min(held, key=lambda c: c[1].witness_constant)
+            out[i] = min(held, key=lambda c: c[1].log_witness)
     return out
 
 
@@ -68,8 +68,8 @@ class TestBestPartners:
         [[0.0, 0.0, 5.0, 5.0], [61.0, 61.0, 61.0, 61.0], [math.nan] * 4],  # none holds
         [[math.inf, 2.0, -math.inf, 2.1], [3.0, 0.0, 3.0, 0.0], [0.0, 0.3, 0.3, 0.3]],
     ]), K=8, labelled=True)
-    @example(blocks=np.array([[[math.nan] * 8 + [2.05e-200], [0.0] * 9]]),  # exp ties
-             K=1, labelled=False)
+    @example(blocks=np.array([[[math.nan] * 8 + [2.05e-200], [0.0] * 9]]),  # one exp,
+             K=1, labelled=False)                                          # two logs
     @settings(max_examples=200, deadline=None)
     def test_matches_report_oracle(self, blocks, K, labelled):
         labels = ([("row", j) for j in range(blocks.shape[1])] if labelled else None)
@@ -82,6 +82,13 @@ class TestBestPartners:
             assert got[i][1].to_dict() == want[i][1].to_dict()
 
 
+    def test_smallest_log_wins_where_exps_tie(self):
+        # e^2.05e-200 and e^0 round to one double; the partner is the smaller log
+        block = np.array([[math.nan] * 8 + [2.05e-200], [0.0] * 9])
+        (lab, rep), = wf.best_partners([block], 1).values()
+        assert (lab, rep.log_witness) == (1, 0.0)
+
+
 class TestCheck43:
     def test_omega2_rows_hold(self, omega2_matrix):
         for row in omega2_matrix.rows:
@@ -90,7 +97,7 @@ class TestCheck43:
     def test_qgevrey_holds_bounded_ratio(self, qgevrey2):
         r = dsc.check_43(qgevrey2)
         assert r.verdict == HOLDS
-        assert r.witness_constant <= 3.0 + 1e-6  # ratio 4 needs C = 3 at worst
+        assert r.log_witness <= math.log(3.0) + 1e-6  # ratio 4 needs C = 3 at worst
 
     def test_fast_table_fails_trend(self):
         # quotients exp(k!): the ratio explodes past every admissible C
@@ -108,7 +115,7 @@ class TestCheck14:
         assert r.verdict == HOLDS
         # witness: max_k k T_k with T_k = sum_{l >= k} l^{-2}; at k = 1 this
         # is pi^2/6, and k T_k decreases toward 1
-        assert r.witness_constant == pytest.approx(math.pi ** 2 / 6, rel=1e-6)
+        assert math.exp(r.log_witness) == pytest.approx(math.pi ** 2 / 6, rel=1e-6)
 
     def test_self_pair_gevrey2(self, gevrey2):
         r = dec.check_14(gevrey2, gevrey2)
@@ -226,7 +233,7 @@ class TestLogPhiTable:
                 partners, n, K_eff, "sum_{l>=k} 1/nudot_l <= C k/phi_{p,k} per row")
             assert v.witnessing_row_pairs == tuple(
                 (i, j, p) for i, ((j, p), _) in partners.items())
-            assert v.constants == {f"{i}->{j},p={p}": r.witness_constant
+            assert v.log_witnesses == {f"{i}->{j},p={p}": r.log_witness
                                    for i, ((j, p), r) in partners.items()}
             assert len(v.witnessing_row_pairs) == n
 

@@ -70,23 +70,6 @@ class TestCompactSet:
 
 
 class TestTaylorRemainder:
-    def test_taylor_degree_zero(self, exp_jet):
-        p = jets.taylor_poly(exp_jet, 0.0, 0)
-        assert p(5.0) == pytest.approx(1.0)
-
-    def test_polynomial_reproduction(self):
-        E = jets.CompactSet1D(points=(0.0,))
-        F = jets.sample_jet({"kind": "polynomial", "coeffs": [0, 0, 0, 1]}, E, 8)
-        p = jets.taylor_poly(F, 0.0, 3)
-        for x in (-1.3, 0.4, 2.0):
-            assert p(x) == pytest.approx(x ** 3, rel=1e-13)
-
-    def test_exp_taylor_coeffs(self):
-        E = jets.CompactSet1D(points=(0.0,))
-        F = jets.sample_jet({"kind": "exp"}, E, 8)
-        p = jets.taylor_poly(F, 0.0, 2)
-        assert p(1.0) == pytest.approx(1 + 1 + 0.5)
-
     def test_remainder_poly_zero(self, two_points):
         F = jets.sample_jet({"kind": "polynomial", "coeffs": [1, 2, 3]}, two_points, 8)
         for p in (2, 3, 7):
@@ -106,7 +89,7 @@ class TestTaylorRemainder:
     def test_duality_with_taylor_derivative(self, exp_jet):
         for (a, b, p, k) in [(0.0, 1.0, 5, 2), (1.0, 0.0, 7, 0), (0.0, 1.0, 3, 3)]:
             lhs = jets.remainder(exp_jet, a, b, p, k)
-            rhs = exp_jet.value(b, k) - jets.eval_taylor_deriv(exp_jet, a, p, b, k)
+            rhs = exp_jet.value(b, k) - float(jets.taylor_values(exp_jet, a, p, b, k))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_classical_remainder_magnitude(self, exp_jet):
@@ -156,12 +139,13 @@ class TestNormProfile:
         assert np.all(np.diff(prof.C_of_rho) <= 1e-12)
 
     def test_zero_jet(self, two_points):
-        prof = jets.jet_norm_profile(jets.zero_jet(two_points, 12), sq.gevrey(1, K=64))
+        zero = jets.table_jet(two_points, {0.0: np.zeros(13), 1.0: np.zeros(13)}, 12)
+        prof = jets.jet_norm_profile(zero, sq.gevrey(1, K=64))
         assert np.all(prof.C_of_rho == 0.0)
 
-    def test_scaling_linear(self, exp_jet, two_points):
+    def test_scaling_linear(self, exp_jet, combine):
         prof = jets.jet_norm_profile(exp_jet, sq.gevrey(1, K=64))
-        F3 = exp_jet.combine(jets.zero_jet(two_points, 12), 3.0, 0.0)
+        F3 = combine(exp_jet, exp_jet, 3.0, 0.0)
         prof3 = jets.jet_norm_profile(F3, sq.gevrey(1, K=64))
         assert np.allclose(prof3.C_of_rho, 3.0 * prof.C_of_rho)
 
@@ -181,13 +165,13 @@ class TestNormProfile:
     @given(c=st.floats(min_value=-4, max_value=4),
            x=st.floats(min_value=-1, max_value=2))
     @settings(max_examples=100, deadline=None)
-    def test_taylor_linearity(self, c, x, two_points, exp_jet):
+    def test_taylor_linearity(self, c, x, two_points, exp_jet, combine):
         Fp = jets.sample_jet({"kind": "polynomial", "coeffs": [0, 0, 1]},
                              two_points, 12)
-        Fc = exp_jet.combine(Fp, 1.0, c)
-        lhs = jets.eval_taylor_deriv(Fc, 0.0, 6, x, 1)
-        rhs = (jets.eval_taylor_deriv(exp_jet, 0.0, 6, x, 1)
-               + c * jets.eval_taylor_deriv(Fp, 0.0, 6, x, 1))
+        Fc = combine(exp_jet, Fp, 1.0, c)
+        lhs = jets.taylor_values(Fc, 0.0, 6, x, 1)
+        rhs = (jets.taylor_values(exp_jet, 0.0, 6, x, 1)
+               + c * jets.taylor_values(Fp, 0.0, 6, x, 1))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -287,14 +271,21 @@ class TestTaylorValues:
         for i in range(n):
             expect = _scalar_taylor(F, a[i], int(p[i]), float(x[i]), int(order[i]))
             assert vals[i] == expect and math.copysign(1.0, vals[i]) == math.copysign(1.0, expect)
-            assert jets.eval_taylor_deriv(F, a[i], int(p[i]), float(x[i]), int(order[i])) == expect
+            assert jets.taylor_values(F, a[i], int(p[i]), float(x[i]), int(order[i])) == expect
 
     def test_broadcast_and_empty_range(self, exp_jet):
         xs = np.linspace(-1.0, 2.0, 7)
         vals = jets.taylor_values(exp_jet, 0.0, 5, xs, 2)
         assert np.array_equal(vals, [_scalar_taylor(exp_jet, 0.0, 5, x, 2) for x in xs])
         assert np.array_equal(jets.taylor_values(exp_jet, 1.0, 3, xs, 4), np.zeros(7))
-        assert jets.eval_taylor_deriv(exp_jet, 1.0, 3, 0.5, 4) == 0.0
+        assert jets.taylor_values(exp_jet, 1.0, 3, 0.5, 4) == 0.0
+        # closed forms: T^0 of exp, T^2 of exp at 1, and T^3 of x^3 is x^3
+        assert jets.taylor_values(exp_jet, 0.0, 0, 5.0, 0) == 1.0
+        assert jets.taylor_values(exp_jet, 0.0, 2, 1.0, 0) == 2.5
+        cube = jets.sample_jet({"kind": "polynomial", "coeffs": [0, 0, 0, 1]},
+                               jets.CompactSet1D(points=(0.0,)), 8)
+        xs = np.array([-1.3, 0.4, 2.0])
+        assert jets.taylor_values(cube, 0.0, 3, xs, 0) == pytest.approx(xs ** 3, rel=1e-13)
 
     def test_order_exceeded(self, exp_jet):
         with pytest.raises(OrderExceeded):

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,15 +12,27 @@ from ultrajet.errors import PrefixExhausted, SequenceSpecError, UltrajetError
 from ultrajet.report import FAILS, HOLDS, INCONCLUSIVE, verdicts_agree
 
 
+def h_assoc(M, log_t):
+    """h(t) = inf_k M_k t^k on the prefix as ``(value, attained_k, trusted)``,
+    ``trusted`` False when the minimum sits at the prefix boundary; ties
+    within 1e-12 (1 + |log h|) resolve to the smallest index.  The oracle of
+    ``gamma_count``'s tie rule."""
+    vals = M.log_M + np.arange(M.K + 1) * log_t
+    m = float(np.min(vals))
+    k = int(np.nonzero(vals <= m + 1e-12 * (1.0 + abs(m)))[0][0])
+    return math.exp(m), k, k < M.K
+
+
 def brute_force_log_h(M, t):
-    # independent route: telescoped quotient sums, plain python min
-    best = 0.0
-    acc = 0.0
-    log_t = math.log(t)
+    # independent route: telescoped quotient sums, exact in rationals (a
+    # float running sum drifts by 1e-9 over the 1023 terms of qgevrey(2)),
+    # plain python min
+    best = acc = Fraction(0)
+    log_t = Fraction(math.log(t))
     for k in range(1, M.K + 1):
-        acc += float(M.log_mu[k - 1]) + log_t
+        acc += Fraction(float(M.log_mu[k - 1])) + log_t
         best = min(best, acc)
-    return best
+    return float(best)
 
 
 class TestMakeSequence:
@@ -30,15 +43,14 @@ class TestMakeSequence:
 
     def test_qgevrey2_quotients(self):
         M = sq.qgevrey(2, K=3)
-        assert [M.mu(k) for k in range(4)] == pytest.approx([1.0, 2.0, 8.0, 32.0],
-                                                            rel=1e-12)
+        assert np.exp(M.log_mu) == pytest.approx([2.0, 8.0, 32.0], rel=1e-12)
 
     def test_qgevrey_quotients_match_direct_ratios(self):
         # oracle: ratios of 2^{k^2} computed in log domain independently
         M = sq.qgevrey(2, K=12)
         for k in range(1, 13):
             direct = 2.0 ** (k * k) / 2.0 ** ((k - 1) * (k - 1))
-            assert M.mu(k) == pytest.approx(direct, rel=1e-13)
+            assert math.exp(M.log_mu[k - 1]) == pytest.approx(direct, rel=1e-13)
 
     def test_log_mu_computed_once_read_only(self, gevrey2):
         assert gevrey2.log_mu is gevrey2.log_mu
@@ -66,19 +78,19 @@ class TestMakeSequence:
 
 class TestAssociated:
     def test_h_is_one_past_first_quotient(self, gevrey1):
-        v, k, trusted = sq.h_assoc(gevrey1, math.log(2.0))
+        v, k, trusted = h_assoc(gevrey1, math.log(2.0))
         assert v == 1.0 and k == 0 and trusted
 
     def test_h_gevrey1_tie(self):
         M = sq.gevrey(1, K=20)
-        v, k, trusted = sq.h_assoc(M, math.log(0.2))
+        v, k, trusted = h_assoc(M, math.log(0.2))
         assert v == pytest.approx(0.0384, rel=1e-12)
         assert k == 4  # tie with k = 5 resolves to the smaller index
         assert trusted
 
     def test_h_boundary_not_trusted(self):
         M = sq.gevrey(1, K=6)
-        _, k, trusted = sq.h_assoc(M, math.log(1e-9))
+        _, k, trusted = h_assoc(M, math.log(1e-9))
         assert k == M.K and not trusted
 
     def test_gamma_examples(self):
@@ -107,7 +119,7 @@ class TestAssociated:
     @pytest.mark.parametrize("family", ["gevrey1", "gevrey2", "qgevrey2"])
     def test_h_equals_brute_force(self, family, request):
         M = request.getfixturevalue(family)
-        for t in np.geomspace(1.0 / M.mu(M.K) * 1.1, 2.0, 25):
+        for t in np.geomspace(math.exp(-M.log_mu[-1]) * 1.1, 2.0, 25):
             assert sq.log_h_assoc(M, math.log(t)) == pytest.approx(
                 brute_force_log_h(M, t), abs=1e-9)
 
@@ -129,7 +141,7 @@ class TestAssociated:
         # omega(t) = -log h(1/t); compare in the log domain, h underflows
         M = request.getfixturevalue(family)
         for lt in np.linspace(math.log(1.5), float(M.log_mu[-1]) * 0.9, 40):
-            _, k, trusted = sq.h_assoc(M, -lt)
+            _, k, trusted = h_assoc(M, -lt)
             assert trusted
             assert sq.omega_assoc(M, lt) == pytest.approx(
                 -sq.log_h_assoc(M, -lt), rel=1e-9, abs=1e-9)
@@ -168,13 +180,13 @@ class TestGrowthChecks:
         reps = sq.check_moderate_growth(gevrey2)
         assert verdicts_agree(reps.values())
         assert reps["L2.2-3"].verdict == HOLDS
-        assert reps["L2.2-3"].witness_constant == pytest.approx(4.0, rel=1e-9)
+        assert reps["L2.2-3"].log_witness == pytest.approx(math.log(4.0), rel=1e-9)
 
     def test_gevrey_s_witness_closed_form(self):
         # mu_{2k}/mu_k = 2^s exactly
         for s in (1.0, 1.5, 3.0):
             reps = sq.check_moderate_growth(sq.gevrey(s, K=128))
-            assert reps["L2.2-3"].witness_constant == pytest.approx(2.0 ** s, rel=1e-9)
+            assert reps["L2.2-3"].log_witness == pytest.approx(s * math.log(2.0), rel=1e-9)
 
     def test_qgevrey_fails_all_six(self, qgevrey2):
         reps = sq.check_moderate_growth(qgevrey2)
@@ -194,7 +206,7 @@ class TestGrowthChecks:
         assert sq.check_nonquasianalytic(gevrey1).verdict == FAILS
         assert sq.check_nonquasianalytic(qgevrey2).verdict == HOLDS
         r = sq.check_nonquasianalytic(gevrey2)
-        assert r.witness_constant == pytest.approx(np.pi ** 2 / 6, abs=2e-3)
+        assert math.exp(r.log_witness) == pytest.approx(np.pi ** 2 / 6, abs=2e-3)
 
     def test_short_or_mismatched_prefix_is_coded(self, gevrey2):
         short = sq.gevrey(2, K=7)
@@ -210,7 +222,11 @@ class TestGrowthChecks:
     def test_equivalence_reflexive(self, gevrey2):
         reps = sq.check_equivalence(gevrey2, gevrey2)
         assert reps["equivalent"].verdict == HOLDS
-        assert reps["forward"].witness_constant == pytest.approx(1.0)
+        assert reps["forward"].log_witness == 0.0
+        # C = 1 is log witness 0.0, which is falsy: the summary keeps it
+        summary = reps["equivalent"]
+        assert (summary.verdict, summary.log_witness, summary.counterexample_index) == (
+            HOLDS, 0.0, None)
 
     def test_equivalence_scaled_factorial(self, gevrey1):
         k = np.arange(513)
@@ -219,7 +235,7 @@ class TestGrowthChecks:
                               "K": 512})
         reps = sq.check_equivalence(gevrey1, t)
         assert reps["equivalent"].verdict == HOLDS
-        assert reps["backward"].witness_constant == pytest.approx(2.0, rel=1e-6)
+        assert reps["backward"].log_witness == pytest.approx(math.log(2.0), rel=1e-6)
 
     def test_equivalence_gevrey_pair_fails(self, gevrey1, gevrey2):
         reps = sq.check_equivalence(gevrey1, gevrey2)
@@ -229,8 +245,8 @@ class TestGrowthChecks:
     def test_mixed_growth_gevrey(self, gevrey2):
         reps = sq.check_mixed_growth(gevrey2, gevrey2)
         assert all(r.verdict == HOLDS for r in reps.values())
-        assert reps["2.11"].witness_constant == pytest.approx(4.0, rel=1e-9)
-        assert reps["2.13"].witness_constant < 1.0
+        assert reps["2.11"].log_witness == pytest.approx(math.log(4.0), rel=1e-9)
+        assert reps["2.13"].log_witness < 0.0
 
     def test_mixed_growth_qgevrey_fails(self, qgevrey2):
         reps = sq.check_mixed_growth(qgevrey2, qgevrey2)
@@ -249,7 +265,7 @@ class TestGrowthChecks:
         # 2^-10 holds for k < 256 and fails at the binding t of k = 256
         rep = sq.check_mixed_growth(gevrey2, gevrey1)["2.13"]
         assert rep.verdict == HOLDS
-        assert rep.witness_constant == 2.0 ** -11
+        assert rep.log_witness == math.log(2.0 ** -11)
 
     def test_gamma_doubling_nothing_checked(self, gevrey1, omega2_rho64):
         # lambda t / mudot_1 already lies below 1/mu_K: no binding t to check
@@ -385,7 +401,7 @@ class TestCountingArrays:
         lts = [lt for lt in data.draw(_log_t_near_quotients(M, -1.0, window=False))
                if _gamma_oracle(M, lt) is not None]
         got = sq.gamma_count(M, np.array(lts, dtype=float))
-        assert got.tolist() == [sq.h_assoc(M, lt)[1] for lt in lts]
+        assert got.tolist() == [h_assoc(M, lt)[1] for lt in lts]
 
 
 class TestLogFactorial:
@@ -454,5 +470,5 @@ class TestHypothesisInvariants:
     def test_gamma_is_argmin(self, t):
         M = sq.gevrey(1, K=64)
         g = sq.gamma_count(M, math.log(t))
-        _, k_min, _ = sq.h_assoc(M, math.log(t))
+        _, k_min, _ = h_assoc(M, math.log(t))
         assert g == k_min  # smallest-index tie rule on both sides

@@ -13,6 +13,12 @@ from ultrajet.report import (FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
                              report_from_log_witnesses)
 
 
+def _pointwise_ordered(mat, tol=1e-9):
+    """Each row's log M and log mu lie below the next row's, within ``tol``."""
+    return all(np.all(a.log_M <= b.log_M + tol) and np.all(a.log_mu <= b.log_mu + tol)
+               for a, b in zip(mat.rows[:-1], mat.rows[1:]))
+
+
 def _young_conjugate_oracle(w, x):
     """The scalar search: bracket doubling, then ternary steps on one x."""
     if x == 0.0:
@@ -95,7 +101,7 @@ class TestMatrix:
         assert math.exp(omega2_matrix.rows[i].log_M[2]) == pytest.approx(math.e)
 
     def test_rows_pointwise_ordered(self, omega2_matrix):
-        assert omega2_matrix.pointwise_ordered()
+        assert _pointwise_ordered(omega2_matrix)
 
     def test_lemma_2_6_pairs(self, omega2_matrix):
         mat = omega2_matrix
@@ -142,7 +148,7 @@ class TestMatrix:
         w = wf.omega_table([(1.0, 0.0)] + [(math.exp(u), u ** 2)
                                            for u in np.linspace(0.05, 40, 300)])
         mat = wf.associated_matrix(w, params=[0.5, 1.0, 2.0], K=32)
-        assert mat.pointwise_ordered()
+        assert _pointwise_ordered(mat)
 
     def test_table_past_its_slope_is_named(self):
         # omega = (log t)^2.2 on 60 knots up to log t = 40: phi's last slope
@@ -156,7 +162,7 @@ class TestMatrix:
             wf.associated_matrix(w, K=128)
         params = [0.125, 0.25, 0.5, 1.0]
         mat = wf.associated_matrix(w, params=params, K=128)
-        assert len(mat.rows) == 4 and mat.pointwise_ordered()
+        assert len(mat.rows) == 4 and _pointwise_ordered(mat)
         k = np.arange(129, dtype=float)
         for x, row in zip(params, mat.rows):
             assert np.allclose(row.log_M, wf.young_conjugate(w, x * k) / x,
@@ -171,7 +177,7 @@ def _comparability_oracle(rows, K):
         for j in range(i + 1, len(rows)):
             fwd = report_from_log_witnesses(a.log_mu - rows[j].log_mu, K)
             bwd = report_from_log_witnesses(rows[j].log_mu - a.log_mu, K)
-            best = fwd if (fwd.witness_constant or np.inf) <= (bwd.witness_constant or np.inf) else bwd
+            best = fwd if fwd.log_witness <= bwd.log_witness else bwd
             if best.verdict != HOLDS:
                 best = fwd if fwd.holds else bwd
             out[i, j] = best
@@ -213,12 +219,12 @@ class TestAdmissibility:
         g = sq.gevrey(2, K=128)
         adm = wf.check_admissible_matrix(wf.matrix_from_rows([g, g.scaled(3), g.scaled(0.5)]))
         assert adm["4.6-1"].verdict == HOLDS
-        assert adm["4.6-1"].witness_constant == pytest.approx(0.5, rel=1e-9)
+        assert adm["4.6-1"].log_witness == pytest.approx(math.log(0.5), rel=1e-9)
 
     def test_comparability_reports_first_failing_pair(self):
         adm = wf.check_admissible_matrix(wf.matrix_from_rows(_CROSSING_ROWS))
         assert adm["4.6-1"].verdict == FAILS
-        assert adm["4.6-1"].witness_constant == pytest.approx(math.exp(3.0), rel=1e-9)
+        assert adm["4.6-1"].log_witness == pytest.approx(3.0, rel=1e-9)
 
     @given(rows=_rows())
     @example(rows=_CROSSING_ROWS)
@@ -228,17 +234,17 @@ class TestAdmissibility:
         pairs = _comparability_oracle(rows, K)
         for (i, j), want in pairs.items():
             got = wf.check_admissible_matrix(wf.matrix_from_rows([rows[i], rows[j]]))["4.6-1"]
-            assert (got.verdict, got.witness_constant) == (want.verdict, want.witness_constant)
+            assert (got.verdict, got.log_witness) == (want.verdict, want.log_witness)
         # the first FAILS pair, else the first INCONCLUSIVE, else the largest witness
         bad = [r for v in (FAILS, INCONCLUSIVE) for r in pairs.values() if r.verdict == v]
-        want = bad[0] if bad else max(pairs.values(), key=lambda r: r.witness_constant,
+        want = bad[0] if bad else max(pairs.values(), key=lambda r: r.log_witness,
                                       default=None)
         got = wf.check_admissible_matrix(wf.matrix_from_rows(rows))["4.6-1"]
         if want is None:
-            assert (got.verdict, got.witness_constant) == (HOLDS, 1.0)
+            assert (got.verdict, got.log_witness) == (HOLDS, 0.0)
         else:
-            assert (got.verdict, got.witness_constant, got.counterexample_index) == (
-                want.verdict, want.witness_constant, want.counterexample_index)
+            assert (got.verdict, got.log_witness, got.counterexample_index) == (
+                want.verdict, want.log_witness, want.counterexample_index)
 
     def test_omega2_all_hold(self, omega2_matrix):
         adm = wf.check_admissible_matrix(omega2_matrix)
@@ -286,7 +292,7 @@ class TestOmegaNonquasianalytic:
         rep = wf.check_omega_nonquasianalytic(wf.omega_s(s))["integral"]
         Y = rep.prefix_K * math.log(2.0)
         exact = math.gamma(s + 1) * gammainc(s + 1, Y)
-        assert rep.witness_constant == pytest.approx(exact, rel=1e-12, abs=0)
+        assert rep.log_witness == pytest.approx(math.log(exact), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("w", [
         wf.omega_s(1.5), wf.omega_s(2.0), wf.omega_s(3.0),
@@ -319,8 +325,3 @@ class TestOmegaNonquasianalytic:
                for r in (reps["integral"], reps["averaged"])]
         assert got[0] == head[0]
         assert got[1] + (reps["averaged"].details["A"],) == head[1]
-
-    def test_props_omega_s(self):
-        for s in (2.0, 3.0):
-            reps = wf.omega_s(s).props()
-            assert all(r.verdict == HOLDS for r in reps.values())
