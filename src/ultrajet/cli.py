@@ -17,7 +17,6 @@ import numpy as np
 
 from . import decide as dec
 from . import descend as dsc
-from . import jets as jets_mod
 from . import seqcalc as sq
 from . import serial
 from . import weightfunc as wfn

@@ -9,7 +9,7 @@ constants are measured on the constructed cover, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

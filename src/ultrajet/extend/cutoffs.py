@@ -25,7 +25,7 @@ import numpy as np
 from ..descend import Descendant
 from ..errors import CutoffError
 from ..seqcalc import WeightSequence, log_h_assoc
-from .ppoly import DEDUP_REL_TOL, PiecewisePolynomial, indicator
+from .ppoly import PiecewisePolynomial, indicator
 
 WIDTH_FLOOR_REL = 1e-14
 # Largest spline a box pass may convolve: in the lattice regime of low orders

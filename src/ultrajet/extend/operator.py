@@ -1,11 +1,13 @@
 """Partition of unity and the constructive extension operator.
 
-The partition telescopes scaled cutoffs over a Whitney cover; the extension
+The partition telescopes scaled cutoffs over a Whitney cover, each function
+formed on its own support from the few cutoffs that meet it.  The extension
 glues per-interval Taylor polynomials of the jet, with per-interval degree
-driven by the counting function of the descendant at scale L * distance.
-Everything is assembled as exact splines and then verified at probe points:
-boundary matching, the growth bound of the output row, and the two Taylor
-estimates that power the construction.
+driven by the counting function of the descendant at scale L * distance, as
+one sum of local terms over the union of their breakpoints.  Everything is
+assembled as exact splines and then verified at probe points: boundary
+matching, the growth bound of the output row, and the two Taylor estimates
+that power the construction.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
 from .cutoffs import (CutoffFamily, CutoffResult, build_cutoff, cutoff_order,
                       make_cutoff_family)
-from .ppoly import PiecewisePolynomial, constant_on, taylor_shift
+from .ppoly import PiecewisePolynomial, constant_on, spline_sum, taylor_shift
 
 
 # -- partition of unity --------------------------------------------------------
@@ -36,7 +38,6 @@ class Partition:
     cover: WhitneyCover1D
     epsilon: float
     functions: tuple              # of PiecewisePolynomial, one per ball
-    leftover: PiecewisePolynomial  # 1 - sum(functions) on the working domain
     fam: CutoffFamily
     B1: float
     lemma410_A: float
@@ -46,31 +47,40 @@ class Partition:
 def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
                        min_smoothness: int | None = None,
                        landing: tuple | None = None) -> Partition:
-    """Telescoped family phi_j = psi_j prod_{k<j} (1 - psi_k).
+    """Telescoped family phi_i = psi_i prod_{k<i} (1 - psi_k).
 
-    psi_i is the family cutoff at epsilon r_i / n0 rescaled to the ball;
-    the running product is maintained as 1 - sum(phi) so each step is one
-    local multiply and one local subtract.  The cutoff depends on
-    epsilon r_i / n0 only through its order, so one is built per order.
+    psi_i is the family cutoff at epsilon r_i / n0 rescaled to the ball.
+    The cutoff depends on epsilon r_i / n0 only through its order, so one
+    is built per order.  Each phi_i is formed on its own support: psi_i,
+    clipped where it leaves the working domain, then phi_i <- phi_i -
+    phi_i psi_k for each earlier k whose span meets psi_i's (1 - psi_k is 1
+    elsewhere).  The cover has bounded overlap, so each phi_i needs only a
+    few factors and no spline spans the whole working domain.
+
     ``landing`` is (s_land, A, B1): the landing row of Lemma 4.10 and
     :func:`lemma410_B1` for it; by default the family's own small row.
     """
-    lo, hi = cover.working
-    prod = constant_on(lo, hi, 1.0)
-    funcs = []
+    lo_w, hi_w = cover.working
+    window = constant_on(lo_w, hi_w)
     cache: dict[int, CutoffResult] = {}
+    psis = []
     for (cx, r) in cover.balls:
         eps_i = epsilon * r / cover.n0
         p = cutoff_order(fam, eps_i, OVERLAP_C)
         if p not in cache:
             cache[p] = build_cutoff(fam, eps_i, OVERLAP_C,
                                     min_smoothness=min_smoothness)
-        psi = cache[p].pp.compose_affine(cx, r)
-        phi = (psi * prod).trimmed()
-        prod = prod - phi
-        funcs.append(phi)
+        psis.append(cache[p].pp.compose_affine(cx, r))
+    funcs = []
+    for i, psi in enumerate(psis):
+        lo, hi = psi.span
+        phi = psi if lo_w <= lo and hi <= hi_w else psi * window
+        for prev in psis[:i]:
+            if prev.span[0] < hi and prev.span[1] > lo:
+                phi = phi - phi * prev
+        funcs.append(phi.trimmed())
     land, A410, B1 = landing or (fam.D.small_s, *lemma410_B1(fam, fam.D.small_s, cover))
-    return Partition(cover, epsilon, tuple(funcs), prod, fam, B1, A410, land)
+    return Partition(cover, epsilon, tuple(funcs), fam, B1, A410, land)
 
 
 def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n: int) -> float:
@@ -297,12 +307,14 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
                               landing=(land, A410, B1))
 
     # Stable assembly: with base the nearest-anchor Taylor field (degree as
-    # at d_min) and sum(phi) + leftover == 1 exactly by construction,
-    #   sum_i phi_i T_i + leftover * base  ==  base + sum_i phi_i (T_i - base).
-    # The right-hand form subtracts Taylor polynomials before multiplying by
+    # at d_min),
+    #   f  =  base + sum_i phi_i (T_i - base)
+    # is sum_i phi_i T_i where sum(phi) is 1 (the covered set) and base where
+    # it is 0.  This form subtracts Taylor polynomials before multiplying by
     # the partition, whose derivatives near E are huge and cancel only
     # analytically; forming the differences first keeps evaluation noise at
-    # the scale of the Whitney increments.
+    # the scale of the Whitney increments.  It is one sum over the union of
+    # breakpoints, each piece adding its terms in ball order.
     # Ball i is anchored at the carried point nearest to its nearest point
     # of E, with the degree at its distance to E; the base field's is at d_min.
     cap = F.order_cap
@@ -311,7 +323,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     near = [F.E.nearest_point(cx) for cx, _ in cover.balls]
     ball_anchors = _nearest(anchors, np.array([xhat for xhat, _ in near]))
     degrees = taylor_degree(chain.S_dot, L, [dist for _, dist in near], cap).tolist()
-    f_inner = base
+    terms = [base]
     for phi, a_i, p_i in zip(part.functions, ball_anchors, degrees):
         slo, shi = phi.support()
         if shi <= slo:
@@ -319,8 +331,8 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         diff = _taylor_difference(F, float(a_i), p_i, anchors, cuts, p_col, slo, shi)
         if diff is None:
             continue
-        term = (phi * diff).trimmed()
-        f_inner = f_inner + term
+        terms.append((phi * diff).trimmed())
+    f_inner = spline_sum(terms)
     gcut = _global_cutoff(F.E, fam, epsilon, cover, cfg)
     # chopped before any check, so every gate sees the spline that is returned
     full = (f_inner * gcut).trimmed()

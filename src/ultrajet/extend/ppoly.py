@@ -265,15 +265,15 @@ class PiecewisePolynomial:
         if np.isscalar(other):
             return PiecewisePolynomial(self.breakpoints, self.coeffs * float(other),
                                        self.smoothness_order)
-        return _combine(self, other, mul=True)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return _combine(self, other, mul=False)
+        return spline_sum((self, other))
 
     def __sub__(self, other):
-        return _combine(self, other * -1.0, mul=False)
+        return spline_sum((self, other * -1.0))
 
     def convolve_box(self, d: float) -> "PiecewisePolynomial":
         """Exact convolution with the normalized box of width d.
@@ -407,23 +407,35 @@ def _mul_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _combine(f: PiecewisePolynomial, g: PiecewisePolynomial, mul: bool) -> PiecewisePolynomial:
+def _product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
     b = _dedup(np.concatenate([f.breakpoints, g.breakpoints]))
     sm = min(f.smoothness_order, g.smoothness_order)
-    if mul:
-        # the product is zero unless a piece starts inside both spans
-        lo, hi = max(f.span[0], g.span[0]), min(f.span[1], g.span[1])
-        inside = np.flatnonzero((b[:-1] >= lo) & (b[:-1] < hi))
-        if not inside.size:
-            return PiecewisePolynomial(b[:2], np.zeros((1, 1)), sm)
-        b = b[inside[0]: inside[-1] + 2]
-        return PiecewisePolynomial(
-            b, _mul_rows(f._rows_at(b[:-1]), g._rows_at(b[:-1])), sm)
-    cf, cg = f._rows_at(b[:-1]), g._rows_at(b[:-1])
-    out = np.zeros((len(cf), max(cf.shape[1], cg.shape[1])))
-    out[:, : cf.shape[1]] += cf
-    out[:, : cg.shape[1]] += cg
-    return PiecewisePolynomial(b, out, sm)
+    # the product is zero unless a piece starts inside both spans
+    lo, hi = max(f.span[0], g.span[0]), min(f.span[1], g.span[1])
+    inside = np.flatnonzero((b[:-1] >= lo) & (b[:-1] < hi))
+    if not inside.size:
+        return PiecewisePolynomial(b[:2], np.zeros((1, 1)), sm)
+    b = b[inside[0]: inside[-1] + 2]
+    return PiecewisePolynomial(b, _mul_rows(f._rows_at(b[:-1]), g._rows_at(b[:-1])), sm)
+
+
+def spline_sum(parts) -> PiecewisePolynomial:
+    """The sum of the splines in the sequence ``parts`` over their merged
+    breakpoints.
+
+    One ``_dedup`` merges every breakpoint, so its tolerance is relative to
+    the union span.  Each part is re-anchored only on the pieces inside its
+    own span, and each piece adds the parts that cover it in the order
+    given.
+    """
+    b = _dedup(np.concatenate([p.breakpoints for p in parts]))
+    u = b[:-1]
+    out = np.zeros((len(u), max(p.coeffs.shape[1] for p in parts)))
+    for p in parts:
+        lo, hi = np.searchsorted(u, p.breakpoints[[0, -1]])
+        rows = p._rows_at(u[lo:hi])
+        out[lo:hi, : rows.shape[1]] += rows
+    return PiecewisePolynomial(b, out, min(p.smoothness_order for p in parts))
 
 
 def indicator(lo: float, hi: float) -> PiecewisePolynomial:

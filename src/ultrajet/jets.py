@@ -168,21 +168,12 @@ def taylor_values(F: Jet, anchors, p, xs, order) -> np.ndarray:
     return out
 
 
-def remainder(F: Jet, a: float, b: float, p: int, k: int = 0) -> float:
-    """(R_a^p F)^k(b) = F^k(b) - sum_{j <= p-k} (b-a)^j / j! F^{k+j}(a)."""
-    if p > F.order_cap or k > p:
-        raise OrderExceeded(f"remainder orders (p={p}, k={k}) exceed cap {F.order_cap}")
-    head = F.value(b, k)
-    j = np.arange(0, p - k + 1)
-    va = F.values[float(a)][k: p + 1]
-    return float(head - np.sum(va * np.power(b - a, j) * np.exp(-log_factorial(j))))
-
-
 def remainder_table(F: Jet) -> tuple[np.ndarray, np.ndarray]:
     """``(R, dist)`` over the ordered pairs i = (a, b), a != b, of carried
-    points (a, then b, in carried order): ``R[i, p, k]`` = (R_a^p F)^k(b) for
-    k <= p < order_cap (0 for k > p), bit for bit :func:`remainder` (one
-    ``np.sum`` over the p - k + 1 terms), and ``dist[i]`` = |b - a|."""
+    points (a, then b, in carried order): ``R[i, p, k]`` = (R_a^p F)^k(b) =
+    F^k(b) - sum_{j <= p-k} (b-a)^j / j! F^{k+j}(a) for k <= p < order_cap
+    (0 for k > p), the sum one ``np.sum`` over its p - k + 1 terms, and
+    ``dist[i]`` = |b - a|."""
     cap = F.order_cap
     pts = F.carried()
     V = np.array([F.values[float(a)] for a in pts])

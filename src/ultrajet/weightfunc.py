@@ -14,7 +14,7 @@ conjugate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .descend import check_43
 from .errors import ConjugateUnbounded, SequenceSpecError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
                      log_witness_maxima, report_from_log_witnesses, trend_verdict)
-from .seqcalc import WeightSequence, validate_sequence
+from .seqcalc import validate_sequence
 
 TERNARY_REL_TOL = 1e-10
 Y_MAX_CAP = 1e12

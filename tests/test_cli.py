@@ -342,3 +342,29 @@ def test_no_function_local_imports():
                     if any(m.split(".")[0] == "ultrajet" for m in mods):
                         local.append(f"{os.path.relpath(path, root)}:{node.lineno}")
     assert local == []
+
+
+def test_no_unused_imports():
+    # every name an ultrajet module imports is used in that module; a
+    # package __init__ imports to re-export, so it is not scanned
+    import ultrajet
+    root = os.path.dirname(ultrajet.__file__)
+    unused = []
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            if name == "__init__.py":
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            imported = {}
+            for node in tree.body:
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for a in node.names:
+                        bound = a.asname or a.name.split(".")[0]
+                        if bound != "annotations":
+                            imported[bound] = node.lineno
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            unused += [f"{os.path.relpath(path, root)}:{line} {bound}"
+                       for bound, line in imported.items() if bound not in used]
+    assert unused == []

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultrajet.extend.cover import OVERLAP_C
 from ultrajet.extend import operator
-from ultrajet.extend.ppoly import PiecewisePolynomial
+from ultrajet.extend.ppoly import PiecewisePolynomial, constant_on
 from ultrajet.extend.operator import fit_rho, h_power_constant, search_lambda
 
 
@@ -65,6 +65,23 @@ def _verify_partition_oracle(part, orders, n_probes=1000):
     return out
 
 
+def _running_product_partition(cover, fam, epsilon, min_smoothness):
+    """The partition functions by a running product over the working domain:
+    phi_i = psi_i prod with prod = 1 - sum_{k<i} phi_k, one cutoff per order."""
+    prod = constant_on(*cover.working)
+    funcs, cache = [], {}
+    for cx, r in cover.balls:
+        eps_i = epsilon * r / cover.n0
+        p = cutoffs.cutoff_order(fam, eps_i, OVERLAP_C)
+        if p not in cache:
+            cache[p] = cutoffs.build_cutoff(fam, eps_i, OVERLAP_C,
+                                            min_smoothness=min_smoothness)
+        phi = (cache[p].pp.compose_affine(cx, r) * prod).trimmed()
+        prod = prod - phi
+        funcs.append(phi)
+    return funcs
+
+
 @pytest.fixture(scope="module")
 def gev2_matrix(gevrey2):
     return wf.matrix_from_rows([gevrey2], params=[1.0], origin="gevrey2-singleton")
@@ -88,11 +105,55 @@ class TestPartition:
         assert rep["sum_max_err"] < 1e-9
         assert rep["range_ok"] and rep["support_ok"] and rep["bound_ok"]
 
-    def test_leftover_vanishes_on_covered(self, partition_zero):
-        cov = partition_zero.cover
+    @pytest.mark.parametrize("pts, d_min", [((0.0,), 1e-5), ((0.0, 0.1, 1.0), 1e-4)])
+    def test_sum_is_one_on_covered(self, gev2_family, pts, d_min):
+        # exactly 1, not 1 up to rounding: a covered probe lies where some
+        # psi_k is exactly 1, and every later phi is exactly 0 there
+        cov = whitney_cover(jets.CompactSet1D(points=pts), d_min=d_min)
+        part = partition_of_unity(cov, gev2_family, epsilon=2.0, min_smoothness=6)
         xs = np.linspace(*cov.working, 700)
         covered = cov.covers(xs)
-        assert np.max(np.abs(partition_zero.leftover(xs)[covered])) == 0.0
+        assert np.any(covered)
+        assert np.max(np.abs(1.0 - sum(f(xs) for f in part.functions))[covered]) == 0.0
+
+    @pytest.mark.parametrize("E, d_min", [
+        (jets.CompactSet1D(points=(0.0,)), 1e-5),
+        (jets.CompactSet1D(points=(0.0, 0.1, 1.0)), 1e-4),
+        (jets.CompactSet1D(points=(2.0,), intervals=((0.0, 1.0),)), 1e-4)])
+    def test_local_products_equal_running_product(self, gev2_family, E, d_min):
+        cov = whitney_cover(E, d_min=d_min)
+        part = partition_of_unity(cov, gev2_family, epsilon=2.0, min_smoothness=4)
+        oracle = _running_product_partition(cov, gev2_family, 2.0, 4)
+        xs = np.linspace(*cov.working, 1000)
+        lo_w, hi_w = cov.working
+        assert len(part.functions) == len(oracle) == len(cov.balls)
+        for f, g in zip(part.functions, oracle):
+            assert np.max(np.abs(f(xs) - g(xs))) <= 1e-14
+            assert f.support() == pytest.approx(g.support(), abs=1e-12, rel=0)
+            assert lo_w <= f.span[0] and f.span[1] <= hi_w
+
+    def test_no_spline_spans_the_working_domain(self, extend_point_input, monkeypatch):
+        # each phi needs at most n0 cutoffs, so no spline built inside the
+        # partition outgrows n0 times the largest cutoff
+        res = extend_jet(*extend_point_input)
+        part, cov = res.partition, res.cover
+        smooth = min(extend_point_input[2].p_max_eval, part.fam.conv_depth - 2)
+        biggest = max(len(cutoffs.build_cutoff(part.fam, part.epsilon * r / cov.n0,
+                                               OVERLAP_C, min_smoothness=smooth).pp.coeffs)
+                      for _, r in cov.balls)
+        sizes = []
+        post_init = PiecewisePolynomial.__post_init__
+
+        def counted(self):
+            post_init(self)
+            sizes.append(len(self.coeffs))
+
+        monkeypatch.setattr(PiecewisePolynomial, "__post_init__", counted)
+        partition_of_unity(cov, part.fam, part.epsilon, min_smoothness=smooth,
+                           landing=(part.landing_small_s, part.lemma410_A, part.B1))
+        monkeypatch.undo()
+        assert sizes
+        assert max(sizes) <= cov.n0 * biggest
 
     def test_supports_subordinate(self, partition_zero):
         for f, (cx, r) in zip(partition_zero.functions, partition_zero.cover.balls):
