@@ -159,7 +159,7 @@ def cmd_descend(args) -> int:
                      {k: r.to_dict() for k, r in sorted(reps.items())})
     bad = [k for k, r in reps.items() if r.verdict == FAILS]
     print(f"{N.family_tag}: descendant on {D.K_eff} indices; "
-          f"tail {D.tail_info.method} (err bar {D.tail_info.err_bar:.2e}); "
+          f"tail {N.tail.est.method} (err bar {np.exp(N.tail.est.log_err):.2e}); "
           f"{'all items hold' if not bad else 'FAILS: ' + ', '.join(bad)}")
     return EXIT_FAILS if bad else EXIT_OK
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NonincreasingResult, PrefixExhausted, QuasianalyticInput
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
 from .seqcalc import WeightSequence, from_log_quotients
-from .tails import TailEstimate, estimate_tail
+from .tails import estimate_tail
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class Descendant:
     log_tau: np.ndarray        # log tau_k
     log_sigma: np.ndarray      # log sigma_k
     log_sigma_star: np.ndarray
-    tail_info: TailEstimate    # the source row's tail estimate entering tau
 
     @property
     def K_eff(self) -> int:
@@ -59,7 +58,7 @@ def descend(N: WeightSequence, K_eff: int | None = None) -> Descendant:
     """Descendant of N on the first K_eff indices (default K/2).
 
     Tail sums are the row's one ``N.tail``, which must pass the one cap
-    (``require_reliable``); its estimate travels with the result as ``tail_info``.
+    (``require_reliable``).
     """
     nq = N.nonquasianalytic
     if nq.verdict != HOLDS:
@@ -76,7 +75,7 @@ def descend(N: WeightSequence, K_eff: int | None = None) -> Descendant:
     log_tau = np.logaddexp(log_k_over_nu, N.tail.log_T[:K_eff])
     log_sigma = log_tau[0] + np.log(k) - log_tau
     log_sigma_star = log_tau[0] - log_tau
-    return Descendant(N.family_tag, log_tau, log_sigma, log_sigma_star, N.tail.est)
+    return Descendant(N.family_tag, log_tau, log_sigma, log_sigma_star)
 
 
 def check_lemma42(N: WeightSequence, D: Descendant,
@@ -159,7 +158,7 @@ def check_43(N: WeightSequence, K_eff: int | None = None) -> CheckReport:
         K_eff = K // 2
     k = np.arange(1, K_eff, dtype=float)       # condition at k -> k+1
     log_ratio_m1 = _log_expm1(N.log_mu[1:K_eff] - N.log_mu[:K_eff - 1])
-    log_nu_star_next = np.cumsum(N.log_mu)[1:K_eff] - np.log(k + 1.0)
+    log_nu_star_next = N.log_M[2:K_eff + 1] - np.log(k + 1.0)
     log_denom = np.logaddexp(0.0, log_nu_star_next + N.tail.log_T[1:K_eff])
     return report_from_log_witnesses(
         log_ratio_m1 - log_denom, K_eff,
@@ -237,8 +236,8 @@ def recover_predecessor(sigma: np.ndarray, *, source_tag: str = "recovered") -> 
         raise NonincreasingResult("sigma* not increasing: negative recursion steps")
     d = np.maximum(d, 0.0)
     # tail of sum d_m beyond the prefix
-    est = estimate_tail(np.maximum(d, 1e-300))
-    d_tail = est.beyond if np.isfinite(est.err_bar) else 0.0
+    with np.errstate(divide="ignore"):  # a flat step of sigma* gives d_m = 0
+        d_tail = math.exp(estimate_tail(np.log(d)).log_beyond)  # 0 without a tail model
     G = float(np.sum(d) + d_tail)
     if not 0.0 < G < 0.5 + 1e-12:
         raise NonincreasingResult(f"recursion mass G = {G:.6f} outside (0, 1/2]")
@@ -246,7 +245,5 @@ def recover_predecessor(sigma: np.ndarray, *, source_tag: str = "recovered") -> 
     inv_nu = T * (np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]]) + d_tail)
     if inv_nu[-1] <= 0 or np.any(np.diff(inv_nu) > 1e-15):
         raise NonincreasingResult("recovered nu not increasing")
-    log_nu = -np.log(inv_nu)
     # nu are the quotients of the returned sequence (nu_0 = 1)
-    seq_log_M = np.concatenate([[0.0], np.cumsum(log_nu)])
-    return WeightSequence(seq_log_M, f"{source_tag}-predecessor")
+    return from_log_quotients(-np.log(inv_nu), f"{source_tag}-predecessor")

@@ -27,7 +27,8 @@ class SequenceSpecError(UltrajetError):
     """Invalid weight-sequence data.
 
     Codes: NON_LOGCONVEX, NOT_NORMALIZED, NON_POSITIVE, PREFIX_TOO_SHORT (a
-    check that needs K >= 8), PREFIX_MISMATCH (two sequences of different K).
+    check that needs K >= 8), PREFIX_MISMATCH (two sequences of different K),
+    PARAMS_MISMATCH (a matrix whose params and rows differ in number).
     """
 
 

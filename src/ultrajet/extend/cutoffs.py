@@ -54,28 +54,23 @@ def alpha_sequence(D: Descendant, Ndot: WeightSequence, p: int,
     """The order-p interpolation sequence with constant A.
 
     alpha_k = (2p)^k for k <= p and (A / sigma*_{p+1})^k Ndot_k beyond;
-    validity means the ratio sum sum_{k>=0} alpha_k/alpha_{k+1} (with a
-    geometric tail bound past the stored prefix) stays at most 1.
+    validity means the ratio sum sum_{k>=0} alpha_k/alpha_{k+1} stays at
+    most 1.  Past the stored k < n it is sigma*_{p+1} / A times the growth
+    row's tail sum_{j > n} 1/nudot_j, read from ``Ndot.tail``.
     """
     if p < 1:
         raise CutoffError(f"alpha_sequence needs p >= 1, got {p}", code="BAD_INDEX")
-    n = min(D.K_eff - 1, Ndot.K)
+    n = min(D.K_eff, Ndot.K) - 1
     p_used = min(p, n - 1)
     k = np.arange(n + 1, dtype=float)
-    log_np = np.cumsum(np.concatenate([[0.0], Ndot.log_mu]))[: n + 1]  # log Ndot_k
+    log_np = Ndot.log_M[: n + 1]  # log Ndot_k
     log_sig_star_next = D.log_sigma_star[p_used]  # sigma*_{p+1} (0-based index p)
     log_alpha = np.where(
         k <= p_used,
         k * math.log(2.0 * p),
         k * (math.log(A) - log_sig_star_next) + log_np)
     ratios = np.exp(log_alpha[:-1] - log_alpha[1:])
-    tail = 0.0
-    if n >= 2:
-        q = ratios[-1] / max(ratios[-2], 1e-300)
-        if q < 0.9:
-            tail = ratios[-1] * q / (1.0 - q)
-        else:
-            tail = ratios[-1] * n  # no decay detected: crude cap, flags invalid
+    tail = math.exp(log_sig_star_next - math.log(A) + Ndot.tail.log_T[n])
     total = float(np.sum(ratios) + tail)
     return AlphaSequence(p, A, log_alpha, total, total <= 1.0 + 1e-12)
 
@@ -97,7 +92,7 @@ class CutoffFamily:
 
     def log_derivative_bound(self, epsilon: float, t: float, k: int) -> float:
         """log of eps^k Ndot_k / h_s(B eps (t-1))."""
-        log_nd = float(np.sum(self.Ndot.log_mu[:k])) if k else 0.0
+        log_nd = float(self.Ndot.log_M[k])
         return (k * math.log(epsilon) + log_nd
                 - self.log_h_small_s(math.log(self.B) + math.log(epsilon)
                                      + math.log(t - 1.0)))
@@ -107,7 +102,9 @@ def make_cutoff_family(D: Descendant, Ndot: WeightSequence,
                        conv_depth: int = 24) -> CutoffFamily:
     """Search the smallest power-of-two A validating the ratio-sum bound at
     every order p = 1..p_cap, p_cap = min(K_eff - 2, 64), then freeze delta
-    and B.  :func:`build_cutoff` never uses an order above p_cap."""
+    and B.  :func:`build_cutoff` never uses an order above p_cap.  The ratio
+    sums read ``Ndot.tail``, which must pass ``require_reliable``."""
+    Ndot.tail.require_reliable(Ndot.family_tag)
     p_cap = min(D.K_eff - 2, 64)
     A = 1.0
     for _ in range(60):

@@ -115,7 +115,7 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
     xs = np.linspace(lo, hi, n_probes)
     d_all = cov.E.distance(xs)
     pos = d_all > 0
-    log_nd = np.concatenate([[0.0], np.cumsum(part.fam.Ndot.log_mu)])
+    log_nd = part.fam.Ndot.log_M
     log_b1_eps = math.log(part.B1) + math.log(part.epsilon)
     log_h = np.zeros(len(xs))
     # math.log, as in the bound's scalar form: NumPy's vector log can round
@@ -520,7 +520,7 @@ def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
     lo, hi = f.span
     xs = np.concatenate([np.linspace(lo, hi, n_probes),
                          rng.uniform(lo, hi, n_probes // 2)])
-    log_N = np.concatenate([[0.0], np.cumsum(out_row.log_mu)])
+    log_N = out_row.log_M
     per_k = {}
     for k, fk in enumerate(f(xs, order=range(0, cfg.p_max_eval + 1))):
         m = float(np.max(np.abs(fk)))

@@ -270,8 +270,7 @@ def omega_assoc(M: WeightSequence, log_t):
     where :func:`sigma_count` does."""
     lt = np.asarray(log_t, dtype=float)
     n = np.asarray(sigma_count(M, lt))
-    csum = np.concatenate([[0.0], np.cumsum(M.log_mu)])
-    om = n * np.where(n > 0, lt, 0.0) - csum[n]    # n = 0 reads 0, even at -inf
+    om = n * np.where(n > 0, lt, 0.0) - M.log_M[n]    # n = 0 reads 0, even at -inf
     return float(om) if om.ndim == 0 else om
 
 

@@ -1,14 +1,16 @@
-"""Tail estimation for sums over a stored prefix.
+"""Tail estimation for sums over a stored prefix, in the log domain.
 
 The descendant construction and every decision check need values of
-``sum_{j >= k} 1/nu_j`` while only ``j <= K`` is stored.  Two estimators
-cover the sequences we meet:
+``sum_{j >= k} 1/nu_j`` while only ``j <= K`` is stored.  One path serves
+every row: it reads log 1/nu_j and returns logs, since rows from weight
+functions carry 1/nu_j far below double range.  Two estimators cover the
+sequences we meet:
 
 * power-law fit ``log(1/nu_j) ~ log a - b log j + sum_q c_q j^{-q}`` on the
   tail half of the prefix, summed past K with Hurwitz zeta values (after
   expanding the exponential of the correction series to matching order);
-  :func:`hurwitz_zeta` computes them in NumPy, a short direct sum closed
-  by the Euler-Maclaurin formula with the Bernoulli numbers B_2..B_16;
+  :func:`hurwitz_zeta` computes them scaled, so the sum's log needs no
+  double of a;
 * a geometric bracket from the last quotient, for super-power decay where
   the log-log fit has no meaning.
 
@@ -33,7 +35,6 @@ from .errors import TailUnreliable
 FIT_ORDERS = 4
 RESID_GOOD = 1e-7
 TAIL_REL_CAP = 0.01  # the one cap: largest tail bound / partial sum
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 # B_2j / (2j)! for j = 1..8, the Euler-Maclaurin coefficients of hurwitz_zeta
@@ -42,15 +43,16 @@ _EM_COEFFS = tuple(float(Fraction(b) / math.factorial(2 * j)) for j, b in enumer
 
 
 def hurwitz_zeta(s, a: float) -> np.ndarray:
-    """Hurwitz zeta(s, a) = sum_{n >= 0} (a + n)^-s, entry by entry of s.
+    """Scaled Hurwitz zeta a^s zeta(s, a) = sum_{n >= 0} (1 + n/a)^-s, entry
+    by entry of s: near 1 for any s, where zeta(s, a) leaves double range.
 
     Every entry of ``s`` must exceed 1 and ``a >= 1``.  For each entry the
     first N = max(0, ceil(s - a) + 10) terms are summed directly, smallest
-    first; the rest is the Euler-Maclaurin tail at x = a + N,
+    first; the rest is a^s times the Euler-Maclaurin tail at x = a + N,
     x^(1-s)/(s-1) + x^-s/2 + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) x^(-s-2j+1),
-    j = 1..8.  The result is within 3e-15 relative of zeta for s <= 60
-    (within 5e-16 for s <= 12), and every entry equals its one-element call
-    bit for bit.
+    j = 1..8.  The result is within 3e-15 relative for s <= 60 (within
+    5e-16 for s <= 12), and every entry equals its one-element call bit for
+    bit.
     """
     s = np.asarray(s, dtype=float)
     n = np.maximum(0.0, np.ceil(s - a) + 10.0)
@@ -59,9 +61,9 @@ def hurwitz_zeta(s, a: float) -> np.ndarray:
     # own N (row max N always); accumulate adds them strictly in this order,
     # so the zeros ahead of an entry's terms leave its sum unchanged
     m = np.arange(np.max(n), -1.0, -1.0)
-    rows = np.where(np.less.outer(m, n), np.power.outer(a + m, -s), 0.0)
+    rows = np.where(np.less.outer(m, n), np.power.outer((a + m) / a, -s), 0.0)
     direct = np.add.accumulate(rows, axis=0)[-1]
-    x_s = x ** -s
+    x_s = (x / a) ** -s
     # the Bernoulli sum by Horner's rule, smallest term first: term j + 1 is
     # term j times (s + 2j - 1)(s + 2j) / x^2
     tail = _EM_COEFFS[-1]
@@ -72,17 +74,22 @@ def hurwitz_zeta(s, a: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    beyond: float          # estimate of sum_{j > K} of the sequence
-    err_bar: float         # absolute uncertainty of `beyond`
+    log_beyond: float      # log of the estimate of sum_{j > K} of the sequence
+    log_err: float         # log of the absolute uncertainty of the estimate
     method: str            # "powerlaw" | "geometric" | "none"
     fitted_decay: float    # exponent b of j^-b, or +inf for geometric
 
 
-def _powerlaw_fit(vals: np.ndarray, K: int, orders: int, lo_frac: float):
+_NO_TAIL = TailEstimate(-math.inf, math.inf, "none", float("nan"))
+
+
+def _powerlaw_fit(log_vals: np.ndarray, K: int, orders: int, lo_frac: float):
+    """(log of the fitted sum past K, max residual on the window), or None:
+    log a - b log(K+1) + log sum_q e_q (K+1)^-q a^s zeta(s, K+1), s = b + q."""
     j = np.arange(1, K + 1, dtype=float)
     w = slice(int(lo_frac * K), K)
     jw = j[w]
-    yw = np.log(vals[w])
+    yw = log_vals[w]
     cols = [np.ones_like(jw), np.log(jw)] + [(K / jw) ** q for q in range(1, orders + 1)]
     X = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(X, yw, rcond=None)
@@ -100,47 +107,39 @@ def _powerlaw_fit(vals: np.ndarray, K: int, orders: int, lo_frac: float):
         e[n] = sum(m * c[m] * e[n - m] for m in range(1, n + 1)) / n
     if np.max(np.abs(e[1:]) * (1.0 / K) ** np.arange(1, orders + 1)) > 0.5:
         return None  # corrections too large on the window: not power-law data
-    if coef[0] > _LOG_DOUBLE_MAX:
-        return None  # the fitted amplitude a leaves double range
-    a = math.exp(coef[0])
-    z = hurwitz_zeta(b + np.arange(orders + 1), K + 1)
-    est = a * sum(float(e[q]) * float(z[q]) for q in range(0, orders + 1))
-    if not np.isfinite(est) or est < 0:
+    q = np.arange(orders + 1)
+    z = hurwitz_zeta(b + q, K + 1)
+    scaled = sum(float(e[i]) * float(z[i]) * (K + 1.0) ** -i for i in q)
+    if not np.isfinite(scaled) or scaled <= 0:
         return None
-    return est, resid
+    return coef[0] - b * math.log(K + 1.0) + math.log(scaled), resid
 
 
-def estimate_tail(vals: np.ndarray, *, positive: bool = True) -> TailEstimate:
-    """Estimate sum_{j > K} v_j from samples v_1..v_K of a decaying sequence."""
-    vals = np.asarray(vals, dtype=float)
-    K = len(vals)
-    if K < 16 or np.any(vals <= 0):
-        return TailEstimate(0.0, float("inf"), "none", float("nan"))
+def estimate_tail(log_vals: np.ndarray) -> TailEstimate:
+    """Estimate sum_{j > K} v_j from log v_1..log v_K of a decaying sequence;
+    a zero term (log -inf) in the second half, where the rules read, leaves
+    it without a tail model."""
+    log_vals = np.asarray(log_vals, dtype=float)
+    K = len(log_vals)
+    if K < 16 or not np.all(np.isfinite(log_vals[K // 2:])):
+        return _NO_TAIL
 
-    fits = {}
-    for orders, frac in [(FIT_ORDERS, 0.5), (FIT_ORDERS - 1, 0.5), (FIT_ORDERS, 0.75)]:
-        fits[(orders, frac)] = _powerlaw_fit(vals, K, orders, frac)
-    main = fits[(FIT_ORDERS, 0.5)]
-
-    ratios = vals[-8:] / vals[-9:-1]
-    r = float(ratios[-1])
-    geo_ok = np.all(ratios < 0.999) and r < 0.999
-    geo = vals[-1] * r / (1.0 - r) if geo_ok else float("inf")
-
+    main, alt1, alt2 = (_powerlaw_fit(log_vals, K, orders, frac) for orders, frac in
+                        [(FIT_ORDERS, 0.5), (FIT_ORDERS - 1, 0.5), (FIT_ORDERS, 0.75)])
+    steps = np.diff(log_vals[-9:])
     if main is not None and main[1] < RESID_GOOD:
-        est, resid = main
-        alt1 = fits[(FIT_ORDERS - 1, 0.5)]
-        alt2 = fits[(FIT_ORDERS, 0.75)]
-        spread = sum(abs(est - a[0]) for a in (alt1, alt2) if a is not None)
-        err = 4.0 * spread + 3.0 * resid * est + 1e-15 * est
-        return TailEstimate(float(est), float(err), "powerlaw",
-                            float(-np.log(vals[-1] / vals[-2]) / np.log(K / (K - 1.0))))
-    if geo_ok:
+        log_est, resid = main
+        spread = sum(abs(math.expm1(a[0] - log_est)) for a in (alt1, alt2) if a is not None)
+        rel_err = 4.0 * spread + 3.0 * resid + 1e-15
+        return TailEstimate(float(log_est), float(log_est + math.log(rel_err)), "powerlaw",
+                            float(-steps[-1] / np.log(K / (K - 1.0))))
+    if np.all(steps < math.log(0.999)):
         # quotients of a log-convex nu give decreasing ratios: geometric sum
-        # with the last ratio is an upper bracket, one extra term the lower
-        lo = vals[-1] * r
-        return TailEstimate(float(geo), float(abs(geo - lo)), "geometric", float("inf"))
-    return TailEstimate(0.0, float("inf"), "none", float("nan"))
+        # with the last ratio r is an upper bracket, one extra term the lower
+        log_r = float(steps[-1])
+        log_geo = float(log_vals[-1]) + log_r - math.log1p(-math.exp(log_r))
+        return TailEstimate(log_geo, log_geo + log_r, "geometric", float("inf"))
+    return _NO_TAIL
 
 
 @dataclass(frozen=True)
@@ -149,51 +148,25 @@ class SuffixSums:
 
     log_T: np.ndarray      # log sum_{j >= k} v_j, k = 1..K (index 0 is k = 1)
     est: TailEstimate
-    bound: float           # tail estimate plus its error bar (inf: no decay found)
-    total: float           # the partial sum the bound is judged against
 
     def __post_init__(self):
         self.log_T.flags.writeable = False  # a row's one tail, shared by its readers
 
     def require_reliable(self, tag: str) -> None:
         """Raise TAIL_UNRELIABLE, naming the row ``tag``, when the tail bound
-        exceeds ``TAIL_REL_CAP`` times the partial sum."""
-        if math.isinf(self.bound):
-            raise TailUnreliable(f"{tag}: no decay detected in deep-underflow regime for sum 1/nu")
-        if self.bound > TAIL_REL_CAP * self.total:
+        (estimate plus error bar, infinite without a tail model) exceeds
+        ``TAIL_REL_CAP`` times the partial sum."""
+        log_bound = np.logaddexp(self.est.log_beyond, self.est.log_err)
+        if log_bound > math.log(TAIL_REL_CAP) + self.log_T[0]:
             raise TailUnreliable(
-                f"{tag}: tail bound {self.bound:.3e} exceeds {TAIL_REL_CAP:.0%} "
-                f"of partial sum 1/nu {self.total:.3e}")
+                f"{tag}: tail bound {np.exp(log_bound):.3e} exceeds {TAIL_REL_CAP:.0%} "
+                f"of partial sum 1/nu {np.exp(self.log_T[0]):.3e}")
 
 
 def log_suffix_sums(log_vals: np.ndarray) -> SuffixSums:
-    """Suffix sums ``T_k = sum_{j >= k} v_j`` of v = exp(log_vals), with the
-    estimated tail past the prefix, in the log domain; never raises.
-
-    Values within double range are summed directly and the tail comes from
-    :func:`estimate_tail`; otherwise the running sums accumulate with
-    logaddexp and the tail past the prefix is bounded geometrically from the
-    last log-decrements.
-    """
-    log_vals = np.asarray(log_vals, dtype=float)
-    if np.min(log_vals) > -700.0:
-        vals = np.exp(log_vals)
-        est = estimate_tail(vals)
-        finite = np.isfinite(est.err_bar)
-        beyond = est.beyond if finite else 0.0
-        suffix = np.cumsum(vals[::-1])[::-1] + beyond
-        # undetectable decay: treat the last term as the scale of the tail
-        bound = beyond + est.err_bar if finite else vals[-1] * len(vals)
-        return SuffixSums(np.log(suffix), est, float(bound), float(suffix[0]))
-    steps = np.diff(log_vals[-8:])
-    q = float(np.exp(steps[-1]))
-    if np.any(steps > -1e-12) or q >= 0.999:
-        log_beyond = float(log_vals[-1])  # crude: one more comparable term
-        est = TailEstimate(0.0, float("inf"), "none", float("nan"))
-    else:
-        log_beyond = (float(log_vals[-1] + math.log(q / (1.0 - q)))
-                      if q > 0.0 else -math.inf)
-        est = TailEstimate(0.0, 0.0, "geometric-log", float("inf"))
-    rev = np.concatenate([[log_beyond], log_vals[::-1]])
-    log_T = np.logaddexp.accumulate(rev)[1:][::-1]
-    return SuffixSums(log_T, est, est.beyond + est.err_bar, float(np.exp(log_T[0])))
+    """Suffix sums ``T_k = sum_{j >= k} v_j`` of v = exp(log_vals): the
+    prefix's running sums, accumulated in logs from the end, plus the tail
+    past the prefix from :func:`estimate_tail`; never raises."""
+    est = estimate_tail(log_vals)
+    log_T = np.logaddexp(np.logaddexp.accumulate(log_vals[::-1])[::-1], est.log_beyond)
+    return SuffixSums(log_T, est)

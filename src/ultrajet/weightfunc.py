@@ -149,6 +149,9 @@ class WeightMatrix:
     origin: str = "manual"
 
     def __post_init__(self):
+        if len(self.params) != len(self.rows):
+            raise SequenceSpecError(f"matrix has {len(self.rows)} rows but "
+                                    f"{len(self.params)} params", code="PARAMS_MISMATCH")
         if list(self.params) != sorted(self.params) or len(set(self.params)) != len(self.params):
             raise SequenceSpecError("matrix params must be strictly increasing",
                                     code="NON_POSITIVE")

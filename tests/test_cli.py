@@ -292,7 +292,7 @@ class TestSerial:
 
 NO_SCIPY_RUN = """
 import sys
-from ultrajet import cli, decide, descend, jets, seqcalc, weightfunc as wf
+from ultrajet import cli, decide, jets, seqcalc, weightfunc as wf
 from ultrajet.extend import ExtensionConfig, extend_jet
 w = wf.omega_s(2)
 v = decide.decide_extension_property(wf.associated_matrix(w, K=512), weight_function=w)
@@ -301,7 +301,7 @@ F = jets.sample_jet({"kind": "exp"}, jets.CompactSet1D(points=(0.0,)), 3)
 mat = wf.matrix_from_rows([seqcalc.gevrey(2, K=512)], params=[1.0])
 extend_jet(F, mat, ExtensionConfig(p_max_eval=3, d_min=1e-3))
 # the power-law tail estimate is the one that sums Hurwitz zeta values
-assert descend.descend(mat.rows[0]).tail_info.method == "powerlaw"
+assert mat.rows[0].tail.est.method == "powerlaw"
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
 """
 

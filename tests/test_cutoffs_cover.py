@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import polygamma
 
 from ultrajet import descend as dsc
 from ultrajet import seqcalc as sq
@@ -32,6 +33,16 @@ class TestAlphaSequence:
         for p in (1, 2, 5):
             a = cutoffs.alpha_sequence(fam.D, fam.Ndot, p, fam.A)
             assert a.log_alpha[0] == 0.0
+
+    def test_ratio_sum_reads_the_growth_row_tail(self, gev2_family):
+        # past the stored k < 255 the ratios are sigma*_{p+1} / (A (k+1)^2):
+        # their sum is sigma*_{p+1} / A times psi'(256)
+        fam = gev2_family
+        for p in (1, 8, 64):
+            a = cutoffs.alpha_sequence(fam.D, fam.Ndot, p, 32.0)
+            stored = np.sum(np.exp(a.log_alpha[:-1] - a.log_alpha[1:]))
+            past = math.exp(fam.D.log_sigma_star[p]) / 32.0 * float(polygamma(1, 256))
+            assert a.ratio_sum == pytest.approx(stored + past, rel=1e-12)
 
     def test_lattice_values(self, gev2_family):
         # alpha_k = (2p)^k below the order: p=2, k=1 -> 4

@@ -40,10 +40,12 @@ class TestDescend:
         assert np.min(gap) > -3.0          # and within a bounded factor
 
     def test_monotone_in_tail_handling(self, kplus1_sq):
+        N2 = kplus1_sq.truncated(900)
         D1 = dsc.descend(kplus1_sq, K_eff=256)
-        D2 = dsc.descend(kplus1_sq.truncated(900), K_eff=256)
+        D2 = dsc.descend(N2, K_eff=256)
         dev = np.abs(np.exp(D1.log_tau - D2.log_tau) - 1.0)
-        assert np.max(dev) < max(D1.tail_info.err_bar, D2.tail_info.err_bar, 1e-8) * 100
+        err = np.exp(max(kplus1_sq.tail.est.log_err, N2.tail.est.log_err))
+        assert np.max(dev) < max(err, 1e-8) * 100
 
 
 class TestLemma42:

@@ -58,16 +58,17 @@ def test_sequence_table_of_the_top_omega2_row_is_its_log_data(omega2_rho64):
 
 def test_power_law_tail_with_amplitude_past_double_range():
     # 1/nu_j = a j^-250 with log a = 250 log 32 = 866 on the fitted window:
-    # the fit's amplitude has no double, so the tail comes from the
-    # geometric bracket instead of a zero
+    # the amplitude has no double, but the fit and its sum are logs
     j = np.arange(1, 65, dtype=float)
     log_a, b = 250 * math.log(32.0), 250.0
-    vals = np.exp(np.where(j < 32, 0.0, log_a - b * np.log(j)))
+    log_vals = np.where(j < 32, 0.0, log_a - b * np.log(j))
     n = np.arange(65.0, 20_000.0)
-    true = math.exp(np.logaddexp.reduce(log_a - b * np.log(n)))
-    est = tails.estimate_tail(vals)
-    assert est.method == "geometric"
-    assert est.beyond == pytest.approx(true, rel=0.1)
+    log_true = np.logaddexp.reduce(log_a - b * np.log(n))
+    est = tails.estimate_tail(log_vals)
+    assert est.method == "powerlaw"
+    rel = abs(math.expm1(est.log_beyond - log_true))
+    assert rel <= 1e-10
+    assert math.log(rel) + log_true <= est.log_err  # |estimate - truth| <= error bar
 
 
 def _omega_doubling_full_grid(M):

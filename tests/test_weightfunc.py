@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 from ultrajet import seqcalc as sq
+from ultrajet import serial
 from ultrajet import weightfunc as wf
 from ultrajet.errors import ConjugateUnbounded, SequenceSpecError
 from ultrajet.report import (FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
@@ -149,6 +150,17 @@ class TestMatrix:
                                            for u in np.linspace(0.05, 40, 300)])
         mat = wf.associated_matrix(w, params=[0.5, 1.0, 2.0], K=32)
         assert _pointwise_ordered(mat)
+
+    def test_params_and_rows_must_match(self):
+        g2, g3 = sq.gevrey(2, K=16), sq.gevrey(3, K=16)
+        with pytest.raises(SequenceSpecError, match="2 rows but 1 params") as exc:
+            wf.matrix_from_rows([g2, g3], params=[1.0])
+        assert exc.value.code == "PARAMS_MISMATCH"
+        spec = {"kind": "rows", "K": 16, "params": [1.0, 2.0, 3.0],
+                "rows": [{"family": "gevrey", "params": {"s": s}} for s in (2, 3)]}
+        with pytest.raises(SequenceSpecError) as exc:
+            serial.matrix_from_spec(spec)
+        assert exc.value.code == "PARAMS_MISMATCH"
 
     def test_table_past_its_slope_is_named(self):
         # omega = (log t)^2.2 on 60 knots up to log t = 40: phi's last slope
