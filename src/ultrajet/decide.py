@@ -203,11 +203,12 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
 
     The headline verdict is the per-row tail condition (5.19); for matrices
     derived from a weight function the cross-parameter form and the averaged
-    integral condition are evaluated alongside.  Admissibility is checked
-    first with sampling semantics: conditions (1)-(3) failing is an error,
-    or with ``require_admissible=False`` an UNDECIDED_IN_SAMPLE verdict whose
-    ``warning`` names them; existential conditions missing witnesses only for
-    a suffix of rows is reported but tolerated (sampling boundary).
+    integral condition are reported alongside and do not move the headline.
+    Admissibility is checked first with sampling semantics: conditions
+    (1)-(3) failing is an error, or with ``require_admissible=False`` an
+    UNDECIDED_IN_SAMPLE verdict whose ``warning`` names them; existential
+    conditions missing witnesses only for a suffix of rows is reported but
+    tolerated (sampling boundary).
     """
     adm = check_admissible_matrix(mat)
     hard_bad = [cid for cid in ("4.6-1", "4.6-2", "4.6-3")
@@ -227,12 +228,6 @@ def decide_extension_property(mat: WeightMatrix, *, weight_function=None,
         cor = check_omega_nonquasianalytic(weight_function)
         verdicts["cor5.13-2"] = v19.to_dict()  # same condition, per-parameter form
         verdicts["cor5.13-3"] = {k: v.to_dict() for k, v in cor.items()}
-        three = [headline == HOLDS,
-                 cor["averaged"].verdict == HOLDS]
-        if all(three):
-            headline = HOLDS
-        elif any(v == FAILS for v in [headline, cor["averaged"].verdict]):
-            headline = FAILS if headline == FAILS else headline
     if hard_bad:
         headline = None
         verdicts["warning"] = (f"admissibility {hard_bad} fails in sample: the "

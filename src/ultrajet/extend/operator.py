@@ -84,10 +84,9 @@ def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
 
 
 def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n: int) -> float:
-    """Smallest power-of-two C <= 2^59 with h_num(t) <= h_den(C t)^n at 48
-    values of log t evenly spaced from -0.9 log mu_K (of ``s_num``) to -1e-3."""
-    grid = np.linspace(-0.9 * float(s_num.log_mu[-1]), -1e-3, 48)
-    e = math.ceil(h_power_log_constant(s_num, s_den, n, grid) / math.log(2.0))
+    """Smallest power-of-two C <= 2^59 with h_num(t) <= h_den(C t)^n on the
+    grid of :func:`~ultrajet.seqcalc.h_power_log_constant`."""
+    e = math.ceil(h_power_log_constant(s_num, s_den, n) / math.log(2.0))
     if e > 59:
         raise ExtensionError(f"no C up to 2^59 satisfies h_num(t) <= h_den(C t)^{n}",
                              code="ROW_CHAIN_UNAVAILABLE")
@@ -177,8 +176,6 @@ class ExtensionConfig:
 
 @dataclass(frozen=True)
 class RowChain:
-    base: WeightSequence
-    dot: WeightSequence
     ddot: WeightSequence
     indices: tuple
     S: Descendant
@@ -222,7 +219,7 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
     i1 = find_link(i0)
     i2 = find_link(i1)
     desc = {i: descend(mat.rows[i], K_eff=K_eff) for i in dict.fromkeys((i0, i1, i2))}
-    return RowChain(mat.rows[i0], mat.rows[i1], mat.rows[i2], (i0, i1, i2),
+    return RowChain(mat.rows[i2], (i0, i1, i2),
                     desc[i0], desc[i1], desc[i2])
 
 

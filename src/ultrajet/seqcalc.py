@@ -381,13 +381,11 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
     out = _pairwise_log_witness(M.log_M, Mdot.log_M, 0)
     rep14 = report_from_log_witnesses(out, K, note="M_{k+j} <= C^{k+j} Mdot_j Mdot_k")
 
-    # (2.12): h_M(t) <= h_Mdot(Ct)^2 on a trusted log grid of t; the witness
-    # is log C rounded up to a half-unit grid, infinite from 1400 on
-    t_grid = _trusted_t_grid(M, 64)
-
+    # (2.12): h_M(t) <= h_Mdot(Ct)^2 on each prefix's own grid of t; the
+    # witness is log C rounded up to a half-unit grid, infinite from 1400 on
     def logC_12(upto_K: int) -> float:
         c = math.ceil(2.0 * h_power_log_constant(
-            M.truncated(upto_K), Mdot.truncated(upto_K), 2, t_grid)) / 2.0
+            M.truncated(upto_K), Mdot.truncated(upto_K), 2)) / 2.0
         return c if c < 1400.0 else float("inf")
 
     rep12 = report_from_prefix_witnesses(
@@ -412,17 +410,16 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
     return {"2.11": rep11, "2.12": rep12, "2.13": rep13, "2.14": rep14}
 
 
-def h_power_log_constant(M: WeightSequence, N: WeightSequence, n: int,
-                         log_t: np.ndarray) -> float:
-    """Smallest log C >= 0 with log h_M(t) <= n log h_N(C t) + 1e-9 at every
-    grid point ``log_t``.
+def h_power_log_constant(M: WeightSequence, N: WeightSequence, n: int) -> float:
+    """Smallest log C >= 0 with log h_M(t) <= n log h_N(C t) + 1e-9 at 48
+    values of log t evenly spaced from -0.9 log mu_K (of ``M``) to -1e-3.
 
     No search: x -> log h_N(e^x) = min_k (log N_k + k x) is concave and
     nondecreasing, so log h_N(e^x) >= y exactly when
     x >= max_{k >= 1} (y - log N_k) / k (the k = 0 term 0 >= y holds because
     h_M <= 1).  The answer is the largest such x - log t over the grid.
     """
-    lt = np.asarray(log_t, dtype=float)
+    lt = np.linspace(-0.9 * float(M.log_mu[-1]), -1e-3, 48)
     y = (log_h_assoc(M, lt) - 1e-9) / n
     x_star = np.max((y[:, None] - N.log_M[1:]) / np.arange(1, N.K + 1), axis=1)
     return max(0.0, float(np.max(x_star - lt)))
@@ -449,16 +446,6 @@ def gamma_doubling_lambda(M: WeightSequence,
         if np.all(2 * k1[:n] <= g[:n]):
             return lam, n
     return None, 0
-
-
-def _trusted_t_grid(M: WeightSequence, n: int) -> np.ndarray:
-    """Log-spaced log-t grid inside (1/mu_K, 1/mu_1), where h is trusted."""
-    lo = -M.log_mu[-1] * 0.9
-    hi = -M.log_mu[0] if M.log_mu[0] > 0 else -M.log_mu[max(1, M.K // 8)]
-    hi = min(hi, -1e-3)
-    if lo >= hi:
-        lo = hi - 10.0
-    return np.linspace(lo, hi, n)
 
 
 def check_nonquasianalytic(N: WeightSequence) -> CheckReport:

@@ -77,10 +77,9 @@ class TailEstimate:
     log_beyond: float      # log of the estimate of sum_{j > K} of the sequence
     log_err: float         # log of the absolute uncertainty of the estimate
     method: str            # "powerlaw" | "geometric" | "none"
-    fitted_decay: float    # exponent b of j^-b, or +inf for geometric
 
 
-_NO_TAIL = TailEstimate(-math.inf, math.inf, "none", float("nan"))
+_NO_TAIL = TailEstimate(-math.inf, math.inf, "none")
 
 
 def _powerlaw_fit(log_vals: np.ndarray, K: int, orders: int, lo_frac: float):
@@ -126,19 +125,18 @@ def estimate_tail(log_vals: np.ndarray) -> TailEstimate:
 
     main, alt1, alt2 = (_powerlaw_fit(log_vals, K, orders, frac) for orders, frac in
                         [(FIT_ORDERS, 0.5), (FIT_ORDERS - 1, 0.5), (FIT_ORDERS, 0.75)])
-    steps = np.diff(log_vals[-9:])
     if main is not None and main[1] < RESID_GOOD:
         log_est, resid = main
         spread = sum(abs(math.expm1(a[0] - log_est)) for a in (alt1, alt2) if a is not None)
         rel_err = 4.0 * spread + 3.0 * resid + 1e-15
-        return TailEstimate(float(log_est), float(log_est + math.log(rel_err)), "powerlaw",
-                            float(-steps[-1] / np.log(K / (K - 1.0))))
+        return TailEstimate(float(log_est), float(log_est + math.log(rel_err)), "powerlaw")
+    steps = np.diff(log_vals[-9:])
     if np.all(steps < math.log(0.999)):
         # quotients of a log-convex nu give decreasing ratios: geometric sum
         # with the last ratio r is an upper bracket, one extra term the lower
         log_r = float(steps[-1])
         log_geo = float(log_vals[-1]) + log_r - math.log1p(-math.exp(log_r))
-        return TailEstimate(log_geo, log_geo + log_r, "geometric", float("inf"))
+        return TailEstimate(log_geo, log_geo + log_r, "geometric")
     return _NO_TAIL
 
 

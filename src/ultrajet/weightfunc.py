@@ -5,10 +5,10 @@ A weight function omega is a continuous increasing gauge vanishing on
 conjugate phi*(x) = sup_y (xy - phi(y)) generates a one-parameter family of
 weight sequences log W_k^x = phi*(x k) / x, the associated weight matrix.
 
-The closed-form family omega_s(t) = max(0, (log t)^s) has
-phi_s*(x) = C_s x^r with r = s/(s-1) and C_s = (s-1) s^{-r}; rows built
-from it use the closed form and are cross-checked against the numerical
-conjugate.
+phi* is exact for both kinds, with no search: the family
+omega_s(t) = max(0, (log t)^s) has phi_s*(x) = C_s x^r with r = s/(s-1) and
+C_s = (s-1) s^{-r}, and a table's phi is piecewise linear, so its conjugate
+is a maximum over the knots.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from .errors import ConjugateUnbounded, SequenceSpecError
 from .report import (CheckReport, FAILS, HOLDS, INCONCLUSIVE, NOT_WITNESSED,
                      log_witness_maxima, report_from_log_witnesses, trend_verdict)
 from .seqcalc import validate_sequence
-
-TERNARY_REL_TOL = 1e-10
-Y_MAX_CAP = 1e12
 
 # Default parameter grid; geometric so that the (x, 4x) pairs needed by the
 # matrix moderate-growth condition are always present.
@@ -84,60 +81,49 @@ def omega_s(s: float) -> WeightFunction:
 
 
 def omega_table(points) -> WeightFunction:
+    """Weight function interpolating ``(t, omega(t))`` knots linearly in
+    log t; phi must be convex, so the slopes in log t may not drop."""
     pts = sorted((float(t), float(v)) for t, v in points)
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    if np.any(t <= 0) or np.any(v < 0) or np.any(np.diff(v) < 0):
-        raise SequenceSpecError("omega table must be positive and nondecreasing",
-                                code="NON_POSITIVE")
-    return WeightFunction("table", table_log_t=np.log(t), table_w=v)
-
-
-def omega_s_conjugate_exact(s: float, x) -> np.ndarray:
-    """phi_s*(x) = C_s x^r with r = s/(s-1), C_s = (s-1) s^{-r}."""
-    r = s / (s - 1.0)
-    C_s = (s - 1.0) * s ** (-r)
-    return C_s * np.power(np.asarray(x, dtype=float), r)
+    if len(t) < 2 or np.any(t <= 0) or np.any(np.diff(t) <= 0) or np.any(v < 0) \
+            or np.any(np.diff(v) < 0):
+        raise SequenceSpecError("omega table must be positive and nondecreasing, "
+                                "with two or more distinct t", code="NON_POSITIVE")
+    log_t = np.log(t)
+    slope = np.diff(v) / np.diff(log_t)
+    drops = np.flatnonzero(slope[1:] < slope[:-1] - 1e-9 * np.maximum(1.0, slope[:-1]))
+    if drops.size:
+        i = int(drops[0]) + 1
+        raise SequenceSpecError(
+            f"omega table is not convex in log t: its slope drops from "
+            f"{slope[i - 1]:.6g} to {slope[i]:.6g} at knot t = {t[i]:.6g}",
+            code="NON_LOGCONVEX")
+    return WeightFunction("table", table_log_t=log_t, table_w=v)
 
 
 def young_conjugate(w: WeightFunction, x):
-    """phi*(x) = sup_{y >= 0} (x y - phi(y)) by ternary search, for a float
-    or, lane by lane, for an array of x.
+    """phi*(x) = sup_{y >= 0} (x y - phi(y)), exactly, for a float or, entry
+    by entry, for an array of x >= 0.
 
-    The conjugand is concave in y (phi convex), so each lane brackets its
-    unique maximizer by doubling y_max until the conjugand decreases, then
-    narrows the bracket until it is shorter than TERNARY_REL_TOL relative.
+    omega_s: the closed form C_s x^r.  A table: phi is linear between its
+    knots and past the last one, so the sup is the largest x y - phi(y) over
+    y = 0 and the knots y >= 0, floored at 0 (omega vanishes at t = 1), and
+    it is infinite for x above ``last_slope`` (``ConjugateUnbounded``).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise SequenceSpecError("young_conjugate needs x >= 0", code="NON_POSITIVE")
-    xs = x.ravel()
-    f = lambda i, y: xs[i] * y - w.phi(y)
-    # concavity: once f(2y) < f(y) the maximizer lies below 2y
-    y_hi = np.ones_like(xs)
-    i = np.flatnonzero(xs > 0.0)
-    while i.size:
-        i = i[f(i, 2.0 * y_hi[i]) >= f(i, y_hi[i])]
-        y_hi[i] *= 2.0
-        if np.any(y_hi[i] > Y_MAX_CAP):
-            raise ConjugateUnbounded(
-                f"x y - phi(y) still increasing at y = {y_hi[i].max():.2e}; "
-                "omega grows too slowly (log t = o(omega) violated)")
-    y_hi *= 2.0
-    y_lo = np.zeros_like(xs)
-    i = np.flatnonzero(xs > 0.0)
-    while True:
-        i = i[y_hi[i] - y_lo[i] > TERNARY_REL_TOL * np.maximum(1.0, y_hi[i])]
-        if not i.size:
-            break
-        m1 = y_lo[i] + (y_hi[i] - y_lo[i]) / 3.0
-        m2 = y_hi[i] - (y_hi[i] - y_lo[i]) / 3.0
-        left = f(i, m1) < f(i, m2)
-        y_lo[i[left]] = m1[left]
-        y_hi[i[~left]] = m2[~left]
-    y = 0.5 * (y_lo + y_hi)
-    out = np.where(xs > 0.0, np.maximum(0.0, xs * y - w.phi(y)), 0.0)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    if w.kind == "omega_s":
+        r = w.s / (w.s - 1.0)
+        out = (w.s - 1.0) * w.s ** (-r) * np.power(x, r)
+    else:
+        if np.any(x > w.last_slope):
+            raise ConjugateUnbounded(f"phi*(x) is infinite for x > {w.last_slope:.6g}, "
+                                     f"the slope of phi past the table; got x = {x.max():g}")
+        y = np.append(0.0, w.table_log_t[w.table_log_t > 0.0])
+        out = np.maximum(0.0, np.max(np.multiply.outer(x, y) - w.phi(y), axis=-1))
+    return float(out) if x.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -168,51 +154,22 @@ class WeightMatrix:
         return len(self.rows)
 
 
-def associated_matrix(w: WeightFunction, params=DEFAULT_PARAMS, K: int = 512,
-                      crosscheck: bool = True) -> WeightMatrix:
-    """Rows log W_k^x = phi*(x k) / x for each parameter x.
-
-    omega_s uses the closed form and (optionally) cross-checks a sample of
-    entries against the numerical conjugate.  Rows inherit log-convexity
-    from convexity of phi*; sub-rounding violations from the numerical
-    conjugate are clamped and anything larger is an error.
+def associated_matrix(w: WeightFunction, params=DEFAULT_PARAMS, K: int = 512) -> WeightMatrix:
+    """Rows log W_k^x = phi*(x k) / x for each parameter x, from the exact
+    :func:`young_conjugate`; the rows inherit log-convexity from convexity
+    of phi*.
     """
     params = tuple(sorted(float(p) for p in params))
     k = np.arange(K + 1, dtype=float)
-    if w.kind == "omega_s":
-        log_rows = [omega_s_conjugate_exact(w.s, x * k) / x for x in params]
-        if crosscheck:
-            kk = np.array([1, 2, 5, min(17, K)])
-            x = np.array(params)[:, None]
-            num = young_conjugate(w, x * kk) / x
-            exact = np.array([r[kk] for r in log_rows])
-            bad = np.abs(num - exact) > 1e-6 * np.maximum(1.0, np.abs(exact))
-            if np.any(bad):
-                i, c = np.unravel_index(np.argmax(bad), bad.shape)
-                raise SequenceSpecError(
-                    f"closed-form/numeric conjugate mismatch at x={params[i]}, k={kk[c]}",
-                    code="NON_POSITIVE")
-    else:
-        # phi is linear past the table, so phi*(x k) is finite iff x k <= its slope
-        if params[-1] * K > w.last_slope:
-            raise ConjugateUnbounded(
-                f"phi*(x k) is infinite for x k > {w.last_slope:.6g}, the slope of phi "
-                f"past the table's last log t = {w.table_log_t[-1]:.6g}; at K = {K} "
-                f"x must be <= {w.last_slope / K:.6g}, got x = {params[-1]:g}")
-        log_rows = [_clamp_tiny_quotient_dips(young_conjugate(w, x * k) / x)
-                    for x in params]
-    rows = [validate_sequence(r, f"{w.tag}|x={x:g}") for x, r in zip(params, log_rows)]
+    # phi is linear past the table, so phi*(x k) is finite iff x k <= its slope
+    if w.kind == "table" and params[-1] * K > w.last_slope:
+        raise ConjugateUnbounded(
+            f"phi*(x k) is infinite for x k > {w.last_slope:.6g}, the slope of phi "
+            f"past the table's last log t = {w.table_log_t[-1]:.6g}; at K = {K} "
+            f"x must be <= {w.last_slope / K:.6g}, got x = {params[-1]:g}")
+    rows = [validate_sequence(young_conjugate(w, x * k) / x, f"{w.tag}|x={x:g}")
+            for x in params]
     return WeightMatrix(params, tuple(rows), origin=w.tag)
-
-
-def _clamp_tiny_quotient_dips(log_row: np.ndarray) -> np.ndarray:
-    """Round away quotient inversions below 1e-8 relative (conjugate noise)."""
-    out = log_row.copy()
-    for i in range(2, len(out)):
-        lo = 2 * out[i - 1] - out[i - 2]  # convexity floor
-        if out[i] < lo and out[i] > lo - 1e-8 * max(1.0, abs(lo)):
-            out[i] = lo
-    return out
 
 
 def matrix_from_rows(rows, params=None, origin: str = "manual") -> WeightMatrix:

@@ -368,3 +368,31 @@ def test_no_unused_imports():
             unused += [f"{os.path.relpath(path, root)}:{line} {bound}"
                        for bound, line in imported.items() if bound not in used]
     assert unused == []
+
+
+def test_no_unread_private_names():
+    # every module-level private name (a function, class or constant whose
+    # name starts with one underscore) is read in the module defining it
+    import ultrajet
+    root = os.path.dirname(ultrajet.__file__)
+    unread = []
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            defined = {}
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined[node.name] = node.lineno
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for n in (n for t in targets for n in ast.walk(t)):
+                        if isinstance(n, ast.Name):
+                            defined[n.id] = node.lineno
+            read = {n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{os.path.relpath(path, root)}:{line} {d}"
+                       for d, line in defined.items()
+                       if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert unread == []

@@ -267,6 +267,12 @@ class TestGrowthChecks:
         assert rep.verdict == HOLDS
         assert rep.log_witness == math.log(2.0 ** -11)
 
+    def test_h_form_agrees_with_the_other_mixed_forms(self, gevrey1, gevrey2):
+        # (gevrey(2), gevrey(1)) breaks mu_{2k} <= C mudot_k; the h-function
+        # form, read on each prefix's own grid of t, fails with it and (2.14)
+        reps = sq.check_mixed_growth(gevrey2, gevrey1)
+        assert [reps[c].verdict for c in ("2.11", "2.12", "2.14")] == [FAILS] * 3
+
     def test_gamma_doubling_nothing_checked(self, gevrey1, omega2_rho64):
         # lambda t / mudot_1 already lies below 1/mu_K: no binding t to check
         rep = sq.check_mixed_growth(gevrey1, omega2_rho64)["2.13"]

@@ -195,7 +195,7 @@ def _in_range_row(draw):
         row = sq.powerlog(draw(st.floats(1.01, 5.0)), draw(st.floats(1.0, 2.5)), K=K)
     else:
         x = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]))
-        row = wf.associated_matrix(wf.omega_s(2), params=(x,), K=K, crosscheck=False).rows[0]
+        row = wf.associated_matrix(wf.omega_s(2), params=(x,), K=K).rows[0]
     return -row.log_mu
 
 

@@ -20,8 +20,13 @@ def _pointwise_ordered(mat, tol=1e-9):
                for a, b in zip(mat.rows[:-1], mat.rows[1:]))
 
 
+# bracket width, relative to max(1, y), at which the oracle's search stops
+_ORACLE_REL_TOL = 1e-10
+
+
 def _young_conjugate_oracle(w, x):
-    """The scalar search: bracket doubling, then ternary steps on one x."""
+    """phi*(x) by numerical search on one x: bracket doubling, then ternary
+    steps; valid for a convex phi, whose conjugand is concave."""
     if x == 0.0:
         return 0.0
     f = lambda y: x * y - float(w.phi(y))
@@ -29,7 +34,7 @@ def _young_conjugate_oracle(w, x):
     while f(2.0 * y_hi) >= f(y_hi):
         y_hi *= 2.0
     y_hi, y_lo = 2.0 * y_hi, 0.0
-    while y_hi - y_lo > wf.TERNARY_REL_TOL * max(1.0, y_hi):
+    while y_hi - y_lo > _ORACLE_REL_TOL * max(1.0, y_hi):
         m1 = y_lo + (y_hi - y_lo) / 3.0
         m2 = y_hi - (y_hi - y_lo) / 3.0
         if f(m1) < f(m2):
@@ -57,9 +62,8 @@ class TestYoungConjugate:
     def test_closed_form_agreement(self, s):
         w = wf.omega_s(s)
         for x in np.geomspace(0.1, 50, 30):
-            num = wf.young_conjugate(w, float(x))
-            exact = float(wf.omega_s_conjugate_exact(s, x))
-            assert num == pytest.approx(exact, rel=1e-6)
+            assert wf.young_conjugate(w, float(x)) == pytest.approx(
+                _young_conjugate_oracle(w, float(x)), rel=1e-12)
 
     def test_unbounded_for_slow_table(self):
         # omega ~ log t: phi linear, conjugate diverges past the slope
@@ -67,6 +71,20 @@ class TestYoungConjugate:
                             (math.e ** 8, 8.0)])
         with pytest.raises(ConjugateUnbounded):
             wf.young_conjugate(w, 5.0)
+
+    def test_finite_at_the_last_slope(self):
+        # phi = 3 + 2 (y - 2) past the last knot: at x = 2, x y - phi(y) is
+        # 0 at y = 0 and 1 from y = 1 on
+        w = wf.omega_table([(1, 0), (math.e, 1), (math.e ** 2, 3)])
+        assert wf.young_conjugate(w, w.last_slope) == pytest.approx(1.0, rel=1e-15)
+
+    def test_table_must_be_convex_in_log_t(self):
+        # slopes 2, 1, 3 in log t: phi bends down at the knot t = e
+        with pytest.raises(SequenceSpecError, match=r"slope drops from 2 to 1 at "
+                                                    r"knot t = 2\.71828") as exc:
+            wf.omega_table([(1.0, 0.0), (math.e, 2.0), (math.e ** 2, 3.0),
+                            (math.e ** 3, 6.0)])
+        assert exc.value.code == "NON_LOGCONVEX"
 
     def test_negative_x_is_coded(self):
         with pytest.raises(SequenceSpecError) as exc:
@@ -83,7 +101,14 @@ class TestYoungConjugate:
         batch = wf.young_conjugate(w, xs)
         assert batch.shape == xs.shape
         scalar = np.array([wf.young_conjugate(w, float(x)) for x in xs.ravel()])
-        oracle = np.array([_young_conjugate_oracle(w, float(x)) for x in xs.ravel()])
+        if w.kind == "table":
+            # phi is linear between knots: a y grid holding every knot gives
+            # the exact max (past the last knot the conjugand falls, x < 80)
+            ys = np.union1d(np.linspace(0.0, w.table_log_t[-1], 20_001), w.table_log_t)
+            oracle = np.maximum(0.0, np.max(np.multiply.outer(xs.ravel(), ys)
+                                            - w.phi(ys), axis=1))
+        else:
+            oracle = np.array([_young_conjugate_oracle(w, float(x)) for x in xs.ravel()])
         assert np.allclose(batch.ravel(), scalar, rtol=1e-12, atol=0.0)
         assert np.allclose(batch.ravel(), oracle, rtol=1e-12, atol=0.0)
         assert batch[0, 0] == 0.0
