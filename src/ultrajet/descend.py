@@ -117,7 +117,7 @@ def check_lemma42(N: WeightSequence, D: Descendant,
     out["4.2-4"] = CheckReport(
         lhs.verdict if agree else FAILS, K_eff,
         log_witness=lhs.log_witness,
-        counterexample_index=None if agree else K_eff,
+        counterexample_index=lhs.counterexample_index if agree else K_eff,
         note=("sigma_{k+1} <~ sigma_k equivalent to quotient regularity; "
               f"direct={lhs.verdict}, via-(4.3)={rhs.verdict}"),
         details={"direct": lhs.to_dict(), "via_43": rhs.to_dict()})
@@ -158,7 +158,7 @@ def check_43(N: WeightSequence, K_eff: int | None = None) -> CheckReport:
         K_eff = K // 2
     k = np.arange(1, K_eff, dtype=float)       # condition at k -> k+1
     log_ratio_m1 = _log_expm1(N.log_mu[1:K_eff] - N.log_mu[:K_eff - 1])
-    log_nu_star_next = N.log_M[2:K_eff + 1] - np.log(k + 1.0)
+    log_nu_star_next = N.log_mu[1:K_eff] - np.log(k + 1.0)   # nu_{k+1} / (k+1)
     log_denom = np.logaddexp(0.0, log_nu_star_next + N.tail.log_T[1:K_eff])
     return report_from_log_witnesses(
         log_ratio_m1 - log_denom, K_eff,

@@ -37,8 +37,9 @@ class JetSpecError(UltrajetError):
 
     Codes: NON_POSITIVE (an interval of length <= 0), OVERLAP (intervals that
     are not disjoint), EMPTY_SET, BAD_JET_VALUES (values that are not finite
-    or not of length order_cap + 1), UNKNOWN_FAMILY (a jet kind
-    ``sample_jet`` does not build).
+    or not one row of order_cap + 1 per carried point), NOT_CARRIED (an
+    anchor that is not a carried point of the jet), UNKNOWN_FAMILY (a jet
+    kind ``sample_jet`` does not build).
     """
 
 

@@ -30,7 +30,6 @@ class WhitneyCover1D:
     b: float                          # measured: d(x) <= b r_i
     n0: int                           # measured overlap bound
     d_min: float
-    margin: float
     working: tuple                    # (lo, hi)
     degenerate_gaps: tuple = ()
 
@@ -82,8 +81,7 @@ def whitney_cover(E: CompactSet1D, d_min: float = 1e-6,
             center = 0.5 * (g0 + g1)
             balls.append((center, half * RADIUS_RATIO))
     balls.sort()
-    cover = _measure(E, tuple(balls), d_min, margin, (lo, hi), tuple(degenerate))
-    return cover
+    return _measure(E, tuple(balls), d_min, (lo, hi), tuple(degenerate))
 
 
 def _ladder(balls, origin: float, direction: float, cover_until: float,
@@ -101,7 +99,7 @@ def _ladder(balls, origin: float, direction: float, cover_until: float,
         dist *= LADDER_STEP
 
 
-def _measure(E: CompactSet1D, balls, d_min, margin, working, degenerate) -> WhitneyCover1D:
+def _measure(E: CompactSet1D, balls, d_min, working, degenerate) -> WhitneyCover1D:
     lo, hi = working
     a_meas, b_meas = math.inf, 0.0
     for (cx, r) in balls:
@@ -120,7 +118,7 @@ def _measure(E: CompactSet1D, balls, d_min, margin, working, degenerate) -> Whit
                        & (arr[:, 0] + OVERLAP_C * arr[:, 1] > li))
         n0 = max(n0, int(inter))  # count includes the ball itself
     cov = WhitneyCover1D(E, tuple(balls), OVERLAP_C, a_meas, b_meas, n0,
-                         d_min, margin, working, degenerate)
+                         d_min, working, degenerate)
     _verify_coverage(cov)
     return cov
 

@@ -28,6 +28,7 @@ from ..seqcalc import WeightSequence, log_h_assoc
 from .ppoly import PiecewisePolynomial, indicator
 
 WIDTH_FLOOR_REL = 1e-14
+CONV_DEPTH = 24          # most box passes of one cutoff
 # Largest spline a box pass may convolve: in the lattice regime of low orders
 # p each pass roughly doubles the pieces, so a full-depth build runs out of
 # memory long before its last pass.
@@ -85,7 +86,6 @@ class CutoffFamily:
     delta: float               # 1 / h_s(1/3)
     B: float                   # 1 / (6 delta A)
     p_cap: int                 # largest order p at which A was validated
-    conv_depth: int = 24
 
     def log_h_small_s(self, log_t: float) -> float:
         return log_h_assoc(self.D.small_s, log_t)
@@ -98,8 +98,7 @@ class CutoffFamily:
                                      + math.log(t - 1.0)))
 
 
-def make_cutoff_family(D: Descendant, Ndot: WeightSequence,
-                       conv_depth: int = 24) -> CutoffFamily:
+def make_cutoff_family(D: Descendant, Ndot: WeightSequence) -> CutoffFamily:
     """Search the smallest power-of-two A validating the ratio-sum bound at
     every order p = 1..p_cap, p_cap = min(K_eff - 2, 64), then freeze delta
     and B.  :func:`build_cutoff` never uses an order above p_cap.  The ratio
@@ -115,7 +114,7 @@ def make_cutoff_family(D: Descendant, Ndot: WeightSequence,
         raise CutoffError("no A up to 2^60 validates the ratio sum", code="A_TOO_SMALL")
     delta = math.exp(-log_h_assoc(D.small_s, -math.log(3.0)))
     B = 1.0 / (6.0 * delta * A)
-    return CutoffFamily(D, Ndot, A, delta, B, p_cap, conv_depth)
+    return CutoffFamily(D, Ndot, A, delta, B, p_cap)
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ class CutoffResult:
     p: int
     n_convolutions: int
     widths: np.ndarray
-    lattice_only: bool
 
 
 def cutoff_order(fam: CutoffFamily, epsilon: float, t: float) -> int:
@@ -153,7 +151,7 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
 
     The box widths are the alpha quotients of order p = :func:`cutoff_order`
     scaled by (t - 1), so eps enters only through p.  Convolutions stop at
-    the family depth or when widths fall below representable spacing; the
+    ``CONV_DEPTH`` or when widths fall below representable spacing; the
     declared smoothness order is the number of convolutions minus one, and
     callers needing derivative orders beyond that get DEPTH_INSUFFICIENT.
     A box pass whose input has more than ``MAX_CUTOFF_PIECES`` pieces raises
@@ -163,8 +161,8 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
     # Convolutions beyond the claimed smoothness only shrink the derivative
     # bounds we never assert; stopping there keeps the piece count linear in
     # the lattice regime and geometric only over claimed orders.
-    depth_cap = fam.conv_depth if min_smoothness is None else min(
-        fam.conv_depth, max(min_smoothness + 1, 2))
+    depth_cap = CONV_DEPTH if min_smoothness is None else min(
+        CONV_DEPTH, max(min_smoothness + 1, 2))
     lam = t - 1.0
     alpha = alpha_sequence(fam.D, fam.Ndot, p, fam.A)
     if not alpha.valid:
@@ -184,7 +182,7 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
     if min_smoothness is not None and n - 1 < min_smoothness:
         raise CutoffError(
             f"only {n} convolutions representable (smoothness {n - 1} < "
-            f"{min_smoothness}); enlarge conv_depth or lower the requested order",
+            f"{min_smoothness}); enlarge CONV_DEPTH or lower the requested order",
             code="DEPTH_INSUFFICIENT")
     c0 = 0.5 * (t + 1.0)
     pp = indicator(-c0, c0)
@@ -198,7 +196,7 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
     lo, hi = pp.span
     if not (-t - 1e-9 <= lo and hi <= t + 1e-9):
         raise CutoffError("support escaped (-t, t)", code="WIDTH_BUDGET")
-    return CutoffResult(pp, epsilon, t, p, n, widths[:n], bool(p >= fam.conv_depth))
+    return CutoffResult(pp, epsilon, t, p, n, widths[:n])
 
 
 def verify_cutoff(fam: CutoffFamily, res: CutoffResult, orders, n_probes: int = 1000,

@@ -19,15 +19,15 @@ import numpy as np
 
 from ..descend import Descendant, descend
 from ..errors import ExtensionError
-from ..jets import (Jet, fit_jet_constants, grid_constants,
-                    jet_norm_profile, taylor_coeffs_local, taylor_values)
+from ..jets import (Jet, fit_jet_constants, grid_constants, taylor_coeffs_local,
+                    taylor_values)
 from ..report import HOLDS, log_witness_maxima, trend_verdict
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
                        h_power_log_constant, log_factorial, log_h_assoc)
 from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
-from .cutoffs import (CutoffFamily, CutoffResult, build_cutoff, cutoff_order,
-                      make_cutoff_family)
+from .cutoffs import (CONV_DEPTH, CutoffFamily, CutoffResult, build_cutoff,
+                      cutoff_order, make_cutoff_family)
 from .ppoly import PiecewisePolynomial, constant_on, spline_sum, taylor_shift
 
 
@@ -225,9 +225,13 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
 
 def fit_rho(F: Jet, D: Descendant, rho_grid) -> tuple[float, float]:
     """(C, rho) for the starred-form jet bounds: the smallest grid rho whose
-    C is within a factor 2 of the grid limit."""
-    Cs, i = fit_jet_constants(F, D.small_s, rho_grid)
-    return float(Cs[i]), float(rho_grid[i])
+    C is within a factor 2 of the grid limit.  Raises JET_NOT_IN_CLASS when
+    the fit's order trend says no rho can bound the jet."""
+    fit = fit_jet_constants(F, D.small_s, rho_grid)
+    if fit.not_in_class:
+        raise ExtensionError(f"jet norm diverges (order slope {fit.order_slope:.2f})",
+                             code="JET_NOT_IN_CLASS")
+    return float(fit.C[fit.index]), float(rho_grid[fit.index])
 
 
 def search_lambda(S: Descendant, S_dot: Descendant) -> float:
@@ -266,11 +270,6 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     """
     K_eff = mat.K // 2
     chain = select_row_chain(mat, cfg.base_row, K_eff)
-    prof = jet_norm_profile(F, chain.S.big_S)
-    if prof.not_in_class_trend:
-        raise ExtensionError(
-            f"jet-norm profile diverges (order slope {prof.order_requirement_slope:.2f})",
-            code="JET_NOT_IN_CLASS")
     C_fit, rho_fit = fit_rho(F, chain.S, RHO_GRID)
 
     lam = search_lambda(chain.S, chain.S_dot)
@@ -300,7 +299,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     epsilon = cfg.epsilon if cfg.epsilon is not None else max(
         L * cover.b * Dconst / B1, 1e-6)
     part = partition_of_unity(cover, fam, epsilon,
-                              min_smoothness=min(cfg.p_max_eval, fam.conv_depth - 2),
+                              min_smoothness=min(cfg.p_max_eval, CONV_DEPTH - 2),
                               landing=(land, A410, B1))
 
     # Stable assembly: with base the nearest-anchor Taylor field (degree as
@@ -317,9 +316,9 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     cap = F.order_cap
     p_col = int(taylor_degree(chain.S_dot, L, [cfg.d_min], cap)[0])
     base, anchors, cuts = _taylor_field(F, p_col, cover.working)
-    near = [F.E.nearest_point(cx) for cx, _ in cover.balls]
-    ball_anchors = _nearest(anchors, np.array([xhat for xhat, _ in near]))
-    degrees = taylor_degree(chain.S_dot, L, [dist for _, dist in near], cap).tolist()
+    xhat, dist = F.E.nearest([cx for cx, _ in cover.balls])
+    ball_anchors = _nearest(anchors, xhat)
+    degrees = taylor_degree(chain.S_dot, L, dist, cap).tolist()
     terms = [base]
     for phi, a_i, p_i in zip(part.functions, ball_anchors, degrees):
         slo, shi = phi.support()
@@ -365,9 +364,9 @@ def _taylor_field(F: Jet, p_col: int, working):
     cuts = np.concatenate([[lo_w], 0.5 * (anchors[1:] + anchors[:-1]), [hi_w]])
     keep = cuts[1:] > cuts[:-1]
     u, a = cuts[:-1][keep], anchors[keep]
-    rows = np.array([taylor_coeffs_local(F, float(x), p_col) for x in a])
     field = PiecewisePolynomial(np.append(u, cuts[1:][keep][-1]),
-                                taylor_shift(rows, u - a), 10 ** 6)
+                                taylor_shift(taylor_coeffs_local(F, a, p_col), u - a),
+                                10 ** 6)
     return field, anchors, cuts
 
 
@@ -390,8 +389,7 @@ def _taylor_difference(F: Jet, a_i: float, p_i: int, anchors, cuts, p_col: int,
     if np.all(same):
         return None
     c_b = np.zeros((len(u), max(p_i, p_col) + 1))
-    c_b[:, : p_col + 1] = taylor_shift(
-        [taylor_coeffs_local(F, float(a), p_col) for a in a_b], a_i - a_b)
+    c_b[:, : p_col + 1] = taylor_shift(taylor_coeffs_local(F, a_b, p_col), a_i - a_b)
     diff = np.zeros(c_b.shape[1])
     diff[: p_i + 1] = taylor_coeffs_local(F, a_i, p_i)
     diff = diff - c_b
@@ -402,11 +400,8 @@ def _taylor_difference(F: Jet, a_i: float, p_i: int, anchors, cuts, p_col: int,
 def _global_cutoff(E, fam: CutoffFamily, epsilon: float, cover: WhitneyCover1D,
                    cfg: ExtensionConfig) -> PiecewisePolynomial:
     """1 on {d <= 1/2}, 0 outside {d < 1}, from the same cutoff machinery."""
-    comps = [(p, p) for p in E.points] + list(E.intervals)
-    comps.sort()
     merged = []
-    for lo, hi in comps:
-        lo, hi = lo - 0.5, hi + 0.5
+    for lo, hi in (E.components + [-0.5, 0.5]).tolist():
         if merged and lo <= merged[-1][1] + 1.0:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
@@ -417,7 +412,7 @@ def _global_cutoff(E, fam: CutoffFamily, epsilon: float, cover: WhitneyCover1D,
         R = 0.5 * (hi - lo)
         t = (R + 0.49) / R
         res = build_cutoff(fam, epsilon, t,
-                           min_smoothness=min(cfg.p_max_eval, fam.conv_depth - 2))
+                           min_smoothness=min(cfg.p_max_eval, CONV_DEPTH - 2))
         zeta = res.pp.compose_affine(center, R)
         total = zeta if total is None else total + zeta
     return total
@@ -436,17 +431,20 @@ def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
     if C == 0.0:
         return out
     logC = math.log(C)
-    near = ((float(x), *F.E.nearest_point(float(x))) for x in xs)
-    off_E = [(x, xhat, dist) for x, xhat, dist in near if dist > 0]
-    degs = taylor_degree(chain.S_dot, L, [dist for *_, dist in off_E], F.order_cap)
-    probes = []                     # (x, xhat, dist, p, k), one per check
-    for (x, xhat, dist), p in zip(off_E, degs.tolist()):
-        probes += [(x, xhat, dist, p, k) for k in range(0, min(p, cfg.p_max_eval) + 1)]
-    if not probes:
+    xhat, dist = F.E.nearest(xs)
+    off_E = dist > 0
+    if not np.any(off_E):
         return out
-    px, pa, _, pp, pk = map(np.array, zip(*probes))
-    vals = taylor_values(F, pa, pp, px, pk).tolist()
-    for (x, xhat, dist, p, k), val in zip(probes, vals):
+    xs, xhat, dist = xs[off_E], xhat[off_E], dist[off_E]
+    degs = taylor_degree(chain.S_dot, L, dist, F.order_cap)
+    # one check per (probe, order k <= min(p, p_max_eval))
+    n_k = np.minimum(degs, cfg.p_max_eval) + 1
+    at = np.repeat(np.arange(len(xs)), n_k)
+    pk = np.arange(len(at)) - np.repeat(np.cumsum(n_k) - n_k, n_k)
+    pa, pp, dists = xhat[at], degs[at], dist[at].tolist()
+    vals = taylor_values(F, pa, pp, xs[at], pk).tolist()
+    jet_vals = F.values[F.rows(pa), pk].tolist()
+    for val, fv, dist, p, k in zip(vals, jet_vals, dists, pp.tolist(), pk.tolist()):
         lhs = math.log(max(abs(val), 1e-300))
         rhs = logC + (k + 1) * math.log(2 * L) + log_S[k]
         out["5.4"]["checked"] += 1
@@ -454,7 +452,7 @@ def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
             out["5.4"]["violations"] += 1
         out["5.4"]["max_log_margin"] = max(out["5.4"]["max_log_margin"], lhs - rhs)
         if k < p:
-            val2 = val - F.value(xhat, k)
+            val2 = val - fv
             lhs2 = math.log(max(abs(val2), 1e-300))
             rhs2 = (logC + (k + 1) * math.log(2 * L) + log_factorial(k)
                     + log_s[k + 1] + math.log(max(dist, 1e-300)))
@@ -496,16 +494,17 @@ def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig,
     for a in F.E.points:
         ladders = {}
         vals = f(np.concatenate([a + d, a - d, [a + 0.1]]), order=orders)
+        Fa = F.values[F.rows(a)].tolist()
         for k in orders:
             up, down, far = np.split(vals[k], [n_levels, 2 * n_levels])
-            errs = np.maximum(np.abs(up - F.value(a, k)), np.abs(down - F.value(a, k)))
+            errs = np.maximum(np.abs(up - Fa[k]), np.abs(down - Fa[k]))
             dec_ok = bool(np.all(errs[1:] <= errs[:-1] * 1.10 + 1e-12))
             ladders[k] = {"errors": errs.tolist(), "monotone": dec_ok}
             out["monotone_ok"] &= dec_ok
             out["final_max_err"] = max(out["final_max_err"], float(errs[-1]))
             out["transition_zone_max"] = max(
                 out["transition_zone_max"],
-                float(abs(far[0] - F.value(a, k))))
+                float(abs(far[0] - Fa[k])))
         out["points"][a] = ladders
     return out
 

@@ -133,21 +133,11 @@ def matrix_from_spec(spec: dict, K_default: int = 512):
 
 
 def jet_from_file(spec: dict, p_default: int = 16) -> Jet:
-    if "kind" in spec and "values" not in spec:
-        E = CompactSet1D(points=tuple(spec.get("points", ())),
-                         intervals=tuple(tuple(iv) for iv in spec.get("intervals", ())))
-        return sample_jet(spec, E, p_max=int(spec.get("order_cap", p_default)))
     E = CompactSet1D(points=tuple(spec.get("points", ())),
                      intervals=tuple(tuple(iv) for iv in spec.get("intervals", ())))
-    cap = int(spec["order_cap"])
-    carried = E.carried_points()
-    values = spec["values"]
-    if len(values) != len(carried):
-        raise SequenceSpecError(
-            f"jet file carries {len(values)} value rows for {len(carried)} points",
-            code="NON_POSITIVE")
-    table = {float(a): np.asarray(v, dtype=float) for a, v in zip(carried, values)}
-    return Jet(E, cap, table)
+    if "kind" in spec and "values" not in spec:
+        return sample_jet(spec, E, p_max=int(spec.get("order_cap", p_default)))
+    return Jet(E, int(spec["order_cap"]), spec["values"])
 
 
 # -- canned exports ---------------------------------------------------------------

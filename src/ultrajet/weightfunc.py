@@ -69,8 +69,6 @@ class WeightFunction:
         if np.any(right):
             out = np.where(right, self.table_w[-1]
                            + self.last_slope * (y - self.table_log_t[-1]), out)
-        at_one = np.interp(0.0, self.table_log_t, self.table_w)
-        out = np.where(y <= 0.0, np.minimum(out, at_one), out)
         return out if out.shape else float(out)
 
 
@@ -82,7 +80,12 @@ def omega_s(s: float) -> WeightFunction:
 
 def omega_table(points) -> WeightFunction:
     """Weight function interpolating ``(t, omega(t))`` knots linearly in
-    log t; phi must be convex, so the slopes in log t may not drop."""
+    log t; phi must be convex, so the slopes in log t may not drop.
+
+    omega vanishes on [0, 1]: a knot with t <= 1 and omega > 0 raises
+    NOT_NORMALIZED, and the knots with t <= 1 are replaced by (1, 0), so
+    phi(y) = 0 for y <= 0.
+    """
     pts = sorted((float(t), float(v)) for t, v in points)
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
@@ -90,6 +93,11 @@ def omega_table(points) -> WeightFunction:
             or np.any(np.diff(v) < 0):
         raise SequenceSpecError("omega table must be positive and nondecreasing, "
                                 "with two or more distinct t", code="NON_POSITIVE")
+    if np.any(v[t <= 1.0] > 0.0):
+        raise SequenceSpecError("omega must vanish on [0, 1]: the table has omega > 0 "
+                                f"at t = {t[(t <= 1.0) & (v > 0.0)][0]:.6g}",
+                                code="NOT_NORMALIZED")
+    t, v = np.append(1.0, t[t > 1.0]), np.append(0.0, v[t > 1.0])
     log_t = np.log(t)
     slope = np.diff(v) / np.diff(log_t)
     drops = np.flatnonzero(slope[1:] < slope[:-1] - 1e-9 * np.maximum(1.0, slope[:-1]))
@@ -108,7 +116,7 @@ def young_conjugate(w: WeightFunction, x):
 
     omega_s: the closed form C_s x^r.  A table: phi is linear between its
     knots and past the last one, so the sup is the largest x y - phi(y) over
-    y = 0 and the knots y >= 0, floored at 0 (omega vanishes at t = 1), and
+    its knots (the first is y = 0, where phi vanishes, so it is >= 0), and
     it is infinite for x above ``last_slope`` (``ConjugateUnbounded``).
     """
     x = np.asarray(x, dtype=float)
@@ -121,8 +129,8 @@ def young_conjugate(w: WeightFunction, x):
         if np.any(x > w.last_slope):
             raise ConjugateUnbounded(f"phi*(x) is infinite for x > {w.last_slope:.6g}, "
                                      f"the slope of phi past the table; got x = {x.max():g}")
-        y = np.append(0.0, w.table_log_t[w.table_log_t > 0.0])
-        out = np.maximum(0.0, np.max(np.multiply.outer(x, y) - w.phi(y), axis=-1))
+        y = w.table_log_t
+        out = np.max(np.multiply.outer(x, y) - w.table_w, axis=-1)
     return float(out) if x.ndim == 0 else out
 
 
@@ -212,17 +220,17 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
     out["4.6-1"] = CheckReport(pair.verdict, K, pair.log_witness,
                                pair.counterexample_index, "pairwise quotient comparability")
 
+    # (2) and (3) report the first FAILS row, else the first other row that
+    # does not hold, as (1) does
     nq = [r.nonquasianalytic for r in mat.rows]
-    bad = [r for r in nq if r.verdict != HOLDS]
-    out["4.6-2"] = bad[0] if bad else CheckReport(
+    out["4.6-2"] = _first_bad(nq) or CheckReport(
         HOLDS, K, log_witness=max(r.log_witness for r in nq),
         note="non-quasianalytic per row")
 
     # (4.3) presumes a non-quasianalytic row: the rows failing (2) are skipped
     skipped = [i for i, r in enumerate(nq) if r.verdict == FAILS]
     c43 = [check_43(r) for r, q in zip(mat.rows, nq) if q.verdict != FAILS]
-    bad = [r for r in c43 if r.verdict != HOLDS]
-    out["4.6-3"] = bad[0] if bad else CheckReport(
+    out["4.6-3"] = _first_bad(c43) or CheckReport(
         HOLDS if c43 else INCONCLUSIVE, K,
         log_witness=max((r.log_witness for r in c43), default=None),
         note="quotient regularity (4.3) per row")
@@ -237,6 +245,12 @@ def check_admissible_matrix(mat: WeightMatrix) -> dict[str, CheckReport]:
         best_partners(domination_table(mat, 5), K), n, K,
         "nu_{2k} <= C nudot_k for some sampled row")
     return out
+
+
+def _first_bad(reports) -> CheckReport | None:
+    """The first FAILS report, else the first that does not hold, else None."""
+    bad = [r for r in reports if r.verdict != HOLDS]
+    return next((r for r in bad if r.verdict == FAILS), bad[0] if bad else None)
 
 
 def domination_table(mat: WeightMatrix, item: int) -> np.ndarray:
@@ -317,7 +331,7 @@ def _exp_weighted_panels(w: WeightFunction, y0, edges, splits=()) -> np.ndarray:
     table's knots), and every piece gets the 32-node Gauss-Legendre rule; all
     nodes go through one ``phi`` call.
     """
-    kinks = np.zeros(1) if w.kind == "omega_s" else np.append(w.table_log_t, 0.0)
+    kinks = np.zeros(1) if w.kind == "omega_s" else w.table_log_t
     lo, hi = edges[0], edges[-1]
     fine, starts, offset = [], [], 0
     for y in y0:

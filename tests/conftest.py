@@ -75,8 +75,7 @@ def combine():
     from ultrajet import jets
 
     def lin(F, G, ca, cb):
-        return jets.table_jet(F.E, {a: ca * v + cb * G.values[a]
-                                    for a, v in F.values.items()}, F.order_cap)
+        return jets.Jet(F.E, F.order_cap, ca * F.values + cb * G.values, label="table")
     return lin
 
 

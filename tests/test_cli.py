@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ultrajet import cli, serial
+from ultrajet.errors import JetSpecError
 from ultrajet.extend import extend_jet
 from ultrajet.jets import CompactSet1D, sample_jet
 
@@ -233,15 +234,16 @@ class TestSerial:
         E = CompactSet1D(points=(0.0, 1.0))
         F = sample_jet({"kind": "exp"}, E, p_max=8)
         d = {"points": list(E.points), "intervals": [], "order_cap": F.order_cap,
-             "values": [F.values[float(a)].tolist() for a in F.carried()]}
+             "values": F.values.tolist()}
         F2 = serial.jet_from_file(d)
         assert F2.order_cap == 8
-        assert np.allclose(F2.values[1.0], F.values[1.0])
+        assert np.allclose(F2.values[F2.rows(1.0)], F.values[F.rows(1.0)])
 
     def test_jet_value_row_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(JetSpecError) as err:
             serial.jet_from_file({"points": [0.0, 1.0], "order_cap": 2,
                                   "values": [[1, 1, 1]]})
+        assert err.value.code == "BAD_JET_VALUES"
 
     def test_csv_format(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -395,4 +397,34 @@ def test_no_unread_private_names():
             unread += [f"{os.path.relpath(path, root)}:{line} {d}"
                        for d, line in defined.items()
                        if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert unread == []
+
+
+def test_every_dataclass_field_is_read():
+    # every field of a dataclass in src/ultrajet is read as ``.name`` somewhere
+    # in src/, tests/ or perfbench/: a field nothing reads is dead weight
+    import ultrajet
+    pkg = os.path.dirname(ultrajet.__file__)
+    repo = os.path.join(pkg, os.pardir, os.pardir)
+    trees = {}
+    for top in ("src", "tests", "perfbench"):
+        for dirpath, _, files in os.walk(os.path.join(repo, top)):
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.join(dirpath, name)
+                with open(path) as fh:
+                    trees[os.path.relpath(path, repo)] = ast.parse(fh.read())
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+    def is_dataclass(cls):
+        return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                   for d in cls.decorator_list
+                   if isinstance(d.func if isinstance(d, ast.Call) else d, ast.Name))
+
+    unread = [f"{path}:{node.lineno} {cls.name}.{node.target.id}"
+              for path, tree in trees.items() if path.startswith("src")
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id not in read]
     assert unread == []

@@ -18,13 +18,13 @@ from ultrajet.jets import CompactSet1D
 def gev2_family():
     g2 = sq.gevrey(2, K=512)
     D = dsc.descend(g2, K_eff=256)
-    return cutoffs.make_cutoff_family(D, g2, conv_depth=24)
+    return cutoffs.make_cutoff_family(D, g2)
 
 
 @pytest.fixture(scope="module")
 def omega2_family(omega2_matrix):
     chain = select_row_chain(omega2_matrix, 0, 256)
-    return cutoffs.make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=24)
+    return cutoffs.make_cutoff_family(chain.S_dot, chain.ddot)
 
 
 class TestAlphaSequence:

@@ -6,6 +6,7 @@ from scipy.special import polygamma
 
 from ultrajet import descend as dsc
 from ultrajet import seqcalc as sq
+from ultrajet import weightfunc as wf
 from ultrajet.errors import NonincreasingResult, PrefixExhausted, QuasianalyticInput
 from ultrajet.report import FAILS, HOLDS
 
@@ -69,6 +70,36 @@ class TestLemma42:
         D = dsc.descend(qgevrey2, K_eff=256)
         reps = dsc.check_lemma42(qgevrey2, D)
         assert reps["4.2-4"].verdict == HOLDS  # ratio bounded: both routes agree
+
+    def test_item4_powerlog_both_routes_fail(self):
+        # (4.3) reads the quotient nu*_{k+1} = nu_{k+1}/(k+1): it then fails
+        # with sigma_{k+1} <~ sigma_k instead of holding
+        N = sq.powerlog(1.05, 3, K=128)
+        rep = dsc.check_lemma42(N, dsc.descend(N))["4.2-4"]
+        assert rep.note.endswith("direct=FAILS, via-(4.3)=FAILS")
+        assert rep.verdict == FAILS and rep.counterexample_index is not None
+
+    def test_item4_both_failing_forms_report_an_index(self):
+        # omega_s(1.5), row x = 16: both forms fail by trend
+        mat = wf.associated_matrix(wf.omega_s(1.5), K=512)
+        N = mat.rows[mat.params.index(16.0)]
+        rep = dsc.check_lemma42(N, dsc.descend(N))["4.2-4"]
+        assert rep.verdict == FAILS
+        assert rep.counterexample_index == rep.details["direct"]["counterexample_index"]
+
+    @pytest.mark.parametrize("rows", ["sequences", 1.5, 2.0, 2.5, 3.0])
+    def test_item4_forms_agree(self, rows):
+        if rows == "sequences":
+            rows = [sq.gevrey(2, K=128), sq.gevrey(3, K=128), sq.qgevrey(2, K=128),
+                    sq.powerlog(1.05, 3, K=128)]
+        else:
+            mat = wf.associated_matrix(wf.omega_s(rows), K=512)
+            # omega_s(3) rows x <= 1/4 have no reliable tail at K = 512: their
+            # descend raises TAIL_UNRELIABLE before any item is checked
+            rows = [r for x, r in zip(mat.params, mat.rows) if rows < 3.0 or x >= 0.5]
+        for N in rows:
+            d = dsc.check_lemma42(N, dsc.descend(N))["4.2-4"].details
+            assert d["direct"]["verdict"] == d["via_43"]["verdict"], N.family_tag
 
     def test_maximality_probe_fails_scaled_candidates(self, kplus1_sq):
         D = dsc.descend(kplus1_sq, K_eff=512)

@@ -90,7 +90,7 @@ def gev2_matrix(gevrey2):
 @pytest.fixture(scope="module")
 def gev2_family(gevrey2):
     D = dsc.descend(gevrey2, K_eff=256)
-    return cutoffs.make_cutoff_family(D, gevrey2, conv_depth=24)
+    return cutoffs.make_cutoff_family(D, gevrey2)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ class TestPartition:
         # partition outgrows n0 times the largest cutoff
         res = extend_jet(*extend_point_input)
         part, cov = res.partition, res.cover
-        smooth = min(extend_point_input[2].p_max_eval, part.fam.conv_depth - 2)
+        smooth = min(extend_point_input[2].p_max_eval, cutoffs.CONV_DEPTH - 2)
         biggest = max(len(cutoffs.build_cutoff(part.fam, part.epsilon * r / cov.n0,
                                                OVERLAP_C, min_smoothness=smooth).pp.coeffs)
                       for _, r in cov.balls)
@@ -165,7 +165,7 @@ class TestPartition:
         # the smallest balls ask for orders p past 64; A is validated only up
         # to the family's p_cap, and build_cutoff stays there
         chain = select_row_chain(omega2_matrix, 0, 256)
-        fam = cutoffs.make_cutoff_family(chain.S_dot, chain.ddot, conv_depth=24)
+        fam = cutoffs.make_cutoff_family(chain.S_dot, chain.ddot)
         assert fam.p_cap == 64
         cov = whitney_cover(jets.CompactSet1D(points=(0.0,)), d_min=1e-5)
         part = partition_of_unity(cov, fam, epsilon=2.0, min_smoothness=4)
@@ -292,6 +292,14 @@ class TestExtendJet:
         assert len(calls) == 1
         assert res.constants["B1"] == res.partition.B1
 
+    def test_remainder_table_built_once(self, extend_interval_input, count_calls):
+        # the class trend and (C, rho) read the jet's one reduction; a fresh
+        # jet, since the reduction is cached on the jet
+        F, mat, cfg = extend_interval_input
+        calls = count_calls(jets.remainder_table)
+        extend_jet(jets.sample_jet({"kind": "exp"}, F.E, F.order_cap), mat, cfg)
+        assert len(calls) == 1
+
     def test_not_in_class_rejected(self, omega2_matrix):
         # k!^2 outgrows every descendant row of the log-square classes
         E = jets.CompactSet1D(points=(0.0,))
@@ -376,7 +384,7 @@ def _scalar_taylor(F, a, p, x, order):
     j = np.arange(0, p + 1 - order)
     if len(j) == 0:
         return 0.0
-    return float(np.sum(F.values[float(a)][order: p + 1] * np.power(x - a, j)
+    return float(np.sum(F.values[F.rows(a)][order: p + 1] * np.power(x - a, j)
                         * np.exp(-sq.log_factorial(j))))
 
 
@@ -404,7 +412,7 @@ def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
         return out
     logC = math.log(C)
     for x in xs:
-        xhat, dist = F.E.nearest_point(float(x))
+        xhat, dist = (v[0] for v in F.E.nearest(x))
         if dist <= 0:
             continue
         p = _taylor_degree_scalar(chain.S_dot, L, dist, F.order_cap)
@@ -417,7 +425,7 @@ def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
                 out["5.4"]["violations"] += 1
             out["5.4"]["max_log_margin"] = max(out["5.4"]["max_log_margin"], lhs - rhs)
             if k < p:
-                val2 = val - F.value(xhat, k)
+                val2 = val - F.values[F.rows(xhat), k]
                 lhs2 = math.log(max(abs(val2), 1e-300))
                 rhs2 = (logC + (k + 1) * math.log(2 * L) + sq.log_factorial(k)
                         + log_s[k + 1] + math.log(max(dist, 1e-300)))
@@ -435,7 +443,7 @@ def _assembly_loop(f, part, F, carried, chain, degrees, gcut, L, cfg, n_probes=2
     lo, hi = part.cover.working
     xs = rng.uniform(lo, hi, n_probes)
     p_col = _taylor_degree_scalar(chain.S_dot, L, cfg.d_min, F.order_cap)
-    anchors = operator._nearest(carried, [F.E.nearest_point(cx)[0]
+    anchors = operator._nearest(carried, [F.E.nearest(cx)[0][0]
                                           for cx, _ in part.cover.balls])
     phis = np.array([phi(xs) for phi in part.functions])
     worst = 0.0
@@ -467,7 +475,7 @@ class TestArrayTaylorChecks:
                                        res.cover, cfg)
         args = (res.f, res.partition, F, F.carried(), res.chain, res.degrees, gcut,
                 res.constants["L"], cfg)
-        anchors = operator._nearest(F.carried(), [F.E.nearest_point(cx)[0]
+        anchors = operator._nearest(F.carried(), [F.E.nearest(cx)[0][0]
                                                   for cx, _ in res.cover.balls])
         p_col = _taylor_degree_scalar(res.chain.S_dot, res.constants["L"], cfg.d_min,
                                       F.order_cap)
@@ -497,7 +505,7 @@ class TestArrayTaylorChecks:
         (F, _, cfg), res = extension_case
         L = res.constants["L"]
         assert list(res.degrees) == [
-            _taylor_degree_scalar(res.chain.S_dot, L, F.E.nearest_point(cx)[1], F.order_cap)
+            _taylor_degree_scalar(res.chain.S_dot, L, F.E.nearest(cx)[1][0], F.order_cap)
             for cx, _ in res.cover.balls]
 
 

@@ -17,8 +17,9 @@ def _remainder(F, a, b, p, k=0):
     if p > F.order_cap or k > p:
         raise OrderExceeded(f"remainder orders (p={p}, k={k}) exceed cap {F.order_cap}")
     j = np.arange(0, p - k + 1)
-    va = F.values[float(a)][k: p + 1]
-    return float(F.value(b, k) - np.sum(va * np.power(b - a, j) * np.exp(-sq.log_factorial(j))))
+    va = F.values[F.rows(a)][k: p + 1]
+    return float(F.values[F.rows(b), k]
+                 - np.sum(va * np.power(b - a, j) * np.exp(-sq.log_factorial(j))))
 
 
 @pytest.fixture(scope="module")
@@ -41,18 +42,48 @@ FAMILIES = {
 
 class TestCompactSet:
     def test_nearest_basic(self, two_points):
-        assert two_points.nearest_point(0.3) == (0.0, 0.3)
+        xhat, d = two_points.nearest(0.3)
+        assert (xhat[0], d[0]) == (0.0, 0.3)
 
     def test_nearest_tie_smaller(self, two_points):
-        xhat, d = two_points.nearest_point(0.5)
-        assert xhat == 0.0 and d == 0.5
+        xhat, d = two_points.nearest(0.5)
+        assert xhat[0] == 0.0 and d[0] == 0.5
 
     def test_nearest_with_interval(self):
         E = jets.CompactSet1D(points=(2.0,), intervals=((0.0, 1.0),))
-        xhat, d = E.nearest_point(1.4)
-        assert xhat == 1.0 and d == pytest.approx(0.4)
-        xhat, d = E.nearest_point(0.7)
-        assert xhat == 0.7 and d == 0.0
+        xhat, d = E.nearest([1.4, 0.7])
+        assert xhat[0] == 1.0 and d[0] == pytest.approx(0.4)
+        assert xhat[1] == 0.7 and d[1] == 0.0
+
+    @given(points=st.lists(st.floats(-4.0, 4.0), max_size=5),
+           intervals=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.01, 1.0)),
+                              max_size=3),
+           xs=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=20),
+           snap=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_nearest_is_brute_force_argmin(self, points, intervals, xs, snap):
+        """nearest equals a scalar search over the components for the least
+        |x - clip(x, lo, hi)|, keeping the first (smaller) one on a tie."""
+        ivs, hi = [], -math.inf
+        for lo, width in sorted(intervals):
+            if lo > hi:
+                ivs.append((lo, lo + width))
+                hi = lo + width
+        if not points and not ivs:
+            points = [0.0]
+        E = jets.CompactSet1D(points=tuple(points), intervals=tuple(ivs))
+        comps = E.components
+        if snap:    # midpoints of the gaps: exact ties where they are representable
+            xs = xs + (0.5 * (comps[1:, 0] + comps[:-1, 1])).tolist()
+        xhat, d = E.nearest(xs)
+        for x, xh, dist in zip(xs, xhat, d):
+            best = None
+            for lo, hi in comps.tolist():
+                c = min(max(x, lo), hi)
+                if best is None or abs(x - c) < best[1]:
+                    best = (c, abs(x - c))
+            assert (xh, dist) == best
+        assert np.array_equal(E.distance(xs), d)
 
     def test_gaps(self, two_points):
         gaps = two_points.gaps(-2.0, 3.0)
@@ -67,9 +98,11 @@ class TestCompactSet:
     @pytest.mark.parametrize("build, code", [
         (lambda: jets.CompactSet1D(intervals=((1.0, 1.0),)), "NON_POSITIVE"),
         (lambda: jets.CompactSet1D(intervals=((0.0, 1.0), (1.0, 2.0))), "OVERLAP"),
-        (lambda: jets.Jet(jets.CompactSet1D(points=(0.0,)), 2, {0.0: [1.0, 2.0]}),
+        (lambda: jets.Jet(jets.CompactSet1D(points=(0.0,)), 2, [[1.0, 2.0]]),
          "BAD_JET_VALUES"),
-        (lambda: jets.Jet(jets.CompactSet1D(points=(0.0,)), 1, {0.0: [1.0, math.nan]}),
+        (lambda: jets.Jet(jets.CompactSet1D(points=(0.0,)), 1, [[1.0, math.nan]]),
+         "BAD_JET_VALUES"),
+        (lambda: jets.Jet(jets.CompactSet1D(points=(0.0, 1.0)), 1, [[1.0, 2.0], [1.0]]),
          "BAD_JET_VALUES"),
         (lambda: jets.sample_jet({"kind": "bessel"}, jets.CompactSet1D(points=(0.0,))),
          "UNKNOWN_FAMILY"),
@@ -78,6 +111,15 @@ class TestCompactSet:
         with pytest.raises(JetSpecError) as err:
             build()
         assert err.value.code == code
+
+    def test_anchor_not_carried(self, exp_jet):
+        for call in (lambda: exp_jet.rows(0.5),
+                     lambda: jets.taylor_coeffs_local(exp_jet, 0.5, 3),
+                     lambda: jets.taylor_values(exp_jet, [0.0, 0.5], 3, 0.2, 0)):
+            with pytest.raises(JetSpecError) as err:
+                call()
+            assert err.value.code == "NOT_CARRIED"
+        assert exp_jet.values[exp_jet.rows(1.0), 2] == math.e
 
 
 class TestTaylorRemainder:
@@ -100,7 +142,8 @@ class TestTaylorRemainder:
     def test_duality_with_taylor_derivative(self, exp_jet):
         for (a, b, p, k) in [(0.0, 1.0, 5, 2), (1.0, 0.0, 7, 0), (0.0, 1.0, 3, 3)]:
             lhs = _remainder(exp_jet, a, b, p, k)
-            rhs = exp_jet.value(b, k) - float(jets.taylor_values(exp_jet, a, p, b, k))
+            rhs = (exp_jet.values[exp_jet.rows(b), k]
+                   - float(jets.taylor_values(exp_jet, a, p, b, k)))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_classical_remainder_magnitude(self, exp_jet):
@@ -114,22 +157,22 @@ class TestSampleJet:
     def test_exp_constant_jet(self):
         E = jets.CompactSet1D(points=(0.0,))
         F = jets.sample_jet({"kind": "exp"}, E, 6)
-        assert np.allclose(F.values[0.0], 1.0)
+        assert np.allclose(F.values[F.rows(0.0)], 1.0)
 
     def test_sin_cycle_exact(self):
         E = jets.CompactSet1D(points=(0.0,))
         F = jets.sample_jet({"kind": "sin"}, E, 7)
-        assert np.array_equal(F.values[0.0], [0, 1, 0, -1, 0, 1, 0, -1])
+        assert np.array_equal(F.values[F.rows(0.0)], [0, 1, 0, -1, 0, 1, 0, -1])
 
     def test_poly_x2(self, two_points):
         F = jets.sample_jet({"kind": "polynomial", "coeffs": [0, 0, 1]}, two_points, 4)
-        assert np.allclose(F.values[0.0], [0, 0, 2, 0, 0])
-        assert np.allclose(F.values[1.0], [1, 2, 2, 0, 0])
+        assert np.allclose(F.values[F.rows(0.0)], [0, 0, 2, 0, 0])
+        assert np.allclose(F.values[F.rows(1.0)], [1, 2, 2, 0, 0])
 
     def test_rational_derivatives(self, two_points):
         F = jets.sample_jet({"kind": "rational", "num": [1.0], "den": [1.0, 0.0, 1.0]},
                             two_points, 6)
-        assert np.allclose(F.values[0.0], [1, 0, -2, 0, 24, 0, -720])
+        assert np.allclose(F.values[F.rows(0.0)], [1, 0, -2, 0, 24, 0, -720])
 
     def test_pole_detected(self, two_points):
         with pytest.raises(PoleOnSet):
@@ -137,41 +180,41 @@ class TestSampleJet:
                             two_points, 4)
 
 
+# the small row s_k = 1: the fit's value bounds are then C rho^k k!
+S_KFAC = sq.from_log_quotients(np.zeros(64), "s=1")
+RHO_GRID = [2.0 ** j for j in range(-4, 11)]
+
+
 class TestNormProfile:
+    """The one jet-norm fit, :func:`jets.fit_jet_constants`."""
+
     def test_exp_profile_bounded_by_e(self, exp_jet):
-        prof = jets.jet_norm_profile(exp_jet, sq.gevrey(1, K=64))
-        i = list(prof.rho_grid).index(1.0)
-        assert prof.C_of_rho[i] <= math.e + 1e-9
-        assert not prof.not_in_class_trend
-        assert prof.verdict_rho is not None
+        fit = jets.fit_jet_constants(exp_jet, S_KFAC, RHO_GRID)
+        assert fit.C[RHO_GRID.index(1.0)] <= math.e + 1e-9
+        assert not fit.not_in_class
 
     def test_profile_nonincreasing(self, exp_jet):
-        prof = jets.jet_norm_profile(exp_jet, sq.gevrey(1, K=64))
-        assert np.all(np.diff(prof.C_of_rho) <= 1e-12)
+        fit = jets.fit_jet_constants(exp_jet, S_KFAC, RHO_GRID)
+        assert np.all(np.diff(fit.C) <= 1e-12)
 
     def test_zero_jet(self, two_points):
         zero = jets.table_jet(two_points, {0.0: np.zeros(13), 1.0: np.zeros(13)}, 12)
-        prof = jets.jet_norm_profile(zero, sq.gevrey(1, K=64))
-        assert np.all(prof.C_of_rho == 0.0)
+        fit = jets.fit_jet_constants(zero, S_KFAC, RHO_GRID)
+        assert np.all(fit.C == 1.0)          # the fit's floor
+        assert not fit.not_in_class and fit.order_slope == 0.0
 
     def test_scaling_linear(self, exp_jet, combine):
-        prof = jets.jet_norm_profile(exp_jet, sq.gevrey(1, K=64))
         F3 = combine(exp_jet, exp_jet, 3.0, 0.0)
-        prof3 = jets.jet_norm_profile(F3, sq.gevrey(1, K=64))
-        assert np.allclose(prof3.C_of_rho, 3.0 * prof.C_of_rho)
+        # remainders far below the values carry the rounding of their
+        # cancellation, about 1e-8 relative for exp on {0, 1}
+        for got, base in zip(F3.log_norm_terms, exp_jet.log_norm_terms):
+            np.testing.assert_allclose(got, base + math.log(3.0), rtol=0, atol=1e-6)
 
     def test_factorial_squared_not_in_class(self):
         E = jets.CompactSet1D(points=(0.0,))
         bad = jets.table_jet(E, {0.0: [math.factorial(k) ** 2 for k in range(13)]}, 12)
-        prof = jets.jet_norm_profile(bad, sq.gevrey(1, K=64))
-        assert prof.not_in_class_trend
-        assert prof.verdict_rho is None
-
-    def test_interval_components_flagged(self):
-        E = jets.CompactSet1D(intervals=((0.0, 1.0),))
-        F = jets.sample_jet({"kind": "exp"}, E, 6)
-        prof = jets.jet_norm_profile(F, sq.gevrey(1, K=64))
-        assert prof.sampled_semantics
+        fit = jets.fit_jet_constants(bad, S_KFAC, RHO_GRID)
+        assert fit.not_in_class and fit.order_slope >= 0.5
 
     @given(c=st.floats(min_value=-4, max_value=4),
            x=st.floats(min_value=-1, max_value=2))
@@ -220,7 +263,8 @@ class TestRemainderTable:
         D = descend(sq.gevrey(2, K=64), K_eff=32)
         log_sigma_star = D.log_sigma_star
         rho_grid = [2.0 ** j for j in range(-3, 13)]
-        Cs, i = jets.fit_jet_constants(F, D.small_s, rho_grid)
+        fit = jets.fit_jet_constants(F, D.small_s, rho_grid)
+        Cs, i = fit.C, fit.index
 
         log_s = np.concatenate([[0.0], np.cumsum(log_sigma_star)])
         cap = min(F.order_cap, len(log_s) - 2)
@@ -231,7 +275,7 @@ class TestRemainderTable:
             best = 0.0
             for a in pts:
                 for k in range(cap + 1):
-                    v = F.value(a, k)
+                    v = F.values[F.rows(a), k]
                     if v != 0.0:
                         best = max(best, math.log(abs(v)) - k * lr - log_s[k]
                                    - math.lgamma(k + 1))
@@ -255,7 +299,7 @@ def _scalar_taylor(F, a, p, x, order):
     j = np.arange(0, p + 1 - order)
     if len(j) == 0:
         return 0.0
-    terms = (F.values[float(a)][order: p + 1] * np.power(x - a, j)
+    terms = (F.values[F.rows(a)][order: p + 1] * np.power(x - a, j)
              * np.exp(-sq.log_factorial(j)))
     return float(np.sum(terms))
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
 
+from ultrajet import descend
 from ultrajet import seqcalc as sq
 from ultrajet import serial
 from ultrajet import weightfunc as wf
@@ -85,6 +86,17 @@ class TestYoungConjugate:
             wf.omega_table([(1.0, 0.0), (math.e, 2.0), (math.e ** 2, 3.0),
                             (math.e ** 3, 6.0)])
         assert exc.value.code == "NON_LOGCONVEX"
+
+    def test_table_vanishes_on_the_unit_interval(self):
+        # knots from log t = 0.5 gain the knot (1, 0): phi(0) = 0, not the
+        # first knot's value held to the left
+        w = wf.omega_table([(math.exp(u), u ** 2.2) for u in np.linspace(0.5, 40, 60)])
+        assert w.phi(0.0) == 0.0 and w.phi(-3.0) == 0.0 and w(0.5) == 0.0
+        assert (w.table_log_t[0], w.table_w[0]) == (0.0, 0.0)
+        assert wf.young_conjugate(w, 0.0) == 0.0
+        with pytest.raises(SequenceSpecError, match=r"at t = 0\.5") as exc:
+            wf.omega_table([(0.5, 0.1), (math.e, 1.0), (math.e ** 2, 3.0)])
+        assert exc.value.code == "NOT_NORMALIZED"
 
     def test_negative_x_is_coded(self):
         with pytest.raises(SequenceSpecError) as exc:
@@ -296,6 +308,16 @@ class TestAdmissibility:
         mat = wf.matrix_from_rows([qgevrey2], params=[1.0])
         adm = wf.check_admissible_matrix(mat)
         assert adm["4.6-4"].verdict == NOT_WITNESSED
+
+    def test_quotient_regularity_reports_first_failing_row(self):
+        # omega_s(1.8): rows x = 1/4..1 are INCONCLUSIVE and rows x >= 2 FAIL
+        # by trend; the report is the first FAILS row, as in item (1)
+        mat = wf.associated_matrix(wf.omega_s(1.8), K=512)
+        per_row = [descend.check_43(r) for r in mat.rows]
+        verdicts = [r.verdict for r in per_row]
+        first_fail = verdicts.index(FAILS)
+        assert INCONCLUSIVE in verdicts[:first_fail]
+        assert wf.check_admissible_matrix(mat)["4.6-3"] == per_row[first_fail]
 
     def test_quasianalytic_row_fails_item2(self, gevrey1, gevrey2):
         # (4.3) presumes non-quasianalyticity: the gevrey(1) row is skipped
