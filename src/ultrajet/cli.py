@@ -74,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("wf_spec")
     pm.set_defaults(func=cmd_matrix)
 
-    pe = sub.add_parser("extend", help="extend a jet through a matrix")
+    extend_help = ("extend a jet through a matrix; writes extension.json, "
+                   "extension_spline.npy, probes.csv and plot_extension.gp")
+    pe = sub.add_parser("extend", help=extend_help, description=extend_help)
     pe.add_argument("jet_file")
     pe.add_argument("matrix_spec")
     pe.add_argument("--L", type=float, default=None)
@@ -219,8 +221,7 @@ def cmd_extend(args) -> int:
                    "coefficients_dropped": res.coefficients_dropped},
     }
     serial.dump_json(os.path.join(out, "extension.json"), manifest)
-    serial.write_csv(os.path.join(out, "extension_spline.csv"),
-                     serial.ppoly_csv_columns(res.f))
+    serial.write_spline(os.path.join(out, "extension_spline.npy"), res.f)
     _probe_csv(res, os.path.join(out, "probes.csv"), cfg)
     _gnuplot_script(out)
     bm = res.verification["boundary"]
@@ -231,8 +232,9 @@ def cmd_extend(args) -> int:
           f"growth C'={res.verification['growth']['C_prime']:.3g} at "
           f"rho'={res.verification['growth']['rho_prime']:g}")
     taylor = res.verification["taylor_estimates"]
+    part = res.verification["partition"]
     ok = (bm["monotone_ok"]
-          and res.verification["partition"]["bound_ok"]
+          and part["bound_ok"] and part["range_ok"] and part["support_ok"]
           and taylor["5.4"]["violations"] == 0 and taylor["5.5"]["violations"] == 0)
     return EXIT_OK if ok else EXIT_FAILS
 

@@ -98,4 +98,5 @@ class CutoffError(UltrajetError):
 
 class ExtensionError(UltrajetError):
     """Codes: JET_NOT_IN_CLASS, ROW_CHAIN_UNAVAILABLE, NOT_ADMISSIBLE_IN_SAMPLE,
-    COVER_INCOMPLETE, NON_POSITIVE (a cover with d_min <= 0)."""
+    COVER_INCOMPLETE, NON_POSITIVE (a cover with d_min <= 0, or an
+    ``ExtensionConfig`` field out of range)."""

@@ -173,6 +173,19 @@ class ExtensionConfig:
     p_max_eval: int = 8
     base_row: int = 0
 
+    def __post_init__(self):
+        """Raises ExtensionError NON_POSITIVE unless L and epsilon are None
+        or > 0, d_min > 0, and p_max_eval and base_row >= 0."""
+        for name, rule, ok in (
+                ("L", "> 0", self.L is None or self.L > 0),
+                ("epsilon", "> 0", self.epsilon is None or self.epsilon > 0),
+                ("d_min", "> 0", self.d_min > 0),
+                ("p_max_eval", ">= 0", self.p_max_eval >= 0),
+                ("base_row", ">= 0", self.base_row >= 0)):
+            if not ok:
+                raise ExtensionError(f"{name} must be {rule}, got {getattr(self, name)}",
+                                     code="NON_POSITIVE")
+
 
 @dataclass(frozen=True)
 class RowChain:

@@ -229,20 +229,22 @@ class PiecewisePolynomial:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _rows_at(self, u: np.ndarray) -> np.ndarray:
-        """Rows re-anchored at each u, of the piece containing u; zero rows
-        for u outside [first breakpoint, last breakpoint).
+    def _rows_at(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """For each piece [u, v], the row of self's piece that contains its
+        midpoint, re-anchored at u; zero rows for midpoints outside
+        [first breakpoint, last breakpoint).  The midpoint, not u, picks the
+        row, so a breakpoint of self merged into u takes the row past it.
 
-        u must be nondecreasing (merged breakpoints and ``restrict`` cuts
-        are): one ``searchsorted`` on u finds the window of u inside the
-        span, and only those rows are gathered and shifted, in place.
+        The pieces must be increasing (merged breakpoints and ``restrict``
+        cuts are): one ``searchsorted`` on the midpoints finds the window
+        inside the span, and only those rows are gathered and shifted.
         """
         b = self.breakpoints
-        lo, hi = np.searchsorted(u, b[[0, -1]])
-        ui = u[lo:hi]
-        i = np.searchsorted(b, ui, side="right") - 1
+        mid = 0.5 * (u + v)
+        lo, hi = np.searchsorted(mid, b[[0, -1]])
+        i = np.searchsorted(b, mid[lo:hi], side="right") - 1
         inner = self.coeffs[i]
-        _shift_in_place(inner, ui - b[i])
+        _shift_in_place(inner, u[lo:hi] - b[i])
         if hi - lo == len(u):
             return inner
         rows = np.zeros((len(u), self.coeffs.shape[1]))
@@ -374,7 +376,8 @@ class PiecewisePolynomial:
         """Restriction to [lo, hi] (zero outside is preserved by convention)."""
         b = self.breakpoints
         cuts = np.unique(np.concatenate([[lo, hi], b[(b > lo) & (b < hi)]]))
-        return PiecewisePolynomial(cuts, self._rows_at(cuts[:-1]), self.smoothness_order)
+        return PiecewisePolynomial(cuts, self._rows_at(cuts[:-1], cuts[1:]),
+                                   self.smoothness_order)
 
 
 def _dedup(pts: np.ndarray) -> np.ndarray:
@@ -410,13 +413,15 @@ def _mul_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
     b = _dedup(np.concatenate([f.breakpoints, g.breakpoints]))
     sm = min(f.smoothness_order, g.smoothness_order)
-    # the product is zero unless a piece starts inside both spans
+    # the product is zero unless a piece's midpoint is inside both spans
     lo, hi = max(f.span[0], g.span[0]), min(f.span[1], g.span[1])
-    inside = np.flatnonzero((b[:-1] >= lo) & (b[:-1] < hi))
+    mid = 0.5 * (b[:-1] + b[1:])
+    inside = np.flatnonzero((mid >= lo) & (mid < hi))
     if not inside.size:
         return PiecewisePolynomial(b[:2], np.zeros((1, 1)), sm)
     b = b[inside[0]: inside[-1] + 2]
-    return PiecewisePolynomial(b, _mul_rows(f._rows_at(b[:-1]), g._rows_at(b[:-1])), sm)
+    u, v = b[:-1], b[1:]
+    return PiecewisePolynomial(b, _mul_rows(f._rows_at(u, v), g._rows_at(u, v)), sm)
 
 
 def spline_sum(parts) -> PiecewisePolynomial:
@@ -424,16 +429,17 @@ def spline_sum(parts) -> PiecewisePolynomial:
     breakpoints.
 
     One ``_dedup`` merges every breakpoint, so its tolerance is relative to
-    the union span.  Each part is re-anchored only on the pieces inside its
-    own span, and each piece adds the parts that cover it in the order
-    given.
+    the union span.  Each part is re-anchored only on the pieces whose
+    midpoints lie inside its own span, and each piece adds the parts that
+    cover it in the order given.
     """
     b = _dedup(np.concatenate([p.breakpoints for p in parts]))
-    u = b[:-1]
+    u, v = b[:-1], b[1:]
+    mid = 0.5 * (u + v)
     out = np.zeros((len(u), max(p.coeffs.shape[1] for p in parts)))
     for p in parts:
-        lo, hi = np.searchsorted(u, p.breakpoints[[0, -1]])
-        rows = p._rows_at(u[lo:hi])
+        lo, hi = np.searchsorted(mid, p.breakpoints[[0, -1]])
+        rows = p._rows_at(u[lo:hi], v[lo:hi])
         out[lo:hi, : rows.shape[1]] += rows
     return PiecewisePolynomial(b, out, min(p.smoothness_order for p in parts))
 

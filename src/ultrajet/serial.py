@@ -1,4 +1,4 @@
-"""File formats: JSON specs in, JSON/CSV reports out.
+"""File formats: JSON specs in, JSON/CSV/NPY reports out.
 
 Sequence specs: {"family": "gevrey"|"qgevrey"|"powerlog"|"table",
                  "params": {...}, "K": int}
@@ -9,11 +9,14 @@ Matrices: a weight-function spec plus "params"/"K", or
 Jets: {"points": [...], "intervals": [[a,b], ...], "order_cap": p,
        "values": [[...], ...]} (values row-aligned with carried points).
 
-Spline tables (``extension_spline.csv``): one line per piece,
-``piece,left,right,degree,c0..c{D}`` with D the spline's largest row
-degree; row i is sum_j c_j (x - left)^j on [left, right], and the cells
-past the row's own ``degree`` are empty (read them as 0), so every line
-has the same number of fields.
+Spline tables (``extension_spline.npy``): one float64 array in NumPy's
+``.npy`` format, shape (pieces, 2 + D + 1) with D the spline's largest row
+degree, columns ``left, right, c0..c{D}``; row i is sum_j c_j (x - left)^j
+on [left, right].  The piece index is the row number, each row's own degree
+is its last nonzero column, and the cells past it hold 0.0.  Read it with
+``np.load(path)``; the breakpoints are ``t[:, 0]`` followed by ``t[-1, 1]``
+and the coefficients ``t[:, 2:]``.  The values are the spline's own floats,
+bit for bit.
 Probe tables (``probes.csv``): one line per probe x,
 ``x,d,f0..f{p}`` with d the distance from x to E and f{k} = f^(k)(x).
 Sequence tables are logs only, since rows built from weight functions leave
@@ -46,16 +49,29 @@ def load_json(path):
         return json.load(fh)
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """write(fh) into a binary temp file beside path, then rename it over path."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """text, UTF-8 encoded, as the whole file at path."""
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
+
+
+def write_spline(path: str, pp) -> None:
+    """The spline table of ``pp`` as one ``.npy`` file (no pickles)."""
+    b = pp.breakpoints
+    table = np.column_stack([b[:-1], b[1:], pp.coeffs])
+    _atomic_write(path, lambda fh: np.save(fh, table, allow_pickle=False))
 
 
 def dump_json(path: str, payload) -> None:
@@ -79,7 +95,7 @@ CSV_BLOCK_ROWS = 256   # rows per formatting pass: bounds the per-value strings 
 def write_csv(path: str, columns: dict) -> None:
     """Header, then one line per row.  Integer columns print as ``str``,
     every other column (bool included) as the shortest round-trip ``repr``
-    of its float values.  A masked cell (``np.ma``) is an empty field."""
+    of its float values."""
     atomic_write_text(path, "".join(_csv_blocks(columns)))
 
 
@@ -90,17 +106,8 @@ def _csv_blocks(columns: dict):
             for c in map(np.atleast_1d, columns.values())]
     yield ",".join(columns) + "\n"
     for lo in range(0, min((len(c) for _, c in cols), default=0), CSV_BLOCK_ROWS):
-        block = [_column_text(fmt, c[lo:lo + CSV_BLOCK_ROWS]) for fmt, c in cols]
+        block = [map(fmt, c[lo:lo + CSV_BLOCK_ROWS].tolist()) for fmt, c in cols]
         yield "\n".join(map(",".join, zip(*block))) + "\n"
-
-
-def _column_text(fmt, c):
-    """fmt of each value of c, "" for a masked cell."""
-    if not np.ma.is_masked(c):
-        return map(fmt, np.ma.getdata(c).tolist())
-    text = np.full(len(c), "", dtype=object)
-    text[~c.mask] = list(map(fmt, c.compressed().tolist()))
-    return text.tolist()
 
 
 # -- spec loaders ---------------------------------------------------------------
@@ -158,16 +165,3 @@ def descendant_csv_columns(N: WeightSequence, D) -> dict:
     return {"k": np.arange(1, D.K_eff + 1), "log_nu": N.log_mu[: D.K_eff],
             "log_tau": D.log_tau, "log_sigma": D.log_sigma,
             "log_sigma_star": D.log_sigma_star, "log_s": D.small_s.log_M[1:]}
-
-
-def ppoly_csv_columns(pp) -> dict:
-    """Flat spline table: piece index, breakpoints, row degree, then the
-    coefficients, masked past each row's degree."""
-    degrees = pp.row_degrees()
-    cols = {"piece": np.arange(len(pp.coeffs)),
-            "left": pp.breakpoints[:-1], "right": pp.breakpoints[1:],
-            "degree": degrees}
-    past = np.arange(pp.degree + 1) > degrees[:, None]
-    for j, (col, mask) in enumerate(zip(pp.coeffs.T, past.T)):
-        cols[f"c{j}"] = np.ma.array(col, mask=mask)
-    return cols

@@ -122,12 +122,13 @@ class TestExtendCmd:
         assert code == 0
         man = json.load(open(os.path.join(out, "extension.json")))
         assert man["verification"]["boundary"]["monotone_ok"]
-        assert os.path.exists(os.path.join(out, "extension_spline.csv"))
+        assert os.path.exists(os.path.join(out, "extension_spline.npy"))
         assert os.path.exists(os.path.join(out, "probes.csv"))
         assert os.path.exists(os.path.join(out, "plot_extension.gp"))
 
     def test_writes_pass_whole_text(self, tmp_path, om2_spec, monkeypatch):
-        # every output reaches atomic_write_text as one str holding the file
+        # every text output reaches atomic_write_text as one str holding the
+        # file; the spline table is the documented .npy
         written = {}
         write_text = serial.atomic_write_text
 
@@ -142,11 +143,14 @@ class TestExtendCmd:
         assert cli.main(["--out", out, "extend", jet, om2_spec,
                          "--d-min", "1e-4", "--p-max-eval", "4"]) == 0
         names = {os.path.basename(p) for p in written}
-        assert {"extension.json", "extension_spline.csv", "probes.csv",
-                "plot_extension.gp"} <= names
+        assert names == {"extension.json", "probes.csv", "plot_extension.gp"}
         for path, text in written.items():
             assert isinstance(text, str)
             assert len(text.encode()) == os.path.getsize(path)
+        spline = json.load(open(os.path.join(out, "extension.json")))["spline"]
+        table = np.load(os.path.join(out, "extension_spline.npy"))
+        assert table.dtype == np.float64
+        assert table.shape == (spline["pieces"], 2 + spline["degree"] + 1)
 
     def test_taylor_55_violation_exits_1(self, tmp_path, om2_spec, monkeypatch):
         def one_55_violation(*args):
@@ -160,6 +164,32 @@ class TestExtendCmd:
                     {"kind": "exp", "points": [0.0], "order_cap": 16})
         assert cli.main(["--out", str(tmp_path / "o"), "extend", jet, om2_spec,
                          "--d-min", "1e-4", "--p-max-eval", "4"]) == 1
+
+    @pytest.mark.parametrize("gate", ["range_ok", "support_ok"])
+    def test_partition_gate_exits_1(self, tmp_path, om2_spec, monkeypatch, gate):
+        def gate_false(*args):
+            res = extend_jet(*args)
+            v = json.loads(json.dumps(res.verification, default=str))
+            v["partition"][gate] = False
+            return dataclasses.replace(res, verification=v)
+
+        monkeypatch.setattr(cli, "extend_jet", gate_false)
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        assert cli.main(["--out", str(tmp_path / "o"), "extend", jet, om2_spec,
+                         "--d-min", "1e-4", "--p-max-eval", "4"]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--p-max-eval", "-1"), ("--L", "0"), ("--L", "-2"), ("--base-row", "-1")])
+    def test_bad_config_is_coded(self, tmp_path, om2_spec, capsys, flag, value):
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        code = cli.main(["--out", str(tmp_path / "o"), "extend", jet, om2_spec,
+                         "--d-min", "1e-3", "--p-max-eval", "4", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [NON_POSITIVE]: ")
+        assert flag.lstrip("-").replace("-", "_") in err
 
     def test_csv_files_round_trip(self, tmp_path, om2_spec, monkeypatch, capsys):
         results = []
@@ -181,19 +211,11 @@ class TestExtendCmd:
         assert man["spline"]["coefficients_dropped"] == results[0].coefficients_dropped > 0
         assert f"{kept} coefficients" in capsys.readouterr().out
 
-        with open(out / "extension_spline.csv", newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        assert header == ["piece", "left", "right", "degree"] + [
-            f"c{j}" for j in range(f.degree + 1)]
-        assert {len(r) for r in rows} == {len(header)}
-        table = np.array([[float(v) if v else 0.0 for v in r] for r in rows])
-        breakpoints = np.append(table[:, 1], table[-1, 2])
+        table = np.load(out / "extension_spline.npy", allow_pickle=False)
+        assert table.dtype == np.float64 and table.shape == (len(f.coeffs), 2 + f.degree + 1)
+        breakpoints = np.append(table[:, 0], table[-1, 1])
         assert breakpoints.tobytes() == f.breakpoints.tobytes()
-        assert table[:, 4:].tobytes() == f.coeffs.tobytes()
-        assert np.array_equal(table[:, 3], f.row_degrees())
-        # a cell is empty exactly past its row's degree
-        empty = np.array([[v == "" for v in r[4:]] for r in rows])
-        assert np.array_equal(empty, np.arange(f.degree + 1) > f.row_degrees()[:, None])
+        assert table[:, 2:].tobytes() == f.coeffs.tobytes()
 
         with open(out / "probes.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
@@ -255,8 +277,6 @@ class TestSerial:
 
     def test_csv_bytes_match_per_value_format(self, tmp_path):
         def fmt(v):   # the per-value formatter the column writer replaced
-            if v is np.ma.masked:
-                return ""
             if isinstance(v, (int, np.integer)):
                 return str(int(v))
             return repr(float(v))
@@ -276,12 +296,6 @@ class TestSerial:
             # unequal lengths: rows stop at the shortest column
             {"long": rng.standard_normal(n), "short": np.arange(serial.CSV_BLOCK_ROWS + 1)},
             {"short": rng.standard_normal(3), "long": np.arange(n)},
-            # masked cells are empty fields, across the block boundaries
-            {"i": np.arange(n),
-             "m": np.ma.array(rng.standard_normal(n), mask=np.arange(n) % 3 == 1),
-             "all": np.ma.array(rng.standard_normal(n), mask=True),
-             "none": np.ma.array(rng.standard_normal(n), mask=False),
-             "mi": np.ma.array(np.arange(n), mask=np.arange(n) >= serial.CSV_BLOCK_ROWS - 2)},
         ]
         for k, cols in enumerate(cases):
             path = str(tmp_path / f"t{k}.csv")

@@ -308,6 +308,16 @@ class TestExtendJet:
             extend_jet(bad, omega2_matrix, ExtensionConfig())
         assert err.value.code == "JET_NOT_IN_CLASS"
 
+    @pytest.mark.parametrize("field, value", [
+        ("L", 0.0), ("L", -2.0), ("epsilon", 0.0), ("d_min", 0.0), ("d_min", -1e-3),
+        ("p_max_eval", -1), ("base_row", -1)])
+    def test_bad_config_is_coded(self, field, value):
+        # p_max_eval=-1 would chop every coefficient: f = 0 with F(0) = 1
+        with pytest.raises(ExtensionError) as err:
+            ExtensionConfig(**{field: value})
+        assert err.value.code == "NON_POSITIVE"
+        assert str(err.value).startswith(f"{field} must be ")
+
     def test_zero_jet(self, omega2_matrix):
         E = jets.CompactSet1D(points=(0.0,))
         res = extend_jet(jets.table_jet(E, {0.0: np.zeros(17)}, 16), omega2_matrix,

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ultrajet.errors import SplineError
 from ultrajet.extend import extend_jet, ppoly
@@ -161,20 +161,41 @@ def splines(draw):
     return ppoly.PiecewisePolynomial(b, np.reshape(c, (n, deg + 1)), 0)
 
 
+@st.composite
+def spline_pairs(draw):
+    """(f, g): g drawn on its own, or on a run of f's breakpoints each moved
+    by 0 or by far less than the merge tolerance, so that merging drops
+    breakpoints of either operand, span ends included."""
+    f = draw(splines())
+    if draw(st.booleans()):
+        return f, draw(splines())
+    b = f.breakpoints
+    i = draw(st.integers(0, len(b) - 2))
+    j = draw(st.integers(i + 2, len(b)))
+    moves = draw(st.lists(st.sampled_from([0.0, 2.8e-305, 3e-15, -3e-15, 1e-13, -1e-13]),
+                          min_size=j - i, max_size=j - i))
+    deg = draw(st.integers(0, 5))
+    c = draw(st.lists(st.floats(-1.0, 1.0), min_size=(j - i - 1) * (deg + 1),
+                      max_size=(j - i - 1) * (deg + 1)))
+    g = ppoly.PiecewisePolynomial(b[i:j] + np.array(moves),
+                                  np.reshape(c, (j - i - 1, deg + 1)), 0)
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
 def _majorant(f, x):
     """sum_j |c_ij| (x - b_i)^j: the scale of the rounding in f(x)."""
     return ppoly.PiecewisePolynomial(f.breakpoints, np.abs(f.coeffs))(x)
 
 
 class TestArrayOperations:
-    @given(f=splines(), g=splines(), seed=st.integers(0, 2 ** 32 - 1),
+    @given(fg=spline_pairs(), seed=st.integers(0, 2 ** 32 - 1),
            lo=st.floats(-2.0, 0.0), hi=st.floats(0.5, 2.0),
            center=st.floats(-1.0, 1.0), scale=st.floats(0.25, 4.0))
-    @settings(max_examples=100, deadline=None)
-    def test_random_splines_match_pointwise(self, f, g, seed, lo, hi, center, scale):
-        # breakpoints of f and g closer than the merge tolerance are merged by design
-        gaps = np.diff(np.union1d(f.breakpoints, g.breakpoints))
-        assume(np.all(gaps > 1e-6))
+    @settings(max_examples=150, deadline=None)
+    def test_random_splines_match_pointwise(self, fg, seed, lo, hi, center, scale):
+        # breakpoints of f and g closer than the merge tolerance are merged,
+        # so the probes keep 1e-6 away from every breakpoint
+        f, g = fg
         x = np.random.default_rng(seed).uniform(-2.5, 2.5, 50)
         cuts = np.concatenate([f.breakpoints, g.breakpoints, [lo, hi]])
         x = x[np.min(np.abs(x[:, None] - cuts[None, :]), axis=1) > 1e-6]
@@ -214,11 +235,28 @@ class TestArrayOperations:
         assert np.allclose(p(xs), psi(xs) * prod(xs), atol=1e-14)
 
     def test_product_keeps_piece_with_merged_overlap_end(self):
-        # g's breakpoint 1 - 1e-13 absorbs f's right end 1 (dedup tolerance)
+        # g's breakpoint 1 - 1e-13 absorbs f's right end 1 (dedup tolerance):
+        # the merged piece [1 - 1e-13, 2] lies past f's span but for the
+        # 1e-13 sliver, so the product ends at 1 - 1e-13 and reads 0 past it
         f = ppoly.constant_on(0.0, 1.0)
         g = ppoly.PiecewisePolynomial(np.array([-1.0, 1.0 - 1e-13, 2.0]),
                                       np.array([[2.0], [3.0]]))
-        assert (f * g)(1.0 - 0.5e-13) == 3.0
+        p = f * g
+        assert p.span == (0.0, 1.0 - 1e-13)
+        assert p(0.5) == 2.0 and p(1.0 - 2e-13) == 2.0 and p(1.5) == 0.0
+
+    @pytest.mark.parametrize("op, f_value", [
+        (lambda f, g: f + g, 0.0), (lambda f, g: g - f, 0.0), (lambda f, g: f * g, 1.0)],
+        ids=["sum", "difference", "product"])
+    def test_merged_breakpoint_takes_the_row_past_it(self, op, f_value):
+        # g's breakpoint 2.8e-305 is merged into f's 0 (dedup tolerance); the
+        # merged piece [0, 1] is g's second piece but for a 2.8e-305 sliver
+        f = ppoly.PiecewisePolynomial(np.array([-1.0, 0.0, 1.0]), np.full((2, 1), f_value))
+        g = ppoly.PiecewisePolynomial(np.array([-1.0, 2.8e-305, 1.0]),
+                                      np.array([[0.0], [1.0]]))
+        h = op(f, g)
+        assert h.breakpoints.tolist() == [-1.0, 0.0, 1.0]
+        assert h(-0.5) == 0.0 and h(0.5) == 1.0 and h(1.0) == 1.0
 
 
 class TestCodedErrors:
@@ -255,11 +293,13 @@ def reference_taylor_shift(rows, h):
     return out
 
 
-def reference_rows_at(f, u):
-    """Every u looked up (clipped) and shifted, rows outside the span zeroed."""
+def reference_rows_at(f, u, v):
+    """Every piece [u, v] looked up (clipped) at its midpoint and shifted to
+    u, rows whose midpoint is outside the span zeroed."""
     b = f.breakpoints
-    i = np.clip(np.searchsorted(b, u, side="right") - 1, 0, len(f.coeffs) - 1)
-    outside = (u < b[0]) | (u >= b[-1])
+    mid = 0.5 * (u + v)
+    i = np.clip(np.searchsorted(b, mid, side="right") - 1, 0, len(f.coeffs) - 1)
+    outside = (mid < b[0]) | (mid >= b[-1])
     rows = reference_taylor_shift(f.coeffs[i], np.where(outside, 0.0, u - b[i]))
     rows[outside] = 0.0
     return rows
@@ -338,12 +378,14 @@ class TestKernelsBitIdentical:
     def test_rows_at_matches_clip_and_where(self, case, n_u):
         f, rng = case
         b = f.breakpoints
-        # left of, right of, and exactly at the span ends and breakpoints
-        u = np.concatenate([rng.uniform(b[0] - 1.0, b[-1] + 1.0, n_u),
-                            rng.choice(b, min(n_u, len(b))),
-                            [b[-1]] if n_u % 2 else []])
-        u = np.unique(u)
-        assert _same_bits(f._rows_at(u), reference_rows_at(f, u))
+        # left of, right of, exactly at and just off the span ends and
+        # breakpoints, so midpoints and left ends fall in different pieces
+        near = rng.choice(b, min(n_u, len(b)))
+        pts = np.unique(np.concatenate([rng.uniform(b[0] - 1.0, b[-1] + 1.0, n_u),
+                                        near, near + 1e-13, near - 1e-13,
+                                        [b[-1]] if n_u % 2 else [], [b[0] - 2.0]]))
+        u, v = pts[:-1], pts[1:]
+        assert _same_bits(f._rows_at(u, v), reference_rows_at(f, u, v))
 
     @given(case=increasing_splines(), n_x=st.integers(1, 30),
            orders=st.lists(st.integers(0, 15), min_size=1, max_size=8))
