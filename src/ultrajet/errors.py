@@ -28,7 +28,8 @@ class SequenceSpecError(UltrajetError):
 
     Codes: NON_LOGCONVEX, NOT_NORMALIZED, NON_POSITIVE, PREFIX_TOO_SHORT (a
     check that needs K >= 8), PREFIX_MISMATCH (two sequences of different K),
-    PARAMS_MISMATCH (a matrix whose params and rows differ in number).
+    PARAMS_MISMATCH (a matrix whose params and rows differ in number),
+    BAD_SPEC (a weight-function spec with a missing or malformed field).
     """
 
 

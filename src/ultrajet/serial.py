@@ -50,12 +50,18 @@ def load_json(path):
 
 
 def _atomic_write(path: str, write) -> None:
-    """write(fh) into a binary temp file beside path, then rename it over path."""
+    """write(fh) into a binary temp file beside path, then rename it over path.
+
+    The file gets mode 0666 less the umask, as ``open`` would give it, not
+    the owner-only mode of the temp file."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -118,10 +124,14 @@ def sequence_from_spec(spec: dict, K_default: int = 512) -> WeightSequence:
 
 def weight_function_from_spec(spec: dict) -> WeightFunction:
     kind = spec.get("kind")
-    if kind == "omega_s":
-        return omega_s(float(spec["s"]))
-    if kind == "table":
-        return omega_table(spec["points"])
+    try:
+        if kind == "omega_s":
+            return omega_s(float(spec["s"]))
+        if kind == "table":
+            return omega_table(spec["points"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SequenceSpecError(f"bad {kind} spec: {type(exc).__name__} {exc}",
+                                code="BAD_SPEC") from exc
     raise SequenceSpecError(f"unknown weight function kind {kind!r}",
                             code="NON_POSITIVE")
 

@@ -9,6 +9,10 @@ phi* is exact for both kinds, with no search: the family
 omega_s(t) = max(0, (log t)^s) has phi_s*(x) = C_s x^r with r = s/(s-1) and
 C_s = (s-1) s^{-r}, and a table's phi is piecewise linear, so its conjugate
 is a maximum over the knots.
+
+So are the weight-function conditions of Braun-Meise-Taylor (1990) and
+Bonet-Braun-Meise-Taylor (1991): int_1^inf omega(t)/t^2 dt and the averaged
+bound have closed forms for both kinds (:func:`check_omega_nonquasianalytic`).
 """
 
 from __future__ import annotations
@@ -73,9 +77,11 @@ class WeightFunction:
 
 
 def omega_s(s: float) -> WeightFunction:
-    if s <= 1:
-        raise SequenceSpecError("omega_s needs s > 1", code="NON_POSITIVE")
-    return WeightFunction("omega_s", s=float(s))
+    s = float(s)
+    if not (1.0 < s < math.inf):
+        raise SequenceSpecError(f"omega_s needs a finite s > 1, got {s!r}",
+                                code="NON_POSITIVE")
+    return WeightFunction("omega_s", s=s)
 
 
 def omega_table(points) -> WeightFunction:
@@ -84,15 +90,17 @@ def omega_table(points) -> WeightFunction:
 
     omega vanishes on [0, 1]: a knot with t <= 1 and omega > 0 raises
     NOT_NORMALIZED, and the knots with t <= 1 are replaced by (1, 0), so
-    phi(y) = 0 for y <= 0.
+    phi(y) = 0 for y <= 0.  Every t and omega must be finite, and some omega
+    positive (NON_POSITIVE otherwise).
     """
     pts = sorted((float(t), float(v)) for t, v in points)
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    if len(t) < 2 or np.any(t <= 0) or np.any(np.diff(t) <= 0) or np.any(v < 0) \
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v)) and np.any(v > 0)) \
+            or np.any(t <= 0) or np.any(np.diff(t) <= 0) or np.any(v < 0) \
             or np.any(np.diff(v) < 0):
-        raise SequenceSpecError("omega table must be positive and nondecreasing, "
-                                "with two or more distinct t", code="NON_POSITIVE")
+        raise SequenceSpecError("omega table must be finite, nondecreasing and not "
+                                "all 0, with distinct t > 0", code="NON_POSITIVE")
     if np.any(v[t <= 1.0] > 0.0):
         raise SequenceSpecError("omega must vanish on [0, 1]: the table has omega > 0 "
                                 f"at t = {t[(t <= 1.0) & (v > 0.0)][0]:.6g}",
@@ -312,103 +320,66 @@ def existential_verdict(partners: dict, n_rows: int, K: int, note: str) -> Check
                        details={"witnessed": detail, "boundary_rows": missing})
 
 
-# 32-node Gauss-Legendre rule on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_LOG2 = math.log(2.0)
-# integral check: the doubling panels [j log 2, (j+1) log 2] in y = log t, the
-# first split dyadically toward y = 0, where phi = y^s is not smooth
-_DOUBLING_EDGES = _LOG2 * np.arange(61)
-_FIRST_PANEL_SPLITS = _LOG2 * 2.0 ** -np.arange(1, 31)
-# averaged check: the panels 0, 1/16, 1/8, ..., 64 in u = log y
-_AVERAGED_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-4, 7)])
+# a table's integral counts as converged once phi's extrapolation past the
+# last knot adds less than this
+_TAIL_TOL = 1e-8
 
 
-def _exp_weighted_panels(w: WeightFunction, y0, edges, splits=()) -> np.ndarray:
-    """int_{edges[i]}^{edges[i+1]} phi(y + u) e^{-u} du for each y in ``y0``
-    and panel i, shape (len(y0), len(edges) - 1).
+def _table_integrals(w: WeightFunction):
+    """int phi(y) e^{-y} dy over each knot interval of a table, where phi =
+    phi_i + beta_i (y - y_i) integrates to (phi_i + beta_i) e^{-y_i} -
+    (phi_{i+1} + beta_i) e^{-y_{i+1}}, and over [y_n, inf), past the table."""
+    y, v = w.table_log_t, w.table_w
+    beta = np.diff(v) / np.diff(y)
+    e = np.exp(-y)
+    pieces = (v[:-1] + beta) * e[:-1] - (v[1:] + beta) * e[1:]
+    return pieces, float((v[-1] + w.last_slope) * e[-1])
 
-    Each panel is split at ``splits`` and at phi's kinks (y = 0, and a
-    table's knots), and every piece gets the 32-node Gauss-Legendre rule; all
-    nodes go through one ``phi`` call.
+
+def check_omega_nonquasianalytic(w: WeightFunction) -> dict[str, CheckReport]:
+    """Integral non-quasianalyticity of omega and the averaged bound, exactly.
+
+    With t = e^y both are int phi(a + u) e^{-u} du over u >= 0, phi = omega o
+    exp: ``integral`` is int_1^inf omega(t)/t^2 dt (a = 0), and ``averaged``
+    bounds int_1^inf omega(t y)/y^2 dy (a = log t) by A omega(t) + B for
+    every t, with witness log A and (A, B) in ``details``.
+
+    * omega_s: the integral is Gamma(s+1), and (a + u)^s <= 2^{s-1}(a^s + u^s)
+      gives A = 2^{s-1}, B = 2^{s-1} Gamma(s+1).  Both HOLD, with
+      ``prefix_K`` 0: nothing is sampled.
+    * A table (``prefix_K`` its knot count): the verdict rests on what phi's
+      linear extrapolation adds past the last knot.  It HOLDS when that is
+      below 1e-8, FAILS (at the last knot) when omega(t)/t > 0 does not fall
+      over the last two knots, as omega then grows at least like t, and is
+      INCONCLUSIVE otherwise.  phi is convex with slope at most
+      ``last_slope``, so int phi(a + u) e^{-u} du <= phi(a) + last_slope:
+      A = 1 and B = ``last_slope``, with the integral's verdict.
     """
-    kinks = np.zeros(1) if w.kind == "omega_s" else w.table_log_t
-    lo, hi = edges[0], edges[-1]
-    fine, starts, offset = [], [], 0
-    for y in y0:
-        cut = np.concatenate([splits, kinks - y])
-        f = np.union1d(edges, cut[(cut > lo) & (cut < hi)])
-        starts.append(offset + np.searchsorted(f, edges[:-1]))
-        fine.append(f)
-        offset += len(f) - 1
-    a = np.concatenate([f[:-1] for f in fine])
-    b = np.concatenate([f[1:] for f in fine])
-    y = np.repeat(y0, [len(f) - 1 for f in fine])
-    half = 0.5 * (b - a)
-    u = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    vals = (w.phi(y[:, None] + u) * np.exp(-u)) @ _GL_WEIGHTS * half
-    return np.add.reduceat(vals, np.concatenate(starts)).reshape(len(y0), -1)
-
-
-def check_omega_nonquasianalytic(w: WeightFunction, t_grid=None) -> dict[str, CheckReport]:
-    """Integral non-quasianalyticity of omega and the averaged bound.
-
-    With t = e^y both integrals are int phi(y0 + u) e^{-u} du, phi = omega o
-    exp, computed by 32-node Gauss-Legendre panels (no adaptive quadrature):
-
-    * ``integral``: int_1^T omega(t)/t^2 dt over the doubling panels
-      T = 2, 4, ..., 2^60 (y-panels [j log 2, (j+1) log 2], the first split
-      dyadically toward y = 0 down to width 2^-30 log 2), adding panels until
-      an increment falls below 1e-8 (converged) or, for a table, T reaches
-      its last knot; a linear-growth trend of the increments reports FAILS.
-    * ``averaged``: int_1^inf omega(t y)/y^2 dy = int_0^64 phi(log t + u)
-      e^{-u} du over the u-panels 0, 1/16, 1/8, ..., 64, checked against
-      A omega(t) + B on a t-grid, reporting the fitted (A, B) witness pair
-      (A a power of two) and whether the ratio flattens as t grows.
-
-    Panels of a table weight function are split at its knots, where phi
-    has kinks.
-    """
-    reps: dict[str, CheckReport] = {}
-
-    # tables only support the verdict inside their data range; past it the
-    # log-linear extrapolation would decide the asymptotics by fiat
-    y_cap = w.table_log_t[-1] if w.kind == "table" else math.inf
-    inc = _exp_weighted_panels(w, np.zeros(1), _DOUBLING_EDGES, _FIRST_PANEL_SPLITS)[0]
-    stop = (inc < 1e-8) | (_DOUBLING_EDGES[1:] >= y_cap)
-    increments = inc[: int(np.argmax(stop)) + 1 if stop.any() else len(inc)]
-    total = float(np.sum(increments))
-    log_total = math.log(total) if total > 0.0 else -math.inf
-    converged = increments[-1] < 1e-8
-    if converged:
-        reps["integral"] = CheckReport(HOLDS, len(increments), log_witness=log_total,
-                                       note="int_1^inf omega(t)/t^2 dt converged")
+    if w.kind == "omega_s":
+        n, verdict, note, details = 0, HOLDS, "= Gamma(s+1)", {}
+        log_total, log_A = math.lgamma(w.s + 1.0), (w.s - 1.0) * math.log(2.0)
+        with np.errstate(over="ignore"):  # A and B are inf past double range
+            A = float(np.exp2(w.s - 1.0))
+        B = A * (math.gamma(w.s + 1.0) if w.s < 170.0 else math.inf)
     else:
-        growing = len(increments) > 4 and increments[-1] > 0.5 * increments[-2]
-        reps["integral"] = CheckReport(
-            FAILS if growing else INCONCLUSIVE, len(increments),
-            log_witness=log_total,
-            counterexample_index=len(increments) if growing else None,
-            note="doubling increments not vanishing")
-
-    if t_grid is None:
-        t_grid = np.geomspace(4.0, 1e6, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
-    vals = _exp_weighted_panels(w, np.log(t_grid), _AVERAGED_EDGES).sum(axis=1)
-    om = np.asarray(w(t_grid), dtype=float)
-    mask = om > 1.0
-    if not np.any(mask):
-        reps["averaged"] = CheckReport(INCONCLUSIVE, len(t_grid), note="omega too small on grid")
-        return reps
-    ratio = vals[mask] / om[mask]
-    A = 2.0 ** math.ceil(math.log2(max(1.0, ratio.max())))
-    B = float(np.max(np.maximum(0.0, vals - A * om)))
-    n = len(ratio)
-    flat = ratio[-n // 4:].max() <= 1.05 * ratio[: -n // 4].max() if n >= 8 else False
-    verdict = HOLDS if (converged and flat) else (FAILS if not converged and
-                                                  reps["integral"].verdict == FAILS else INCONCLUSIVE)
-    reps["averaged"] = CheckReport(
-        verdict, len(t_grid), log_witness=math.log(A),
-        counterexample_index=len(t_grid) if verdict == FAILS else None,
-        note=f"int omega(ty)/y^2 dy <= A omega(t) + B with A={A:g}, B={B:.3g}",
-        details={"A": A, "B": B, "ratio_last": float(ratio[-1])})
-    return reps
+        pieces, tail = _table_integrals(w)
+        total = float(np.sum(pieces)) + tail
+        n, details = len(w.table_log_t), {"remainder": tail}
+        log_total = math.log(total) if total > 0.0 else -math.inf
+        log_A, A, B = 0.0, 1.0, w.last_slope
+        (y0, y1), (v0, v1) = w.table_log_t[-2:], w.table_w[-2:]
+        if tail < _TAIL_TOL:
+            verdict, note = HOLDS, "converged"
+        elif v0 > 0.0 and v1 * math.exp(y0 - y1) >= v0:
+            verdict, note = FAILS, "diverges: omega(t)/t does not fall at the last knot"
+        else:
+            verdict, note = INCONCLUSIVE, (f"unresolved: past the last knot, t = "
+                                           f"{math.exp(y1):.6g}, phi adds {tail:.3g}")
+    last = n - 1 if verdict == FAILS else None
+    return {
+        "integral": CheckReport(verdict, n, log_witness=log_total, counterexample_index=last,
+                                note="int_1^inf omega(t)/t^2 dt " + note, details=details),
+        "averaged": CheckReport(
+            verdict, n, log_witness=log_A, counterexample_index=last,
+            note=f"int omega(ty)/y^2 dy <= A omega(t) + B with A={A:g}, B={B:.3g}",
+            details={"A": A, "B": B})}

@@ -135,9 +135,8 @@ def test_criterion_4_prop_5_14():
         lhs = row.log_mu[k]            # log theta_{k+1}
         rhs = row6.log_M[1:257] / k    # log (W_k^{6 rho})^{1/k}
         ok.append(bool(np.all(lhs <= rhs + 1e-9)))
-    # (4) averaged integral condition with finite (A, B) on t in [1, 1e6]
-    reps = wf.check_omega_nonquasianalytic(wf.omega_s(2),
-                                           t_grid=np.geomspace(1.5, 1e6, 30))
+    # (4) averaged integral condition with finite (A, B) for every t >= 1
+    reps = wf.check_omega_nonquasianalytic(wf.omega_s(2))
     A = reps["averaged"].details["A"]
     B = reps["averaged"].details["B"]
     ok.append(reps["averaged"].verdict == HOLDS and np.isfinite(A) and np.isfinite(B))

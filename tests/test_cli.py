@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -98,6 +99,19 @@ class TestDescendDecide:
         assert rep["extension_property"] == "YES"
         assert rep["5.19"]["condition_id"] == "5.19"
 
+    @pytest.mark.parametrize("spec, code", [
+        ({"kind": "table", "points": [[0.5, 0], [1, 0]]}, "NON_POSITIVE"),
+        ({"kind": "table", "points": [[1, 0], [10, float("nan")]]}, "NON_POSITIVE"),
+        ({"kind": "omega_s", "s": float("inf")}, "NON_POSITIVE"),
+        ({"kind": "omega_s"}, "BAD_SPEC"),
+        ({"kind": "table", "points": [[1, 0], [10]]}, "BAD_SPEC")])
+    def test_decide_bad_weight_function_is_coded(self, tmp_path, capsys, spec, code):
+        # an uncaught exception would propagate out of main: each is a coded
+        # usage error instead
+        spec_file = write(tmp_path, "w.json", spec)
+        assert cli.main(["--out", str(tmp_path / "o"), "decide", spec_file]) == 2
+        assert capsys.readouterr().err.startswith(f"error [{code}]: ")
+
     def test_decide_deterministic(self, tmp_path, om2_spec):
         o1, o2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         cli.main(["--out", o1, "decide", om2_spec])
@@ -125,6 +139,22 @@ class TestExtendCmd:
         assert os.path.exists(os.path.join(out, "extension_spline.npy"))
         assert os.path.exists(os.path.join(out, "probes.csv"))
         assert os.path.exists(os.path.join(out, "plot_extension.gp"))
+
+    def test_outputs_follow_the_umask(self, tmp_path, om2_spec):
+        jet = write(tmp_path, "jet.json",
+                    {"kind": "exp", "points": [0.0], "order_cap": 16})
+        out = tmp_path / "o"
+        old = os.umask(0o022)
+        try:
+            assert cli.main(["--out", str(out), "extend", jet, om2_spec,
+                             "--d-min", "1e-4", "--p-max-eval", "4"]) == 0
+            os.umask(0o027)
+            serial.atomic_write_text(str(out / "other.txt"), "x")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes["extension.json"] == modes["extension_spline.npy"] == 0o644
+        assert modes["other.txt"] == 0o640
 
     def test_writes_pass_whole_text(self, tmp_path, om2_spec, monkeypatch):
         # every text output reaches atomic_write_text as one str holding the
@@ -318,6 +348,9 @@ mat = wf.matrix_from_rows([seqcalc.gevrey(2, K=512)], params=[1.0])
 extend_jet(F, mat, ExtensionConfig(p_max_eval=3, d_min=1e-3))
 # the power-law tail estimate is the one that sums Hurwitz zeta values
 assert mat.rows[0].tail.est.method == "powerlaw"
+# a table weight function's conditions are closed forms too
+table = wf.omega_table([(1, 0), (10, 4), (100, 20), (1e4, 90)])
+assert wf.check_omega_nonquasianalytic(table)["integral"].verdict == "INCONCLUSIVE"
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
 """
 

@@ -266,6 +266,19 @@ class TestMatrixConditions:
         assert v["extension_property"] == "YES"
         assert v["lemma_5.10_agree"]
 
+    @pytest.mark.parametrize("s", [1.5, 1.9])
+    def test_omega_s_below_2_averaged_holds_beside_43_fails(self, s):
+        # omega_s(s) for s < 2: the rows fail quotient regularity (4.3), while
+        # the weight-function conditions hold for every s > 1 with A = 2^{s-1}
+        w = wf.omega_s(s)
+        v = dec.decide_extension_property(wf.associated_matrix(w, K=512),
+                                          weight_function=w, require_admissible=False)
+        assert v["admissibility"]["4.6-3"]["verdict"] == FAILS
+        assert v["extension_property"] == "UNDECIDED_IN_SAMPLE"
+        cor = v["cor5.13-3"]
+        assert [cor[k]["verdict"] for k in ("integral", "averaged")] == [HOLDS, HOLDS]
+        assert cor["averaged"]["details"]["A"] == pytest.approx(2.0 ** (s - 1), rel=1e-15)
+
     def test_decide_checks_519_once(self, omega2_matrix, count_calls):
         calls = count_calls(dec.check_519)
         v = dec.decide_extension_property(omega2_matrix,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.special import gammaincc
 
 from ultrajet import descend
 from ultrajet import seqcalc as sq
@@ -327,6 +327,10 @@ class TestAdmissibility:
         assert adm["4.6-3"].note.endswith("skipped quasianalytic rows [0]")
 
 
+_LINEAR_TABLE = [(1.0, 0.0), (2.0, 1.0), (10.0, 9.0), (100.0, 99.0),
+                 (1e4, 1e4 - 1), (1e8, 1e8 - 1)]
+
+
 class TestOmegaNonquasianalytic:
     def test_omega2_converges(self):
         reps = wf.check_omega_nonquasianalytic(wf.omega_s(2))
@@ -340,47 +344,111 @@ class TestOmegaNonquasianalytic:
         assert reps["integral"].verdict == HOLDS
 
     def test_linear_table_diverges(self):
-        lin = wf.omega_table([(1.0, 0.0), (2.0, 1.0), (10.0, 9.0), (100.0, 99.0),
-                              (1e4, 1e4 - 1), (1e8, 1e8 - 1)])
-        reps = wf.check_omega_nonquasianalytic(lin)
+        reps = wf.check_omega_nonquasianalytic(wf.omega_table(_LINEAR_TABLE))
         assert reps["integral"].verdict == FAILS
 
     @pytest.mark.parametrize("s", [1.2, 1.5, 2.0, 2.37, 3.0])
     def test_integral_is_incomplete_gamma(self, s):
-        # int_1^T (log t)^s / t^2 dt = int_0^Y y^s e^{-y} dy, Y = log T
-        rep = wf.check_omega_nonquasianalytic(wf.omega_s(s))["integral"]
-        Y = rep.prefix_K * math.log(2.0)
-        exact = math.gamma(s + 1) * gammainc(s + 1, Y)
-        assert rep.log_witness == pytest.approx(math.log(exact), rel=1e-12, abs=0)
+        # int_1^inf (log t)^s / t^2 dt = int_0^inf y^s e^{-y} dy = Gamma(s+1),
+        # the incomplete gamma integral taken to infinity
+        reps = wf.check_omega_nonquasianalytic(wf.omega_s(s))
+        assert reps["integral"].log_witness == pytest.approx(math.lgamma(s + 1),
+                                                              rel=0, abs=1e-12)
+        A = 2.0 ** (s - 1)
+        assert reps["averaged"].details["A"] == pytest.approx(A, rel=1e-15)
+        assert reps["averaged"].details["B"] == pytest.approx(A * math.gamma(s + 1),
+                                                              rel=1e-15)
+        assert reps["averaged"].log_witness == pytest.approx(math.log(A), rel=1e-15)
+
+    @given(s=st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+           t=st.floats(min_value=1.0, max_value=1e6))
+    @example(s=4.0, t=1e6)
+    @settings(max_examples=200, deadline=None)
+    def test_averaged_bound_against_incomplete_gamma(self, s, t):
+        # int_1^inf omega_s(t y)/y^2 dy = int_0^inf (a + u)^s e^{-u} du
+        # = e^a Gamma(s+1, a), a = log t
+        a = math.log(t)
+        exact = math.exp(a) * math.gamma(s + 1) * gammaincc(s + 1, a)
+        det = wf.check_omega_nonquasianalytic(wf.omega_s(s))["averaged"].details
+        assert exact <= (det["A"] * a ** s + det["B"]) * (1 + 1e-12)
 
     @pytest.mark.parametrize("w", [
         wf.omega_s(1.5), wf.omega_s(2.0), wf.omega_s(3.0),
         wf.omega_table([(math.exp(u), u ** 2.2) for u in np.linspace(0.5, 40, 60)])],
         ids=["omega_1.5", "omega_2", "omega_3", "table_60_knots"])
     def test_averaged_integrals_match_quad(self, w):
-        t_grid = np.concatenate([[1.5], np.geomspace(4.0, 1e6, 25)])
-        got = wf._exp_weighted_panels(w, np.log(t_grid), wf._AVERAGED_EDGES).sum(axis=1)
-        hi = wf._AVERAGED_EDGES[-1]
-        for t, I in zip(t_grid, got):
+        # quad is the oracle: the averaged integral lies below the reported
+        # A omega(t) + B, and a table's knot intervals match their closed forms
+        det = wf.check_omega_nonquasianalytic(w)["averaged"].details
+        hi = 64.0
+        for t in np.concatenate([[1.5], np.geomspace(4.0, 1e6, 25)]):
             y0 = math.log(t)
             cut = w.table_log_t - y0 if w.kind == "table" else None
             ref, _ = quad(lambda u: float(w.phi(y0 + u)) * math.exp(-u), 0.0, hi,
                           points=None if cut is None else cut[(cut > 0) & (cut < hi)],
                           limit=500, epsabs=0.0, epsrel=1e-12)
-            assert I == pytest.approx(ref, rel=1e-10)
+            assert ref <= (det["A"] * w(t) + det["B"]) * (1 + 1e-12)
+        if w.kind == "table":
+            y = w.table_log_t
+            pieces, tail = wf._table_integrals(w)
+            for lo, up, got in zip(y[:-1], y[1:], pieces):
+                ref, _ = quad(lambda u: float(w.phi(u)) * math.exp(-u), lo, up,
+                              epsabs=0.0, epsrel=1e-13)
+                assert got == pytest.approx(ref, rel=1e-13)
+            ref, _ = quad(lambda u: float(w.phi(u)) * math.exp(-u), y[-1], math.inf,
+                          epsabs=0.0, epsrel=1e-12)
+            assert tail == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("w, head", [
-        (wf.omega_s(2), [(HOLDS, 36, None), (HOLDS, 25, None, 4.0)]),
-        (wf.omega_s(3), [(HOLDS, 42, None), (HOLDS, 25, None, 16.0)]),
-        (wf.omega_table([(1.0, 0.0), (2.0, 1.0), (10.0, 9.0), (100.0, 99.0),
-                         (1e4, 1e4 - 1), (1e8, 1e8 - 1)]),
-         [(FAILS, 27, 27), (FAILS, 25, 25, 2048.0)]),
+        (wf.omega_s(2), [(HOLDS, 0, None), (HOLDS, 0, None, 2.0)]),
+        (wf.omega_s(3), [(HOLDS, 0, None), (HOLDS, 0, None, 4.0)]),
+        (wf.omega_table(_LINEAR_TABLE), [(FAILS, 6, 5), (FAILS, 6, 5, 1.0)]),
     ], ids=["omega_2", "omega_3", "linear_table"])
     def test_verdicts_as_adaptive_quadrature(self, w, head):
-        # verdicts, panel counts and A as given by the adaptive-quadrature
-        # version of the check
+        # the verdicts the adaptive-quadrature version of the check gave; the
+        # prefix is the table's knot count (0 for omega_s, nothing sampled),
+        # and A is the closed form's
         reps = wf.check_omega_nonquasianalytic(w)
         got = [(r.verdict, r.prefix_K, r.counterexample_index)
                for r in (reps["integral"], reps["averaged"])]
         assert got[0] == head[0]
         assert got[1] + (reps["averaged"].details["A"],) == head[1]
+
+    @pytest.mark.parametrize("T, verdict, remainder", [
+        (1e4, INCONCLUSIVE, 1.03e-2), (1e8, INCONCLUSIVE, 3.76e-6),
+        (1e12, HOLDS, 8.18e-10), (1e20, HOLDS, 2.21e-17)])
+    def test_log_squared_table_never_fails(self, T, verdict, remainder):
+        # omega = (log t)^2 at 40 geometric knots up to T: the integral is 2;
+        # a table that stops early reads INCONCLUSIVE, never FAILS, and its
+        # averaged bound follows the integral's verdict
+        t = np.geomspace(1.0, T, 40)
+        reps = wf.check_omega_nonquasianalytic(wf.omega_table(list(zip(t, np.log(t) ** 2))))
+        assert [r.verdict for r in reps.values()] == [verdict, verdict]
+        assert reps["integral"].details["remainder"] == pytest.approx(remainder, rel=1e-2)
+        assert math.exp(reps["integral"].log_witness) == pytest.approx(2.0, rel=0.15)
+        # B is the last slope, (y_n^2 - y_{n-1}^2)/(y_n - y_{n-1}) with y_n = log T
+        # and y_{n-1} = (38/39) log T
+        B = math.log(T) * 77 / 39
+        assert reps["averaged"].details == {"A": 1.0, "B": pytest.approx(B, rel=1e-12)}
+
+
+@pytest.mark.parametrize("spec, code", [
+    ({"kind": "omega_s", "s": float("nan")}, "NON_POSITIVE"),
+    ({"kind": "omega_s", "s": float("inf")}, "NON_POSITIVE"),
+    ({"kind": "omega_s", "s": 1.0}, "NON_POSITIVE"),
+    ({"kind": "table", "points": [[1, 0], [2, float("nan")]]}, "NON_POSITIVE"),
+    ({"kind": "table", "points": [[1, 0], [2, float("inf")]]}, "NON_POSITIVE"),
+    ({"kind": "table", "points": [[float("nan"), 0], [2, 1]]}, "NON_POSITIVE"),
+    ({"kind": "table", "points": [[0.5, 0], [1, 0]]}, "NON_POSITIVE"),
+    ({"kind": "table", "points": [[1, 0], [2, 0]]}, "NON_POSITIVE"),
+    ({"kind": "omega_s"}, "BAD_SPEC"),
+    ({"kind": "omega_s", "s": None}, "BAD_SPEC"),
+    ({"kind": "table"}, "BAD_SPEC"),
+    ({"kind": "table", "points": [[1, 0], [2]]}, "BAD_SPEC"),
+    ({"kind": "table", "points": [[1, 0], ["two", 1]]}, "BAD_SPEC"),
+    ({"kind": "table", "points": 3}, "BAD_SPEC"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_bad_weight_function_spec_is_coded(spec, code):
+    with pytest.raises(SequenceSpecError) as exc:
+        serial.weight_function_from_spec(spec)
+    assert exc.value.code == code
