@@ -29,7 +29,8 @@ class SequenceSpecError(UltrajetError):
     Codes: NON_LOGCONVEX, NOT_NORMALIZED, NON_POSITIVE, PREFIX_TOO_SHORT (a
     check that needs K >= 8), PREFIX_MISMATCH (two sequences of different K),
     PARAMS_MISMATCH (a matrix whose params and rows differ in number),
-    BAD_SPEC (a weight-function spec with a missing or malformed field).
+    BAD_SPEC (a sequence, weight-function or matrix spec that is not a JSON
+    object or has a missing or malformed field).
     """
 
 
@@ -40,7 +41,8 @@ class JetSpecError(UltrajetError):
     are not disjoint), EMPTY_SET, BAD_JET_VALUES (values that are not finite
     or not one row of order_cap + 1 per carried point), NOT_CARRIED (an
     anchor that is not a carried point of the jet), UNKNOWN_FAMILY (a jet
-    kind ``sample_jet`` does not build).
+    kind ``sample_jet`` does not build), BAD_SPEC (a jet file that is not a
+    JSON object, or a table jet without values or order_cap).
     """
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..descend import Descendant, descend
 from ..errors import ExtensionError
-from ..jets import (Jet, fit_jet_constants, grid_constants, taylor_coeffs_local,
+from ..jets import (Jet, doubling_constants, fit_jet_constants, taylor_coeffs_local,
                     taylor_values)
 from ..report import HOLDS, log_witness_maxima, trend_verdict
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
@@ -160,7 +160,6 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
 
 MARGIN = 2.0                     # the working domain is E's hull widened by this
 DEG_FLOOR = 4                    # smallest per-ball Taylor degree
-RHO_GRID = tuple(2.0 ** j for j in range(-3, 13))   # rho candidates of the jet fit
 L_CAP = 2.0 ** 20                # the doubling search for L stops here
 PROBE_SEED = 0                   # seeds the random probes of the checks
 
@@ -236,15 +235,15 @@ def select_row_chain(mat: WeightMatrix, base_row: int, K_eff: int) -> RowChain:
                     desc[i0], desc[i1], desc[i2])
 
 
-def fit_rho(F: Jet, D: Descendant, rho_grid) -> tuple[float, float]:
-    """(C, rho) for the starred-form jet bounds: the smallest grid rho whose
-    C is within a factor 2 of the grid limit.  Raises JET_NOT_IN_CLASS when
-    the fit's order trend says no rho can bound the jet."""
-    fit = fit_jet_constants(F, D.small_s, rho_grid)
+def fit_rho(F: Jet, D: Descendant) -> tuple[float, float]:
+    """(C, rho) of :func:`~ultrajet.jets.fit_jet_constants` for the
+    starred-form jet bounds.  Raises JET_NOT_IN_CLASS when the fit's order
+    trend says no rho can bound the jet."""
+    fit = fit_jet_constants(F, D.small_s)
     if fit.not_in_class:
         raise ExtensionError(f"jet norm diverges (order slope {fit.order_slope:.2f})",
                              code="JET_NOT_IN_CLASS")
-    return float(fit.C[fit.index]), float(rho_grid[fit.index])
+    return fit.C, fit.rho
 
 
 def search_lambda(S: Descendant, S_dot: Descendant) -> float:
@@ -283,7 +282,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     """
     K_eff = mat.K // 2
     chain = select_row_chain(mat, cfg.base_row, K_eff)
-    C_fit, rho_fit = fit_rho(F, chain.S, RHO_GRID)
+    C_fit, rho_fit = fit_rho(F, chain.S)
 
     lam = search_lambda(chain.S, chain.S_dot)
     Dconst = h_power_constant(chain.S_dot.small_s, chain.S_ddot.small_s, 2)
@@ -524,7 +523,8 @@ def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig,
 
 def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
                 cfg: ExtensionConfig, n_probes: int = 400) -> dict:
-    """Smallest (C', rho') with |f^{(k)}| <= C' rho'^k N_k at all probes."""
+    """(C', rho') with |f^{(k)}| <= C' rho'^k N_k at all probes, by
+    :func:`~ultrajet.jets.doubling_constants` with no floor."""
     rng = np.random.default_rng(PROBE_SEED + 1)
     lo, hi = f.span
     xs = np.concatenate([np.linspace(lo, hi, n_probes),
@@ -535,12 +535,9 @@ def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
         m = float(np.max(np.abs(fk)))
         if m > 0:
             per_k[k] = math.log(m) - log_N[k]
-    if not per_k:
-        return {"C_prime": 0.0, "rho_prime": 1.0, "finite": True}
-    rho_grid = [2.0 ** j for j in range(-2, 24)]
-    Cs, i = grid_constants(list(per_k), list(per_k.values()), rho_grid)
-    return {"C_prime": float(Cs[i]), "rho_prime": rho_grid[i],
-            "finite": bool(np.isfinite(Cs[i]))}
+    log_C, log_rho = doubling_constants(list(per_k), list(per_k.values()))
+    return {"C_prime": math.exp(log_C), "rho_prime": math.exp(log_rho),
+            "finite": bool(log_C < np.inf and log_rho < np.inf)}
 
 
 def _nearest(carried: np.ndarray, x):

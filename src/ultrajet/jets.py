@@ -214,34 +214,35 @@ def remainder_table(F: Jet) -> tuple[np.ndarray, np.ndarray]:
     return R, np.abs(d)
 
 
-def grid_constants(orders, log_w, rho_grid,
-                   log_floor: float = -math.inf) -> tuple[np.ndarray, int]:
-    """C(rho) = exp max(log_floor, max_n (log_w_n - n log rho)) on an
-    increasing rho grid (clamped at e^700), and the index of the first rho
-    whose C is at most twice the last C.  An exact tie C = 2 C_last falls
-    either way with the rounding of exp."""
-    log_rho = np.array([math.log(r) for r in rho_grid])
-    log_C = np.max(np.asarray(log_w, dtype=float) - np.outer(log_rho, orders),
-                   axis=1, initial=log_floor)
-    # scalar math.exp: which way an exact tie falls depends on its rounding
-    C = np.array([math.exp(x) for x in np.minimum(log_C, 700.0)])
-    return C, int(np.argmax(C <= 2.0 * C[-1]))
+def doubling_constants(orders, log_w, log_floor: float = -math.inf) -> tuple[float, float]:
+    """``(log C, log rho)`` for w_n <= C rho^n, n in ``orders``: rho is the
+    smallest with C(rho) = exp max(log_floor, max_n (log w_n - n log rho)) at
+    most 2 C_inf, C_inf = exp max(log_floor, log w_0).  A maximum of lines in
+    log rho, so exactly log rho = max_{n >= 1} (log w_n - log 2 C_inf) / n
+    (-inf if no order n >= 1 is finite), and C = 2 C_inf if one binds."""
+    n = np.asarray(orders)
+    log_w = np.asarray(log_w, dtype=float)
+    log_c_inf = float(np.max(log_w[n == 0], initial=log_floor))
+    live = (n >= 1) & (log_w > -np.inf)
+    n, log_w = n[live], log_w[live]
+    log_rho = float(np.max((log_w - math.log(2.0) - log_c_inf) / n, initial=-np.inf))
+    return float(np.max(log_w - n * log_rho, initial=log_c_inf)), log_rho
 
 
 @dataclass(frozen=True)
 class JetFit:
-    """The jet norm against one small row s: C over the rho grid, the grid
-    index :func:`grid_constants` picks, and the class trend."""
+    """The jet norm against one small row s: (C, rho) by
+    :func:`doubling_constants`, and the class trend."""
 
-    C: np.ndarray
-    index: int
+    C: float
+    rho: float
     order_slope: float     # of log r_n against log n, top half of populated orders
     not_in_class: bool     # the rho each order demands keeps growing
 
 
-def fit_jet_constants(F: Jet, s: WeightSequence, rho_grid) -> JetFit:
-    """Smallest C >= 1 for the starred-form bounds at each grid rho, the
-    index of the grid rho :func:`grid_constants` picks, and the class trend.
+def fit_jet_constants(F: Jet, s: WeightSequence) -> JetFit:
+    """The constants (C >= 1, rho) of :func:`doubling_constants` for the
+    starred-form bounds, and the class trend.
 
     These are the bounds the extension estimates consume:
     |F^k(a)| <= C rho^k S_k and
@@ -253,7 +254,7 @@ def fit_jet_constants(F: Jet, s: WeightSequence, rho_grid) -> JetFit:
     values of order n and the remainders with p + 1 = n), the per-order
     requirement log r_n = log w_n / n is fitted against log n over the top
     half of the populated orders n >= 1.  A slope >= 0.5 with max log r_n >= 0
-    means no rho in any grid can flatten the profile: ``not_in_class``.
+    means no rho can flatten the profile: ``not_in_class``.
     Requirements below 1 are noise-floor artifacts, not growth.
     """
     log_s = s.log_M
@@ -264,7 +265,7 @@ def fit_jet_constants(F: Jet, s: WeightSequence, rho_grid) -> JetFit:
     log_w = log_v[: cap + 1] - (log_s + log_kfac)[: cap + 1]
     log_w[1:] = np.maximum(log_w[1:], np.max(log_r[:cap, :cap] - log_kfac[:cap], axis=1,
                                              initial=-np.inf) - log_s[1: cap + 1])
-    C, i = grid_constants(k[: cap + 1], log_w, rho_grid, log_floor=0.0)
+    log_C, log_rho = doubling_constants(k[: cap + 1], log_w, log_floor=0.0)
 
     orders = np.flatnonzero(np.isfinite(log_w) & (k[: cap + 1] >= 1))
     slope = 0.0
@@ -275,7 +276,7 @@ def fit_jet_constants(F: Jet, s: WeightSequence, rho_grid) -> JetFit:
             y = log_w[top] / top
             slope = float(np.polyfit(np.log(top.astype(float)), y, 1)[0])
             trend = slope >= 0.5 and bool(np.max(y) >= 0.0)
-    return JetFit(C, i, slope, trend)
+    return JetFit(math.exp(log_C), math.exp(log_rho), slope, trend)
 
 
 # -- builtin analytic jets ----------------------------------------------------

@@ -125,51 +125,56 @@ def from_log_quotients(log_mu: np.ndarray, family_tag: str) -> WeightSequence:
 def make_sequence(spec, K: int | None = None) -> WeightSequence:
     """Build a validated WeightSequence from a family descriptor.
 
-    ``spec`` is either a dict ``{"family": ..., "params": {...}, "K": int}``
-    or one of the convenience strings handled by :func:`builtin_family`.
+    ``spec`` is a dict ``{"family": ..., "params": {...}, "K": int}`` (a
+    WeightSequence is returned as it is).  Raises SequenceSpecError BAD_SPEC
+    when the spec or its params is not a dict, or a family parameter is
+    missing or malformed.
     """
     if isinstance(spec, WeightSequence):
         return spec
-    if not isinstance(spec, dict):
-        raise SequenceSpecError(f"unsupported sequence spec: {spec!r}", code="NON_POSITIVE")
+    if not isinstance(spec, dict) or not isinstance(spec.get("params", {}), dict):
+        raise SequenceSpecError(f"unsupported sequence spec: {spec!r}", code="BAD_SPEC")
     family = spec.get("family")
     params = spec.get("params", {})
     K = int(spec.get("K", K if K is not None else 512))
     if K < 2:
         raise SequenceSpecError("prefix length K must be >= 2", code="NON_POSITIVE")
     k = np.arange(K + 1, dtype=float)
-    if family == "gevrey":
-        s = float(params["s"])
-        log_M = s * log_factorial(np.arange(K + 1))
-        tag = f"gevrey({s:g})"
-    elif family == "qgevrey":
-        q = float(params["q"])
-        if q <= 1:
-            raise SequenceSpecError("qgevrey needs q > 1", code="NON_POSITIVE")
-        log_M = (k ** 2) * math.log(q)
-        tag = f"qgevrey({q:g})"
-    elif family == "powerlog":
-        A = float(params["A"])
-        p = float(params["p"])
-        if A <= 1 or p < 1:
-            raise SequenceSpecError("powerlog needs A > 1, p >= 1", code="NON_POSITIVE")
-        log_M = (k ** p) * math.log(A)
-        tag = f"powerlog({A:g},{p:g})"
-    elif family == "table":
-        vals = params.get("values")
-        logs = params.get("log_values")
-        if logs is not None:
-            log_M = np.asarray(logs, dtype=float)
+    try:
+        if family == "gevrey":
+            s = float(params["s"])
+            log_M = s * log_factorial(np.arange(K + 1))
+            tag = f"gevrey({s:g})"
+        elif family == "qgevrey":
+            q = float(params["q"])
+            if q <= 1:
+                raise SequenceSpecError("qgevrey needs q > 1", code="NON_POSITIVE")
+            log_M = (k ** 2) * math.log(q)
+            tag = f"qgevrey({q:g})"
+        elif family == "powerlog":
+            A = float(params["A"])
+            p = float(params["p"])
+            if A <= 1 or p < 1:
+                raise SequenceSpecError("powerlog needs A > 1, p >= 1", code="NON_POSITIVE")
+            log_M = (k ** p) * math.log(A)
+            tag = f"powerlog({A:g},{p:g})"
+        elif family == "table":
+            logs = params.get("log_values")
+            if logs is not None:
+                log_M = np.asarray(logs, dtype=float)
+            else:
+                vals = np.asarray(params["values"], dtype=float)
+                if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
+                    bad = int(np.nonzero(~(vals > 0) | ~np.isfinite(vals))[0][0])
+                    raise SequenceSpecError(f"non-positive table entry at k={bad}",
+                                            code="NON_POSITIVE")
+                log_M = np.log(vals)
+            tag = "table"
         else:
-            vals = np.asarray(vals, dtype=float)
-            if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-                bad = int(np.nonzero(~(vals > 0) | ~np.isfinite(vals))[0][0])
-                raise SequenceSpecError(f"non-positive table entry at k={bad}",
-                                        code="NON_POSITIVE")
-            log_M = np.log(vals)
-        tag = "table"
-    else:
-        raise SequenceSpecError(f"unknown family {family!r}", code="NON_POSITIVE")
+            raise SequenceSpecError(f"unknown family {family!r}", code="NON_POSITIVE")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SequenceSpecError(f"bad {family} params: {type(exc).__name__} {exc}",
+                                code="BAD_SPEC") from exc
     return validate_sequence(log_M, tag)
 
 

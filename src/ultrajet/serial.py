@@ -36,7 +36,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import SequenceSpecError
+from .errors import JetSpecError, SequenceSpecError
 from .jets import CompactSet1D, Jet, sample_jet
 from .seqcalc import WeightSequence, make_sequence
 from .weightfunc import (DEFAULT_PARAMS, WeightFunction, WeightMatrix,
@@ -118,12 +118,20 @@ def _csv_blocks(columns: dict):
 
 # -- spec loaders ---------------------------------------------------------------
 
+def _spec_object(spec, error=SequenceSpecError) -> dict:
+    """``spec`` itself when it is a JSON object, else ``error`` BAD_SPEC."""
+    if not isinstance(spec, dict):
+        raise error(f"a spec must be a JSON object, got {spec!r:.60}",
+                    code="BAD_SPEC")
+    return spec
+
+
 def sequence_from_spec(spec: dict, K_default: int = 512) -> WeightSequence:
     return make_sequence(spec, K=K_default)
 
 
 def weight_function_from_spec(spec: dict) -> WeightFunction:
-    kind = spec.get("kind")
+    kind = _spec_object(spec).get("kind")
     try:
         if kind == "omega_s":
             return omega_s(float(spec["s"]))
@@ -138,7 +146,7 @@ def weight_function_from_spec(spec: dict) -> WeightFunction:
 
 def matrix_from_spec(spec: dict, K_default: int = 512):
     """Returns (matrix, weight_function_or_None)."""
-    kind = spec.get("kind")
+    kind = _spec_object(spec).get("kind")
     K = int(spec.get("K", K_default))
     if kind == "rows":
         rows = [make_sequence(s, K=K) for s in spec["rows"]]
@@ -150,10 +158,17 @@ def matrix_from_spec(spec: dict, K_default: int = 512):
 
 
 def jet_from_file(spec: dict, p_default: int = 16) -> Jet:
+    """A builtin jet (``kind``, no ``values``) or a table jet (``values`` and
+    ``order_cap``); JetSpecError BAD_SPEC when the spec is not an object or
+    lacks these fields."""
+    spec = _spec_object(spec, JetSpecError)
     E = CompactSet1D(points=tuple(spec.get("points", ())),
                      intervals=tuple(tuple(iv) for iv in spec.get("intervals", ())))
     if "kind" in spec and "values" not in spec:
         return sample_jet(spec, E, p_max=int(spec.get("order_cap", p_default)))
+    if "values" not in spec or "order_cap" not in spec:
+        raise JetSpecError("a jet file needs a kind, or values and order_cap",
+                           code="BAD_SPEC")
     return Jet(E, int(spec["order_cap"]), spec["values"])
 
 

@@ -256,7 +256,7 @@ def test_criterion_9_taylor_estimates(omega2_matrix):
     E = jets.CompactSet1D(points=(0.0, 1.0))
     F = jets.sample_jet({"kind": "exp"}, E, 12)
     chain = select_row_chain(omega2_matrix, 0, 256)
-    C, rho = fit_rho(F, chain.S, [2.0 ** j for j in range(-3, 13)])
+    C, rho = fit_rho(F, chain.S)
     lam = search_lambda(chain.S, chain.S_dot)
     D1 = 4.0 / lam
     L = D1 * max(rho, 1.0)

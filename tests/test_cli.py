@@ -281,6 +281,24 @@ class TestExtendCmd:
         assert cli.main(["selftest"]) == 0
 
 
+GEVREY_NO_S = {"family": "gevrey", "params": {}}
+
+
+@pytest.mark.parametrize("command, specs", [
+    ("decide", [[1, 2]]),
+    ("decide", [{"kind": "rows", "rows": [GEVREY_NO_S]}]),
+    ("analyze", [GEVREY_NO_S]),
+    ("extend", [[0], {"kind": "omega_s", "s": 2, "K": 64}]),
+    ("extend", [{"points": [0.0], "values": [[1.0, 1.0]]},
+                {"kind": "omega_s", "s": 2, "K": 64}])],
+    ids=["decide-list", "decide-row-without-s", "analyze-without-s", "extend-jet-list",
+         "extend-jet-without-order-cap"])
+def test_malformed_spec_is_coded(tmp_path, capsys, command, specs):
+    files = [write(tmp_path, f"spec{i}.json", spec) for i, spec in enumerate(specs)]
+    assert cli.main(["--out", str(tmp_path / "o"), command, *files]) == 2
+    assert capsys.readouterr().err.startswith("error [BAD_SPEC]: ")
+
+
 class TestSerial:
     def test_jet_roundtrip(self, tmp_path):
         E = CompactSet1D(points=(0.0, 1.0))

@@ -283,8 +283,19 @@ class TestExtendJet:
         assert v["boundary"]["monotone_ok"]
         assert v["taylor_estimates"]["5.4"]["violations"] == 0
         assert v["taylor_estimates"]["5.5"]["violations"] == 0
-        assert res.constants["C"] == pytest.approx(math.e ** 2, rel=1e-12)
-        assert res.constants["rho"] == 1.0
+        # C(0.5) = 2 C_inf exactly: an order n >= 1 binds at rho = 0.5
+        assert res.constants["C"] == pytest.approx(2.0 * math.e ** 2, rel=1e-12)
+        assert res.constants["rho"] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.37])
+    def test_fit_rho_tie_does_not_move_with_the_set(self, gevrey2, offset):
+        # the exact tie C(0.5) = 2 C_inf, with C_inf = e^(2 + offset) the
+        # value at the point, gives the same rho at every offset
+        E = jets.CompactSet1D(points=(2.0 + offset,), intervals=((offset, 1.0 + offset),))
+        F = jets.sample_jet({"kind": "exp"}, E, 3)
+        C, rho = fit_rho(F, dsc.descend(gevrey2, K_eff=256))
+        assert rho == pytest.approx(0.5, rel=1e-12)
+        assert C == pytest.approx(2.0 * math.exp(2.0 + offset), rel=1e-12)
 
     def test_lemma410_constants_computed_once(self, extend_interval_input, count_calls):
         calls = count_calls(operator.lemma410_B1)
@@ -362,7 +373,7 @@ class TestTaylorEstimates:
         E = jets.CompactSet1D(points=(0.0, 1.0))
         F = jets.sample_jet({"kind": "exp"}, E, 12)
         chain = select_row_chain(omega2_matrix, 0, 256)
-        C, rho = fit_rho(F, chain.S, [2.0 ** j for j in range(-3, 13)])
+        C, rho = fit_rho(F, chain.S)
         lhs, rhs = check_taylor_difference_bound(F, chain.S, 0.0, 0.0, 4, 0, 0.5,
                                                  C, rho)
         assert lhs == -math.inf < rhs
@@ -376,7 +387,7 @@ class TestTaylorEstimates:
         E = jets.CompactSet1D(points=(0.0, 1.0))
         F = jets.sample_jet({"kind": "exp"}, E, 12)
         chain = select_row_chain(omega2_matrix, 0, 256)
-        C, rho = fit_rho(F, chain.S, [2.0 ** j for j in range(-3, 13)])
+        C, rho = fit_rho(F, chain.S)
         rng = np.random.default_rng(5)
         for _ in range(100):
             p = int(rng.integers(1, 9))

@@ -182,25 +182,23 @@ class TestSampleJet:
 
 # the small row s_k = 1: the fit's value bounds are then C rho^k k!
 S_KFAC = sq.from_log_quotients(np.zeros(64), "s=1")
-RHO_GRID = [2.0 ** j for j in range(-4, 11)]
 
 
 class TestNormProfile:
     """The one jet-norm fit, :func:`jets.fit_jet_constants`."""
 
-    def test_exp_profile_bounded_by_e(self, exp_jet):
-        fit = jets.fit_jet_constants(exp_jet, S_KFAC, RHO_GRID)
-        assert fit.C[RHO_GRID.index(1.0)] <= math.e + 1e-9
+    def test_exp_constants(self, exp_jet):
+        # C_inf = e (the value at 1); the bounds hold at rho = 1 with C = e,
+        # so the doubling rho is at most 1
+        fit = jets.fit_jet_constants(exp_jet, S_KFAC)
+        assert fit.C == pytest.approx(2.0 * math.e, rel=1e-12)
+        assert 0.0 < fit.rho <= 1.0
         assert not fit.not_in_class
-
-    def test_profile_nonincreasing(self, exp_jet):
-        fit = jets.fit_jet_constants(exp_jet, S_KFAC, RHO_GRID)
-        assert np.all(np.diff(fit.C) <= 1e-12)
 
     def test_zero_jet(self, two_points):
         zero = jets.table_jet(two_points, {0.0: np.zeros(13), 1.0: np.zeros(13)}, 12)
-        fit = jets.fit_jet_constants(zero, S_KFAC, RHO_GRID)
-        assert np.all(fit.C == 1.0)          # the fit's floor
+        fit = jets.fit_jet_constants(zero, S_KFAC)
+        assert (fit.C, fit.rho) == (1.0, 0.0)     # the fit's floor, no order binds
         assert not fit.not_in_class and fit.order_slope == 0.0
 
     def test_scaling_linear(self, exp_jet, combine):
@@ -213,7 +211,7 @@ class TestNormProfile:
     def test_factorial_squared_not_in_class(self):
         E = jets.CompactSet1D(points=(0.0,))
         bad = jets.table_jet(E, {0.0: [math.factorial(k) ** 2 for k in range(13)]}, 12)
-        fit = jets.fit_jet_constants(bad, S_KFAC, RHO_GRID)
+        fit = jets.fit_jet_constants(bad, S_KFAC)
         assert fit.not_in_class and fit.order_slope >= 0.5
 
     @given(c=st.floats(min_value=-4, max_value=4),
@@ -261,17 +259,14 @@ class TestRemainderTable:
         E = jets.CompactSet1D(points=(-0.6, 0.25, 1.0))
         F = jets.sample_jet(FAMILIES[family], E, 8)
         D = descend(sq.gevrey(2, K=64), K_eff=32)
-        log_sigma_star = D.log_sigma_star
-        rho_grid = [2.0 ** j for j in range(-3, 13)]
-        fit = jets.fit_jet_constants(F, D.small_s, rho_grid)
-        Cs, i = fit.C, fit.index
+        fit = jets.fit_jet_constants(F, D.small_s)
 
-        log_s = np.concatenate([[0.0], np.cumsum(log_sigma_star)])
+        log_s = np.concatenate([[0.0], np.cumsum(D.log_sigma_star)])
         cap = min(F.order_cap, len(log_s) - 2)
         pts = F.carried()
-        expect = []
-        for rho in rho_grid:
-            lr = math.log(rho)
+
+        def log_C(lr):
+            """log C(rho) at log rho = lr: max(0, each value and remainder ratio)."""
             best = 0.0
             for a in pts:
                 for k in range(cap + 1):
@@ -289,9 +284,43 @@ class TestRemainderTable:
                                 best = max(best, math.log(abs(r)) - (p + 1) * lr
                                            - math.lgamma(k + 1) - log_s[p + 1]
                                            - (p + 1 - k) * math.log(abs(b - a)))
-            expect.append(math.exp(best))
-        np.testing.assert_allclose(Cs, expect, rtol=1e-12)
-        assert i == next(j for j, c in enumerate(Cs) if c <= 2.0 * Cs[-1])
+            return best
+
+        log_2c_inf = math.log(2.0 * max(1.0, np.max(np.abs(F.values[:, 0]))))
+        lr = math.log(fit.rho)
+        assert math.log(fit.C) == pytest.approx(log_C(lr), rel=0, abs=1e-12)
+        assert math.log(fit.C) == pytest.approx(log_2c_inf, rel=0, abs=1e-12)
+        assert log_C(lr + math.log1p(-1e-9)) > log_2c_inf
+
+
+class TestDoublingConstants:
+    @given(terms=st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                                    st.one_of(st.just(-math.inf),
+                                              st.floats(min_value=-50, max_value=50))),
+                          max_size=12),
+           log_floor=st.one_of(st.just(-math.inf), st.floats(min_value=-20, max_value=20)))
+    @settings(max_examples=300, deadline=None)
+    def test_rule(self, terms, log_floor):
+        """rho* is the smallest rho with C(rho) <= 2 C_inf: C(rho*) <= 2 C_inf
+        and C(rho* (1 - 1e-9)) > 2 C_inf, with C(rho) and C_inf computed
+        here from their definitions."""
+        log_C, log_rho = jets.doubling_constants([n for n, _ in terms],
+                                                 [w for _, w in terms], log_floor)
+        log_c_inf = max([log_floor] + [w for n, w in terms if n == 0])
+        live = [(n, w) for n, w in terms if n >= 1 and w > -math.inf]
+
+        def log_C_at(lr):
+            return max([log_c_inf] + [w - n * lr for n, w in live])
+
+        if not live:                         # no order n >= 1: rho* = 0
+            assert (log_C, log_rho) == (log_c_inf, -math.inf)
+        elif log_c_inf == -math.inf:         # C(rho) > 0 = 2 C_inf for every rho
+            assert (log_C, log_rho) == (-math.inf, math.inf)
+        else:
+            log_2c_inf = log_c_inf + math.log(2.0)
+            assert log_C == log_C_at(log_rho)
+            assert log_C_at(log_rho) <= log_2c_inf + math.log1p(1e-12)
+            assert log_C_at(log_rho + math.log1p(-1e-9)) > log_2c_inf
 
 
 def _scalar_taylor(F, a, p, x, order):
