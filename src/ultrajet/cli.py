@@ -99,7 +99,7 @@ def _outdir(args) -> str:
 def cmd_analyze(args) -> int:
     K = args.K or default_K()
     spec = serial.load_json(args.seq_spec)
-    M = serial.sequence_from_spec(spec, K_default=K)
+    M = sq.make_sequence(spec, K=K)
     out = _outdir(args)
     moderate = sq.check_moderate_growth(M)
     nq = M.nonquasianalytic
@@ -151,7 +151,7 @@ def _assoc_csv(M: sq.WeightSequence, path: str) -> None:
 def cmd_descend(args) -> int:
     K = args.K or default_K()
     spec = serial.load_json(args.seq_spec)
-    N = serial.sequence_from_spec(spec, K_default=K)
+    N = sq.make_sequence(spec, K=K)
     out = _outdir(args)
     D = dsc.descend(N)
     reps = dsc.check_lemma42(N, D, Ndot=N)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonincreasingResult, PrefixExhausted, QuasianalyticInput
 from .report import CheckReport, FAILS, HOLDS, report_from_log_witnesses
-from .seqcalc import WeightSequence, from_log_quotients
+from .seqcalc import WeightSequence, from_log_quotients, log_quotient_doubling
 from .tails import estimate_tail
 
 
@@ -130,7 +130,7 @@ def check_lemma42(N: WeightSequence, D: Descendant,
         half = K_eff // 2
         kk = np.arange(1, half + 1)
         hyp = report_from_log_witnesses(
-            N.log_mu[2 * kk - 1] - Ndot.log_mu[kk - 1], K_eff,
+            log_quotient_doubling(N, Ndot)[:half], K_eff,
             note="hypothesis nu_{2k} <= C nudot_k")
         con = report_from_log_witnesses(
             D.log_sigma[2 * kk - 1] - Ddot.log_sigma[kk - 1], K_eff,

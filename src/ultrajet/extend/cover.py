@@ -19,6 +19,7 @@ from ..jets import CompactSet1D
 RADIUS_RATIO = 0.25      # r_i = d(x_i) / 4
 LADDER_STEP = 1.5        # geometric spacing of ladder distances
 OVERLAP_C = 1.5          # support inflation factor c
+MARGIN = 2.0             # the working domain is E's hull widened by this
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,14 @@ class WhitneyCover1D:
 
     def covers(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        # one pass per ball: a (probes x balls) table here shows in peak memory
         hit = np.zeros(len(x), dtype=bool)
         for cx, r in self.balls:
             hit |= np.abs(x - cx) < r
         return hit
 
 
-def whitney_cover(E: CompactSet1D, d_min: float = 1e-6,
-                  margin: float = 2.0) -> WhitneyCover1D:
+def whitney_cover(E: CompactSet1D, d_min: float = 1e-6) -> WhitneyCover1D:
     """Cover of {x in working domain : d(x, E) >= d_min} by open intervals.
 
     Verifies coverage on a probe grid, measures the distance-comparability
@@ -52,7 +53,7 @@ def whitney_cover(E: CompactSet1D, d_min: float = 1e-6,
     if not d_min > 0:
         raise ExtensionError(f"d_min must be positive, got {d_min}", code="NON_POSITIVE")
     lo_E, hi_E = E.hull
-    lo, hi = lo_E - margin, hi_E + margin
+    lo, hi = lo_E - MARGIN, hi_E + MARGIN
     balls: list[tuple[float, float]] = []
     degenerate = []
     for (g0, g1, left_is_e, right_is_e) in E.gaps(lo, hi):
@@ -100,32 +101,27 @@ def _ladder(balls, origin: float, direction: float, cover_until: float,
 
 
 def _measure(E: CompactSet1D, balls, d_min, working, degenerate) -> WhitneyCover1D:
+    """The cover with its measured constants: a and b, the least and the
+    largest d(x) / r_i over 17 even probes of each inflated interval
+    [x_i - c r_i, x_i + c r_i] inside the open working domain, and n0, the
+    most inflated intervals (itself included) that one of them meets."""
     lo, hi = working
-    a_meas, b_meas = math.inf, 0.0
-    for (cx, r) in balls:
-        edge = OVERLAP_C * r
-        probes = np.linspace(cx - edge, cx + edge, 17)
-        probes = probes[(probes > lo) & (probes < hi)]
-        d = E.distance(probes)
-        ratios = d / r
-        a_meas = min(a_meas, float(ratios.min()))
-        b_meas = max(b_meas, float(ratios.max()))
-    n0 = 0
-    arr = np.array(balls)
-    for i, (cx, r) in enumerate(balls):
-        li, hi_i = cx - OVERLAP_C * r, cx + OVERLAP_C * r
-        inter = np.sum((arr[:, 0] - OVERLAP_C * arr[:, 1] < hi_i)
-                       & (arr[:, 0] + OVERLAP_C * arr[:, 1] > li))
-        n0 = max(n0, int(inter))  # count includes the ball itself
-    cov = WhitneyCover1D(E, tuple(balls), OVERLAP_C, a_meas, b_meas, n0,
+    cx, r = np.reshape(balls, (-1, 2)).T
+    left, right = cx - OVERLAP_C * r, cx + OVERLAP_C * r
+    probes = np.linspace(left, right, 17, axis=1)
+    inside = (probes > lo) & (probes < hi)
+    ratios = E.distance(probes[inside]) / np.broadcast_to(r[:, None], probes.shape)[inside]
+    meets = (left < right[:, None]) & (right > left[:, None])
+    cov = WhitneyCover1D(E, tuple(balls), OVERLAP_C, float(ratios.min(initial=math.inf)),
+                         float(ratios.max(initial=0.0)), int(meets.sum(axis=1).max(initial=0)),
                          d_min, working, degenerate)
     _verify_coverage(cov)
     return cov
 
 
-def _verify_coverage(cov: WhitneyCover1D, n_probes: int = 1000):
+def _verify_coverage(cov: WhitneyCover1D):
     lo, hi = cov.working
-    xs = np.linspace(lo + 1e-12, hi - 1e-12, n_probes)
+    xs = np.linspace(lo + 1e-12, hi - 1e-12, 1000)
     d = cov.E.distance(xs)
     need = d >= cov.d_min
     missed = need & ~cov.covers(xs)

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..descend import Descendant
 from ..errors import CutoffError
+from ..report import log_bound_tally
 from ..seqcalc import WeightSequence, log_h_assoc
 from .ppoly import PiecewisePolynomial, indicator
 
@@ -199,17 +200,18 @@ def build_cutoff(fam: CutoffFamily, epsilon: float, t: float,
     return CutoffResult(pp, epsilon, t, p, n, widths[:n])
 
 
-def verify_cutoff(fam: CutoffFamily, res: CutoffResult, orders, n_probes: int = 1000,
-                  rng=None) -> dict:
-    """Range, plateau, support, and derivative-bound checks on a probe grid.
+def verify_cutoff(fam: CutoffFamily, res: CutoffResult, orders) -> dict:
+    """Range, plateau, support, and derivative-bound checks at 1000 even
+    probes over (-t - 1/4, t + 1/4), 250 seeded uniform ones in (-t, t), and
+    -1, 0, 1, -t, t.
 
-    Derivative bounds are compared in the log domain: the right-hand side
-    routinely exceeds double range.
+    Derivative bounds are compared in the log domain (the right-hand side
+    routinely exceeds double range) by :func:`~ultrajet.report.log_bound_tally`,
+    one tally per order.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     t = res.t
-    xs = np.linspace(-t - 0.25, t + 0.25, n_probes)
-    xs = np.concatenate([xs, rng.uniform(-t, t, n_probes // 4), [-1.0, 0.0, 1.0, -t, t]])
+    xs = np.concatenate([np.linspace(-t - 0.25, t + 0.25, 1000),
+                         np.random.default_rng(0).uniform(-t, t, 250), [-1.0, 0.0, 1.0, -t, t]])
     checked = [k for k in orders if k <= res.n_convolutions - 1]
     vals, *derivs = res.pp(xs, order=[0] + checked)
     out = {
@@ -226,14 +228,9 @@ def verify_cutoff(fam: CutoffFamily, res: CutoffResult, orders, n_probes: int = 
         if k not in dvals:
             out["orders"][k] = {"checked": False, "reason": "beyond smoothness order"}
             continue
-        log_lhs = np.log(np.maximum(np.abs(dvals[k]), 1e-300))
-        log_rhs = fam.log_derivative_bound(res.epsilon, t, k)
-        viol = int(np.sum(log_lhs > log_rhs + 1e-9))
-        out["orders"][k] = {
-            "checked": True,
-            "violations": viol,
-            "max_log_margin": float(np.max(log_lhs - log_rhs)),
-        }
+        out["orders"][k] = {**log_bound_tally(np.log(np.maximum(np.abs(dvals[k]), 1e-300)),
+                                              fam.log_derivative_bound(res.epsilon, t, k)),
+                            "checked": True}
     out["bound_ok"] = all(o.get("violations", 1) == 0
                           for o in out["orders"].values() if o["checked"])
     return out

@@ -21,7 +21,7 @@ from ..descend import Descendant, descend
 from ..errors import ExtensionError
 from ..jets import (Jet, doubling_constants, fit_jet_constants, taylor_coeffs_local,
                     taylor_values)
-from ..report import HOLDS, log_witness_maxima, trend_verdict
+from ..report import HOLDS, log_bound_tally, log_witness_maxima, trend_verdict
 from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
                        h_power_log_constant, log_factorial, log_h_assoc)
 from ..weightfunc import WeightMatrix, domination_table
@@ -101,26 +101,27 @@ def lemma410_B1(fam: CutoffFamily, s_land: WeightSequence,
     return A, fam.B * (OVERLAP_C - 1.0) / (A * cover.n0 * cover.b)
 
 
-def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
-                     n_probes: int = 1000) -> dict:
+def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4)) -> dict:
     """Sum-to-one, range, support containment, and the derivative bound
-    |phi_i^(b)| <= eps^b Ndot_b / h(B1 eps d(x)) in log domain.
+    |phi_i^(b)| <= eps^b Ndot_b / h(B1 eps d(x)) in log domain, on 1000
+    even probes of the working domain.
 
     One pass over the functions: each phi_i is evaluated once on the probe
-    grid, and log h once per probe with d(x) > 0 before the pass.
+    grid, and log h once per probe with d(x) > 0 before the pass.  The bound
+    of order k <= smoothness order + 1 is one
+    :func:`~ultrajet.report.log_bound_tally` per phi_i over its probes off E
+    inside its support; violations add up and margins take their max, so no
+    table of all entries is held (one shows in peak memory).
     """
     cov = part.cover
     lo, hi = cov.working
-    xs = np.linspace(lo, hi, n_probes)
+    xs = np.linspace(lo, hi, 1000)
     d_all = cov.E.distance(xs)
     pos = d_all > 0
     log_nd = part.fam.Ndot.log_M
     log_b1_eps = math.log(part.B1) + math.log(part.epsilon)
     log_h = np.zeros(len(xs))
-    # math.log, as in the bound's scalar form: NumPy's vector log can round
-    # the last bit differently, and the margins are reported
-    log_h[pos] = log_h_assoc(part.landing_small_s,
-                             log_b1_eps + np.array([math.log(d) for d in d_all[pos]]))
+    log_h[pos] = log_h_assoc(part.landing_small_s, log_b1_eps + _math_log(d_all[pos]))
 
     s = np.zeros(len(xs))
     range_ok = sup_ok = True
@@ -140,11 +141,10 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
         if not np.any(sel):
             continue
         for k in ks:
-            fk = vk[k][sel]
-            lhs = np.log(np.maximum(np.abs(fk), 1e-300))
-            rhs = k * math.log(part.epsilon) + log_nd[k] - log_h[sel]
-            viol[k] += int(np.sum(lhs > rhs + 1e-9))
-            worst[k] = max(worst[k], float(np.max(lhs - rhs)))
+            t = log_bound_tally(np.log(np.maximum(np.abs(vk[k][sel]), 1e-300)),
+                                k * math.log(part.epsilon) + log_nd[k] - log_h[sel])
+            viol[k] += t["violations"]
+            worst[k] = max(worst[k], t["max_log_margin"])
     covered = cov.covers(xs) & (d_all >= cov.d_min)
     return {
         "sum_max_err": float(np.max(np.abs(s[covered] - 1.0))) if np.any(covered) else 0.0,
@@ -156,9 +156,14 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4),
     }
 
 
+def _math_log(x) -> np.ndarray:
+    """math.log entry by entry: NumPy's vector log can round the last bit
+    differently, and these logs feed reported margins and Taylor degrees."""
+    return np.array([math.log(v) for v in np.ravel(x).tolist()])
+
+
 # -- the extension operator ------------------------------------------------------
 
-MARGIN = 2.0                     # the working domain is E's hull widened by this
 DEG_FLOOR = 4                    # smallest per-ball Taylor degree
 L_CAP = 2.0 ** 20                # the doubling search for L stops here
 PROBE_SEED = 0                   # seeds the random probes of the checks
@@ -264,8 +269,7 @@ def taylor_degree(S_dot: Descendant, L: float, dists, cap: int) -> np.ndarray:
     d in ``dists``, with Gamma the counting function of S_dot's small row;
     past Gamma's prefix edge, Gamma reads K - 1."""
     sd = S_dot.small_s
-    # math.log per entry: NumPy's vector log can round the last bit differently
-    log_Ld = math.log(L) + np.array([math.log(d) for d in dists])
+    log_Ld = math.log(L) + _math_log(dists)
     g = gamma_count(sd, log_Ld, past_edge=sd.K - 1)
     return np.minimum(np.maximum(2 * g, DEG_FLOOR), cap)
 
@@ -292,12 +296,11 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     Bconst = float(np.exp(np.max(
         (log_s[2 * kk + 1] - 2.0 * log_sd[kk]) / (2 * kk + 1))))
 
-    cover = whitney_cover(F.E, d_min=cfg.d_min, margin=MARGIN)
+    cover = whitney_cover(F.E, d_min=cfg.d_min)
     fam = make_cutoff_family(chain.S_dot, chain.ddot)
 
     D1 = 4.0 / lam
     L = cfg.L if cfg.L is not None else max(D1 * max(rho_fit, 1.0), 1.0)
-    checks = None
     while True:
         checks = _check_taylor_estimates(F, chain, C_fit, rho_fit, L, cover, cfg)
         if checks["5.4"]["violations"] == 0 and checks["5.5"]["violations"] == 0:
@@ -432,48 +435,41 @@ def _global_cutoff(E, fam: CutoffFamily, epsilon: float, cover: WhitneyCover1D,
 
 def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
                             L: float, cover: WhitneyCover1D,
-                            cfg: ExtensionConfig, n_probes: int = 60) -> dict:
-    """Spot checks of the two Taylor-polynomial estimates at probe points."""
-    rng = np.random.default_rng(PROBE_SEED)
-    lo, hi = cover.working
-    xs = rng.uniform(lo, hi, n_probes)
-    log_S, log_s = chain.S.big_S.log_M, chain.S.small_s.log_M
-    out = {"5.4": {"violations": 0, "max_log_margin": -math.inf, "checked": 0},
-           "5.5": {"violations": 0, "max_log_margin": -math.inf, "checked": 0}}
-    if C == 0.0:
-        return out
-    logC = math.log(C)
+                            cfg: ExtensionConfig) -> dict:
+    """Spot checks of the Taylor estimates 5.4 and 5.5 at 60 seeded uniform
+    probes x of the working domain.
+
+    The entries are (x off E, order k <= min(p, p_max_eval)), with xhat the
+    point of E nearest x, d = |x - xhat| and p the Taylor degree at d; T is
+    the k-th derivative at x of F's degree-p Taylor polynomial at xhat.
+    5.4 bounds |T| by C (2L)^(k+1) S_k on every entry, and 5.5 bounds
+    |T - F^k(xhat)| by C (2L)^(k+1) k! s_(k+1) d on the entries with k < p.
+    Each is one :func:`~ultrajet.report.log_bound_tally`, of logs taken by
+    ``math.log`` entry by entry.
+    """
+    xs = np.random.default_rng(PROBE_SEED).uniform(*cover.working, 60)
     xhat, dist = F.E.nearest(xs)
     off_E = dist > 0
-    if not np.any(off_E):
-        return out
+    if C == 0.0 or not np.any(off_E):
+        return {cid: log_bound_tally(np.zeros(0), np.zeros(0)) for cid in ("5.4", "5.5")}
     xs, xhat, dist = xs[off_E], xhat[off_E], dist[off_E]
     degs = taylor_degree(chain.S_dot, L, dist, F.order_cap)
-    # one check per (probe, order k <= min(p, p_max_eval))
     n_k = np.minimum(degs, cfg.p_max_eval) + 1
     at = np.repeat(np.arange(len(xs)), n_k)
     pk = np.arange(len(at)) - np.repeat(np.cumsum(n_k) - n_k, n_k)
-    pa, pp, dists = xhat[at], degs[at], dist[at].tolist()
-    vals = taylor_values(F, pa, pp, xs[at], pk).tolist()
-    jet_vals = F.values[F.rows(pa), pk].tolist()
-    for val, fv, dist, p, k in zip(vals, jet_vals, dists, pp.tolist(), pk.tolist()):
-        lhs = math.log(max(abs(val), 1e-300))
-        rhs = logC + (k + 1) * math.log(2 * L) + log_S[k]
-        out["5.4"]["checked"] += 1
-        if lhs > rhs + 1e-9:
-            out["5.4"]["violations"] += 1
-        out["5.4"]["max_log_margin"] = max(out["5.4"]["max_log_margin"], lhs - rhs)
-        if k < p:
-            val2 = val - fv
-            lhs2 = math.log(max(abs(val2), 1e-300))
-            rhs2 = (logC + (k + 1) * math.log(2 * L) + log_factorial(k)
-                    + log_s[k + 1] + math.log(max(dist, 1e-300)))
-            out["5.5"]["checked"] += 1
-            if lhs2 > rhs2 + 1e-9:
-                out["5.5"]["violations"] += 1
-            out["5.5"]["max_log_margin"] = max(out["5.5"]["max_log_margin"],
-                                               lhs2 - rhs2)
-    return out
+    pa = xhat[at]
+    vals = taylor_values(F, pa, degs[at], xs[at], pk)
+    rhs = math.log(C) + (pk + 1) * math.log(2 * L)
+    low = pk < degs[at]                     # the 5.5 entries
+    k = pk[low]
+    return {
+        "5.4": log_bound_tally(_math_log(np.maximum(np.abs(vals), 1e-300)),
+                               rhs + chain.S.big_S.log_M[pk]),
+        "5.5": log_bound_tally(
+            _math_log(np.maximum(np.abs(vals[low] - F.values[F.rows(pa[low]), k]), 1e-300)),
+            rhs[low] + log_factorial(k) + chain.S.small_s.log_M[k + 1]
+            + _math_log(np.maximum(dist[at][low], 1e-300))),
+    }
 
 
 def check_taylor_difference_bound(F: Jet, D: Descendant, a1: float, a2: float,
@@ -490,52 +486,39 @@ def check_taylor_difference_bound(F: Jet, D: Descendant, a1: float, a2: float,
     return (math.log(lhs) if lhs > 0.0 else -math.inf), float(log_rhs)
 
 
-def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig,
-                    n_levels: int = 12, d0: float = 1.28e-2) -> dict:
-    """f^{(k)} along dyadic probe ladders approaching each carried point.
+def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig) -> dict:
+    """f^{(k)} along dyadic probe ladders, at distances 1.28e-2 2^-j for
+    j < 12 on both sides of each isolated point of E, against the jet.
 
     The ladder starts inside the zone where the per-interval Taylor degrees
     have saturated; farther out, degree transitions legitimately produce
     large intermediate derivatives (allowed by the growth bound), which are
     reported separately as the transition-zone maximum at distance ~ 0.1.
     """
-    out = {"points": {}, "monotone_ok": True, "final_max_err": 0.0,
-           "transition_zone_max": 0.0}
-    d = d0 * 2.0 ** -np.arange(n_levels)
+    d = 1.28e-2 * 2.0 ** -np.arange(12)
     orders = range(0, cfg.p_max_eval + 1)
-    for a in F.E.points:
-        ladders = {}
-        vals = f(np.concatenate([a + d, a - d, [a + 0.1]]), order=orders)
-        Fa = F.values[F.rows(a)].tolist()
-        for k in orders:
-            up, down, far = np.split(vals[k], [n_levels, 2 * n_levels])
-            errs = np.maximum(np.abs(up - Fa[k]), np.abs(down - Fa[k]))
-            dec_ok = bool(np.all(errs[1:] <= errs[:-1] * 1.10 + 1e-12))
-            ladders[k] = {"errors": errs.tolist(), "monotone": dec_ok}
-            out["monotone_ok"] &= dec_ok
-            out["final_max_err"] = max(out["final_max_err"], float(errs[-1]))
-            out["transition_zone_max"] = max(
-                out["transition_zone_max"],
-                float(abs(far[0] - Fa[k])))
-        out["points"][a] = ladders
-    return out
+    pts = np.array(F.E.points)[:, None]
+    vals = f(np.concatenate([pts + d, pts - d, pts + 0.1], axis=1).ravel(),
+             order=orders).reshape(len(orders), len(pts), 2 * len(d) + 1)
+    Fa = F.values[F.rows(pts[:, 0]), :len(orders)].T[:, :, None]
+    errs = np.maximum(np.abs(vals[..., :len(d)] - Fa), np.abs(vals[..., len(d):-1] - Fa))
+    dec = np.all(errs[..., 1:] <= errs[..., :-1] * 1.10 + 1e-12, axis=-1)
+    return {"points": {a: {k: {"errors": errs[k, i].tolist(), "monotone": bool(dec[k, i])}
+                           for k in orders} for i, a in enumerate(F.E.points)},
+            "monotone_ok": bool(np.all(dec)),
+            "final_max_err": float(np.max(errs[..., -1], initial=0.0)),
+            "transition_zone_max": float(np.max(np.abs(vals[..., -1:] - Fa), initial=0.0))}
 
 
 def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
-                cfg: ExtensionConfig, n_probes: int = 400) -> dict:
-    """(C', rho') with |f^{(k)}| <= C' rho'^k N_k at all probes, by
-    :func:`~ultrajet.jets.doubling_constants` with no floor."""
-    rng = np.random.default_rng(PROBE_SEED + 1)
-    lo, hi = f.span
-    xs = np.concatenate([np.linspace(lo, hi, n_probes),
-                         rng.uniform(lo, hi, n_probes // 2)])
-    log_N = out_row.log_M
-    per_k = {}
-    for k, fk in enumerate(f(xs, order=range(0, cfg.p_max_eval + 1))):
-        m = float(np.max(np.abs(fk)))
-        if m > 0:
-            per_k[k] = math.log(m) - log_N[k]
-    log_C, log_rho = doubling_constants(list(per_k), list(per_k.values()))
+                cfg: ExtensionConfig) -> dict:
+    """(C', rho') with |f^{(k)}| <= C' rho'^k N_k at 400 even and 200 seeded
+    probes, by :func:`~ultrajet.jets.doubling_constants` with no floor."""
+    xs = np.concatenate([np.linspace(*f.span, 400),
+                         np.random.default_rng(PROBE_SEED + 1).uniform(*f.span, 200)])
+    m = np.max(np.abs(f(xs, order=range(0, cfg.p_max_eval + 1))), axis=1)
+    k = np.flatnonzero(m > 0)
+    log_C, log_rho = doubling_constants(k, _math_log(m[k]) - out_row.log_M[k])
     return {"C_prime": math.exp(log_C), "rho_prime": math.exp(log_rho),
             "finite": bool(log_C < np.inf and log_rho < np.inf)}
 
@@ -547,25 +530,20 @@ def _nearest(carried: np.ndarray, x):
 
 def _assembly_consistency(f, part: Partition, F: Jet, carried: np.ndarray,
                           anchors: np.ndarray, degrees, p_col: int, gcut,
-                          cfg: ExtensionConfig, n_probes: int = 200) -> dict:
+                          cfg: ExtensionConfig) -> dict:
     """The spline f must reproduce the defining sum evaluated directly;
     ``carried`` is ``F.carried()``, and ``anchors``, ``degrees`` and
     ``p_col`` are the per-ball anchors and degrees and the base field's
     degree the assembly used."""
-    rng = np.random.default_rng(PROBE_SEED + 2)
-    lo, hi = part.cover.working
-    xs = rng.uniform(lo, hi, n_probes)
-    phis = np.array([phi(xs) for phi in part.functions]).reshape(-1, n_probes)
+    xs = np.random.default_rng(PROBE_SEED + 2).uniform(*part.cover.working, 200)
+    phis = np.array([phi(xs) for phi in part.functions]).reshape(-1, len(xs))
     base = taylor_values(F, _nearest(carried, xs), p_col, xs, 0)
     # (probe, ball) pairs with phi != 0, balls ascending within each probe
     pi, bi = np.nonzero(phis.T)
     terms = phis[bi, pi] * (taylor_values(F, anchors[bi], np.asarray(degrees)[bi],
                                           xs[pi], 0) - base[pi])
-    rank = np.arange(len(pi)) - np.searchsorted(pi, pi)
     direct = base.copy()
-    # round r adds each probe's r-th term: the per-probe sum runs in ball order
-    for r in range(int(rank.max(initial=-1)) + 1):
-        sel = rank == r
-        direct[pi[sel]] += terms[sel]
+    # unbuffered adds in pair order: each probe's sum runs in ball order
+    np.add.at(direct, pi, terms)
     direct *= gcut(xs)
     return {"max_abs_gap": float(np.max(np.abs(direct - f(xs)), initial=0.0))}

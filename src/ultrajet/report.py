@@ -134,6 +134,17 @@ def report_from_prefix_witnesses(log_w_half: float, log_w_full: float, prefix_K:
                        note, {"log_witness_growth": log_w_full - log_w_half})
 
 
+def log_bound_tally(log_lhs, log_rhs) -> dict:
+    """The one tally of a bound lhs <= rhs spot-checked over an entry set,
+    from the logs of both sides (the caller takes them): ``checked`` entries,
+    ``violations`` where log lhs > log rhs + 1e-9, and ``max_log_margin``, the
+    largest log lhs - log rhs (-inf over no entries)."""
+    margin = np.subtract(log_lhs, log_rhs)
+    return {"violations": int(np.count_nonzero(log_lhs > np.add(log_rhs, 1e-9))),
+            "max_log_margin": float(np.max(margin, initial=-np.inf)),
+            "checked": int(margin.size)}
+
+
 def verdicts_agree(reports) -> bool:
     """True when every report in an equivalence group carries the same verdict."""
     vs = {r.verdict for r in reports}

@@ -297,6 +297,14 @@ def _pairwise_log_witness(log_top: np.ndarray, log_pair: np.ndarray,
     return out
 
 
+def log_quotient_doubling(M: WeightSequence, Mdot: WeightSequence) -> np.ndarray:
+    """log mu_{2k} - log mudot_k for k = 1..M.K // 2: the log witnesses of
+    the quotient doubling mu_{2k} <= C mudot_k.  Read by L2.2-3 and L2.2-4
+    (Mdot = M), by (2.11), and by the hypothesis of Lemma 4.2-6."""
+    kk = np.arange(1, M.K // 2 + 1)
+    return M.log_mu[2 * kk - 1] - Mdot.log_mu[kk - 1]
+
+
 def check_moderate_growth(M: WeightSequence) -> dict[str, CheckReport]:
     """The six equivalent moderate-growth conditions, checked independently.
 
@@ -320,16 +328,13 @@ def check_moderate_growth(M: WeightSequence) -> dict[str, CheckReport]:
     w2 = M.log_mu - M.log_M[1:] / k
     reports["L2.2-2"] = report_from_log_witnesses(w2, K, note="mu_k <= C M_k^{1/k}")
 
-    half = K // 2
-    kk = np.arange(1, half + 1)
-    w3 = M.log_M[2 * kk] - M.log_M[2 * kk - 1] - M.log_mu[kk - 1]
+    w3 = log_quotient_doubling(M, M)
     reports["L2.2-3"] = report_from_log_witnesses(w3, K, note="mu_{2k} <= C mu_k")
 
     # (4): 2 Sigma(t) <= Sigma(Ct).  Binding t are the quotient points, and
     # Sigma(C mu_k) >= 2k exactly when C mu_k >= mu_{2k}: the smallest
-    # admissible C at t = mu_k is mu_{2k} / mu_k.
-    w4 = M.log_mu[2 * kk - 1] - M.log_mu[kk - 1]
-    reports["L2.2-4"] = report_from_log_witnesses(w4, K, note="2 Sigma(t) <= Sigma(Ct)")
+    # admissible C at t = mu_k is mu_{2k} / mu_k, the witness of (3).
+    reports["L2.2-4"] = report_from_log_witnesses(w3, K, note="2 Sigma(t) <= Sigma(Ct)")
 
     reports["L2.2-5"] = _check_omega_doubling(M)
     return reports
@@ -377,10 +382,8 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
         raise SequenceSpecError(f"sequences must share prefix length, got K = {M.K} "
                                 f"and {Mdot.K}", code="PREFIX_MISMATCH")
     K = M.K
-    half = K // 2
-    kk = np.arange(1, half + 1)
-    w11 = (M.log_M[2 * kk] - M.log_M[2 * kk - 1]) - Mdot.log_mu[kk - 1]
-    rep11 = report_from_log_witnesses(w11, K, note="mu_{2k} <= C mudot_k")
+    rep11 = report_from_log_witnesses(log_quotient_doubling(M, Mdot), K,
+                                      note="mu_{2k} <= C mudot_k")
 
     # (2.14): M_{k+j} <= C^{k+j} Mdot_j Mdot_k, per total order
     out = _pairwise_log_witness(M.log_M, Mdot.log_M, 0)
@@ -394,7 +397,7 @@ def check_mixed_growth(M: WeightSequence, Mdot: WeightSequence) -> dict[str, Che
         return c if c < 1400.0 else float("inf")
 
     rep12 = report_from_prefix_witnesses(
-        logC_12(half), logC_12(K), K,
+        logC_12(K // 2), logC_12(K), K,
         counterexample_index=K, note="h_M(t) <= h_Mdot(Ct)^2")
 
     # (2.13): lambda < 1 with 2 Gamma_Mdot(t) <= Gamma_M(lambda t)

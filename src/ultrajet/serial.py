@@ -29,6 +29,7 @@ Writes are atomic (temp file + rename) and deterministic for a fixed spec.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -126,50 +127,59 @@ def _spec_object(spec, error=SequenceSpecError) -> dict:
     return spec
 
 
-def sequence_from_spec(spec: dict, K_default: int = 512) -> WeightSequence:
-    return make_sequence(spec, K=K_default)
+@contextlib.contextmanager
+def _bad_spec(what: str, error=SequenceSpecError):
+    """Raises ``error`` BAD_SPEC for a KeyError, TypeError or ValueError
+    (a missing or malformed field) raised inside the block."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"bad {what} spec: {type(exc).__name__} {exc}",
+                    code="BAD_SPEC") from exc
 
 
 def weight_function_from_spec(spec: dict) -> WeightFunction:
     kind = _spec_object(spec).get("kind")
-    try:
+    with _bad_spec(kind):
         if kind == "omega_s":
             return omega_s(float(spec["s"]))
         if kind == "table":
             return omega_table(spec["points"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SequenceSpecError(f"bad {kind} spec: {type(exc).__name__} {exc}",
-                                code="BAD_SPEC") from exc
     raise SequenceSpecError(f"unknown weight function kind {kind!r}",
                             code="NON_POSITIVE")
 
 
 def matrix_from_spec(spec: dict, K_default: int = 512):
-    """Returns (matrix, weight_function_or_None)."""
+    """Returns (matrix, weight_function_or_None); SequenceSpecError BAD_SPEC
+    for a missing or malformed ``K``, ``rows`` or ``params``."""
     kind = _spec_object(spec).get("kind")
-    K = int(spec.get("K", K_default))
-    if kind == "rows":
-        rows = [make_sequence(s, K=K) for s in spec["rows"]]
-        params = spec.get("params")
+    with _bad_spec("matrix"):
+        K = int(spec.get("K", K_default))
+        params = spec.get("params", None if kind == "rows" else DEFAULT_PARAMS)
+        params = None if params is None else [float(p) for p in params]
+        rows = [make_sequence(s, K=K) for s in spec["rows"]] if kind == "rows" else None
+    if rows is not None:
         return matrix_from_rows(rows, params=params), None
     w = weight_function_from_spec(spec)
-    params = spec.get("params", list(DEFAULT_PARAMS))
     return associated_matrix(w, params=params, K=K), w
 
 
 def jet_from_file(spec: dict, p_default: int = 16) -> Jet:
     """A builtin jet (``kind``, no ``values``) or a table jet (``values`` and
-    ``order_cap``); JetSpecError BAD_SPEC when the spec is not an object or
-    lacks these fields."""
+    ``order_cap``); JetSpecError BAD_SPEC when the spec is not an object,
+    lacks these fields, or has a malformed ``points``, ``intervals`` or
+    ``order_cap``."""
     spec = _spec_object(spec, JetSpecError)
-    E = CompactSet1D(points=tuple(spec.get("points", ())),
-                     intervals=tuple(tuple(iv) for iv in spec.get("intervals", ())))
+    with _bad_spec("jet", JetSpecError):
+        E = CompactSet1D(points=tuple(spec.get("points", ())),
+                         intervals=tuple(tuple(iv) for iv in spec.get("intervals", ())))
+        p = int(spec.get("order_cap", p_default))
     if "kind" in spec and "values" not in spec:
-        return sample_jet(spec, E, p_max=int(spec.get("order_cap", p_default)))
+        return sample_jet(spec, E, p_max=p)
     if "values" not in spec or "order_cap" not in spec:
         raise JetSpecError("a jet file needs a kind, or values and order_cap",
                            code="BAD_SPEC")
-    return Jet(E, int(spec["order_cap"]), spec["values"])
+    return Jet(E, p, spec["values"])
 
 
 # -- canned exports ---------------------------------------------------------------

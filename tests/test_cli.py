@@ -290,9 +290,19 @@ GEVREY_NO_S = {"family": "gevrey", "params": {}}
     ("analyze", [GEVREY_NO_S]),
     ("extend", [[0], {"kind": "omega_s", "s": 2, "K": 64}]),
     ("extend", [{"points": [0.0], "values": [[1.0, 1.0]]},
+                {"kind": "omega_s", "s": 2, "K": 64}]),
+    ("decide", [{"kind": "rows"}]),
+    ("decide", [{"kind": "rows", "rows": 5}]),
+    ("decide", [{"kind": "omega_s", "s": 2, "K": "x"}]),
+    ("decide", [{"kind": "omega_s", "s": 2, "K": 64, "params": "x"}]),
+    ("extend", [{"kind": "exp", "points": [0.0], "order_cap": "x"},
+                {"kind": "omega_s", "s": 2, "K": 64}]),
+    ("extend", [{"kind": "exp", "intervals": [[1]]},
                 {"kind": "omega_s", "s": 2, "K": 64}])],
     ids=["decide-list", "decide-row-without-s", "analyze-without-s", "extend-jet-list",
-         "extend-jet-without-order-cap"])
+         "extend-jet-without-order-cap", "decide-rows-missing", "decide-rows-not-a-list",
+         "decide-K-not-int", "decide-params-not-numbers", "extend-order-cap-not-int",
+         "extend-interval-not-a-pair"])
 def test_malformed_spec_is_coded(tmp_path, capsys, command, specs):
     files = [write(tmp_path, f"spec{i}.json", spec) for i, spec in enumerate(specs)]
     assert cli.main(["--out", str(tmp_path / "o"), command, *files]) == 2
