@@ -60,15 +60,16 @@ def whitney_cover(E: CompactSet1D, d_min: float = 1e-6) -> WhitneyCover1D:
         length = g1 - g0
         if not left_is_e and not right_is_e:
             continue
+        half = 0.5 * length
         if length < 4.0 * d_min and left_is_e and right_is_e:
-            # short interior gap: a single central interval suffices
+            # short interior gap: one central interval of radius in
+            # (half - d_min, length / 3) reaches every point with d >= d_min,
+            # and its c-inflated interval stays off E
             center = 0.5 * (g0 + g1)
-            d_c = float(E.distance(center)[0])
-            if d_c >= d_min:
-                balls.append((center, max(d_c * RADIUS_RATIO, length / 8.0)))
+            if float(E.distance(center)[0]) >= d_min:
+                balls.append((center, 0.5 * ((half - d_min) + length / 3.0)))
                 degenerate.append((g0, g1))
             continue
-        half = 0.5 * length
         interior = left_is_e and right_is_e
         # interior ladders only need to reach the central interval's window
         cover_until = (1.0 - RADIUS_RATIO) * half if interior else length

@@ -51,30 +51,39 @@ class AlphaSequence:
         return np.exp(np.maximum(la[:n] - la[1 : n + 1], -745.0))
 
 
+def _ratio_sums(D: Descendant, Ndot: WeightSequence, p: np.ndarray,
+                A: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log alpha, ratio sum, valid) of the order-p interpolation sequences
+    with constant A, one of each per entry of p >= 1.
+
+    alpha_k = (2p)^k for k <= p and (A / sigma*_{p+1})^k Ndot_k beyond, for
+    k = 0..n with n = min(K_eff, Ndot.K) - 1.  The ratio sum is
+    sum_{k>=0} alpha_k / alpha_{k+1}: the stored k < n, then
+    sigma*_{p+1} / A times the growth row's tail sum_{j > n} 1/nudot_j,
+    read from ``Ndot.tail``; a sequence is valid when it is at most 1.
+    Every entry is the same float expression whatever the rows beside it.
+    """
+    n = min(D.K_eff, Ndot.K) - 1
+    p_used = np.minimum(p, n - 1)
+    k = np.arange(n + 1, dtype=float)
+    log_sig_star_next = D.log_sigma_star[p_used]   # sigma*_{p+1} (0-based index p)
+    log_2p = np.array([math.log(2.0 * q) for q in p.tolist()])
+    log_alpha = np.where(k <= p_used[:, None], k * log_2p[:, None],
+                         k * (math.log(A) - log_sig_star_next)[:, None] + Ndot.log_M[: n + 1])
+    ratios = np.exp(log_alpha[:, :-1] - log_alpha[:, 1:])
+    tail = [math.exp(v) for v in (log_sig_star_next - math.log(A) + Ndot.tail.log_T[n]).tolist()]
+    total = np.sum(ratios, axis=1) + tail
+    return log_alpha, total, total <= 1.0 + 1e-12
+
+
 def alpha_sequence(D: Descendant, Ndot: WeightSequence, p: int,
                    A: float) -> AlphaSequence:
-    """The order-p interpolation sequence with constant A.
-
-    alpha_k = (2p)^k for k <= p and (A / sigma*_{p+1})^k Ndot_k beyond;
-    validity means the ratio sum sum_{k>=0} alpha_k/alpha_{k+1} stays at
-    most 1.  Past the stored k < n it is sigma*_{p+1} / A times the growth
-    row's tail sum_{j > n} 1/nudot_j, read from ``Ndot.tail``.
-    """
+    """The order-p interpolation sequence of :func:`_ratio_sums` with
+    constant A."""
     if p < 1:
         raise CutoffError(f"alpha_sequence needs p >= 1, got {p}", code="BAD_INDEX")
-    n = min(D.K_eff, Ndot.K) - 1
-    p_used = min(p, n - 1)
-    k = np.arange(n + 1, dtype=float)
-    log_np = Ndot.log_M[: n + 1]  # log Ndot_k
-    log_sig_star_next = D.log_sigma_star[p_used]  # sigma*_{p+1} (0-based index p)
-    log_alpha = np.where(
-        k <= p_used,
-        k * math.log(2.0 * p),
-        k * (math.log(A) - log_sig_star_next) + log_np)
-    ratios = np.exp(log_alpha[:-1] - log_alpha[1:])
-    tail = math.exp(log_sig_star_next - math.log(A) + Ndot.tail.log_T[n])
-    total = float(np.sum(ratios) + tail)
-    return AlphaSequence(p, A, log_alpha, total, total <= 1.0 + 1e-12)
+    log_alpha, total, valid = _ratio_sums(D, Ndot, np.array([p]), A)
+    return AlphaSequence(p, A, log_alpha[0], float(total[0]), bool(valid[0]))
 
 
 @dataclass(frozen=True)
@@ -101,14 +110,16 @@ class CutoffFamily:
 
 def make_cutoff_family(D: Descendant, Ndot: WeightSequence) -> CutoffFamily:
     """Search the smallest power-of-two A validating the ratio-sum bound at
-    every order p = 1..p_cap, p_cap = min(K_eff - 2, 64), then freeze delta
-    and B.  :func:`build_cutoff` never uses an order above p_cap.  The ratio
-    sums read ``Ndot.tail``, which must pass ``require_reliable``."""
+    every order p = 1..p_cap, p_cap = min(K_eff - 2, 64), each A one
+    :func:`_ratio_sums` over all the orders, then freeze delta and B.
+    :func:`build_cutoff` never uses an order above p_cap.  The ratio sums
+    read ``Ndot.tail``, which must pass ``require_reliable``."""
     Ndot.tail.require_reliable(Ndot.family_tag)
     p_cap = min(D.K_eff - 2, 64)
+    orders = np.arange(1, p_cap + 1)
     A = 1.0
     for _ in range(60):
-        if all(alpha_sequence(D, Ndot, p, A).valid for p in range(1, p_cap + 1)):
+        if np.all(_ratio_sums(D, Ndot, orders, A)[2]):
             break
         A *= 2.0
     else:

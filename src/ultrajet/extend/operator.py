@@ -28,7 +28,8 @@ from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
 from .cutoffs import (CONV_DEPTH, CutoffFamily, CutoffResult, build_cutoff,
                       cutoff_order, make_cutoff_family)
-from .ppoly import PiecewisePolynomial, constant_on, spline_sum, taylor_shift
+from .ppoly import (PiecewisePolynomial, SplineBatch, batch_cut, batch_product, batch_sum,
+                    constant_on, runs, stack, stacked_values, taylor_shift)
 
 
 # -- partition of unity --------------------------------------------------------
@@ -53,34 +54,73 @@ def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
     The cutoff depends on epsilon r_i / n0 only through its order, so one
     is built per order.  Each phi_i is formed on its own support: psi_i,
     clipped where it leaves the working domain, then phi_i <- phi_i -
-    phi_i psi_k for each earlier k whose span meets psi_i's (1 - psi_k is 1
-    elsewhere).  The cover has bounded overlap, so each phi_i needs only a
-    few factors and no spline spans the whole working domain.
+    phi_i psi_k for each earlier k whose span meets psi_i's, k ascending
+    (1 - psi_k is 1 elsewhere).  The cover has bounded overlap, so each
+    phi_i has at most n0 - 1 such k, and no spline spans the whole working
+    domain.  The balls run together as batches (:class:`SplineBatch`): one
+    affine pass makes every psi_i and one product clips them; then, over
+    each run of balls that :func:`~ultrajet.extend.ppoly.runs` cuts, round r
+    is one :func:`~ultrajet.extend.ppoly.batch_cut` over the balls with an
+    r-th such k, the k found from the sorted spans.
 
     ``landing`` is (s_land, A, B1): the landing row of Lemma 4.10 and
     :func:`lemma410_B1` for it; by default the family's own small row.
     """
     lo_w, hi_w = cover.working
-    window = constant_on(lo_w, hi_w)
     cache: dict[int, CutoffResult] = {}
-    psis = []
+    orders = []
     for (cx, r) in cover.balls:
         eps_i = epsilon * r / cover.n0
         p = cutoff_order(fam, eps_i, OVERLAP_C)
         if p not in cache:
             cache[p] = build_cutoff(fam, eps_i, OVERLAP_C,
                                     min_smoothness=min_smoothness)
-        psis.append(cache[p].pp.compose_affine(cx, r))
+        orders.append(p)
+    keys = list(cache)
+    cx, r = np.reshape(cover.balls, (-1, 2)).T
+    psi = SplineBatch.of([cache[p].pp for p in keys]).take(
+        [keys.index(p) for p in orders]).compose_affine(cx, r)
+    lo, hi = psi.spans
+    clip = np.flatnonzero((lo < lo_w) | (hi > hi_w))
+    if clip.size:
+        window = SplineBatch.of([constant_on(lo_w, hi_w)]).take(np.zeros(clip.size, dtype=int))
+        clipped = batch_product(psi.take(clip), window)
+    ball, prev, rank = _earlier_overlaps(lo, hi)
     funcs = []
-    for i, psi in enumerate(psis):
-        lo, hi = psi.span
-        phi = psi if lo_w <= lo and hi <= hi_w else psi * window
-        for prev in psis[:i]:
-            if prev.span[0] < hi and prev.span[1] > lo:
-                phi = phi - phi * prev
-        funcs.append(phi.trimmed())
+    for run in runs((np.diff(psi.starts) - 1) * psi.coeffs.shape[1]):
+        phi = psi.take(run)
+        mine = np.flatnonzero((clip >= run[0]) & (clip <= run[-1]))
+        if mine.size:
+            phi = phi.put(clip[mine] - run[0], clipped.take(mine))
+        here = (ball >= run[0]) & (ball <= run[-1])
+        for k in range(rank[here].max(initial=-1) + 1):
+            sel = here & (rank == k)
+            phi = phi.put(ball[sel] - run[0], batch_cut(phi.take(ball[sel] - run[0]),
+                                                        psi.take(prev[sel])))
+        funcs.extend(phi.trimmed().splines())
     land, A410, B1 = landing or (fam.D.small_s, *lemma410_B1(fam, fam.D.small_s, cover))
     return Partition(cover, epsilon, tuple(funcs), fam, B1, A410, land)
+
+
+def _earlier_overlaps(lo: np.ndarray, hi: np.ndarray):
+    """(i, k, rank): the pairs k < i of spans (lo, hi) that meet
+    (lo_k < hi_i and hi_k > lo_i), ordered by i then k, and the rank of k
+    among the k of its i.
+
+    In order of lo, the spans meeting span j from its right are the ones that
+    follow it up to the last with lo < hi_j: each of them starts in
+    [lo_j, hi_j).  So the pairs are one ragged range per span.
+    """
+    n = len(lo)
+    order = np.argsort(lo, kind="stable")
+    reach = np.searchsorted(lo[order], hi[order]) - np.arange(n) - 1
+    at = np.repeat(np.arange(n), reach)
+    mate = at + 1 + np.arange(len(at)) - np.repeat(np.cumsum(reach) - reach, reach)
+    a, b = order[at], order[mate]
+    i, k = np.maximum(a, b), np.minimum(a, b)
+    o = np.argsort(i * n + k)
+    i, k = i[o], k[o]
+    return i, k, np.arange(len(i)) - np.searchsorted(i, i)
 
 
 def h_power_constant(s_num: WeightSequence, s_den: WeightSequence, n: int) -> float:
@@ -106,12 +146,13 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4)) -> dict:
     |phi_i^(b)| <= eps^b Ndot_b / h(B1 eps d(x)) in log domain, on 1000
     even probes of the working domain.
 
-    One pass over the functions: each phi_i is evaluated once on the probe
-    grid, and log h once per probe with d(x) > 0 before the pass.  The bound
-    of order k <= smoothness order + 1 is one
-    :func:`~ultrajet.report.log_bound_tally` per phi_i over its probes off E
-    inside its support; violations add up and margins take their max, so no
-    table of all entries is held (one shows in peak memory).
+    A stacked evaluation (:func:`~ultrajet.extend.ppoly.stacked_values`) of
+    each run of balls reads every phi_i at the probes inside its span, all
+    orders at once, and log h is taken once per probe with d(x) > 0 before
+    it.  The bound of order k <= smoothness order + 1 is one
+    :func:`~ultrajet.report.log_bound_tally` per block of (phi_i, probe)
+    pairs, over the probes off E inside phi_i's support; violations add up
+    and margins take their max, so no (probes x balls) table is held.
     """
     cov = part.cover
     lo, hi = cov.working
@@ -123,28 +164,30 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4)) -> dict:
     log_h = np.zeros(len(xs))
     log_h[pos] = log_h_assoc(part.landing_small_s, log_b1_eps + _math_log(d_all[pos]))
 
+    cx, r = np.reshape(cov.balls, (-1, 2)).T
+    evaluated = [0] + [k for k in orders if k > 0]
     s = np.zeros(len(xs))
     range_ok = sup_ok = True
     worst = {k: -math.inf for k in orders}
     viol = {k: 0 for k in orders}
-    for f, (cx, r) in zip(part.functions, cov.balls):
-        ks = [k for k in orders if k <= max(f.smoothness_order, 0) + 1]
-        higher = [k for k in ks if k > 0]
-        vk = dict(zip([0] + higher, f(xs, order=[0] + higher)))
-        v = vk[0]
-        s += v
-        range_ok &= bool(np.all((v >= -1e-12) & (v <= 1 + 1e-12)))
-        slo, shi = f.support()
-        if slo < cx - cov.c * r - 1e-12 or shi > cx + cov.c * r + 1e-12:
-            sup_ok = False
-        sel = (xs > slo) & (xs < shi) & pos
-        if not np.any(sel):
-            continue
-        for k in ks:
-            t = log_bound_tally(np.log(np.maximum(np.abs(vk[k][sel]), 1e-300)),
-                                k * math.log(part.epsilon) + log_nd[k] - log_h[sel])
-            viol[k] += t["violations"]
-            worst[k] = max(worst[k], t["max_log_margin"])
+    for run in runs([f.coeffs.size for f in part.functions]):
+        phis = SplineBatch.of([part.functions[i] for i in run])
+        slo, shi = phis.supports()
+        sup_ok &= bool(np.all((slo >= cx[run] - cov.c * r[run] - 1e-12)
+                              & (shi <= cx[run] + cov.c * r[run] + 1e-12)))
+        top = np.maximum(phis.smoothness, 0) + 1
+        for ball, j, vals in stacked_values(phis, xs, evaluated):
+            np.add.at(s, j, vals[0])
+            range_ok &= bool(np.all((vals[0] >= -1e-12) & (vals[0] <= 1 + 1e-12)))
+            sel = (xs[j] > slo[ball]) & (xs[j] < shi[ball]) & pos[j]
+            for k, v in zip(evaluated, vals):
+                if k not in worst:
+                    continue
+                e = sel & (k <= top[ball])
+                t = log_bound_tally(np.log(np.maximum(np.abs(v[e]), 1e-300)),
+                                    k * math.log(part.epsilon) + log_nd[k] - log_h[j[e]])
+                viol[k] += t["violations"]
+                worst[k] = max(worst[k], t["max_log_margin"])
     covered = cov.covers(xs) & (d_all >= cov.d_min)
     return {
         "sum_max_err": float(np.max(np.abs(s[covered] - 1.0))) if np.any(covered) else 0.0,
@@ -324,7 +367,8 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     # it is 0.  This form subtracts Taylor polynomials before multiplying by
     # the partition, whose derivatives near E are huge and cancel only
     # analytically; forming the differences first keeps evaluation noise at
-    # the scale of the Whitney increments.  It is one sum over the union of
+    # the scale of the Whitney increments.  The terms phi_i (T_i - base) are
+    # batched products over runs of balls, and f is one sum over the union of
     # breakpoints, each piece adding its terms in ball order.
     # Ball i is anchored at the carried point nearest to its nearest point
     # of E, with the degree at its distance to E; the base field's is at d_min.
@@ -334,16 +378,22 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     xhat, dist = F.E.nearest([cx for cx, _ in cover.balls])
     ball_anchors = _nearest(anchors, xhat)
     degrees = taylor_degree(chain.S_dot, L, dist, cap).tolist()
-    terms = [base]
-    for phi, a_i, p_i in zip(part.functions, ball_anchors, degrees):
-        slo, shi = phi.support()
-        if shi <= slo:
-            continue
-        diff = _taylor_difference(F, float(a_i), p_i, anchors, cuts, p_col, slo, shi)
-        if diff is None:
-            continue
-        terms.append((phi * diff).trimmed())
-    f_inner = spline_sum(terms)
+    terms = [SplineBatch.of([base])]
+    for run in runs([phi.coeffs.size for phi in part.functions]):
+        phis = SplineBatch.of([part.functions[i] for i in run])
+        used, diffs = [], []
+        for j, (i, slo, shi) in enumerate(zip(run.tolist(), *phis.supports())):
+            if shi <= slo:
+                continue
+            diff = _taylor_difference(F, float(ball_anchors[i]), degrees[i], anchors, cuts,
+                                      p_col, float(slo), float(shi))
+            if diff is not None:
+                used.append(j)
+                diffs.append(diff)
+        if used:
+            terms.append(batch_product(phis.take(used), SplineBatch.of(diffs)).trimmed())
+    terms = stack(terms)
+    f_inner = batch_sum(terms, np.zeros(len(terms), dtype=np.intp), 1).splines()[0]
     gcut = _global_cutoff(F.E, fam, epsilon, cover, cfg)
     # chopped before any check, so every gate sees the spline that is returned
     full = (f_inner * gcut).trimmed()
@@ -534,16 +584,20 @@ def _assembly_consistency(f, part: Partition, F: Jet, carried: np.ndarray,
     """The spline f must reproduce the defining sum evaluated directly;
     ``carried`` is ``F.carried()``, and ``anchors``, ``degrees`` and
     ``p_col`` are the per-ball anchors and degrees and the base field's
-    degree the assembly used."""
+    degree the assembly used.  The phi_i are read by a stacked evaluation
+    of the sorted probes, each probe's nonzero terms added in ball order."""
     xs = np.random.default_rng(PROBE_SEED + 2).uniform(*part.cover.working, 200)
-    phis = np.array([phi(xs) for phi in part.functions]).reshape(-1, len(xs))
+    srt = np.argsort(xs)
     base = taylor_values(F, _nearest(carried, xs), p_col, xs, 0)
-    # (probe, ball) pairs with phi != 0, balls ascending within each probe
-    pi, bi = np.nonzero(phis.T)
-    terms = phis[bi, pi] * (taylor_values(F, anchors[bi], np.asarray(degrees)[bi],
-                                          xs[pi], 0) - base[pi])
     direct = base.copy()
-    # unbuffered adds in pair order: each probe's sum runs in ball order
-    np.add.at(direct, pi, terms)
+    for run in runs([f.coeffs.size for f in part.functions]):
+        phis = SplineBatch.of([part.functions[i] for i in run])
+        for ball, j, (v,) in stacked_values(phis, xs[srt], [0]):
+            nz = v != 0.0
+            bi, pi = run[ball[nz]], srt[j[nz]]
+            terms = v[nz] * (taylor_values(F, anchors[bi], np.asarray(degrees)[bi], xs[pi], 0)
+                             - base[pi])
+            # unbuffered adds in pair order: each probe's sum runs in ball order
+            np.add.at(direct, pi, terms)
     direct *= gcut(xs)
     return {"max_abs_gap": float(np.max(np.abs(direct - f(xs)), initial=0.0))}

@@ -12,6 +12,20 @@ box) are array expressions over the rows, exact up to float rounding.
 rounding for every derivative order up to a given one; ``row_degrees``
 then reads each row's own degree off ``coeffs``.
 
+Many splines are one :class:`SplineBatch`: their breakpoints one after
+another, their coefficient rows one after another (zero-padded to the
+widest), and each spline's own width and smoothness order.  The product
+(:func:`batch_product`), the difference a - a b (:func:`batch_cut`), the
+sum (:func:`batch_sum`) and the trim run as array passes over all splines
+of a batch at once.  Each spline keeps its own merged breakpoints, with a
+merge tolerance from its own union span, and its own operand order in the
+row products, so it gets bit for bit what the one-spline operation gives
+it: the one-spline product and sum are the batch of one.
+:func:`stacked_values` evaluates a batch on one sorted probe grid, over the
+(spline, probe inside its span) pairs only.  Sums and evaluations gather
+rows of at most ``_BATCH_ENTRIES`` coefficients at a time, and :func:`runs`
+cuts long lists of splines into batches of about that many.
+
 Box convolution is the workhorse: convolving with width-d boxes raises the
 max piece degree by one and the smoothness order by one per pass, which is
 how the bump functions acquire their controlled derivatives.
@@ -160,16 +174,10 @@ class PiecewisePolynomial:
         nz = self.coeffs != 0.0
         return np.where(nz.any(axis=1), self.degree - np.argmax(nz[:, ::-1], axis=1), 0)
 
-    def _nonzero_rows(self) -> np.ndarray:
-        return np.flatnonzero(np.any(self.coeffs != 0.0, axis=1))
-
     def support(self) -> tuple[float, float]:
         """Smallest breakpoint window outside which all pieces are zero."""
-        nz = self._nonzero_rows()
-        b = self.breakpoints
-        if not nz.size:
-            return float(b[0]), float(b[0])
-        return float(b[nz[0]]), float(b[nz[-1] + 1])
+        lo, hi = SplineBatch.of([self]).supports()
+        return float(lo[0]), float(hi[0])
 
     def __call__(self, x, order=0):
         """Derivative of the given order at x, zero outside the span.
@@ -230,26 +238,8 @@ class PiecewisePolynomial:
     # -- algebra ---------------------------------------------------------------
 
     def _rows_at(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """For each piece [u, v], the row of self's piece that contains its
-        midpoint, re-anchored at u; zero rows for midpoints outside
-        [first breakpoint, last breakpoint).  The midpoint, not u, picks the
-        row, so a breakpoint of self merged into u takes the row past it.
-
-        The pieces must be increasing (merged breakpoints and ``restrict``
-        cuts are): one ``searchsorted`` on the midpoints finds the window
-        inside the span, and only those rows are gathered and shifted.
-        """
-        b = self.breakpoints
-        mid = 0.5 * (u + v)
-        lo, hi = np.searchsorted(mid, b[[0, -1]])
-        i = np.searchsorted(b, mid[lo:hi], side="right") - 1
-        inner = self.coeffs[i]
-        _shift_in_place(inner, u[lo:hi] - b[i])
-        if hi - lo == len(u):
-            return inner
-        rows = np.zeros((len(u), self.coeffs.shape[1]))
-        rows[lo:hi] = inner
-        return rows
+        """:func:`_rows_at` of this spline alone, for increasing pieces."""
+        return _rows_at(SplineBatch.of([self]), np.zeros(len(u), dtype=np.intp), u, v)
 
     def translate(self, c: float) -> "PiecewisePolynomial":
         return PiecewisePolynomial(self.breakpoints + c, self.coeffs,
@@ -259,9 +249,8 @@ class PiecewisePolynomial:
         """g(x) = f((x - center)/scale) for scale > 0."""
         if scale <= 0:
             raise SplineError(f"scale must be positive, got {scale}", code="NON_POSITIVE")
-        return PiecewisePolynomial(center + scale * self.breakpoints,
-                                   self.coeffs * scale ** -np.arange(self.degree + 1),
-                                   self.smoothness_order)
+        return SplineBatch.of([self]).compose_affine(np.array([center], dtype=float),
+                                                     np.array([scale], dtype=float)).splines()[0]
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -291,7 +280,8 @@ class PiecewisePolynomial:
         b = self.breakpoints
         n = len(b) - 1
         parts, total = self.antiderivative_parts()
-        new_b = _dedup(np.concatenate([b - d / 2.0, b + d / 2.0]))
+        new_b = np.sort(np.concatenate([b - d / 2.0, b + d / 2.0]))
+        new_b = new_b[_dedup(new_b, np.array([0, len(new_b)]))]
         u = new_b[:-1]
         mid = 0.5 * (u + new_b[1:])
 
@@ -337,13 +327,7 @@ class PiecewisePolynomial:
     def trimmed(self) -> "PiecewisePolynomial":
         """Drop identically-zero pieces at both ends (zero-outside semantics
         make them redundant); interior zero pieces are kept."""
-        nz = self._nonzero_rows()
-        b = self.breakpoints
-        if not nz.size:
-            return PiecewisePolynomial(b[:2], np.zeros((1, 1)), self.smoothness_order)
-        lo, hi = nz[0], nz[-1]
-        return PiecewisePolynomial(b[lo: hi + 2], self.coeffs[lo: hi + 1],
-                                   self.smoothness_order)
+        return SplineBatch.of([self]).trimmed().splines()[0]
 
     def chopped(self, max_order: int) -> "PiecewisePolynomial":
         """Each row cut after its last coefficient that matters for some
@@ -380,68 +364,380 @@ class PiecewisePolynomial:
                                    self.smoothness_order)
 
 
-def _dedup(pts: np.ndarray) -> np.ndarray:
-    """Sorted pts, dropping each point within DEDUP_REL_TOL * span of the
-    last point kept before it.
+# -- batches of splines ----------------------------------------------------------
+
+_BATCH_ENTRIES = 1 << 14    # coefficients (rows x columns) one pass gathers at a time
+
+
+def _block(width: int) -> int:
+    """Rows of the given width that one pass gathers at a time."""
+    return max(1, _BATCH_ENTRIES // width)
+
+
+def runs(sizes) -> list:
+    """Index runs of consecutive items, a new run starting at each multiple
+    of _BATCH_ENTRIES: how callers cut a long list of splines (sizes[i]
+    coefficients each) into batches."""
+    sizes = np.asarray(sizes)
+    run = (np.cumsum(sizes) - sizes) // _BATCH_ENTRIES
+    return np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(run)) + 1)
+
+
+def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[s], first[s] + 1, ..., first[s] + counts[s] - 1 for each s in
+    turn."""
+    ends = np.cumsum(counts)
+    return np.repeat(first - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _sort_order(*parts) -> np.ndarray:
+    """Stable order of the (segment, value) arrays of the parts, one after
+    another, by segment, then value: one sort of the complex keys
+    segment + i value, which merges already sorted runs in linear time."""
+    keys = np.empty(sum(len(values) for _, values in parts), dtype=complex)
+    at = 0
+    for seg, values in parts:
+        keys.real[at: at + len(values)] = seg
+        keys.imag[at: at + len(values)] = values
+        at += len(values)
+    return np.argsort(keys, kind="stable")
+
+
+def _count_before(b, b_seg, q, q_seg, side: str) -> np.ndarray:
+    """For each q[j], the entries of b (sorted by segment, then value) in a
+    segment before q_seg[j], plus those of segment q_seg[j] that are <= q[j]
+    (side "right") or < q[j] (side "left"): ``np.searchsorted`` of q[j] in
+    its own segment, offset by the segment's start."""
+    nb, nq = len(b), len(q)
+    if side == "right":     # ties sort b first, so they count
+        order = _sort_order((b_seg, b), (q_seg, q))
+        is_b, q_of = order < nb, order - nb
+    else:
+        order = _sort_order((q_seg, q), (b_seg, b))
+        is_b, q_of = order >= nq, order
+    before = np.cumsum(is_b)
+    out = np.empty(nq, dtype=np.intp)
+    out[q_of[~is_b]] = before[~is_b]
+    return out
+
+
+def _dedup(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mask of the points kept when each segment pts[starts[s]:starts[s+1]]
+    (sorted) drops each point within DEDUP_REL_TOL * (the segment's span) of
+    the last point kept before it.
 
     Each pass recomputes every decision from the previous pass's kept set;
-    a decision depends only on earlier points, so the passes settle on the
-    left-to-right greedy result.
+    a decision depends only on earlier points of its segment, whose first
+    point is always kept, so the passes settle on the left-to-right greedy
+    result.
     """
-    pts = np.sort(np.asarray(pts, dtype=float))
-    tol = DEDUP_REL_TOL * max(pts[-1] - pts[0], 1e-300)
+    tol = np.repeat(DEDUP_REL_TOL * np.maximum(pts[starts[1:] - 1] - pts[starts[:-1]], 1e-300),
+                    np.diff(starts))
     idx = np.arange(len(pts))
+    head = np.zeros(len(pts), dtype=bool)
+    head[starts[:-1]] = True
     keep = np.ones(len(pts), dtype=bool)
     while True:
         last_kept = np.maximum.accumulate(np.where(keep, idx, 0))[:-1]
-        new = np.concatenate([[True], pts[1:] - pts[last_kept] > tol])
+        new = head.copy()
+        new[1:] |= pts[1:] - pts[last_kept] > tol[1:]
         if np.array_equal(new, keep):
-            return pts[keep]
+            return keep
         keep = new
 
 
+def _merged(points: np.ndarray, seg: np.ndarray, n: int):
+    """Segment by segment (0..n-1), ``points`` sorted and merged by _dedup:
+    the merged points, the segment of each, and the index of the left point
+    of each merged piece (two consecutive points of one segment)."""
+    order = _sort_order((seg, points))
+    pts, seg = points[order], seg[order]
+    keep = _dedup(pts, np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n))]))
+    pts, seg = pts[keep], seg[keep]
+    return pts, seg, np.flatnonzero(seg[:-1] == seg[1:])
+
+
+def _batch(breakpoints: np.ndarray, seg: np.ndarray, coeffs: np.ndarray,
+           smoothness: np.ndarray) -> "SplineBatch":
+    """The batch with these breakpoints (spline seg[j] owns breakpoints[j];
+    seg sorted, every spline with two or more) and coefficient rows, each
+    spline's width read off its rows."""
+    n = len(smoothness)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n))])
+    nz = coeffs != 0.0
+    cols = np.where(nz.any(axis=1), coeffs.shape[1] - np.argmax(nz[:, ::-1], axis=1), 1)
+    widths = np.maximum.reduceat(cols, starts[:-1] - np.arange(n))
+    return SplineBatch(breakpoints, starts, coeffs[:, : widths.max()], widths, smoothness)
+
+
+@dataclass(frozen=True)
+class SplineBatch:
+    """Splines side by side.
+
+    Spline s has the breakpoints ``breakpoints[starts[s]:starts[s+1]]`` and
+    the coefficient rows ``starts[s] - s`` to ``starts[s+1] - s - 1`` of
+    ``coeffs``, zero-padded on the right to the widest spline;
+    ``widths[s]`` is the column count of its own PiecewisePolynomial and
+    ``smoothness[s]`` its smoothness order.
+    """
+    breakpoints: np.ndarray
+    starts: np.ndarray
+    coeffs: np.ndarray
+    widths: np.ndarray
+    smoothness: np.ndarray
+
+    @staticmethod
+    def of(splines) -> "SplineBatch":
+        """The PiecewisePolynomials of the sequence, one after another."""
+        splines = list(splines)
+        starts = np.concatenate([[0], np.cumsum([len(f.breakpoints) for f in splines])])
+        widths = np.array([f.coeffs.shape[1] for f in splines])
+        first = (starts - np.arange(len(starts))).tolist()
+        coeffs = np.zeros((first[-1], widths.max()))
+        for f, a, z in zip(splines, first, first[1:]):
+            coeffs[a:z, : f.coeffs.shape[1]] = f.coeffs
+        return SplineBatch(np.concatenate([f.breakpoints for f in splines]), starts, coeffs,
+                           widths, np.array([f.smoothness_order for f in splines]))
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def _segments(self) -> np.ndarray:
+        """The spline of each breakpoint."""
+        return np.repeat(np.arange(len(self)), np.diff(self.starts))
+
+    def _at_or_left(self, x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        """For each x[j], the index of the last breakpoint of spline seg[j]
+        at or left of it (one before the spline's first if none is).  Only
+        the splines from seg's least to its greatest are searched."""
+        if not len(seg):
+            return np.zeros(0, dtype=np.intp)
+        s0, s1 = seg.min(), seg.max() + 1
+        lo, hi = self.starts[s0], self.starts[s1]
+        b_seg = np.repeat(np.arange(s0, s1), np.diff(self.starts[s0: s1 + 1]))
+        return lo - 1 + _count_before(self.breakpoints[lo:hi], b_seg, x, seg, "right")
+
+    @property
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.breakpoints[self.starts[:-1]], self.breakpoints[self.starts[1:] - 1]
+
+    def take(self, idx) -> "SplineBatch":
+        """The splines idx, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        n_b = np.diff(self.starts)[idx]
+        return SplineBatch(self.breakpoints[_ragged_arange(self.starts[idx], n_b)],
+                           np.concatenate([[0], np.cumsum(n_b)]),
+                           self.coeffs[_ragged_arange(self.starts[idx] - idx, n_b - 1)],
+                           self.widths[idx], self.smoothness[idx])
+
+    def put(self, idx, other: "SplineBatch") -> "SplineBatch":
+        """This batch with its spline idx[j] replaced by spline j of other."""
+        order = np.arange(len(self))
+        order[idx] = len(self) + np.arange(len(idx))
+        return stack([self, other]).take(order)
+
+    def compose_affine(self, centers: np.ndarray, scales: np.ndarray) -> "SplineBatch":
+        """Spline s becomes f_s((x - centers[s]) / scales[s]) for scales > 0:
+        breakpoints c + r b, and row coefficient k times r^-k."""
+        seg = self._segments()
+        b = centers[seg] + scales[seg] * self.breakpoints
+        if np.any((np.diff(b) <= 0) & (np.diff(seg) == 0)):
+            raise SplineError("breakpoints must be strictly increasing",
+                              code="NOT_INCREASING")
+        m = self.coeffs.shape[1]
+        powers = np.where(np.arange(m) < self.widths[:, None],
+                          scales[:, None] ** -np.arange(m), 1.0)
+        rows = np.repeat(np.arange(len(self)), np.diff(self.starts) - 1)
+        return _batch(b, seg, self.coeffs * powers[rows], self.smoothness)
+
+    def _nonzero_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first, last, any): each spline's first and last row that is not
+        all zero, and whether it has one (if not, first = last = its first
+        row)."""
+        first = self.starts[:-1] - np.arange(len(self))
+        r = np.arange(len(self.coeffs))
+        nz = np.any(self.coeffs != 0.0, axis=1)
+        lo = np.minimum.reduceat(np.where(nz, r, len(r)), first)
+        hi = np.maximum.reduceat(np.where(nz, r, -1), first)
+        has = hi >= 0
+        return np.where(has, lo, first), np.where(has, hi, first), has
+
+    def supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each spline's smallest breakpoint window outside which all its
+        pieces are zero; (first, first breakpoint) for a zero spline."""
+        lo, hi, has = self._nonzero_rows()
+        s = np.arange(len(self))
+        b = self.breakpoints
+        return b[lo + s], np.where(has, b[hi + s + 1], b[lo + s])
+
+    def trimmed(self) -> "SplineBatch":
+        """Each spline with its leading and trailing zero pieces dropped; a
+        zero spline is kept as one zero piece on its first two breakpoints."""
+        lo, hi, has = self._nonzero_rows()
+        count = hi - lo + 1
+        n = len(self)
+        coeffs = self.coeffs[_ragged_arange(lo, count)]
+        coeffs[np.repeat(~has, count)] = 0.0
+        return _batch(self.breakpoints[_ragged_arange(lo + np.arange(n), count + 1)],
+                      np.repeat(np.arange(n), count + 1), coeffs, self.smoothness)
+
+    def splines(self) -> tuple:
+        """The splines, each a PiecewisePolynomial."""
+        starts = self.starts.tolist()
+        return tuple(PiecewisePolynomial(self.breakpoints[a:z], self.coeffs[a - s: z - s - 1, :w], o)
+                     for s, (a, z, w, o) in enumerate(zip(starts, starts[1:], self.widths.tolist(),
+                                                          self.smoothness.tolist())))
+
+
+def stack(batches) -> SplineBatch:
+    """The splines of the batches one after another."""
+    w = max(b.coeffs.shape[1] for b in batches)
+    coeffs = np.zeros((sum(len(b.coeffs) for b in batches), w))
+    at, starts = 0, [np.zeros(1, dtype=np.intp)]
+    for b in batches:
+        coeffs[at: at + len(b.coeffs), : b.coeffs.shape[1]] = b.coeffs
+        at += len(b.coeffs)
+        starts.append(b.starts[1:] + starts[-1][-1])
+    return SplineBatch(np.concatenate([b.breakpoints for b in batches]), np.concatenate(starts),
+                       coeffs, np.concatenate([b.widths for b in batches]),
+                       np.concatenate([b.smoothness for b in batches]))
+
+
+def _rows_at(f: SplineBatch, seg: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each piece [u, v] of spline seg of f (pieces sorted by spline,
+    then u), the row of that spline's piece that contains the midpoint,
+    re-anchored at u; zero rows for midpoints outside [first breakpoint,
+    last breakpoint).  The midpoint, not u, picks the row, so a breakpoint
+    merged into u takes the row past it.  Only the rows inside are gathered
+    and shifted."""
+    j = f._at_or_left(0.5 * (u + v), seg)
+    inside = (j >= f.starts[seg]) & (j < f.starts[seg + 1] - 1)
+    if inside.all():
+        rows = f.coeffs[j - seg]
+        _shift_in_place(rows, u - f.breakpoints[j])
+        return rows
+    rows = np.zeros((len(u), f.coeffs.shape[1]))
+    j, seg = j[inside], seg[inside]
+    inner = f.coeffs[j - seg]
+    _shift_in_place(inner, u[inside] - f.breakpoints[j])
+    rows[inside] = inner
+    return rows
+
+
 def _mul_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Row-by-row product of the polynomials in a and c."""
-    if a.shape[1] < c.shape[1]:
-        a, c = c, a
+    """Row-by-row product of the polynomials in a and c, each entry summed
+    over the columns of c in order."""
     out = np.zeros((len(a), a.shape[1] + c.shape[1] - 1))
     for j, col in enumerate(c.T):
         out[:, j: j + a.shape[1]] += a * col[:, None]
     return out
 
 
-def _product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
-    b = _dedup(np.concatenate([f.breakpoints, g.breakpoints]))
-    sm = min(f.smoothness_order, g.smoothness_order)
-    # the product is zero unless a piece's midpoint is inside both spans
-    lo, hi = max(f.span[0], g.span[0]), min(f.span[1], g.span[1])
-    mid = 0.5 * (b[:-1] + b[1:])
-    inside = np.flatnonzero((mid >= lo) & (mid < hi))
-    if not inside.size:
-        return PiecewisePolynomial(b[:2], np.zeros((1, 1)), sm)
-    b = b[inside[0]: inside[-1] + 2]
-    u, v = b[:-1], b[1:]
-    return PiecewisePolynomial(b, _mul_rows(f._rows_at(u, v), g._rows_at(u, v)), sm)
+def batch_product(f: SplineBatch, g: SplineBatch) -> SplineBatch:
+    """Spline s is f's spline s times g's, over their merged breakpoints
+    and stored only where a piece's midpoint is inside both spans (one zero
+    piece where none is)."""
+    n = len(f)
+    b, seg, left = _merged(np.concatenate([f.breakpoints, g.breakpoints]),
+                           np.concatenate([f._segments(), g._segments()]), n)
+    u, v, ps = b[left], b[left + 1], seg[left]
+    mid = 0.5 * (u + v)
+    (f0, f1), (g0, g1) = f.spans, g.spans
+    # zero unless a piece's midpoint is inside both spans
+    inside = (mid >= np.maximum(f0, g0)[ps]) & (mid < np.minimum(f1, g1)[ps])
+    empty = np.bincount(ps[inside], minlength=n) == 0
+    # an empty product is one zero piece on the first two merged points
+    keep = inside | (empty[ps] & np.r_[True, ps[1:] != ps[:-1]])
+    lk, sk = left[keep], ps[keep]
+    ends = np.sort(np.concatenate([lk, lk[np.r_[sk[1:] != sk[:-1], True]] + 1]))
+    ui, vi, si = u[inside], v[inside], ps[inside]
+    fr, gr = _rows_at(f, si, ui, vi), _rows_at(g, si, ui, vi)
+    # each pair sums over the columns of its narrower operand (g on a tie)
+    swap = (f.widths < g.widths)[si]
+    if swap.all():
+        fr, gr = gr, fr
+    elif swap.any():
+        w = max(fr.shape[1], gr.shape[1])
+        fr, gr = (np.pad(r, ((0, 0), (0, w - r.shape[1]))) for r in (fr, gr))
+        fr, gr = np.where(swap[:, None], gr, fr), np.where(swap[:, None], fr, gr)
+    out = np.zeros((len(lk), fr.shape[1] + gr.shape[1] - 1))
+    out[inside[keep]] = _mul_rows(fr, gr)
+    return _batch(b[ends], seg[ends], out, np.minimum(f.smoothness, g.smoothness))
+
+
+def batch_sum(parts: SplineBatch, group, n: int) -> SplineBatch:
+    """Spline k is the sum of the parts with group == k (each k has one or
+    more) over their merged breakpoints.
+
+    Each part is re-anchored only on the pieces whose midpoints lie inside
+    its own span, and each piece adds the parts that cover it in batch
+    order.
+    """
+    group = np.asarray(group, dtype=np.intp)
+    b, seg, left = _merged(parts.breakpoints, group[parts._segments()], n)
+    u, v, ps = b[left], b[left + 1], seg[left]
+    mid = 0.5 * (u + v)
+    # each part's window of merged pieces, by midpoint
+    lo, hi = (_count_before(mid, ps, ends, group, "left") for ends in parts.spans)
+    part = np.repeat(np.arange(len(group)), hi - lo)
+    piece = _ragged_arange(lo, hi - lo)
+    by_group = np.argsort(group, kind="stable")
+    rank = np.empty(len(group), dtype=np.intp)
+    rank[by_group] = np.arange(len(group)) - np.searchsorted(group[by_group], group[by_group])
+    # a run of pairs of one rank holds each piece at most once: one update
+    # per such run within each block of pairs, in batch order
+    block = _block(parts.coeffs.shape[1])
+    cuts = np.union1d(np.flatnonzero(np.diff(rank[part])) + 1,
+                      np.arange(0, len(part), block)).tolist()
+    out = np.zeros((len(left), parts.coeffs.shape[1]))
+    for s, e in zip(cuts, cuts[1:] + [len(part)]):
+        if s % block == 0:
+            a, z = s, min(s + block, len(part))
+            rows = _rows_at(parts, part[a:z], u[piece[a:z]], v[piece[a:z]])
+        out[piece[s:e]] += rows[s - a: e - a]
+    smooth = np.full(n, np.iinfo(np.intp).max)
+    np.minimum.at(smooth, group, parts.smoothness)
+    return _batch(b, seg, out, smooth)
+
+
+def batch_cut(a: SplineBatch, b: SplineBatch) -> SplineBatch:
+    """Spline s is a_s - a_s b_s, as ``a - a * b`` forms it."""
+    ab = batch_product(a, b)
+    neg = SplineBatch(ab.breakpoints, ab.starts, ab.coeffs * -1.0, ab.widths, ab.smoothness)
+    return batch_sum(stack([a, neg]), np.tile(np.arange(len(a)), 2), len(a))
 
 
 def spline_sum(parts) -> PiecewisePolynomial:
     """The sum of the splines in the sequence ``parts`` over their merged
-    breakpoints.
+    breakpoints, as :func:`batch_sum` of one group: the merge tolerance is
+    relative to the union span, and each piece adds its parts in order."""
+    return batch_sum(SplineBatch.of(parts), np.zeros(len(parts), dtype=np.intp), 1).splines()[0]
 
-    One ``_dedup`` merges every breakpoint, so its tolerance is relative to
-    the union span.  Each part is re-anchored only on the pieces whose
-    midpoints lie inside its own span, and each piece adds the parts that
-    cover it in the order given.
+
+def _product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
+    return batch_product(SplineBatch.of([f]), SplineBatch.of([g])).splines()[0]
+
+
+def stacked_values(f: SplineBatch, xs: np.ndarray, orders):
+    """Each spline's derivatives of the given orders at the probes of the
+    increasing grid xs inside its span, as ``__call__`` gives them.
+
+    Yields blocks of (spline, probe) pairs, spline by spline and probes
+    increasing: (spline, probe index, values), values[r] the orders[r]-th
+    derivative at each pair.
     """
-    b = _dedup(np.concatenate([p.breakpoints for p in parts]))
-    u, v = b[:-1], b[1:]
-    mid = 0.5 * (u + v)
-    out = np.zeros((len(u), max(p.coeffs.shape[1] for p in parts)))
-    for p in parts:
-        lo, hi = np.searchsorted(mid, p.breakpoints[[0, -1]])
-        rows = p._rows_at(u[lo:hi], v[lo:hi])
-        out[lo:hi, : rows.shape[1]] += rows
-    return PiecewisePolynomial(b, out, min(p.smoothness_order for p in parts))
+    lo, hi = f.spans
+    first = np.searchsorted(xs, lo, side="left")
+    count = np.searchsorted(xs, hi, side="right") - first
+    spline, probe = np.repeat(np.arange(len(f)), count), _ragged_arange(first, count)
+    block = _block(f.coeffs.shape[1])
+    for a in range(0, len(spline), block):
+        s, j = spline[a: a + block], probe[a: a + block]
+        x = xs[j]
+        # the right endpoint belongs to the last piece
+        i = np.minimum(f._at_or_left(x, s), f.starts[s + 1] - 2)
+        c, xi = f.coeffs[i - s], x - f.breakpoints[i]
+        yield s, j, np.array([_horner(_derivative_rows(c, k), xi) for k in orders])
 
 
 def indicator(lo: float, hi: float) -> PiecewisePolynomial:

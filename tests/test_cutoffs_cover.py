@@ -215,13 +215,23 @@ class TestWhitneyCover:
         assert np.allclose(np.sort(centers), np.sort(-centers))
         assert cov.n0 <= 3
 
-    @pytest.mark.xfail(raises=ExtensionError, strict=True,
-                       reason="the single interval of a short interior gap has radius "
-                              "length / 8, so where 8/3 d_min < length < 4 d_min it "
-                              "misses the points with d(x) >= d_min near its ends")
     def test_short_interior_gap_is_covered(self):
         cov_mod.whitney_cover(CompactSet1D(points=(1.90625,), intervals=((0.0, 1.875),)),
                               d_min=0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratio=st.floats(2.0, 3.999), d_min=st.sampled_from([1e-2, 1e-4, 1e-6]))
+    def test_short_interior_gap_interval(self, ratio, d_min):
+        # one interval reaches every point of the gap with d >= d_min, and its
+        # c-inflated interval stays off E, for every length in [2, 4) d_min
+        length = ratio * d_min
+        E = CompactSet1D(points=(0.0, length))
+        cov = cov_mod.whitney_cover(E, d_min=d_min)
+        assert cov.degenerate_gaps == ((0.0, length),)
+        (cx, r), = [b for b in cov.balls if 0.0 < b[0] < length]
+        xs = np.linspace(0.0, length, 4001)
+        assert np.all(np.abs(xs[E.distance(xs) >= d_min] - cx) < r)
+        assert 0.0 < cx - cov.c * r and cx + cov.c * r < length
 
     def test_short_gap_single_interval(self):
         E = CompactSet1D(points=(0.0, 3e-6))

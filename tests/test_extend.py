@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ultrajet.extend import (ExtensionConfig, check_taylor_difference_bound,
 from hypothesis import given, settings, strategies as st
 
 from ultrajet.extend.cover import OVERLAP_C
-from ultrajet.extend import operator
+from ultrajet.extend import operator, ppoly
 from ultrajet.extend.ppoly import PiecewisePolynomial, constant_on
 from ultrajet.extend.operator import fit_rho, h_power_constant, search_lambda
 
@@ -82,6 +83,44 @@ def _running_product_partition(cover, fam, epsilon, min_smoothness):
     return funcs
 
 
+def _per_ball_partition(cover, fam, epsilon, min_smoothness):
+    """The partition functions one ball at a time: psi_i, clipped to the
+    working domain where it leaves it, then phi_i <- phi_i - phi_i psi_k for
+    each earlier k whose span meets psi_i's, each operation one spline."""
+    lo_w, hi_w = cover.working
+    window = constant_on(lo_w, hi_w)
+    cache, psis = {}, []
+    for cx, r in cover.balls:
+        eps_i = epsilon * r / cover.n0
+        p = cutoffs.cutoff_order(fam, eps_i, OVERLAP_C)
+        if p not in cache:
+            cache[p] = cutoffs.build_cutoff(fam, eps_i, OVERLAP_C,
+                                            min_smoothness=min_smoothness)
+        psis.append(cache[p].pp.compose_affine(cx, r))
+    funcs = []
+    for i, psi in enumerate(psis):
+        lo, hi = psi.span
+        phi = psi if lo_w <= lo and hi <= hi_w else psi * window
+        for prev in psis[:i]:
+            if prev.span[0] < hi and prev.span[1] > lo:
+                phi = phi - phi * prev
+        funcs.append(phi.trimmed())
+    return funcs
+
+
+_coords = st.sampled_from(np.round(np.linspace(-1.0, 1.0, 33), 6).tolist())
+
+
+@st.composite
+def _point_and_interval_sets(draw):
+    points = draw(st.lists(_coords, max_size=4))
+    ends = sorted(set(draw(st.lists(_coords, max_size=4))))
+    intervals = list(zip(ends[::2], ends[1::2]))
+    if not (points or intervals):
+        points = [0.0]
+    return jets.CompactSet1D(points=points, intervals=intervals)
+
+
 @pytest.fixture(scope="module")
 def gev2_matrix(gevrey2):
     return wf.matrix_from_rows([gevrey2], params=[1.0], origin="gevrey2-singleton")
@@ -131,6 +170,38 @@ class TestPartition:
             assert np.max(np.abs(f(xs) - g(xs))) <= 1e-14
             assert f.support() == pytest.approx(g.support(), abs=1e-12, rel=0)
             assert lo_w <= f.span[0] and f.span[1] <= hi_w
+
+    @settings(max_examples=40, deadline=None)
+    @given(E=_point_and_interval_sets(), d_min=st.sampled_from([1e-2, 1e-3, 1e-4]),
+           epsilon=st.sampled_from([0.5, 2.0, 1e3]),
+           entries=st.sampled_from([16, 256, ppoly._BATCH_ENTRIES]))
+    def test_batched_partition_equals_per_ball_loop(self, gev2_family, E, d_min, epsilon,
+                                                    entries):
+        # small caps split the balls into many runs
+        cov = whitney_cover(E, d_min=d_min)
+        with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
+            part = partition_of_unity(cov, gev2_family, epsilon=epsilon, min_smoothness=4)
+        oracle = _per_ball_partition(cov, gev2_family, epsilon, 4)
+        assert len(part.functions) == len(oracle) == len(cov.balls)
+        for f, g in zip(part.functions, oracle):
+            assert np.array_equal(f.breakpoints, g.breakpoints)
+            assert np.array_equal(f.coeffs, g.coeffs)
+            assert f.smoothness_order == g.smoothness_order
+
+    def test_products_bounded_by_rounds(self, extend_interval_input, count_calls):
+        # every product of the partition is one batched pass per round over
+        # all the balls (and one for the clipping), never one per ball
+        part = extend_jet(*extend_interval_input).partition
+        cov = part.cover
+        assert len(cov.balls) == 73 and cov.degenerate_gaps == ()
+        calls = count_calls(ppoly.batch_product)
+        partition_of_unity(cov, part.fam, part.epsilon, min_smoothness=3,
+                           landing=(part.landing_small_s, part.lemma410_A, part.B1))
+        assert 2 <= len(calls) <= cov.n0
+        assert sum(len(f) for f, _ in calls) > len(calls)
+        # and no phi_i grows past n0 cutoffs: none spans the working domain
+        biggest = max(len(f.coeffs) for f in part.functions)
+        assert max(np.diff(f.starts).max() - 1 for f, _ in calls) <= cov.n0 * biggest
 
     def test_no_spline_spans_the_working_domain(self, extend_point_input, monkeypatch):
         # each phi needs at most n0 cutoffs, so no spline built inside the

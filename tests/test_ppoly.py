@@ -1,5 +1,6 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,19 +474,159 @@ class TestChopped:
         assert ppoly.indicator(0.0, 1.0).row_degrees().tolist() == [0]
 
 
+def reference_batch_rows_at(f, seg, u, v):
+    """The batch row lookup, spline by spline through ``reference_rows_at``."""
+    rows = np.zeros((len(u), f.coeffs.shape[1]))
+    for s, spline in enumerate(f.splines()):
+        at = seg == s
+        if at.any():
+            r = reference_rows_at(spline, u[at], v[at])
+            rows[at, : r.shape[1]] = r
+    return rows
+
+
+def reference_stacked_values(f, xs, orders):
+    """The stacked evaluation, spline by spline through ``reference_call``."""
+    for s, spline in enumerate(f.splines()):
+        j = np.flatnonzero((xs >= spline.breakpoints[0]) & (xs <= spline.breakpoints[-1]))
+        if j.size:
+            yield np.full(j.size, s), j, reference_call(spline, xs[j], orders)
+
+
 def test_extension_with_reference_kernels_is_identical(extension_case, monkeypatch):
     """The whole extension, rebuilt with the pass-by-pass kernels, gives the
     same spline and verification: catches a ``_rows_at`` caller whose u is
     not increasing."""
     inputs, res = extension_case
-    holders = [mod for name, mod in list(sys.modules.items())
-               if name.startswith("ultrajet")
-               and getattr(mod, "taylor_shift", None) is ppoly.taylor_shift]
-    for mod in holders:
-        monkeypatch.setattr(mod, "taylor_shift", reference_taylor_shift)
+    for kernel, ref in ((ppoly.taylor_shift, reference_taylor_shift),
+                        (ppoly.stacked_values, reference_stacked_values)):
+        for mod in [mod for name, mod in list(sys.modules.items())
+                    if name.startswith("ultrajet")
+                    and getattr(mod, kernel.__name__, None) is kernel]:
+            monkeypatch.setattr(mod, kernel.__name__, ref)
+    monkeypatch.setattr(ppoly, "_rows_at", reference_batch_rows_at)
     monkeypatch.setattr(ppoly.PiecewisePolynomial, "_rows_at", reference_rows_at)
     monkeypatch.setattr(ppoly.PiecewisePolynomial, "__call__", reference_call)
     ref = extend_jet(*inputs)
     assert np.array_equal(ref.f.breakpoints, res.f.breakpoints)
     assert np.array_equal(ref.f.coeffs, res.f.coeffs)
     assert ref.verification == res.verification
+
+
+# -- batches: each spline of a batch gets what the one-spline reference gives it
+
+def reference_dedup(pts):
+    """Sorted pts, left to right, dropping each point within DEDUP_REL_TOL *
+    span of the last point kept."""
+    pts = np.sort(np.asarray(pts, dtype=float))
+    tol = ppoly.DEDUP_REL_TOL * max(pts[-1] - pts[0], 1e-300)
+    kept = [pts[0]]
+    for x in pts[1:]:
+        if x - kept[-1] > tol:
+            kept.append(x)
+    return np.array(kept)
+
+
+def reference_mul_rows(a, c):
+    """Row products summed over the columns of the narrower operand."""
+    if a.shape[1] < c.shape[1]:
+        a, c = c, a
+    out = np.zeros((len(a), a.shape[1] + c.shape[1] - 1))
+    for j in range(c.shape[1]):
+        out[:, j: j + a.shape[1]] += a * c[:, j: j + 1]
+    return out
+
+
+def reference_product(f, g):
+    b = reference_dedup(np.concatenate([f.breakpoints, g.breakpoints]))
+    sm = min(f.smoothness_order, g.smoothness_order)
+    lo, hi = max(f.span[0], g.span[0]), min(f.span[1], g.span[1])
+    mid = 0.5 * (b[:-1] + b[1:])
+    inside = np.flatnonzero((mid >= lo) & (mid < hi))
+    if not inside.size:
+        return ppoly.PiecewisePolynomial(b[:2], np.zeros((1, 1)), sm)
+    b = b[inside[0]: inside[-1] + 2]
+    u, v = b[:-1], b[1:]
+    return ppoly.PiecewisePolynomial(
+        b, reference_mul_rows(reference_rows_at(f, u, v), reference_rows_at(g, u, v)), sm)
+
+
+def reference_sum(parts):
+    b = reference_dedup(np.concatenate([p.breakpoints for p in parts]))
+    u, v = b[:-1], b[1:]
+    mid = 0.5 * (u + v)
+    out = np.zeros((len(u), max(p.coeffs.shape[1] for p in parts)))
+    for p in parts:
+        inside = (mid >= p.breakpoints[0]) & (mid < p.breakpoints[-1])
+        rows = reference_rows_at(p, u[inside], v[inside])
+        out[inside, : rows.shape[1]] += rows
+    return ppoly.PiecewisePolynomial(b, out, min(p.smoothness_order for p in parts))
+
+
+def _same_spline(f, g) -> bool:
+    return (_same_bits(f.breakpoints, g.breakpoints) and _same_bits(f.coeffs, g.coeffs)
+            and f.smoothness_order == g.smoothness_order)
+
+
+class TestBatches:
+    @given(pairs=st.lists(spline_pairs(), min_size=1, max_size=6),
+           entries=st.sampled_from([2, 16, ppoly._BATCH_ENTRIES]))
+    @settings(max_examples=120, deadline=None)
+    def test_product_and_cut_match_one_pair_references(self, pairs, entries):
+        fs, gs = zip(*pairs)
+        a, b = ppoly.SplineBatch.of(fs), ppoly.SplineBatch.of(gs)
+        with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
+            products = ppoly.batch_product(a, b).splines()
+            cuts = ppoly.batch_cut(a, b).splines()
+        for p, c, f, g in zip(products, cuts, fs, gs):
+            assert _same_spline(p, reference_product(f, g))
+            assert _same_spline(p, f * g)
+            assert _same_spline(c, reference_sum([f, reference_product(f, g) * -1.0]))
+            assert _same_spline(c, f - f * g)
+
+    @given(parts=st.lists(splines(), min_size=1, max_size=8), data=st.data(),
+           entries=st.sampled_from([2, 16, ppoly._BATCH_ENTRIES]))
+    @settings(max_examples=120, deadline=None)
+    def test_sum_matches_per_group_reference(self, parts, data, entries):
+        n = data.draw(st.integers(1, len(parts)))
+        group = data.draw(st.permutations(list(range(n)) + data.draw(
+            st.lists(st.integers(0, n - 1), min_size=len(parts) - n, max_size=len(parts) - n))))
+        with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
+            sums = ppoly.batch_sum(ppoly.SplineBatch.of(parts), group, n).splines()
+        for k, s in enumerate(sums):
+            mine = [p for p, g in zip(parts, group) if g == k]
+            assert _same_spline(s, reference_sum(mine))
+        assert _same_spline(ppoly.spline_sum(parts), reference_sum(parts))
+
+    @given(cases=st.lists(increasing_splines(), min_size=1, max_size=5),
+           n_x=st.integers(0, 30), entries=st.sampled_from([3, 7, ppoly._BATCH_ENTRIES]))
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_values_match_call(self, cases, n_x, entries):
+        fs = [f for f, _ in cases]
+        rng = cases[0][1]
+        b = np.concatenate([f.breakpoints for f in fs])
+        # every breakpoint (span ends included), just beside them, and between
+        xs = np.unique(np.concatenate([b, b + 1e-13, b - 1e-13,
+                                       rng.uniform(b.min() - 0.5, b.max() + 0.5, n_x)]))
+        orders = range(6)
+        got = [[] for _ in fs]
+        with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
+            for s, j, vals in ppoly.stacked_values(ppoly.SplineBatch.of(fs), xs, orders):
+                for spline in np.unique(s):
+                    got[spline].append((j[s == spline], vals[:, s == spline]))
+        for f, blocks in zip(fs, got):
+            j = np.concatenate([jb for jb, _ in blocks])
+            inside = np.flatnonzero((xs >= f.breakpoints[0]) & (xs <= f.breakpoints[-1]))
+            assert np.array_equal(j, inside)
+            vals = np.concatenate([vb for _, vb in blocks], axis=1)
+            assert _same_bits(vals, f(xs[j], order=orders))
+
+    def test_trimmed_and_supports_match_each_spline(self):
+        fs = [ppoly.PiecewisePolynomial(np.arange(5.0), np.array(rows, dtype=float), 2)
+              for rows in ([[0.0], [1.0], [0.0], [0.0]], [[0.0], [0.0], [0.0], [0.0]],
+                           [[1.0, 2.0], [0.0, 0.0], [0.0, 3.0], [0.0, 0.0]])]
+        batch = ppoly.SplineBatch.of(fs)
+        for f, t in zip(fs, batch.trimmed().splines()):
+            assert _same_spline(t, f.trimmed())
+        lo, hi = batch.supports()
+        assert list(zip(lo.tolist(), hi.tolist())) == [f.support() for f in fs]
