@@ -26,10 +26,9 @@ from ..seqcalc import (WeightSequence, gamma_count, gamma_doubling_lambda,
                        h_power_log_constant, log_factorial, log_h_assoc)
 from ..weightfunc import WeightMatrix, domination_table
 from .cover import OVERLAP_C, WhitneyCover1D, whitney_cover
-from .cutoffs import (CONV_DEPTH, CutoffFamily, CutoffResult, build_cutoff,
-                      cutoff_order, make_cutoff_family)
+from .cutoffs import CONV_DEPTH, CutoffFamily, build_cutoff, cutoff_order, make_cutoff_family
 from .ppoly import (PiecewisePolynomial, SplineBatch, batch_cut, batch_product, batch_sum,
-                    constant_on, runs, stack, stacked_values, taylor_shift)
+                    constant_on, stack, stacked_values, taylor_shift)
 
 
 # -- partition of unity --------------------------------------------------------
@@ -38,7 +37,7 @@ from .ppoly import (PiecewisePolynomial, SplineBatch, batch_cut, batch_product, 
 class Partition:
     cover: WhitneyCover1D
     epsilon: float
-    functions: tuple              # of PiecewisePolynomial, one per ball
+    phis: SplineBatch             # one spline per ball, in ball order
     fam: CutoffFamily
     B1: float
     lemma410_A: float
@@ -57,49 +56,31 @@ def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
     phi_i psi_k for each earlier k whose span meets psi_i's, k ascending
     (1 - psi_k is 1 elsewhere).  The cover has bounded overlap, so each
     phi_i has at most n0 - 1 such k, and no spline spans the whole working
-    domain.  The balls run together as batches (:class:`SplineBatch`): one
-    affine pass makes every psi_i and one product clips them; then, over
-    each run of balls that :func:`~ultrajet.extend.ppoly.runs` cuts, round r
-    is one :func:`~ultrajet.extend.ppoly.batch_cut` over the balls with an
+    domain.  The phi_i are one :class:`SplineBatch` from start to end: one
+    affine pass makes every psi_i, one product clips them, and round r is
+    one :func:`~ultrajet.extend.ppoly.batch_cut` over all the balls with an
     r-th such k, the k found from the sorted spans.
 
     ``landing`` is (s_land, A, B1): the landing row of Lemma 4.10 and
     :func:`lemma410_B1` for it; by default the family's own small row.
     """
     lo_w, hi_w = cover.working
-    cache: dict[int, CutoffResult] = {}
-    orders = []
-    for (cx, r) in cover.balls:
-        eps_i = epsilon * r / cover.n0
-        p = cutoff_order(fam, eps_i, OVERLAP_C)
-        if p not in cache:
-            cache[p] = build_cutoff(fam, eps_i, OVERLAP_C,
-                                    min_smoothness=min_smoothness)
-        orders.append(p)
-    keys = list(cache)
     cx, r = np.reshape(cover.balls, (-1, 2)).T
-    psi = SplineBatch.of([cache[p].pp for p in keys]).take(
-        [keys.index(p) for p in orders]).compose_affine(cx, r)
+    eps = (epsilon * r / cover.n0).tolist()
+    orders = [cutoff_order(fam, e, OVERLAP_C) for e in eps]
+    keys = list(dict.fromkeys(orders))      # the orders, first seen first
+    psi = SplineBatch.of([build_cutoff(fam, eps[orders.index(p)], OVERLAP_C,
+                                       min_smoothness=min_smoothness).pp for p in keys]
+                         ).take([keys.index(p) for p in orders]).compose_affine(cx, r)
     lo, hi = psi.spans
     clip = np.flatnonzero((lo < lo_w) | (hi > hi_w))
-    if clip.size:
-        window = SplineBatch.of([constant_on(lo_w, hi_w)]).take(np.zeros(clip.size, dtype=int))
-        clipped = batch_product(psi.take(clip), window)
+    phi = batch_product(psi, SplineBatch.of([constant_on(lo_w, hi_w)]), clip,
+                        np.zeros(clip.size, dtype=np.intp))
     ball, prev, rank = _earlier_overlaps(lo, hi)
-    funcs = []
-    for run in runs((np.diff(psi.starts) - 1) * psi.coeffs.shape[1]):
-        phi = psi.take(run)
-        mine = np.flatnonzero((clip >= run[0]) & (clip <= run[-1]))
-        if mine.size:
-            phi = phi.put(clip[mine] - run[0], clipped.take(mine))
-        here = (ball >= run[0]) & (ball <= run[-1])
-        for k in range(rank[here].max(initial=-1) + 1):
-            sel = here & (rank == k)
-            phi = phi.put(ball[sel] - run[0], batch_cut(phi.take(ball[sel] - run[0]),
-                                                        psi.take(prev[sel])))
-        funcs.extend(phi.trimmed().splines())
+    for k in range(rank.max(initial=-1) + 1):
+        phi = batch_cut(phi, psi, ball[rank == k], prev[rank == k])
     land, A410, B1 = landing or (fam.D.small_s, *lemma410_B1(fam, fam.D.small_s, cover))
-    return Partition(cover, epsilon, tuple(funcs), fam, B1, A410, land)
+    return Partition(cover, epsilon, phi.trimmed(), fam, B1, A410, land)
 
 
 def _earlier_overlaps(lo: np.ndarray, hi: np.ndarray):
@@ -146,10 +127,10 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4)) -> dict:
     |phi_i^(b)| <= eps^b Ndot_b / h(B1 eps d(x)) in log domain, on 1000
     even probes of the working domain.
 
-    A stacked evaluation (:func:`~ultrajet.extend.ppoly.stacked_values`) of
-    each run of balls reads every phi_i at the probes inside its span, all
-    orders at once, and log h is taken once per probe with d(x) > 0 before
-    it.  The bound of order k <= smoothness order + 1 is one
+    One stacked evaluation (:func:`~ultrajet.extend.ppoly.stacked_values`)
+    of the partition's batch reads every phi_i at the probes inside its
+    span, all orders at once, and log h is taken once per probe with
+    d(x) > 0 before it.  The bound of order k <= smoothness order + 1 is one
     :func:`~ultrajet.report.log_bound_tally` per block of (phi_i, probe)
     pairs, over the probes off E inside phi_i's support; violations add up
     and margins take their max, so no (probes x balls) table is held.
@@ -165,34 +146,31 @@ def verify_partition(part: Partition, orders=(0, 1, 2, 3, 4)) -> dict:
     log_h[pos] = log_h_assoc(part.landing_small_s, log_b1_eps + _math_log(d_all[pos]))
 
     cx, r = np.reshape(cov.balls, (-1, 2)).T
+    slo, shi = part.phis.supports()
+    top = np.maximum(part.phis.smoothness, 0) + 1
     evaluated = [0] + [k for k in orders if k > 0]
     s = np.zeros(len(xs))
-    range_ok = sup_ok = True
+    range_ok = True
     worst = {k: -math.inf for k in orders}
     viol = {k: 0 for k in orders}
-    for run in runs([f.coeffs.size for f in part.functions]):
-        phis = SplineBatch.of([part.functions[i] for i in run])
-        slo, shi = phis.supports()
-        sup_ok &= bool(np.all((slo >= cx[run] - cov.c * r[run] - 1e-12)
-                              & (shi <= cx[run] + cov.c * r[run] + 1e-12)))
-        top = np.maximum(phis.smoothness, 0) + 1
-        for ball, j, vals in stacked_values(phis, xs, evaluated):
-            np.add.at(s, j, vals[0])
-            range_ok &= bool(np.all((vals[0] >= -1e-12) & (vals[0] <= 1 + 1e-12)))
-            sel = (xs[j] > slo[ball]) & (xs[j] < shi[ball]) & pos[j]
-            for k, v in zip(evaluated, vals):
-                if k not in worst:
-                    continue
-                e = sel & (k <= top[ball])
-                t = log_bound_tally(np.log(np.maximum(np.abs(v[e]), 1e-300)),
-                                    k * math.log(part.epsilon) + log_nd[k] - log_h[j[e]])
-                viol[k] += t["violations"]
-                worst[k] = max(worst[k], t["max_log_margin"])
+    for ball, j, vals in stacked_values(part.phis, xs, evaluated):
+        np.add.at(s, j, vals[0])
+        range_ok &= bool(np.all((vals[0] >= -1e-12) & (vals[0] <= 1 + 1e-12)))
+        sel = (xs[j] > slo[ball]) & (xs[j] < shi[ball]) & pos[j]
+        for k, v in zip(evaluated, vals):
+            if k not in worst:
+                continue
+            e = sel & (k <= top[ball])
+            t = log_bound_tally(np.log(np.maximum(np.abs(v[e]), 1e-300)),
+                                k * math.log(part.epsilon) + log_nd[k] - log_h[j[e]])
+            viol[k] += t["violations"]
+            worst[k] = max(worst[k], t["max_log_margin"])
     covered = cov.covers(xs) & (d_all >= cov.d_min)
     return {
         "sum_max_err": float(np.max(np.abs(s[covered] - 1.0))) if np.any(covered) else 0.0,
         "range_ok": range_ok,
-        "support_ok": sup_ok,
+        "support_ok": bool(np.all((slo >= cx - cov.c * r - 1e-12)
+                                  & (shi <= cx + cov.c * r + 1e-12))),
         "bound_violations": viol,
         "bound_margins": worst,
         "bound_ok": all(n == 0 for n in viol.values()),
@@ -345,7 +323,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     D1 = 4.0 / lam
     L = cfg.L if cfg.L is not None else max(D1 * max(rho_fit, 1.0), 1.0)
     while True:
-        checks = _check_taylor_estimates(F, chain, C_fit, rho_fit, L, cover, cfg)
+        checks = _check_taylor_estimates(F, chain, C_fit, L, cover, cfg)
         if checks["5.4"]["violations"] == 0 and checks["5.5"]["violations"] == 0:
             break
         if cfg.L is not None or L >= L_CAP:
@@ -367,9 +345,9 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     # it is 0.  This form subtracts Taylor polynomials before multiplying by
     # the partition, whose derivatives near E are huge and cancel only
     # analytically; forming the differences first keeps evaluation noise at
-    # the scale of the Whitney increments.  The terms phi_i (T_i - base) are
-    # batched products over runs of balls, and f is one sum over the union of
-    # breakpoints, each piece adding its terms in ball order.
+    # the scale of the Whitney increments.  The nonzero T_i - base are one
+    # batch, the terms phi_i (T_i - base) one product with the partition's,
+    # and f one sum over the union of breakpoints, in ball order.
     # Ball i is anchored at the carried point nearest to its nearest point
     # of E, with the degree at its distance to E; the base field's is at d_min.
     cap = F.order_cap
@@ -378,23 +356,15 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
     xhat, dist = F.E.nearest([cx for cx, _ in cover.balls])
     ball_anchors = _nearest(anchors, xhat)
     degrees = taylor_degree(chain.S_dot, L, dist, cap).tolist()
-    terms = [SplineBatch.of([base])]
-    for run in runs([phi.coeffs.size for phi in part.functions]):
-        phis = SplineBatch.of([part.functions[i] for i in run])
-        used, diffs = [], []
-        for j, (i, slo, shi) in enumerate(zip(run.tolist(), *phis.supports())):
-            if shi <= slo:
-                continue
-            diff = _taylor_difference(F, float(ball_anchors[i]), degrees[i], anchors, cuts,
-                                      p_col, float(slo), float(shi))
-            if diff is not None:
-                used.append(j)
-                diffs.append(diff)
-        if used:
-            terms.append(batch_product(phis.take(used), SplineBatch.of(diffs)).trimmed())
+    terms = [base]
+    used, diffs = _taylor_differences(F, ball_anchors, np.asarray(degrees), anchors, cuts,
+                                      p_col, *part.phis.supports())
+    if used.size:
+        at = np.arange(len(used))
+        terms.append(batch_product(part.phis.take(used), diffs, at, at).trimmed())
     terms = stack(terms)
     f_inner = batch_sum(terms, np.zeros(len(terms), dtype=np.intp), 1).splines()[0]
-    gcut = _global_cutoff(F.E, fam, epsilon, cover, cfg)
+    gcut = _global_cutoff(F.E, fam, epsilon, cfg)
     # chopped before any check, so every gate sees the spline that is returned
     full = (f_inner * gcut).trimmed()
     f = full.chopped(cfg.p_max_eval)
@@ -411,9 +381,9 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         "taylor_estimates": checks,
         "partition": verify_partition(part, orders=range(0, min(4, cfg.p_max_eval) + 1)),
         "boundary": _boundary_match(f, F, cfg),
-        "growth": _growth_fit(f, F.E, chain.ddot, cfg),
+        "growth": _growth_fit(f, chain.ddot, cfg),
         "assembly_consistency": _assembly_consistency(
-            f, part, F, anchors, ball_anchors, degrees, p_col, gcut, cfg),
+            f, part, F, anchors, ball_anchors, degrees, p_col, gcut),
     }
     return ExtensionResult(f, cover, part, tuple(degrees), constants,
                            verification, chain, F,
@@ -422,47 +392,58 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
 
 def _taylor_field(F: Jet, p_col: int, working):
     """Nearest-carried-anchor Taylor polynomial of F of degree ``p_col`` over
-    the working domain (pieces split at anchor midpoints), with the anchors
-    and cuts."""
+    the working domain (pieces split at anchor midpoints), as a batch of
+    one, with the anchors and cuts."""
     lo_w, hi_w = working
     anchors = F.carried()
     cuts = np.concatenate([[lo_w], 0.5 * (anchors[1:] + anchors[:-1]), [hi_w]])
     keep = cuts[1:] > cuts[:-1]
     u, a = cuts[:-1][keep], anchors[keep]
-    field = PiecewisePolynomial(np.append(u, cuts[1:][keep][-1]),
-                                taylor_shift(taylor_coeffs_local(F, a, p_col), u - a),
-                                10 ** 6)
+    field = SplineBatch.of_pieces(np.zeros(len(u), dtype=np.intp), u, cuts[1:][keep],
+                                  taylor_shift(taylor_coeffs_local(F, a, p_col), u - a),
+                                  np.array([10 ** 6]))
     return field, anchors, cuts
 
 
-def _taylor_difference(F: Jet, a_i: float, p_i: int, anchors, cuts, p_col: int,
-                       slo: float, shi: float):
-    """T_{a_i}^{p_i} F - base field on [slo, shi], subtracted about a_i.
+def _taylor_differences(F: Jet, a, p, anchors, cuts, p_col: int, slo, shi):
+    """(used, diffs): the balls i where T_{a_i}^{p_i} F - base field is not
+    zero on [slo_i, shi_i], and that difference on the pieces the cuts make
+    there, one :class:`SplineBatch` in the order of used (None if none).
 
-    Coefficients are differenced about the common anchor before any
-    re-anchoring, so regions where the summand equals the base contribute
-    exact zeros instead of shift-path rounding residue (which the huge
-    partition derivatives would otherwise amplify).
+    Coefficients are differenced about a_i before any re-anchoring, so
+    pieces where the summand equals the base contribute exact zeros instead
+    of shift-path rounding residue (which the huge partition derivatives
+    would otherwise amplify).  Column k of T_a^p F is F^k(a)/k! whatever p
+    is, so one table at the top degree, masked past each p_i, serves every
+    ball; rows are re-anchored at their ball's own width max(p_i, p_col) + 1.
     """
-    edges = np.concatenate([[slo], cuts[(cuts > slo) & (cuts < shi)], [shi]])
-    keep = edges[1:] > edges[:-1]
-    u, v = edges[:-1][keep], edges[1:][keep]
-    j = np.clip(np.searchsorted(cuts, 0.5 * (u + v), side="right") - 1,
-                0, len(anchors) - 1)
-    a_b = anchors[j]
-    same = (a_b == a_i) & (p_col == p_i)
-    if np.all(same):
-        return None
-    c_b = np.zeros((len(u), max(p_i, p_col) + 1))
+    # ball i meets the cells [cuts[k], cuts[k + 1]], k0_i <= k < k0_i + n_i
+    k0 = np.searchsorted(cuts, slo, side="right") - 1
+    n = np.searchsorted(cuts, shi, side="left") - k0
+    ball = np.repeat(np.arange(len(a)), n)
+    k = np.repeat(k0 - np.cumsum(n) + n, n) + np.arange(len(ball))
+    u, v = np.maximum(cuts[k], slo[ball]), np.minimum(cuts[k + 1], shi[ball])
+    j = np.clip(np.searchsorted(cuts, 0.5 * (u + v), side="right") - 1, 0, len(anchors) - 1)
+    same = (anchors[j] == a[ball]) & (p[ball] == p_col)
+    used = np.flatnonzero(np.bincount(ball[(u < v) & ~same], minlength=len(a)))
+    if not used.size:
+        return used, None
+    keep = (u < v) & np.isin(ball, used)
+    ball, u, v, j, same = ball[keep], u[keep], v[keep], j[keep], same[keep]
+    a_i, a_b, p_i = a[ball], anchors[j], p[ball]
+    width = np.maximum(p_i, p_col) + 1
+    c_b = np.zeros((len(ball), width.max()))
     c_b[:, : p_col + 1] = taylor_shift(taylor_coeffs_local(F, a_b, p_col), a_i - a_b)
-    diff = np.zeros(c_b.shape[1])
-    diff[: p_i + 1] = taylor_coeffs_local(F, a_i, p_i)
-    diff = diff - c_b
+    diff = np.where(np.arange(c_b.shape[1]) <= p_i[:, None],
+                    taylor_coeffs_local(F, a_i, c_b.shape[1] - 1), 0.0) - c_b
     diff[same] = 0.0
-    return PiecewisePolynomial(np.append(u, v[-1]), taylor_shift(diff, u - a_i), 10 ** 6)
+    for w in np.unique(width):
+        diff[width == w, :w] = taylor_shift(diff[width == w, :w], (u - a_i)[width == w])
+    return used, SplineBatch.of_pieces(np.searchsorted(used, ball), u, v, diff,
+                                       np.full(len(used), 10 ** 6))
 
 
-def _global_cutoff(E, fam: CutoffFamily, epsilon: float, cover: WhitneyCover1D,
+def _global_cutoff(E, fam: CutoffFamily, epsilon: float,
                    cfg: ExtensionConfig) -> PiecewisePolynomial:
     """1 on {d <= 1/2}, 0 outside {d < 1}, from the same cutoff machinery."""
     merged = []
@@ -483,9 +464,8 @@ def _global_cutoff(E, fam: CutoffFamily, epsilon: float, cover: WhitneyCover1D,
     return total
 
 
-def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, rho: float,
-                            L: float, cover: WhitneyCover1D,
-                            cfg: ExtensionConfig) -> dict:
+def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, L: float,
+                            cover: WhitneyCover1D, cfg: ExtensionConfig) -> dict:
     """Spot checks of the Taylor estimates 5.4 and 5.5 at 60 seeded uniform
     probes x of the working domain.
 
@@ -560,8 +540,7 @@ def _boundary_match(f: PiecewisePolynomial, F: Jet, cfg: ExtensionConfig) -> dic
             "transition_zone_max": float(np.max(np.abs(vals[..., -1:] - Fa), initial=0.0))}
 
 
-def _growth_fit(f: PiecewisePolynomial, E, out_row: WeightSequence,
-                cfg: ExtensionConfig) -> dict:
+def _growth_fit(f: PiecewisePolynomial, out_row: WeightSequence, cfg: ExtensionConfig) -> dict:
     """(C', rho') with |f^{(k)}| <= C' rho'^k N_k at 400 even and 200 seeded
     probes, by :func:`~ultrajet.jets.doubling_constants` with no floor."""
     xs = np.concatenate([np.linspace(*f.span, 400),
@@ -579,25 +558,22 @@ def _nearest(carried: np.ndarray, x):
 
 
 def _assembly_consistency(f, part: Partition, F: Jet, carried: np.ndarray,
-                          anchors: np.ndarray, degrees, p_col: int, gcut,
-                          cfg: ExtensionConfig) -> dict:
+                          anchors: np.ndarray, degrees, p_col: int, gcut) -> dict:
     """The spline f must reproduce the defining sum evaluated directly;
     ``carried`` is ``F.carried()``, and ``anchors``, ``degrees`` and
     ``p_col`` are the per-ball anchors and degrees and the base field's
-    degree the assembly used.  The phi_i are read by a stacked evaluation
-    of the sorted probes, each probe's nonzero terms added in ball order."""
+    degree the assembly used.  The partition's batch is read by one stacked
+    evaluation at the sorted probes, each probe's terms added in ball order."""
     xs = np.random.default_rng(PROBE_SEED + 2).uniform(*part.cover.working, 200)
     srt = np.argsort(xs)
     base = taylor_values(F, _nearest(carried, xs), p_col, xs, 0)
     direct = base.copy()
-    for run in runs([f.coeffs.size for f in part.functions]):
-        phis = SplineBatch.of([part.functions[i] for i in run])
-        for ball, j, (v,) in stacked_values(phis, xs[srt], [0]):
-            nz = v != 0.0
-            bi, pi = run[ball[nz]], srt[j[nz]]
-            terms = v[nz] * (taylor_values(F, anchors[bi], np.asarray(degrees)[bi], xs[pi], 0)
-                             - base[pi])
-            # unbuffered adds in pair order: each probe's sum runs in ball order
-            np.add.at(direct, pi, terms)
+    for ball, j, (v,) in stacked_values(part.phis, xs[srt], [0]):
+        nz = v != 0.0
+        bi, pi = ball[nz], srt[j[nz]]
+        terms = v[nz] * (taylor_values(F, anchors[bi], np.asarray(degrees)[bi], xs[pi], 0)
+                         - base[pi])
+        # unbuffered adds in pair order: each probe's sum runs in ball order
+        np.add.at(direct, pi, terms)
     direct *= gcut(xs)
     return {"max_abs_gap": float(np.max(np.abs(direct - f(xs)), initial=0.0))}

@@ -14,17 +14,19 @@ then reads each row's own degree off ``coeffs``.
 
 Many splines are one :class:`SplineBatch`: their breakpoints one after
 another, their coefficient rows one after another (zero-padded to the
-widest), and each spline's own width and smoothness order.  The product
-(:func:`batch_product`), the difference a - a b (:func:`batch_cut`), the
-sum (:func:`batch_sum`) and the trim run as array passes over all splines
-of a batch at once.  Each spline keeps its own merged breakpoints, with a
-merge tolerance from its own union span, and its own operand order in the
-row products, so it gets bit for bit what the one-spline operation gives
-it: the one-spline product and sum are the batch of one.
+widest), and each spline's own width and smoothness order.  The products
+(:func:`batch_product`) and differences a - a b (:func:`batch_cut`) of
+given pairs of splines, the sum (:func:`batch_sum`) and the trim run as
+array passes over all their splines at once.  Each spline keeps its own
+merged breakpoints, with a merge tolerance from its own union span, and
+its own operand order in the row products, so it gets bit for bit what the
+one-spline operation gives it: the one-spline product and sum are the
+batch of one.
 :func:`stacked_values` evaluates a batch on one sorted probe grid, over the
-(spline, probe inside its span) pairs only.  Sums and evaluations gather
-rows of at most ``_BATCH_ENTRIES`` coefficients at a time, and :func:`runs`
-cuts long lists of splines into batches of about that many.
+(spline, probe inside its span) pairs only.  Each operation keeps to the
+one cap of ``_BATCH_ENTRIES`` coefficients a pass on its own: products and
+cuts run in passes of about that many, sums and evaluations gather at most
+that many at a time.
 
 Box convolution is the workhorse: convolving with width-d boxes raises the
 max piece degree by one and the smoothness order by one per pass, which is
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,7 +258,7 @@ class PiecewisePolynomial:
         if np.isscalar(other):
             return PiecewisePolynomial(self.breakpoints, self.coeffs * float(other),
                                        self.smoothness_order)
-        return _product(self, other)
+        return _product_pass(SplineBatch.of([self]), SplineBatch.of([other])).splines()[0]
 
     __rmul__ = __mul__
 
@@ -374,15 +376,6 @@ def _block(width: int) -> int:
     return max(1, _BATCH_ENTRIES // width)
 
 
-def runs(sizes) -> list:
-    """Index runs of consecutive items, a new run starting at each multiple
-    of _BATCH_ENTRIES: how callers cut a long list of splines (sizes[i]
-    coefficients each) into batches."""
-    sizes = np.asarray(sizes)
-    run = (np.cumsum(sizes) - sizes) // _BATCH_ENTRIES
-    return np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(run)) + 1)
-
-
 def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """first[s], first[s] + 1, ..., first[s] + counts[s] - 1 for each s in
     turn."""
@@ -489,15 +482,20 @@ class SplineBatch:
     @staticmethod
     def of(splines) -> "SplineBatch":
         """The PiecewisePolynomials of the sequence, one after another."""
-        splines = list(splines)
-        starts = np.concatenate([[0], np.cumsum([len(f.breakpoints) for f in splines])])
-        widths = np.array([f.coeffs.shape[1] for f in splines])
-        first = (starts - np.arange(len(starts))).tolist()
-        coeffs = np.zeros((first[-1], widths.max()))
-        for f, a, z in zip(splines, first, first[1:]):
-            coeffs[a:z, : f.coeffs.shape[1]] = f.coeffs
-        return SplineBatch(np.concatenate([f.breakpoints for f in splines]), starts, coeffs,
-                           widths, np.array([f.smoothness_order for f in splines]))
+        return stack([SplineBatch(f.breakpoints, np.array([0, len(f.breakpoints)]), f.coeffs,
+                                  np.array([f.coeffs.shape[1]]), np.array([f.smoothness_order]))
+                      for f in splines])
+
+    @staticmethod
+    def of_pieces(seg, u, v, coeffs, smoothness) -> "SplineBatch":
+        """Spline s has the pieces [u[j], v[j]] and rows coeffs[j] with seg[j] =
+        s (seg sorted, pieces adjacent and in order), laid out as ``of`` lays
+        out splines: own trailing zero columns dropped, padded with zeros."""
+        ends = np.flatnonzero(np.r_[seg[1:] != seg[:-1], True]) + 1
+        out = _batch(np.insert(u, ends, v[ends - 1]), np.insert(seg, ends, seg[ends - 1]),
+                     coeffs, smoothness)
+        padded = np.arange(out.coeffs.shape[1]) >= out.widths[seg][:, None]
+        return replace(out, coeffs=np.where(padded, 0.0, out.coeffs))
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -523,18 +521,7 @@ class SplineBatch:
 
     def take(self, idx) -> "SplineBatch":
         """The splines idx, in that order."""
-        idx = np.asarray(idx, dtype=np.intp)
-        n_b = np.diff(self.starts)[idx]
-        return SplineBatch(self.breakpoints[_ragged_arange(self.starts[idx], n_b)],
-                           np.concatenate([[0], np.cumsum(n_b)]),
-                           self.coeffs[_ragged_arange(self.starts[idx] - idx, n_b - 1)],
-                           self.widths[idx], self.smoothness[idx])
-
-    def put(self, idx, other: "SplineBatch") -> "SplineBatch":
-        """This batch with its spline idx[j] replaced by spline j of other."""
-        order = np.arange(len(self))
-        order[idx] = len(self) + np.arange(len(idx))
-        return stack([self, other]).take(order)
+        return _gather([self], np.zeros(len(idx), dtype=np.intp), np.asarray(idx, dtype=np.intp))
 
     def compose_affine(self, centers: np.ndarray, scales: np.ndarray) -> "SplineBatch":
         """Spline s becomes f_s((x - centers[s]) / scales[s]) for scales > 0:
@@ -591,16 +578,8 @@ class SplineBatch:
 
 def stack(batches) -> SplineBatch:
     """The splines of the batches one after another."""
-    w = max(b.coeffs.shape[1] for b in batches)
-    coeffs = np.zeros((sum(len(b.coeffs) for b in batches), w))
-    at, starts = 0, [np.zeros(1, dtype=np.intp)]
-    for b in batches:
-        coeffs[at: at + len(b.coeffs), : b.coeffs.shape[1]] = b.coeffs
-        at += len(b.coeffs)
-        starts.append(b.starts[1:] + starts[-1][-1])
-    return SplineBatch(np.concatenate([b.breakpoints for b in batches]), np.concatenate(starts),
-                       coeffs, np.concatenate([b.widths for b in batches]),
-                       np.concatenate([b.smoothness for b in batches]))
+    return _gather(batches, np.repeat(np.arange(len(batches)), [len(b) for b in batches]),
+                   np.concatenate([np.arange(len(b)) for b in batches]))
 
 
 def _rows_at(f: SplineBatch, seg: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -633,10 +612,53 @@ def _mul_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_product(f: SplineBatch, g: SplineBatch) -> SplineBatch:
-    """Spline s is f's spline s times g's, over their merged breakpoints
-    and stored only where a piece's midpoint is inside both spans (one zero
-    piece where none is)."""
+def _gather(sources, src, idx) -> SplineBatch:
+    """Spline s is spline idx[s] of sources[src[s]], zero-padded to the widest:
+    one copy into place per source (read in place, with no temporary copy of
+    its rows, if given whole, in order)."""
+    n_b = np.empty(len(src), dtype=np.intp)
+    for t, f in enumerate(sources):
+        n_b[src == t] = np.diff(f.starts)[idx[src == t]]
+    starts = np.concatenate([[0], np.cumsum(n_b)])
+    out = SplineBatch(np.empty(starts[-1]), starts,
+                      np.zeros((starts[-1] - len(src), max(f.coeffs.shape[1] for f in sources))),
+                      np.empty_like(n_b), np.empty_like(n_b))
+    for t, f in enumerate(sources):
+        s = np.flatnonzero(src == t)
+        j, n = idx[s], n_b[s]
+        b_at, c_at = (slice(None), slice(None)) if np.array_equal(j, np.arange(len(f))) else (
+            _ragged_arange(f.starts[j], n), _ragged_arange(f.starts[j] - j, n - 1))
+        out.breakpoints[_ragged_arange(starts[s], n)] = f.breakpoints[b_at]
+        out.coeffs[_ragged_arange(starts[s] - s, n - 1), : f.coeffs.shape[1]] = f.coeffs[c_at]
+        out.widths[s], out.smoothness[s] = f.widths[j], f.smoothness[j]
+    return out
+
+
+def _replaced(op, a: SplineBatch, b: SplineBatch, i, k) -> SplineBatch:
+    """a with its spline i[j] replaced by op(a_i, b_k), k = k[j] (the i
+    distinct), op run on consecutive pairs, a new pass at each multiple of
+    _BATCH_ENTRIES coefficients (rows times a's padded width) of the a_i."""
+    i, k = np.asarray(i, dtype=np.intp), np.asarray(k, dtype=np.intp)
+    if not i.size:
+        return a
+    sizes = (np.diff(a.starts)[i] - 1) * a.coeffs.shape[1]
+    run = (np.cumsum(sizes) - sizes) // _BATCH_ENTRIES
+    passes = np.split(np.arange(len(i)), np.flatnonzero(np.diff(run)) + 1)
+    src, at = np.zeros(len(a), dtype=np.intp), np.arange(len(a))
+    src[i] = 1 + np.repeat(np.arange(len(passes)), [len(p) for p in passes])
+    at[i] = np.concatenate([p - p[0] for p in passes])
+    return _gather([a] + [op(a.take(i[p]), b.take(k[p])) for p in passes], src, at)
+
+
+def batch_product(f: SplineBatch, g: SplineBatch, i, k) -> SplineBatch:
+    """f with its spline i[j] replaced by f_i g_k for k = k[j] (the i
+    distinct): over their merged breakpoints, stored only where a piece's
+    midpoint is inside both spans (one zero piece where none is)."""
+    return _replaced(_product_pass, f, g, i, k)
+
+
+def _product_pass(f: SplineBatch, g: SplineBatch) -> SplineBatch:
+    """Spline s is f_s g_s, as :func:`batch_product` forms it."""
     n = len(f)
     b, seg, left = _merged(np.concatenate([f.breakpoints, g.breakpoints]),
                            np.concatenate([f._segments(), g._segments()]), n)
@@ -650,19 +672,17 @@ def batch_product(f: SplineBatch, g: SplineBatch) -> SplineBatch:
     keep = inside | (empty[ps] & np.r_[True, ps[1:] != ps[:-1]])
     lk, sk = left[keep], ps[keep]
     ends = np.sort(np.concatenate([lk, lk[np.r_[sk[1:] != sk[:-1], True]] + 1]))
-    ui, vi, si = u[inside], v[inside], ps[inside]
-    fr, gr = _rows_at(f, si, ui, vi), _rows_at(g, si, ui, vi)
+    # a kept piece outside a span reads a zero row there, so its products are +0.0
+    fr, gr = _rows_at(f, sk, u[keep], v[keep]), _rows_at(g, sk, u[keep], v[keep])
     # each pair sums over the columns of its narrower operand (g on a tie)
-    swap = (f.widths < g.widths)[si]
+    swap = (f.widths < g.widths)[sk]
     if swap.all():
         fr, gr = gr, fr
     elif swap.any():
         w = max(fr.shape[1], gr.shape[1])
         fr, gr = (np.pad(r, ((0, 0), (0, w - r.shape[1]))) for r in (fr, gr))
         fr, gr = np.where(swap[:, None], gr, fr), np.where(swap[:, None], fr, gr)
-    out = np.zeros((len(lk), fr.shape[1] + gr.shape[1] - 1))
-    out[inside[keep]] = _mul_rows(fr, gr)
-    return _batch(b[ends], seg[ends], out, np.minimum(f.smoothness, g.smoothness))
+    return _batch(b[ends], seg[ends], _mul_rows(fr, gr), np.minimum(f.smoothness, g.smoothness))
 
 
 def batch_sum(parts: SplineBatch, group, n: int) -> SplineBatch:
@@ -700,11 +720,17 @@ def batch_sum(parts: SplineBatch, group, n: int) -> SplineBatch:
     return _batch(b, seg, out, smooth)
 
 
-def batch_cut(a: SplineBatch, b: SplineBatch) -> SplineBatch:
-    """Spline s is a_s - a_s b_s, as ``a - a * b`` forms it."""
-    ab = batch_product(a, b)
-    neg = SplineBatch(ab.breakpoints, ab.starts, ab.coeffs * -1.0, ab.widths, ab.smoothness)
-    return batch_sum(stack([a, neg]), np.tile(np.arange(len(a)), 2), len(a))
+def batch_cut(a: SplineBatch, b: SplineBatch, i, k) -> SplineBatch:
+    """a with its spline i[j] replaced by a_i - a_i b_k for k = k[j] (the i
+    distinct), as ``a - a * b`` forms it."""
+    return _replaced(_cut_pass, a, b, i, k)
+
+
+def _cut_pass(a: SplineBatch, b: SplineBatch) -> SplineBatch:
+    """Spline s is a_s - a_s b_s."""
+    parts = stack([a, _product_pass(a, b)])
+    parts.coeffs[len(a.coeffs):] *= -1.0     # the fresh copy of a b becomes -a b
+    return batch_sum(parts, np.tile(np.arange(len(a)), 2), len(a))
 
 
 def spline_sum(parts) -> PiecewisePolynomial:
@@ -712,10 +738,6 @@ def spline_sum(parts) -> PiecewisePolynomial:
     breakpoints, as :func:`batch_sum` of one group: the merge tolerance is
     relative to the union span, and each piece adds its parts in order."""
     return batch_sum(SplineBatch.of(parts), np.zeros(len(parts), dtype=np.intp), 1).splines()[0]
-
-
-def _product(f: PiecewisePolynomial, g: PiecewisePolynomial) -> PiecewisePolynomial:
-    return batch_product(SplineBatch.of([f]), SplineBatch.of([g])).splines()[0]
 
 
 def stacked_values(f: SplineBatch, xs: np.ndarray, orders):

@@ -47,8 +47,9 @@ def kplus1_sq():
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(fn)`` wraps ``fn`` under every ultrajet module attribute
-    that holds it (callers look the name up in their own module) and returns
-    the list that receives each call's positional arguments."""
+    that holds it (callers look the name up in their own module), and as a
+    static method under every ultrajet class that holds it, and returns the
+    list that receives each call's positional arguments."""
     def install(fn):
         calls = []
 
@@ -57,12 +58,18 @@ def count_calls(monkeypatch):
             calls.append(args)
             return fn(*args, **kwargs)
 
-        holders = [(mod, name) for modname, mod in list(sys.modules.items())
-                   if modname == "ultrajet" or modname.startswith("ultrajet.")
+        mods = [mod for modname, mod in list(sys.modules.items())
+                if modname == "ultrajet" or modname.startswith("ultrajet.")]
+        holders = [(mod, name, counted) for mod in mods
                    for name, obj in list(vars(mod).items()) if obj is fn]
+        # a class is shared by every module naming it
+        statics = {(cls, name) for mod in mods for cls in vars(mod).values()
+                   if isinstance(cls, type) for name, obj in vars(cls).items()
+                   if isinstance(obj, staticmethod) and obj.__func__ is fn}
+        holders += [(cls, name, staticmethod(counted)) for cls, name in statics]
         assert holders, f"no ultrajet module holds {fn.__name__}"
-        for mod, name in holders:
-            monkeypatch.setattr(mod, name, counted)
+        for owner, name, wrapper in holders:
+            monkeypatch.setattr(owner, name, wrapper)
         return calls
 
     return install

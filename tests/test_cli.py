@@ -475,6 +475,31 @@ def test_no_unread_private_names():
     assert unread == []
 
 
+def test_no_unused_parameters():
+    # every parameter of every function in an ultrajet module, other than
+    # self and cls, is read in that function's body
+    import ultrajet
+    root = os.path.dirname(ultrajet.__file__)
+    unused = []
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                a = fn.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                          if p is not None and p.arg not in ("self", "cls")]
+                body = fn.body if isinstance(fn.body, list) else [fn.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unused += [f"{os.path.relpath(path, root)}:{fn.lineno} "
+                           f"{getattr(fn, 'name', 'lambda')}({p})" for p in params if p not in read]
+    assert unused == []
+
+
 def test_every_dataclass_field_is_read():
     # every field of a dataclass in src/ultrajet is read as ``.name`` somewhere
     # in src/, tests/ or perfbench/: a field nothing reads is dead weight

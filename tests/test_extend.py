@@ -13,7 +13,7 @@ from ultrajet.errors import ExtensionError
 from ultrajet.extend import (ExtensionConfig, check_taylor_difference_bound,
                              cutoffs, extend_jet, partition_of_unity,
                              select_row_chain, verify_partition, whitney_cover)
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ultrajet.extend.cover import OVERLAP_C
 from ultrajet.extend import operator, ppoly
@@ -28,14 +28,15 @@ def _verify_partition_oracle(part, orders, n_probes=1000):
     lo, hi = cov.working
     xs = np.linspace(lo, hi, n_probes)
     covered = cov.covers(xs) & (cov.E.distance(xs) >= cov.d_min)
-    s = sum(f(xs) for f in part.functions)
+    phis = part.phis.splines()
+    s = sum(f(xs) for f in phis)
     out = {
         "sum_max_err": float(np.max(np.abs(s[covered] - 1.0))) if np.any(covered) else 0.0,
         "range_ok": all(bool(np.all((f(xs) >= -1e-12) & (f(xs) <= 1 + 1e-12)))
-                        for f in part.functions),
+                        for f in phis),
     }
     sup_ok = True
-    for f, (cx, r) in zip(part.functions, cov.balls):
+    for f, (cx, r) in zip(phis, cov.balls):
         slo, shi = f.support()
         if slo < cx - cov.c * r - 1e-12 or shi > cx + cov.c * r + 1e-12:
             sup_ok = False
@@ -45,7 +46,7 @@ def _verify_partition_oracle(part, orders, n_probes=1000):
     d_all = cov.E.distance(xs)
     log_nd = np.concatenate([[0.0], np.cumsum(part.fam.Ndot.log_mu)])
     log_b1_eps = math.log(part.B1) + math.log(part.epsilon)
-    for f in part.functions:
+    for f in phis:
         slo, shi = f.support()
         sel = (xs > slo) & (xs < shi) & (d_all > 0)
         if not np.any(sel):
@@ -153,7 +154,7 @@ class TestPartition:
         xs = np.linspace(*cov.working, 700)
         covered = cov.covers(xs)
         assert np.any(covered)
-        assert np.max(np.abs(1.0 - sum(f(xs) for f in part.functions))[covered]) == 0.0
+        assert np.max(np.abs(1.0 - sum(f(xs) for f in part.phis.splines()))[covered]) == 0.0
 
     @pytest.mark.parametrize("E, d_min", [
         (jets.CompactSet1D(points=(0.0,)), 1e-5),
@@ -165,8 +166,9 @@ class TestPartition:
         oracle = _running_product_partition(cov, gev2_family, 2.0, 4)
         xs = np.linspace(*cov.working, 1000)
         lo_w, hi_w = cov.working
-        assert len(part.functions) == len(oracle) == len(cov.balls)
-        for f, g in zip(part.functions, oracle):
+        phis = part.phis.splines()
+        assert len(phis) == len(oracle) == len(cov.balls)
+        for f, g in zip(phis, oracle):
             assert np.max(np.abs(f(xs) - g(xs))) <= 1e-14
             assert f.support() == pytest.approx(g.support(), abs=1e-12, rel=0)
             assert lo_w <= f.span[0] and f.span[1] <= hi_w
@@ -174,60 +176,82 @@ class TestPartition:
     @settings(max_examples=40, deadline=None)
     @given(E=_point_and_interval_sets(), d_min=st.sampled_from([1e-2, 1e-3, 1e-4]),
            epsilon=st.sampled_from([0.5, 2.0, 1e3]),
-           entries=st.sampled_from([16, 256, ppoly._BATCH_ENTRIES]))
+           entries=st.sampled_from([1, 16, 256, ppoly._BATCH_ENTRIES]))
+    # the 73 balls of extend-interval with a cap of one coefficient: every
+    # round of cuts runs one pass per ball
+    @example(E=jets.CompactSet1D(points=(2.0,), intervals=((0.0, 1.0),)), d_min=1e-3,
+             epsilon=2.0, entries=1)
     def test_batched_partition_equals_per_ball_loop(self, gev2_family, E, d_min, epsilon,
                                                     entries):
-        # small caps split the balls into many runs
+        # small caps split each round into many passes
         cov = whitney_cover(E, d_min=d_min)
-        with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
+        with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries), \
+                mock.patch.object(operator, "batch_cut", wraps=ppoly.batch_cut) as rounds, \
+                mock.patch.object(ppoly, "_cut_pass", wraps=ppoly._cut_pass) as passes:
             part = partition_of_unity(cov, gev2_family, epsilon=epsilon, min_smoothness=4)
+        # a pass takes consecutive balls until one starts a cap past the first
+        for (a, _), _ in passes.call_args_list:
+            assert (len(a.coeffs) - np.diff(a.starts)[-1] + 1) * a.coeffs.shape[1] < entries
+        assert passes.call_count >= rounds.call_count
+        if entries == 1:        # one pass per ball of each round
+            assert passes.call_count == sum(len(c.args[2]) for c in rounds.call_args_list)
         oracle = _per_ball_partition(cov, gev2_family, epsilon, 4)
-        assert len(part.functions) == len(oracle) == len(cov.balls)
-        for f, g in zip(part.functions, oracle):
-            assert np.array_equal(f.breakpoints, g.breakpoints)
-            assert np.array_equal(f.coeffs, g.coeffs)
+        phis = part.phis.splines()
+        assert len(phis) == len(oracle) == len(cov.balls)
+        for f, g in zip(phis, oracle):
+            assert f.breakpoints.tobytes() == g.breakpoints.tobytes()
+            assert f.coeffs.shape == g.coeffs.shape and f.coeffs.tobytes() == g.coeffs.tobytes()
             assert f.smoothness_order == g.smoothness_order
 
     def test_products_bounded_by_rounds(self, extend_interval_input, count_calls):
-        # every product of the partition is one batched pass per round over
-        # all the balls (and one for the clipping), never one per ball
+        # the partition calls one product for the clipping and one cut per
+        # round, each over all the balls it changes, never one per ball
         part = extend_jet(*extend_interval_input).partition
         cov = part.cover
         assert len(cov.balls) == 73 and cov.degenerate_gaps == ()
-        calls = count_calls(ppoly.batch_product)
+        products = count_calls(ppoly.batch_product)
+        cuts = count_calls(ppoly.batch_cut)
         partition_of_unity(cov, part.fam, part.epsilon, min_smoothness=3,
                            landing=(part.landing_small_s, part.lemma410_A, part.B1))
-        assert 2 <= len(calls) <= cov.n0
-        assert sum(len(f) for f, _ in calls) > len(calls)
+        calls = products + cuts
+        assert len(products) == 1 and cuts and len(calls) <= cov.n0
+        assert sum(len(i) for _, _, i, _ in calls) > len(calls)
         # and no phi_i grows past n0 cutoffs: none spans the working domain
-        biggest = max(len(f.coeffs) for f in part.functions)
-        assert max(np.diff(f.starts).max() - 1 for f, _ in calls) <= cov.n0 * biggest
+        biggest = np.diff(part.phis.starts).max() - 1
+        assert max(np.diff(a.starts).max() - 1 for a, *_ in calls) <= cov.n0 * biggest
 
     def test_no_spline_spans_the_working_domain(self, extend_point_input, monkeypatch):
         # each phi needs at most n0 cutoffs, so no spline built inside the
-        # partition outgrows n0 times the largest cutoff
+        # partition, alone or side by side in a batch, outgrows n0 times the
+        # largest cutoff
         res = extend_jet(*extend_point_input)
         part, cov = res.partition, res.cover
         smooth = min(extend_point_input[2].p_max_eval, cutoffs.CONV_DEPTH - 2)
         biggest = max(len(cutoffs.build_cutoff(part.fam, part.epsilon * r / cov.n0,
                                                OVERLAP_C, min_smoothness=smooth).pp.coeffs)
                       for _, r in cov.balls)
-        sizes = []
-        post_init = PiecewisePolynomial.__post_init__
+        sizes, batches = [], []
+        post_init, batch = PiecewisePolynomial.__post_init__, ppoly._batch
 
         def counted(self):
             post_init(self)
             sizes.append(len(self.coeffs))
 
+        def batched(*args):
+            out = batch(*args)
+            batches.append(int(np.diff(out.starts).max()) - 1)
+            return out
+
         monkeypatch.setattr(PiecewisePolynomial, "__post_init__", counted)
+        monkeypatch.setattr(ppoly, "_batch", batched)
         partition_of_unity(cov, part.fam, part.epsilon, min_smoothness=smooth,
                            landing=(part.landing_small_s, part.lemma410_A, part.B1))
         monkeypatch.undo()
-        assert sizes
-        assert max(sizes) <= cov.n0 * biggest
+        assert sizes and batches
+        assert max(sizes + batches) <= cov.n0 * biggest
 
     def test_supports_subordinate(self, partition_zero):
-        for f, (cx, r) in zip(partition_zero.functions, partition_zero.cover.balls):
+        for f, (cx, r) in zip(partition_zero.phis.splines(), partition_zero.cover.balls):
             lo, hi = f.support()
             assert lo >= cx - 1.5 * r - 1e-12
             assert hi <= cx + 1.5 * r + 1e-12
@@ -491,7 +515,7 @@ def _taylor_degree_scalar(S_dot, L, dist, cap):
     return int(min(max(2 * g, operator.DEG_FLOOR), cap))
 
 
-def _taylor_estimates_loop(F, chain, C, rho, L, cover, cfg, n_probes=60):
+def _taylor_estimates_loop(F, chain, C, L, cover, cfg, n_probes=60):
     """One scalar Taylor evaluation per probe and order."""
     rng = np.random.default_rng(operator.PROBE_SEED)
     lo, hi = cover.working
@@ -537,7 +561,7 @@ def _assembly_loop(f, part, F, carried, chain, degrees, gcut, L, cfg, n_probes=2
     p_col = _taylor_degree_scalar(chain.S_dot, L, cfg.d_min, F.order_cap)
     anchors = operator._nearest(carried, [F.E.nearest(cx)[0][0]
                                           for cx, _ in part.cover.balls])
-    phis = np.array([phi(xs) for phi in part.functions])
+    phis = np.array([phi(xs) for phi in part.phis.splines()])
     worst = 0.0
     for x, a, pv, g, fx in zip(xs, operator._nearest(carried, xs), phis.T,
                                gcut(xs), f(xs)):
@@ -555,7 +579,7 @@ class TestArrayTaylorChecks:
     def test_taylor_estimates_equal_scalar_loop(self, extension_case):
         (F, _, cfg), res = extension_case
         c = res.constants
-        args = (F, res.chain, c["C"], c["rho"], c["L"], res.cover, cfg)
+        args = (F, res.chain, c["C"], c["L"], res.cover, cfg)
         got = operator._check_taylor_estimates(*args)
         assert got == _taylor_estimates_loop(*args)
         assert got == res.verification["taylor_estimates"]
@@ -563,8 +587,7 @@ class TestArrayTaylorChecks:
 
     def test_assembly_consistency_equals_scalar_loop(self, extension_case):
         (F, _, cfg), res = extension_case
-        gcut = operator._global_cutoff(F.E, res.partition.fam, res.constants["epsilon"],
-                                       res.cover, cfg)
+        gcut = operator._global_cutoff(F.E, res.partition.fam, res.constants["epsilon"], cfg)
         args = (res.f, res.partition, F, F.carried(), res.chain, res.degrees, gcut,
                 res.constants["L"], cfg)
         anchors = operator._nearest(F.carried(), [F.E.nearest(cx)[0][0]
@@ -572,7 +595,7 @@ class TestArrayTaylorChecks:
         p_col = _taylor_degree_scalar(res.chain.S_dot, res.constants["L"], cfg.d_min,
                                       F.order_cap)
         got = operator._assembly_consistency(res.f, res.partition, F, F.carried(),
-                                             anchors, res.degrees, p_col, gcut, cfg)
+                                             anchors, res.degrees, p_col, gcut)
         assert got == _assembly_loop(*args)
         assert got == res.verification["assembly_consistency"]
 
@@ -599,6 +622,130 @@ class TestArrayTaylorChecks:
         assert list(res.degrees) == [
             _taylor_degree_scalar(res.chain.S_dot, L, F.E.nearest(cx)[1][0], F.order_cap)
             for cx, _ in res.cover.balls]
+
+    def test_checks_read_the_partition_batch(self, extension_case, count_calls):
+        # the partition check and the assembly check read the partition's one
+        # batch: neither packs splines into a batch of its own
+        (F, _, cfg), res = extension_case
+        gcut = operator._global_cutoff(F.E, res.partition.fam, res.constants["epsilon"], cfg)
+        anchors = _ball_anchors(F, res.cover)
+        p_col = _taylor_degree_scalar(res.chain.S_dot, res.constants["L"], cfg.d_min,
+                                      F.order_cap)
+        calls = count_calls(ppoly.SplineBatch.of)
+        verify_partition(res.partition, orders=range(0, min(4, cfg.p_max_eval) + 1))
+        operator._assembly_consistency(res.f, res.partition, F, F.carried(), anchors,
+                                       res.degrees, p_col, gcut)
+        assert calls == []
+
+    def test_taylor_coefficients_read_once_per_table(self, extend_interval_input, count_calls):
+        # the base field's table and the differences' two, not two per ball
+        calls = count_calls(jets.taylor_coeffs_local)
+        res = extend_jet(*extend_interval_input)
+        assert len(res.cover.balls) == 73
+        assert len(calls) == 3
+
+
+def _ball_anchors(F, cover):
+    """The carried point nearest to each ball's nearest point of E."""
+    return operator._nearest(F.carried(), [F.E.nearest(cx)[0][0] for cx, _ in cover.balls])
+
+
+def _taylor_difference(F, a_i, p_i, anchors, cuts, p_col, slo, shi):
+    """T_{a_i}^{p_i} F - base field on [slo, shi], subtracted about a_i, as
+    one spline, or None where the two are equal on every piece: one ball of
+    the assembly's differences at a time."""
+    edges = np.concatenate([[slo], cuts[(cuts > slo) & (cuts < shi)], [shi]])
+    keep = edges[1:] > edges[:-1]
+    u, v = edges[:-1][keep], edges[1:][keep]
+    j = np.clip(np.searchsorted(cuts, 0.5 * (u + v), side="right") - 1,
+                0, len(anchors) - 1)
+    a_b = anchors[j]
+    same = (a_b == a_i) & (p_col == p_i)
+    if np.all(same):
+        return None
+    c_b = np.zeros((len(u), max(p_i, p_col) + 1))
+    c_b[:, : p_col + 1] = ppoly.taylor_shift(jets.taylor_coeffs_local(F, a_b, p_col),
+                                             a_i - a_b)
+    diff = np.zeros(c_b.shape[1])
+    diff[: p_i + 1] = jets.taylor_coeffs_local(F, a_i, p_i)
+    diff = diff - c_b
+    diff[same] = 0.0
+    return PiecewisePolynomial(np.append(u, v[-1]), ppoly.taylor_shift(diff, u - a_i), 10 ** 6)
+
+
+def _assert_differences_match_per_ball(F, a, p, anchors, cuts, p_col, slo, shi):
+    """The batched differences are the per-ball ones, laid out as
+    ``SplineBatch.of`` lays them out, byte for byte; returns the used balls."""
+    used, diffs = operator._taylor_differences(F, a, p, anchors, cuts, p_col, slo, shi)
+    oracle = {i: _taylor_difference(F, float(a[i]), int(p[i]), anchors, cuts, p_col,
+                                    float(slo[i]), float(shi[i]))
+              for i in range(len(a)) if shi[i] > slo[i]}
+    oracle = {i: d for i, d in oracle.items() if d is not None}
+    assert used.tolist() == sorted(oracle)
+    if not oracle:
+        assert diffs is None
+        return used
+    want = ppoly.SplineBatch.of([oracle[i] for i in used.tolist()])
+    for name in ("breakpoints", "starts", "coeffs", "widths", "smoothness"):
+        got, ref = getattr(diffs, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes(), name
+    return used
+
+
+class TestTaylorDifferences:
+    def test_benchmark_covers_equal_per_ball(self, extension_case):
+        (F, _, cfg), res = extension_case
+        p_col = _taylor_degree_scalar(res.chain.S_dot, res.constants["L"], cfg.d_min,
+                                      F.order_cap)
+        _, anchors, cuts = operator._taylor_field(F, p_col, res.cover.working)
+        used = _assert_differences_match_per_ball(
+            F, _ball_anchors(F, res.cover), np.array(res.degrees), anchors, cuts, p_col,
+            *res.partition.phis.supports())
+        assert used.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(E=_point_and_interval_sets(), d_min=st.sampled_from([1e-2, 1e-3]),
+           kind=st.sampled_from(["exp", "sin", "polynomial"]), cap=st.integers(1, 6),
+           data=st.data())
+    def test_equal_per_ball_on_sets(self, gev2_family, E, d_min, kind, cap, data):
+        spec = {"kind": kind, "coeffs": [0, 0, 1]} if kind == "polynomial" else {"kind": kind}
+        F = jets.sample_jet(spec, E, cap)
+        cov = whitney_cover(E, d_min=d_min)
+        part = partition_of_unity(cov, gev2_family, epsilon=2.0, min_smoothness=4)
+        p_col = data.draw(st.integers(0, cap))
+        # every ball at the base degree, or any degree up to the cap
+        p = np.array(data.draw(st.one_of(
+            st.just([p_col] * len(cov.balls)),
+            st.lists(st.integers(0, cap), min_size=len(cov.balls), max_size=len(cov.balls)))))
+        _, anchors, cuts = operator._taylor_field(F, p_col, cov.working)
+        _assert_differences_match_per_ball(F, _ball_anchors(F, cov), p, anchors, cuts, p_col,
+                                           *part.phis.supports())
+
+    def test_equal_fields_give_no_term(self, partition_zero):
+        # one carried point and every ball at the base degree: T_i is the base
+        # field on every piece, so no ball has a term
+        F = jets.sample_jet({"kind": "exp"}, partition_zero.cover.E, 5)
+        _, anchors, cuts = operator._taylor_field(F, 5, partition_zero.cover.working)
+        n = len(partition_zero.cover.balls)
+        used = _assert_differences_match_per_ball(
+            F, np.zeros(n), np.full(n, 5), anchors, cuts, 5, *partition_zero.phis.supports())
+        assert used.size == 0
+
+    def test_signed_zeros_follow_each_balls_width(self):
+        # F'''(0) = -0 and F'''(0.3) = +0 give a -0 top coefficient on the
+        # piece anchored at 0.3 of the ball at 0; a wider ball beside it must
+        # not turn it into +0 by re-anchoring the rows at the wider width
+        E = jets.CompactSet1D(points=(0.0, 0.3, 1.0))
+        F = jets.table_jet(E, {0.0: [1.0, 2.0, 3.0, -0.0, 5.0], 0.3: [1.0, 1.0, 1.0, 0.0, 1.0],
+                               1.0: [2.0, 1.0, -1.0, 1.0, 1.0]}, 4)
+        anchors = F.carried()
+        cuts = np.concatenate([[-1.0], 0.5 * (anchors[1:] + anchors[:-1]), [2.0]])
+        args = (F, np.array([0.0, 1.0]), np.array([3, 4]), anchors, cuts, 3,
+                np.array([-0.2, 0.5]), np.array([0.9, 1.5]))
+        assert _assert_differences_match_per_ball(*args).tolist() == [0, 1]
+        c = operator._taylor_differences(*args)[1].coeffs
+        assert np.any((c == 0.0) & np.signbit(c))
 
 
 @functools.lru_cache(maxsize=None)

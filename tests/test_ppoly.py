@@ -569,16 +569,24 @@ def _same_spline(f, g) -> bool:
 
 
 class TestBatches:
-    @given(pairs=st.lists(spline_pairs(), min_size=1, max_size=6),
+    @given(pairs=st.lists(spline_pairs(), min_size=1, max_size=6), data=st.data(),
            entries=st.sampled_from([2, 16, ppoly._BATCH_ENTRIES]))
     @settings(max_examples=120, deadline=None)
-    def test_product_and_cut_match_one_pair_references(self, pairs, entries):
+    def test_product_and_cut_match_one_pair_references(self, pairs, data, entries):
         fs, gs = zip(*pairs)
         a, b = ppoly.SplineBatch.of(fs), ppoly.SplineBatch.of(gs)
+        # the splines i of a, in any order, each paired with a spline k of b
+        i = data.draw(st.lists(st.integers(0, len(fs) - 1), min_size=1, unique=True))
+        k = data.draw(st.lists(st.integers(0, len(fs) - 1), min_size=len(i), max_size=len(i)))
         with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
-            products = ppoly.batch_product(a, b).splines()
-            cuts = ppoly.batch_cut(a, b).splines()
-        for p, c, f, g in zip(products, cuts, fs, gs):
+            products = ppoly.batch_product(a, b, i, k).splines()
+            cuts = ppoly.batch_cut(a, b, i, k).splines()
+        mate = dict(zip(i, k))
+        for s, (p, c, f) in enumerate(zip(products, cuts, fs)):
+            if s not in mate:           # not replaced
+                assert _same_spline(p, f) and _same_spline(c, f)
+                continue
+            g = gs[mate[s]]
             assert _same_spline(p, reference_product(f, g))
             assert _same_spline(p, f * g)
             assert _same_spline(c, reference_sum([f, reference_product(f, g) * -1.0]))
