@@ -86,9 +86,10 @@ class ReportError(UltrajetError):
 class SplineError(UltrajetError):
     """Invalid piecewise-polynomial data.
 
-    Codes: BAD_SHAPE (coefficient rows that do not match the pieces),
-    NOT_INCREASING (breakpoints), NON_POSITIVE (an affine scale or box width
-    <= 0).
+    Codes: BAD_SHAPE (no pieces, or coefficient rows that do not match the
+    pieces), NOT_INCREASING (breakpoints that are not finite and strictly
+    increasing, given or made by an affine substitution), NON_POSITIVE (an
+    affine scale or box width that is not > 0, NaN included).
     """
 
 

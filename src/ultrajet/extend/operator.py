@@ -69,13 +69,12 @@ def partition_of_unity(cover: WhitneyCover1D, fam: CutoffFamily, epsilon: float,
     eps = (epsilon * r / cover.n0).tolist()
     orders = [cutoff_order(fam, e, OVERLAP_C) for e in eps]
     keys = list(dict.fromkeys(orders))      # the orders, first seen first
-    psi = SplineBatch.of([build_cutoff(fam, eps[orders.index(p)], OVERLAP_C,
-                                       min_smoothness=min_smoothness).pp for p in keys]
-                         ).take([keys.index(p) for p in orders]).compose_affine(cx, r)
+    psi = stack([build_cutoff(fam, eps[orders.index(p)], OVERLAP_C,
+                              min_smoothness=min_smoothness).pp for p in keys]
+                ).take([keys.index(p) for p in orders]).compose_affine(cx, r)
     lo, hi = psi.spans
     clip = np.flatnonzero((lo < lo_w) | (hi > hi_w))
-    phi = batch_product(psi, SplineBatch.of([constant_on(lo_w, hi_w)]), clip,
-                        np.zeros(clip.size, dtype=np.intp))
+    phi = batch_product(psi, constant_on(lo_w, hi_w), clip, np.zeros(clip.size, dtype=np.intp))
     ball, prev, rank = _earlier_overlaps(lo, hi)
     for k in range(rank.max(initial=-1) + 1):
         phi = batch_cut(phi, psi, ball[rank == k], prev[rank == k])
@@ -363,7 +362,7 @@ def extend_jet(F: Jet, mat: WeightMatrix, cfg: ExtensionConfig = ExtensionConfig
         at = np.arange(len(used))
         terms.append(batch_product(part.phis.take(used), diffs, at, at).trimmed())
     terms = stack(terms)
-    f_inner = batch_sum(terms, np.zeros(len(terms), dtype=np.intp), 1).splines()[0]
+    f_inner = batch_sum(terms, np.zeros(len(terms), dtype=np.intp), 1).spline()
     gcut = _global_cutoff(F.E, fam, epsilon, cfg)
     # chopped before any check, so every gate sees the spline that is returned
     full = (f_inner * gcut).trimmed()
@@ -445,23 +444,21 @@ def _taylor_differences(F: Jet, a, p, anchors, cuts, p_col: int, slo, shi):
 
 def _global_cutoff(E, fam: CutoffFamily, epsilon: float,
                    cfg: ExtensionConfig) -> PiecewisePolynomial:
-    """1 on {d <= 1/2}, 0 outside {d < 1}, from the same cutoff machinery."""
+    """1 on {d <= 1/2}, 0 outside {d < 1}, from the same cutoff machinery:
+    one cutoff per run of E's components, padded by 1/2, with gaps <= 1,
+    all rescaled to their runs in one pass and added in one sum."""
     merged = []
     for lo, hi in (E.components + [-0.5, 0.5]).tolist():
         if merged and lo <= merged[-1][1] + 1.0:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
-    total = None
-    for lo, hi in merged:
-        center = 0.5 * (lo + hi)
-        R = 0.5 * (hi - lo)
-        t = (R + 0.49) / R
-        res = build_cutoff(fam, epsilon, t,
-                           min_smoothness=min(cfg.p_max_eval, CONV_DEPTH - 2))
-        zeta = res.pp.compose_affine(center, R)
-        total = zeta if total is None else total + zeta
-    return total
+    lo, hi = np.array(merged).T
+    R = 0.5 * (hi - lo)
+    zetas = stack([build_cutoff(fam, epsilon, (r + 0.49) / r,
+                                min_smoothness=min(cfg.p_max_eval, CONV_DEPTH - 2)).pp
+                   for r in R.tolist()]).compose_affine(0.5 * (lo + hi), R)
+    return batch_sum(zetas, np.zeros(len(R), dtype=np.intp), 1).spline()
 
 
 def _check_taylor_estimates(F: Jet, chain: RowChain, C: float, L: float,

@@ -1,32 +1,31 @@
 """Exact piecewise-polynomial calculus.
 
 Carrier for cutoffs, partition functions, and the assembled extension.
-A spline is ``breakpoints`` (n+1 increasing floats) and one float array
-``coeffs`` of shape (n, degree+1): row i holds the coefficients of piece i
-in powers of (x - breakpoints[i]), so every row is anchored at its left
-breakpoint, and ``degree`` is the last column that is nonzero in some row.
-The function is zero outside the breakpoint span.  All operations (sum,
-product, derivative, affine substitution, convolution with a normalized
-box) are array expressions over the rows, exact up to float rounding.
-``chopped`` drops, row by row, the trailing coefficients that lie below
-rounding for every derivative order up to a given one; ``row_degrees``
-then reads each row's own degree off ``coeffs``.
+There is one spline type, :class:`SplineBatch`: splines side by side, their
+breakpoints one after another, their coefficient rows one after another
+(zero-padded to the widest), and each spline's own width and smoothness
+order.  Row i of a spline holds the coefficients of its piece i in powers of
+(x - breakpoints[i]), so every row is anchored at its left breakpoint, and a
+spline is zero outside its breakpoint span.  A single spline,
+:class:`PiecewisePolynomial`, is a batch of one, built from its (n+1
+increasing) breakpoints and (n x degree+1) coefficient rows, with ``degree``
+the last column that is nonzero in some row; each of its operations is the
+batch kernel of the same name run on it.
 
-Many splines are one :class:`SplineBatch`: their breakpoints one after
-another, their coefficient rows one after another (zero-padded to the
-widest), and each spline's own width and smoothness order.  The products
+Every operation is an array pass over all the splines of a batch, exact up
+to float rounding: evaluation (:func:`stacked_values`, the one piece lookup
+and Horner pass), derivative, antiderivative, affine substitution,
+convolution with a normalized box, the chop, the seam check, the products
 (:func:`batch_product`) and differences a - a b (:func:`batch_cut`) of
-given pairs of splines, the sum (:func:`batch_sum`) and the trim run as
-array passes over all their splines at once.  Each spline keeps its own
-merged breakpoints, with a merge tolerance from its own union span, and
-its own operand order in the row products, so it gets bit for bit what the
-one-spline operation gives it: the one-spline product and sum are the
-batch of one.
-:func:`stacked_values` evaluates a batch on one sorted probe grid, over the
-(spline, probe inside its span) pairs only.  Each operation keeps to the
-one cap of ``_BATCH_ENTRIES`` coefficients a pass on its own: products and
-cuts run in passes of about that many, sums and evaluations gather at most
-that many at a time.
+given pairs of splines, the sum (:func:`batch_sum`) and the trim.  Each
+spline keeps its own merged breakpoints, with a merge tolerance from its
+own union span, and its own operand order in the row products, so it gets
+bit for bit what it gets alone.  ``chopped`` drops, row by row, the
+trailing coefficients that lie below rounding for every derivative order up
+to a given one; ``row_degrees`` then reads each row's own degree off
+``coeffs``.  Each operation keeps to the one cap of ``_BATCH_ENTRIES``
+coefficients a pass on its own: products and cuts run in passes of about
+that many, sums and stacked evaluations gather at most that many at a time.
 
 Box convolution is the workhorse: convolving with width-d boxes raises the
 max piece degree by one and the smoothness order by one per pass, which is
@@ -89,9 +88,10 @@ def _shift_in_place(c: np.ndarray, h: np.ndarray) -> None:
     c[rows] = ct.T
 
 
-def _divided_shift(rows, h_minus, d: float) -> np.ndarray:
+def _divided_shift(rows, h_minus, d) -> np.ndarray:
     """Per row, coefficients of (p shifted by h_minus + d) - (p shifted by
-    h_minus), all divided by d, formed without the 1/d cancellation.
+    h_minus), all divided by d (a scalar or one value per row), formed
+    without the 1/d cancellation.
 
     Uses (h2^n - h1^n)/d = sum_l h2^{n-1-l} h1^l with h2 = h_minus + d.
     """
@@ -135,238 +135,11 @@ def _horner(c: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
-    breakpoints: np.ndarray
-    coeffs: np.ndarray       # (pieces, degree + 1), row i anchored at breakpoints[i]
-    smoothness_order: int = -1   # continuous derivatives guaranteed by construction
+def _row_degrees(c: np.ndarray) -> np.ndarray:
+    """Last nonzero column of each row of c; 0 for a zero row."""
+    nz = c != 0.0
+    return np.where(nz.any(axis=1), c.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
 
-    def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        b.flags.writeable = False
-        object.__setattr__(self, "breakpoints", b)
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[1] == 0 or len(b) != len(c) + 1:
-            raise SplineError(f"need one coefficient row per piece: {len(b)} "
-                              f"breakpoints, coefficients of shape {c.shape}",
-                              code="BAD_SHAPE")
-        if np.any(np.diff(b) <= 0):
-            raise SplineError("breakpoints must be strictly increasing",
-                              code="NOT_INCREASING")
-        # trailing all-zero columns, checked from the right
-        m = c.shape[1]
-        while m > 1 and not c[:, m - 1].any():
-            m -= 1
-        c = c[:, :m]
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    # -- basic queries --------------------------------------------------------
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    def row_degrees(self) -> np.ndarray:
-        """Last nonzero column of each row; 0 for a zero row."""
-        nz = self.coeffs != 0.0
-        return np.where(nz.any(axis=1), self.degree - np.argmax(nz[:, ::-1], axis=1), 0)
-
-    def support(self) -> tuple[float, float]:
-        """Smallest breakpoint window outside which all pieces are zero."""
-        lo, hi = SplineBatch.of([self]).supports()
-        return float(lo[0]), float(hi[0])
-
-    def __call__(self, x, order=0):
-        """Derivative of the given order at x, zero outside the span.
-
-        ``order`` may be a sequence: one piece lookup then serves every
-        order, and the result has one row per order (one value per order
-        for scalar x), each bit for bit the single-order call.
-        """
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        orders = np.atleast_1d(order)
-        b = self.breakpoints
-        # the right endpoint belongs to the last piece
-        idx = np.clip(np.searchsorted(b, x_arr, side="right") - 1, 0, len(self.coeffs) - 1)
-        inside = (x_arr >= b[0]) & (x_arr <= b[-1])
-        idx = idx[inside]
-        c, xi = self.coeffs[idx], x_arr[inside] - b[idx]
-        out = np.zeros((len(orders),) + x_arr.shape)
-        for r, k in enumerate(orders):
-            out[r, inside] = _horner(_derivative_rows(c, k), xi)
-        if np.ndim(order) == 0:
-            out = out[0]
-            return out if np.ndim(x) else float(out[0])
-        return out if np.ndim(x) else out[:, 0]
-
-    def derivative(self, order: int = 1) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints,
-                                   _derivative_rows(self.coeffs, order),
-                                   max(-1, self.smoothness_order - order))
-
-    def _piece_integral_terms(self) -> np.ndarray:
-        """Entry (i, j) is c_ij w_i^(j+1) / (j+1), w_i the width of piece i."""
-        j1 = np.arange(1, self.coeffs.shape[1] + 1)
-        return self.coeffs * np.diff(self.breakpoints)[:, None] ** j1 / j1
-
-    def integral(self) -> float:
-        return math.fsum(self._piece_integral_terms().ravel())
-
-    def antiderivative_parts(self):
-        """Antiderivative coefficient rows and the total integral.
-
-        Returns ((pieces, degree + 2) array with the accumulated constant in
-        column 0, total); the antiderivative is continuous, zero at the left
-        end of the span.
-        """
-        c = self.coeffs
-        parts = np.zeros((len(c), c.shape[1] + 1))
-        parts[:, 1:] = c / np.arange(1, c.shape[1] + 1)
-        running = 0.0
-        comp = 0.0  # compensated summation of the running constant
-        for i, terms in enumerate(self._piece_integral_terms()):
-            parts[i, 0] = running
-            y = math.fsum(terms) - comp
-            t = running + y
-            comp = (t - running) - y
-            running = t
-        return parts, running
-
-    # -- algebra ---------------------------------------------------------------
-
-    def _rows_at(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """:func:`_rows_at` of this spline alone, for increasing pieces."""
-        return _rows_at(SplineBatch.of([self]), np.zeros(len(u), dtype=np.intp), u, v)
-
-    def translate(self, c: float) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints + c, self.coeffs,
-                                   self.smoothness_order)
-
-    def compose_affine(self, center: float, scale: float) -> "PiecewisePolynomial":
-        """g(x) = f((x - center)/scale) for scale > 0."""
-        if scale <= 0:
-            raise SplineError(f"scale must be positive, got {scale}", code="NON_POSITIVE")
-        return SplineBatch.of([self]).compose_affine(np.array([center], dtype=float),
-                                                     np.array([scale], dtype=float)).splines()[0]
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return PiecewisePolynomial(self.breakpoints, self.coeffs * float(other),
-                                       self.smoothness_order)
-        return _product_pass(SplineBatch.of([self]), SplineBatch.of([other])).splines()[0]
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return spline_sum((self, other))
-
-    def __sub__(self, other):
-        return spline_sum((self, other * -1.0))
-
-    def convolve_box(self, d: float) -> "PiecewisePolynomial":
-        """Exact convolution with the normalized box of width d.
-
-        g(x) = (F(x + d/2) - F(x - d/2)) / d with F the antiderivative.
-        Raises the max piece degree and smoothness order by one.  When both
-        endpoints land in the same antiderivative piece the difference is
-        formed by divided differences, avoiding the 1/d cancellation that
-        would otherwise erode plateaus of iterated convolutions.
-        """
-        if d <= 0:
-            raise SplineError(f"box width must be positive, got {d}", code="NON_POSITIVE")
-        b = self.breakpoints
-        n = len(b) - 1
-        parts, total = self.antiderivative_parts()
-        new_b = np.sort(np.concatenate([b - d / 2.0, b + d / 2.0]))
-        new_b = new_b[_dedup(new_b, np.array([0, len(new_b)]))]
-        u = new_b[:-1]
-        mid = 0.5 * (u + new_b[1:])
-
-        def locate(s):
-            """Antiderivative piece at mid + s: -1 left of the span, n right."""
-            y = mid + s
-            i = np.clip(np.searchsorted(b, y, side="right") - 1, 0, n - 1)
-            return np.where(y <= b[0], -1, np.where(y >= b[-1], n, i))
-
-        ip, im = locate(d / 2.0), locate(-d / 2.0)
-        same = (ip == im) & (ip >= 0) & (ip < n)
-        out = np.empty((len(u), parts.shape[1]))
-        i = ip[same]
-        out[same] = _divided_shift(parts[i], (u[same] - b[i]) - d / 2.0, d)
-
-        def anti_rows(idx, s):
-            """Antiderivative re-anchored at u + s on the rows not in ``same``."""
-            idx, uu = idx[~same], u[~same]
-            inner = (idx >= 0) & (idx < n)
-            rows = np.zeros((len(idx), parts.shape[1]))
-            k = idx[inner]
-            rows[inner] = taylor_shift(parts[k], (uu[inner] - b[k]) + s)
-            rows[idx >= n, 0] = total
-            return rows
-
-        out[~same] = (anti_rows(ip, d / 2.0) - anti_rows(im, -d / 2.0)) / d
-        return PiecewisePolynomial(new_b, out, self.smoothness_order + 1)
-
-    def seam_gaps(self, order: int | None = None) -> np.ndarray:
-        """Max |left - right| mismatch at interior breakpoints for derivative
-        orders 0..order (defaults to the declared smoothness order)."""
-        if order is None:
-            order = max(self.smoothness_order, 0)
-        gaps = np.zeros(order + 1)
-        if len(self.coeffs) < 2:
-            return gaps
-        w = np.diff(self.breakpoints)[:-1]
-        for q in range(order + 1):
-            dq = _derivative_rows(self.coeffs, q)
-            gaps[q] = np.max(np.abs(_horner(dq[:-1], w) - dq[1:, 0]))
-        return gaps
-
-    def trimmed(self) -> "PiecewisePolynomial":
-        """Drop identically-zero pieces at both ends (zero-outside semantics
-        make them redundant); interior zero pieces are kept."""
-        return SplineBatch.of([self]).trimmed().splines()[0]
-
-    def chopped(self, max_order: int) -> "PiecewisePolynomial":
-        """Each row cut after its last coefficient that matters for some
-        derivative order r <= max_order.
-
-        On a piece of width h, c_k contributes at most |c_k| h^k k!/(k-r)!
-        to h^r f^(r).  c_k matters for r when that term is nonzero and at
-        least CHOP_REL_TOL times the row's largest term for r.  Every
-        coefficient past the last one that matters is zeroed; interior
-        coefficients are kept whatever their size.  Judging at r = 0 alone
-        would not do: a coefficient negligible for f can dominate f^(r).
-        """
-        c = self.coeffs
-        m = c.shape[1]
-        k = np.arange(m)
-        # one line per power k, one column per piece: the reductions run
-        # across pieces, not along short rows
-        scaled = np.abs(c.T.copy()) * np.diff(self.breakpoints) ** k[:, None]
-        matters = np.zeros(scaled.shape, dtype=bool)
-        for r in range(min(max_order, m - 1) + 1):
-            t = scaled[r:] * _falling_factorials(r, m)[:, None]
-            # t >= the smallest positive float is t > 0
-            matters[r:] |= t >= np.maximum(CHOP_REL_TOL * t.max(axis=0),
-                                           np.finfo(float).smallest_subnormal)
-        last = np.where(matters.any(axis=0), m - 1 - np.argmax(matters[::-1], axis=0), -1)
-        return PiecewisePolynomial(self.breakpoints, np.where(k <= last[:, None], c, 0.0),
-                                   self.smoothness_order)
-
-    def restrict(self, lo: float, hi: float) -> "PiecewisePolynomial":
-        """Restriction to [lo, hi] (zero outside is preserved by convention)."""
-        b = self.breakpoints
-        cuts = np.unique(np.concatenate([[lo, hi], b[(b > lo) & (b < hi)]]))
-        return PiecewisePolynomial(cuts, self._rows_at(cuts[:-1], cuts[1:]),
-                                   self.smoothness_order)
-
-
-# -- batches of splines ----------------------------------------------------------
 
 _BATCH_ENTRIES = 1 << 14    # coefficients (rows x columns) one pass gathers at a time
 
@@ -383,17 +156,12 @@ def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _sort_order(*parts) -> np.ndarray:
-    """Stable order of the (segment, value) arrays of the parts, one after
-    another, by segment, then value: one sort of the complex keys
-    segment + i value, which merges already sorted runs in linear time."""
-    keys = np.empty(sum(len(values) for _, values in parts), dtype=complex)
-    at = 0
-    for seg, values in parts:
-        keys.real[at: at + len(values)] = seg
-        keys.imag[at: at + len(values)] = values
-        at += len(values)
-    return np.argsort(keys, kind="stable")
+def _keys(seg, values) -> np.ndarray:
+    """The complex keys seg + i values.  NumPy orders complex numbers by real
+    part, then imaginary part: by segment, then value."""
+    keys = np.empty(len(values), dtype=complex)
+    keys.real, keys.imag = seg, values
+    return keys
 
 
 def _count_before(b, b_seg, q, q_seg, side: str) -> np.ndarray:
@@ -401,17 +169,7 @@ def _count_before(b, b_seg, q, q_seg, side: str) -> np.ndarray:
     segment before q_seg[j], plus those of segment q_seg[j] that are <= q[j]
     (side "right") or < q[j] (side "left"): ``np.searchsorted`` of q[j] in
     its own segment, offset by the segment's start."""
-    nb, nq = len(b), len(q)
-    if side == "right":     # ties sort b first, so they count
-        order = _sort_order((b_seg, b), (q_seg, q))
-        is_b, q_of = order < nb, order - nb
-    else:
-        order = _sort_order((q_seg, q), (b_seg, b))
-        is_b, q_of = order >= nq, order
-    before = np.cumsum(is_b)
-    out = np.empty(nq, dtype=np.intp)
-    out[q_of[~is_b]] = before[~is_b]
-    return out
+    return np.searchsorted(_keys(b_seg, b), _keys(q_seg, q), side=side)
 
 
 def _dedup(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -442,12 +200,21 @@ def _dedup(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _merged(points: np.ndarray, seg: np.ndarray, n: int):
     """Segment by segment (0..n-1), ``points`` sorted and merged by _dedup:
     the merged points, the segment of each, and the index of the left point
-    of each merged piece (two consecutive points of one segment)."""
-    order = _sort_order((seg, points))
+    of each merged piece (two consecutive points of one segment).  One
+    stable sort of the keys merges already sorted runs in linear time."""
+    order = np.argsort(_keys(seg, points), kind="stable")
     pts, seg = points[order], seg[order]
     keep = _dedup(pts, np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n))]))
     pts, seg = pts[keep], seg[keep]
     return pts, seg, np.flatnonzero(seg[:-1] == seg[1:])
+
+
+def _check_increasing(b: np.ndarray, seg: np.ndarray) -> None:
+    """Raises NOT_INCREASING unless the breakpoints b are finite and those of
+    each spline (seg) strictly increasing."""
+    if not (np.all(np.isfinite(b)) and np.all((np.diff(b) > 0) | (np.diff(seg) != 0))):
+        raise SplineError("breakpoints must be finite and strictly increasing",
+                          code="NOT_INCREASING")
 
 
 def _batch(breakpoints: np.ndarray, seg: np.ndarray, coeffs: np.ndarray,
@@ -457,9 +224,7 @@ def _batch(breakpoints: np.ndarray, seg: np.ndarray, coeffs: np.ndarray,
     spline's width read off its rows."""
     n = len(smoothness)
     starts = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n))])
-    nz = coeffs != 0.0
-    cols = np.where(nz.any(axis=1), coeffs.shape[1] - np.argmax(nz[:, ::-1], axis=1), 1)
-    widths = np.maximum.reduceat(cols, starts[:-1] - np.arange(n))
+    widths = np.maximum.reduceat(_row_degrees(coeffs) + 1, starts[:-1] - np.arange(n))
     return SplineBatch(breakpoints, starts, coeffs[:, : widths.max()], widths, smoothness)
 
 
@@ -470,8 +235,8 @@ class SplineBatch:
     Spline s has the breakpoints ``breakpoints[starts[s]:starts[s+1]]`` and
     the coefficient rows ``starts[s] - s`` to ``starts[s+1] - s - 1`` of
     ``coeffs``, zero-padded on the right to the widest spline;
-    ``widths[s]`` is the column count of its own PiecewisePolynomial and
-    ``smoothness[s]`` its smoothness order.
+    ``widths[s]`` is the column count of spline s alone (its degree plus
+    one) and ``smoothness[s]`` its smoothness order.
     """
     breakpoints: np.ndarray
     starts: np.ndarray
@@ -480,17 +245,11 @@ class SplineBatch:
     smoothness: np.ndarray
 
     @staticmethod
-    def of(splines) -> "SplineBatch":
-        """The PiecewisePolynomials of the sequence, one after another."""
-        return stack([SplineBatch(f.breakpoints, np.array([0, len(f.breakpoints)]), f.coeffs,
-                                  np.array([f.coeffs.shape[1]]), np.array([f.smoothness_order]))
-                      for f in splines])
-
-    @staticmethod
     def of_pieces(seg, u, v, coeffs, smoothness) -> "SplineBatch":
         """Spline s has the pieces [u[j], v[j]] and rows coeffs[j] with seg[j] =
-        s (seg sorted, pieces adjacent and in order), laid out as ``of`` lays
-        out splines: own trailing zero columns dropped, padded with zeros."""
+        s (seg sorted, pieces adjacent and in order), laid out as
+        :func:`stack` lays out splines: own trailing zero columns dropped,
+        padded with zeros."""
         ends = np.flatnonzero(np.r_[seg[1:] != seg[:-1], True]) + 1
         out = _batch(np.insert(u, ends, v[ends - 1]), np.insert(seg, ends, seg[ends - 1]),
                      coeffs, smoothness)
@@ -504,6 +263,15 @@ class SplineBatch:
         """The spline of each breakpoint."""
         return np.repeat(np.arange(len(self)), np.diff(self.starts))
 
+    def _row_segments(self) -> np.ndarray:
+        """The spline of each coefficient row."""
+        return np.repeat(np.arange(len(self)), np.diff(self.starts) - 1)
+
+    def _piece_widths(self) -> np.ndarray:
+        """The width of each row's piece."""
+        left = np.arange(len(self.coeffs)) + self._row_segments()
+        return self.breakpoints[left + 1] - self.breakpoints[left]
+
     def _at_or_left(self, x: np.ndarray, seg: np.ndarray) -> np.ndarray:
         """For each x[j], the index of the last breakpoint of spline seg[j]
         at or left of it (one before the spline's first if none is).  Only
@@ -512,8 +280,18 @@ class SplineBatch:
             return np.zeros(0, dtype=np.intp)
         s0, s1 = seg.min(), seg.max() + 1
         lo, hi = self.starts[s0], self.starts[s1]
-        b_seg = np.repeat(np.arange(s0, s1), np.diff(self.starts[s0: s1 + 1]))
+        b_seg = s0 if s1 == s0 + 1 else np.repeat(np.arange(s0, s1),
+                                                  np.diff(self.starts[s0: s1 + 1]))
         return lo - 1 + _count_before(self.breakpoints[lo:hi], b_seg, x, seg, "right")
+
+    def _values(self, seg: np.ndarray, x: np.ndarray, orders) -> np.ndarray:
+        """values[r, j]: the orders[r]-th derivative of spline seg[j] at x[j],
+        each x[j] inside its spline's span.  One piece lookup serves every
+        order, and each order is one Horner pass."""
+        # the right endpoint belongs to the last piece
+        i = np.minimum(self._at_or_left(x, seg), self.starts[seg + 1] - 2)
+        c, xi = self.coeffs[i - seg], x - self.breakpoints[i]
+        return np.array([_horner(_derivative_rows(c, k), xi) for k in orders])
 
     @property
     def spans(self) -> tuple[np.ndarray, np.ndarray]:
@@ -523,19 +301,125 @@ class SplineBatch:
         """The splines idx, in that order."""
         return _gather([self], np.zeros(len(idx), dtype=np.intp), np.asarray(idx, dtype=np.intp))
 
+    def spline(self) -> "PiecewisePolynomial":
+        """This batch of one as a :class:`PiecewisePolynomial`, sharing its arrays."""
+        f = object.__new__(PiecewisePolynomial)
+        SplineBatch.__init__(f, self.breakpoints, self.starts, self.coeffs[:, : self.widths[0]],
+                             self.widths, self.smoothness)
+        return f
+
+    def splines(self) -> tuple:
+        """The splines, each a PiecewisePolynomial."""
+        return tuple(self.take([s]).spline() for s in range(len(self)))
+
+    def row_degrees(self) -> np.ndarray:
+        """Last nonzero column of each row; 0 for a zero row."""
+        return _row_degrees(self.coeffs)
+
+    def derivative(self, order: int = 1) -> "SplineBatch":
+        """Each spline's derivative of the given order."""
+        return _batch(self.breakpoints, self._segments(), _derivative_rows(self.coeffs, order),
+                      np.maximum(self.smoothness - order, -1))
+
+    def antiderivative_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parts, totals): row r of parts is the antiderivative of row r, one
+        column longer, with the integral of its spline's earlier pieces in
+        column 0 (each piece's the ``math.fsum`` of c_j w^(j+1) / (j+1), added
+        up with compensated summation); totals[s] is spline s's integral."""
+        c = self.coeffs
+        j1 = np.arange(1, c.shape[1] + 1)
+        parts = np.zeros((len(c), c.shape[1] + 1))
+        parts[:, 1:] = c / j1
+        pieces = [math.fsum(t) for t in (c * self._piece_widths()[:, None] ** j1 / j1).tolist()]
+        first = (self.starts - np.arange(len(self) + 1)).tolist()
+        constants, totals = [], []
+        for a, z in zip(first, first[1:]):
+            running = comp = 0.0
+            for p in pieces[a:z]:
+                constants.append(running)
+                y = p - comp
+                t = running + y
+                comp = (t - running) - y
+                running = t
+            totals.append(running)
+        parts[:, 0] = constants
+        return parts, np.array(totals)
+
     def compose_affine(self, centers: np.ndarray, scales: np.ndarray) -> "SplineBatch":
-        """Spline s becomes f_s((x - centers[s]) / scales[s]) for scales > 0:
-        breakpoints c + r b, and row coefficient k times r^-k."""
+        """Spline s becomes f_s((x - centers[s]) / scales[s]): breakpoints
+        c + r b, and row coefficient k times r^-k.  Raises NON_POSITIVE unless
+        every scale is > 0, NOT_INCREASING unless the breakpoints stay so."""
+        if not np.all(scales > 0):
+            raise SplineError(f"scale must be positive, got {scales[~(scales > 0)][0]}",
+                              code="NON_POSITIVE")
         seg = self._segments()
         b = centers[seg] + scales[seg] * self.breakpoints
-        if np.any((np.diff(b) <= 0) & (np.diff(seg) == 0)):
-            raise SplineError("breakpoints must be strictly increasing",
-                              code="NOT_INCREASING")
+        _check_increasing(b, seg)
         m = self.coeffs.shape[1]
         powers = np.where(np.arange(m) < self.widths[:, None],
                           scales[:, None] ** -np.arange(m), 1.0)
-        rows = np.repeat(np.arange(len(self)), np.diff(self.starts) - 1)
-        return _batch(b, seg, self.coeffs * powers[rows], self.smoothness)
+        return _batch(b, seg, self.coeffs * powers[self._row_segments()], self.smoothness)
+
+    def convolve_box(self, d: np.ndarray) -> "SplineBatch":
+        """Spline s convolved exactly with the normalized box of width d[s].
+
+        g(x) = (F(x + d/2) - F(x - d/2)) / d with F the antiderivative.
+        Raises the max piece degree and smoothness order by one.  When both
+        endpoints land in the same antiderivative piece the difference is
+        formed by divided differences, avoiding the 1/d cancellation that
+        would otherwise erode plateaus of iterated convolutions.  Raises
+        NON_POSITIVE unless every width is > 0.
+        """
+        if not np.all(d > 0):
+            raise SplineError(f"box width must be positive, got {d[~(d > 0)][0]}",
+                              code="NON_POSITIVE")
+        b, s = self.breakpoints, self._segments()
+        parts, total = SplineBatch.antiderivative_parts(self)
+        parts += 0.0    # no -0.0: shifts over a narrower spline's padding would make some +0.0
+        half = d / 2.0
+        new_b, new_s, left = _merged(np.concatenate([b - half[s], b + half[s]]),
+                                     np.concatenate([s, s]), len(self))
+        u, ps = new_b[left], new_s[left]
+        mid, hp = 0.5 * (u + new_b[left + 1]), half[ps]
+        # the antiderivative row at each window end, mid + d/2 then mid - d/2:
+        # -1 left of its spline's span, -2 right of it
+        y, ys = np.concatenate([mid + hp, mid + -hp]), np.concatenate([ps, ps])
+        r = np.where(y <= b[self.starts[ys]], -1, np.where(
+            y >= b[self.starts[ys + 1] - 1], -2, self._at_or_left(y, ys) - ys))
+        ip, im = r[: len(u)], r[len(u):]
+        same = (ip == im) & (ip >= 0)
+        out = np.empty((len(u), parts.shape[1]))
+        i, pn = ip[same], ps[same]
+        out[same] = _divided_shift(parts[i], (u[same] - b[i + pn]) - hp[same], d[pn])
+        # elsewhere the antiderivative re-anchored at u + d/2 less that at u - d/2
+        at = np.concatenate([~same, ~same])
+        r, ys, u, h = r[at], ys[at], np.concatenate([u, u])[at], np.concatenate([hp, -hp])[at]
+        rows = np.zeros((len(r), parts.shape[1]))
+        inner = r >= 0
+        k = r[inner]
+        rows[inner] = taylor_shift(parts[k], (u[inner] - b[k + ys[inner]]) + h[inner])
+        rows[r == -2, 0] = total[ys[r == -2]]
+        n = len(r) // 2
+        out[~same] = (rows[:n] - rows[n:]) / d[ys[:n]][:, None]
+        return _batch(new_b, new_s, out, self.smoothness + 1)
+
+    def seam_gaps(self, order: int | None = None) -> np.ndarray:
+        """Row s: max |left - right| mismatch at the interior breakpoints of
+        spline s for derivative orders 0..order, by default each spline's
+        min(smoothness order, degree).  Derivative rows are formed only up to
+        the batch's degree, and the orders past a spline's own read 0."""
+        deg = self.widths - 1
+        top = (np.minimum(np.maximum(self.smoothness, 0), deg) if order is None
+               else np.full(len(self), order))
+        gaps = np.zeros((len(self), top.max() + 1))
+        rs = self._row_segments()
+        seam = np.flatnonzero(rs[:-1] == rs[1:])     # each row that has a next in its spline
+        w = self._piece_widths()[seam]
+        for q in range(min(top.max(), deg.max()) + 1):
+            dq = _derivative_rows(self.coeffs, q)
+            np.maximum.at(gaps[:, q], rs[seam], np.abs(_horner(dq[seam], w) - dq[seam + 1, 0]))
+        gaps[np.arange(gaps.shape[1]) > top[:, None]] = 0.0
+        return gaps
 
     def _nonzero_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(first, last, any): each spline's first and last row that is not
@@ -568,12 +452,134 @@ class SplineBatch:
         return _batch(self.breakpoints[_ragged_arange(lo + np.arange(n), count + 1)],
                       np.repeat(np.arange(n), count + 1), coeffs, self.smoothness)
 
-    def splines(self) -> tuple:
-        """The splines, each a PiecewisePolynomial."""
-        starts = self.starts.tolist()
-        return tuple(PiecewisePolynomial(self.breakpoints[a:z], self.coeffs[a - s: z - s - 1, :w], o)
-                     for s, (a, z, w, o) in enumerate(zip(starts, starts[1:], self.widths.tolist(),
-                                                          self.smoothness.tolist())))
+    def chopped(self, max_order: int) -> "SplineBatch":
+        """Each row cut after its last coefficient that matters for some
+        derivative order r <= max_order.
+
+        On a piece of width h, c_k contributes at most |c_k| h^k k!/(k-r)!
+        to h^r f^(r).  c_k matters for r when that term is nonzero and at
+        least CHOP_REL_TOL times the row's largest term for r.  Every
+        coefficient past the last one that matters is zeroed; interior
+        coefficients are kept whatever their size.  Judging at r = 0 alone
+        would not do: a coefficient negligible for f can dominate f^(r).
+        """
+        c = self.coeffs
+        m = c.shape[1]
+        k = np.arange(m)
+        # one line per power k, one column per piece: the reductions run
+        # across pieces, not along short rows
+        scaled = np.abs(c.T.copy()) * self._piece_widths() ** k[:, None]
+        matters = np.zeros(scaled.shape, dtype=bool)
+        for r in range(min(max_order, m - 1) + 1):
+            t = scaled[r:] * _falling_factorials(r, m)[:, None]
+            # t >= the smallest positive float is t > 0
+            matters[r:] |= t >= np.maximum(CHOP_REL_TOL * t.max(axis=0),
+                                           np.finfo(float).smallest_subnormal)
+        last = np.where(matters.any(axis=0), m - 1 - np.argmax(matters[::-1], axis=0), -1)
+        return _batch(self.breakpoints, self._segments(), np.where(k <= last[:, None], c, 0.0),
+                      self.smoothness)
+
+
+class PiecewisePolynomial(SplineBatch):
+    """One spline: the batch of one with these breakpoints and (pieces x
+    degree+1) coefficient rows, trailing zero columns dropped, and the
+    continuous derivatives its construction guarantees.  Each method is the
+    batch kernel of its name, on scalars where that takes one per spline."""
+
+    def __init__(self, breakpoints, coeffs, smoothness_order: int = -1):
+        b, c = np.asarray(breakpoints, dtype=float), np.asarray(coeffs, dtype=float)
+        if c.ndim != 2 or 0 in c.shape or len(b) != len(c) + 1:
+            raise SplineError(f"need one coefficient row per piece: {len(b)} "
+                              f"breakpoints, coefficients of shape {c.shape}",
+                              code="BAD_SHAPE")
+        _check_increasing(b, np.zeros(len(b)))
+        c = c[:, : _row_degrees(c).max() + 1]
+        b.flags.writeable = c.flags.writeable = False
+        super().__init__(b, np.array([0, len(b)]), c, np.array([c.shape[1]]),
+                         np.array([smoothness_order]))
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return float(self.breakpoints[0]), float(self.breakpoints[-1])
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def smoothness_order(self) -> int:
+        return int(self.smoothness[0])
+
+    def support(self) -> tuple[float, float]:
+        """Smallest breakpoint window outside which all pieces are zero."""
+        lo, hi = self.supports()
+        return float(lo[0]), float(hi[0])
+
+    def __call__(self, x, order=0):
+        """Derivative of the given order at x, zero outside the span.
+
+        ``order`` may be a sequence: one piece lookup then serves every
+        order, and the result has one row per order (one value per order
+        for scalar x), each bit for bit the single-order call.
+        """
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        orders = np.atleast_1d(order)
+        inside = (x_arr >= self.breakpoints[0]) & (x_arr <= self.breakpoints[-1])
+        out = np.zeros((len(orders),) + x_arr.shape)
+        out[:, inside] = self._values(np.zeros(np.count_nonzero(inside), dtype=np.intp),
+                                      x_arr[inside], orders)
+        if np.ndim(order) == 0:
+            out = out[0]
+            return out if np.ndim(x) else float(out[0])
+        return out if np.ndim(x) else out[:, 0]
+
+    def derivative(self, order: int = 1) -> "PiecewisePolynomial":
+        return SplineBatch.derivative(self, order).spline()
+
+    def integral(self) -> float:
+        return self.antiderivative_parts()[1]
+
+    def antiderivative_parts(self):
+        parts, total = SplineBatch.antiderivative_parts(self)
+        return parts, float(total[0])
+
+    def translate(self, c: float) -> "PiecewisePolynomial":
+        return self.compose_affine(c, 1.0)
+
+    def compose_affine(self, center: float, scale: float) -> "PiecewisePolynomial":
+        """g(x) = f((x - center)/scale) for scale > 0."""
+        return SplineBatch.compose_affine(self, np.array([center], dtype=float),
+                                          np.array([scale], dtype=float)).spline()
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            return _batch(self.breakpoints, self._segments(), self.coeffs * float(other),
+                          self.smoothness).spline()
+        return _product_pass(self, other).spline()
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return batch_sum(stack([self, other]), np.zeros(2, dtype=np.intp), 1).spline()
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def convolve_box(self, d: float) -> "PiecewisePolynomial":
+        return SplineBatch.convolve_box(self, np.array([d], dtype=float)).spline()
+
+    def seam_gaps(self, order: int | None = None) -> np.ndarray:
+        return SplineBatch.seam_gaps(self, order)[0]
+
+    def trimmed(self) -> "PiecewisePolynomial":
+        return SplineBatch.trimmed(self).spline()
+
+    def chopped(self, max_order: int) -> "PiecewisePolynomial":
+        return SplineBatch.chopped(self, max_order).spline()
+
+    def restrict(self, lo: float, hi: float) -> "PiecewisePolynomial":
+        """f on [lo, hi], zero outside."""
+        return self * constant_on(lo, hi)
 
 
 def stack(batches) -> SplineBatch:
@@ -733,16 +739,9 @@ def _cut_pass(a: SplineBatch, b: SplineBatch) -> SplineBatch:
     return batch_sum(parts, np.tile(np.arange(len(a)), 2), len(a))
 
 
-def spline_sum(parts) -> PiecewisePolynomial:
-    """The sum of the splines in the sequence ``parts`` over their merged
-    breakpoints, as :func:`batch_sum` of one group: the merge tolerance is
-    relative to the union span, and each piece adds its parts in order."""
-    return batch_sum(SplineBatch.of(parts), np.zeros(len(parts), dtype=np.intp), 1).splines()[0]
-
-
 def stacked_values(f: SplineBatch, xs: np.ndarray, orders):
     """Each spline's derivatives of the given orders at the probes of the
-    increasing grid xs inside its span, as ``__call__`` gives them.
+    increasing grid xs inside its span.
 
     Yields blocks of (spline, probe) pairs, spline by spline and probes
     increasing: (spline, probe index, values), values[r] the orders[r]-th
@@ -755,11 +754,7 @@ def stacked_values(f: SplineBatch, xs: np.ndarray, orders):
     block = _block(f.coeffs.shape[1])
     for a in range(0, len(spline), block):
         s, j = spline[a: a + block], probe[a: a + block]
-        x = xs[j]
-        # the right endpoint belongs to the last piece
-        i = np.minimum(f._at_or_left(x, s), f.starts[s + 1] - 2)
-        c, xi = f.coeffs[i - s], x - f.breakpoints[i]
-        yield s, j, np.array([_horner(_derivative_rows(c, k), xi) for k in orders])
+        yield s, j, f._values(s, xs[j], orders)
 
 
 def indicator(lo: float, hi: float) -> PiecewisePolynomial:
@@ -769,4 +764,3 @@ def indicator(lo: float, hi: float) -> PiecewisePolynomial:
 def constant_on(lo: float, hi: float, value: float = 1.0,
                 smoothness: int = 10 ** 6) -> PiecewisePolynomial:
     return PiecewisePolynomial(np.array([lo, hi]), np.full((1, 1), value), smoothness)
-

@@ -449,7 +449,9 @@ def test_no_unused_imports():
 
 def test_no_unread_private_names():
     # every module-level private name (a function, class or constant whose
-    # name starts with one underscore) is read in the module defining it
+    # name starts with one underscore) is read in the module defining it, and
+    # every private method of a module-level class is read there as an
+    # attribute (``self._name``, ``Class._name``)
     import ultrajet
     root = os.path.dirname(ultrajet.__file__)
     unread = []
@@ -458,7 +460,7 @@ def test_no_unread_private_names():
             path = os.path.join(dirpath, name)
             with open(path) as fh:
                 tree = ast.parse(fh.read())
-            defined = {}
+            defined, methods = {}, {}
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     defined[node.name] = node.lineno
@@ -467,11 +469,20 @@ def test_no_unread_private_names():
                     for n in (n for t in targets for n in ast.walk(t)):
                         if isinstance(n, ast.Name):
                             defined[n.id] = node.lineno
+                if isinstance(node, ast.ClassDef):
+                    methods.update({f"{node.name}.{m.name}": m.lineno for m in node.body
+                                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))})
             read = {n.id for n in ast.walk(tree)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            attrs = {n.attr for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
             unread += [f"{os.path.relpath(path, root)}:{line} {d}"
                        for d, line in defined.items()
                        if d.startswith("_") and not d.startswith("__") and d not in read]
+            unread += [f"{os.path.relpath(path, root)}:{line} {d}"
+                       for d, line in methods.items()
+                       for m in [d.split(".")[1]]
+                       if m.startswith("_") and not m.startswith("__") and m not in attrs]
     assert unread == []
 
 

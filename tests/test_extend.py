@@ -231,10 +231,10 @@ class TestPartition:
                                                OVERLAP_C, min_smoothness=smooth).pp.coeffs)
                       for _, r in cov.balls)
         sizes, batches = [], []
-        post_init, batch = PiecewisePolynomial.__post_init__, ppoly._batch
+        init, batch = PiecewisePolynomial.__init__, ppoly._batch
 
-        def counted(self):
-            post_init(self)
+        def counted(self, *args):
+            init(self, *args)
             sizes.append(len(self.coeffs))
 
         def batched(*args):
@@ -242,7 +242,7 @@ class TestPartition:
             batches.append(int(np.diff(out.starts).max()) - 1)
             return out
 
-        monkeypatch.setattr(PiecewisePolynomial, "__post_init__", counted)
+        monkeypatch.setattr(PiecewisePolynomial, "__init__", counted)
         monkeypatch.setattr(ppoly, "_batch", batched)
         partition_of_unity(cov, part.fam, part.epsilon, min_smoothness=smooth,
                            landing=(part.landing_small_s, part.lemma410_A, part.B1))
@@ -631,7 +631,7 @@ class TestArrayTaylorChecks:
         anchors = _ball_anchors(F, res.cover)
         p_col = _taylor_degree_scalar(res.chain.S_dot, res.constants["L"], cfg.d_min,
                                       F.order_cap)
-        calls = count_calls(ppoly.SplineBatch.of)
+        calls = count_calls(ppoly.stack)
         verify_partition(res.partition, orders=range(0, min(4, cfg.p_max_eval) + 1))
         operator._assembly_consistency(res.f, res.partition, F, F.carried(), anchors,
                                        res.degrees, p_col, gcut)
@@ -675,7 +675,8 @@ def _taylor_difference(F, a_i, p_i, anchors, cuts, p_col, slo, shi):
 
 def _assert_differences_match_per_ball(F, a, p, anchors, cuts, p_col, slo, shi):
     """The batched differences are the per-ball ones, laid out as
-    ``SplineBatch.of`` lays them out, byte for byte; returns the used balls."""
+    :func:`~ultrajet.extend.ppoly.stack` lays them out, byte for byte; returns
+    the used balls."""
     used, diffs = operator._taylor_differences(F, a, p, anchors, cuts, p_col, slo, shi)
     oracle = {i: _taylor_difference(F, float(a[i]), int(p[i]), anchors, cuts, p_col,
                                     float(slo[i]), float(shi[i]))
@@ -685,7 +686,7 @@ def _assert_differences_match_per_ball(F, a, p, anchors, cuts, p_col, slo, shi):
     if not oracle:
         assert diffs is None
         return used
-    want = ppoly.SplineBatch.of([oracle[i] for i in used.tolist()])
+    want = ppoly.stack([oracle[i] for i in used.tolist()])
     for name in ("breakpoints", "starts", "coeffs", "widths", "smoothness"):
         got, ref = getattr(diffs, name), getattr(want, name)
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape)

@@ -25,6 +25,9 @@ class TestBasics:
     def test_indicator_eval(self):
         f = ppoly.indicator(0.0, 2.0)
         assert f(1.0) == 1.0 and f(-0.5) == 0.0 and f(2.5) == 0.0
+        # a spline is a batch of one, and so is what its operations return
+        for g in (f, f + f, f.convolve_box(0.5), ppoly.stack([f, f]).take([1]).spline()):
+            assert isinstance(g, ppoly.PiecewisePolynomial) and len(g) == 1
 
     def test_trapezoid_values(self, trapezoid):
         xs = np.array([-2.1, -2.0, -1.5, -1.0, 0.0, 1.0, 1.5, 2.0, 2.1])
@@ -53,6 +56,12 @@ class TestBasics:
         g = trapezoid.convolve_box(0.5)
         gaps = g.seam_gaps()
         assert np.all(gaps < 1e-12)
+
+    def test_seam_gaps_stop_at_the_degree(self):
+        # constant_on declares smoothness 10**6: only order 0 has a seam row
+        f = ppoly.constant_on(0.0, 1.0) + ppoly.constant_on(1.0, 2.0, 2.0)
+        assert f.seam_gaps().tolist() == [1.0]
+        assert f.seam_gaps(3).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_derivative_vs_finite_differences(self, trapezoid):
         g = trapezoid.convolve_box(0.5).convolve_box(0.25)
@@ -264,11 +273,30 @@ class TestCodedErrors:
     @pytest.mark.parametrize("build, code", [
         (lambda: ppoly.PiecewisePolynomial(np.array([0.0, 1.0, 2.0]), np.ones((1, 2))),
          "BAD_SHAPE"),
+        (lambda: ppoly.PiecewisePolynomial(np.array([0.0]), np.ones((0, 1))), "BAD_SHAPE"),
         (lambda: ppoly.PiecewisePolynomial(np.array([0.0, 1.0, 1.0]), np.ones((2, 1))),
          "NOT_INCREASING"),
+        (lambda: ppoly.PiecewisePolynomial([0.0, math.nan, 1.0], np.ones((2, 1))),
+         "NOT_INCREASING"),
+        (lambda: ppoly.PiecewisePolynomial([0.0, math.inf], np.ones((1, 1))), "NOT_INCREASING"),
+        (lambda: ppoly.PiecewisePolynomial([-math.inf, 0.0], np.ones((1, 1))),
+         "NOT_INCREASING"),
+        (lambda: ppoly.indicator(0.0, 1.0).compose_affine(math.nan, 1.0), "NOT_INCREASING"),
         (lambda: ppoly.indicator(0.0, 1.0).compose_affine(0.5, 0.0), "NON_POSITIVE"),
+        (lambda: ppoly.indicator(0.0, 1.0).compose_affine(0.5, math.nan), "NON_POSITIVE"),
+        (lambda: ppoly.stack([ppoly.indicator(0.0, 1.0)] * 2).compose_affine(
+            np.zeros(2), np.array([1.0, 0.0])), "NON_POSITIVE"),
+        (lambda: ppoly.stack([ppoly.indicator(0.0, 1.0)] * 2).compose_affine(
+            np.zeros(2), np.array([-1.0, 1.0])), "NON_POSITIVE"),
+        (lambda: ppoly.stack([ppoly.indicator(0.0, 1.0)] * 2).compose_affine(
+            np.zeros(2), np.array([1.0, math.nan])), "NON_POSITIVE"),
         (lambda: ppoly.indicator(0.0, 1.0).convolve_box(-0.25), "NON_POSITIVE"),
-    ], ids=["shape", "breakpoints", "scale", "box-width"])
+        (lambda: ppoly.indicator(0.0, 1.0).convolve_box(0.0), "NON_POSITIVE"),
+        (lambda: ppoly.indicator(0.0, 1.0).convolve_box(math.nan), "NON_POSITIVE"),
+    ], ids=["shape", "no-pieces", "breakpoints", "nan-breakpoint", "inf-breakpoint",
+            "minus-inf-breakpoint", "nan-center", "scale", "nan-scale", "batch-zero-scale",
+            "batch-negative-scale", "batch-nan-scale", "box-width", "zero-box-width",
+            "nan-box-width"])
     def test_bad_input_is_coded(self, build, code):
         with pytest.raises(SplineError) as err:
             build()
@@ -306,6 +334,25 @@ def reference_rows_at(f, u, v):
     return rows
 
 
+def reference_derivative_rows(c, order):
+    """Coefficient rows of the order-th derivative: c_j j!/(j - order)!."""
+    m = c.shape[1]
+    if order >= m:
+        return np.zeros((len(c), 1))
+    if order:
+        return c[:, order:] * np.array([math.perm(j, order) for j in range(order, m)],
+                                       dtype=float)
+    return c
+
+
+def reference_horner(c, xi):
+    """Row r of c at xi[r], Horner over the columns."""
+    r = np.zeros(len(xi))
+    for col in c.T[::-1]:
+        r = r * xi + col
+    return r
+
+
 def reference_call(f, x, order=0):
     """One evaluation per order: derivative rows of every piece, gathered,
     then Horner over the columns."""
@@ -314,24 +361,73 @@ def reference_call(f, x, order=0):
             (len(order),) + np.shape(x))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     b, c = f.breakpoints, f.coeffs
-    m = c.shape[1]
-    if order >= m:
-        dc = np.zeros((len(c), 1))
-    elif order:
-        dc = c[:, order:] * np.array([math.perm(j, order) for j in range(order, m)],
-                                     dtype=float)
-    else:
-        dc = c
     idx = np.clip(np.searchsorted(b, x_arr, side="right") - 1, 0, len(c) - 1)
     inside = (x_arr >= b[0]) & (x_arr <= b[-1])
     idx = idx[inside]
-    xi = x_arr[inside] - b[idx]
-    r = np.zeros(len(xi))
-    for col in dc[idx].T[::-1]:
-        r = r * xi + col
     out = np.zeros_like(x_arr)
-    out[inside] = r
+    out[inside] = reference_horner(reference_derivative_rows(c, order)[idx],
+                                   x_arr[inside] - b[idx])
     return out if np.ndim(x) else float(out[0])
+
+
+def reference_convolve_box(f, d):
+    """The box convolution of one spline, pass by pass: the antiderivative
+    piece by piece with a compensated running constant, the breakpoints
+    b -+ d/2 merged as ``reference_dedup`` merges them, and each new piece's
+    antiderivative difference, by divided differences where both window
+    ends fall in one antiderivative piece."""
+    b, c = f.breakpoints, f.coeffs
+    n, m = c.shape
+    j1 = np.arange(1, m + 1)
+    parts = np.zeros((n, m + 1))
+    running = comp = 0.0
+    for i in range(n):
+        parts[i, 0] = running
+        parts[i, 1:] = c[i] / j1
+        y = math.fsum(c[i] * (b[i + 1] - b[i]) ** j1 / j1) - comp
+        t = running + y
+        comp = (t - running) - y
+        running = t
+    parts += 0.0    # no -0.0: the kernel's padded shifts would make some +0.0
+
+    def locate(y):
+        """Antiderivative piece at y: -1 left of the span, n right."""
+        return -1 if y <= b[0] else n if y >= b[-1] else int(np.searchsorted(b, y, "right")) - 1
+
+    def anti(i, u, s):
+        """Antiderivative piece i re-anchored at u + s."""
+        row = np.zeros(m + 1)
+        if i >= n:
+            row[0] = running
+        elif i >= 0:
+            row = reference_taylor_shift([parts[i]], (u - b[i]) + s)[0]
+        return row
+
+    new_b = reference_dedup(np.concatenate([b - d / 2.0, b + d / 2.0]))
+    out = np.zeros((len(new_b) - 1, m + 1))
+    for p, (u, v) in enumerate(zip(new_b[:-1].tolist(), new_b[1:].tolist())):
+        mid = 0.5 * (u + v)
+        ip, im = locate(mid + d / 2.0), locate(mid + -d / 2.0)
+        if ip == im and 0 <= ip < n:
+            out[p] = ppoly._divided_shift([parts[ip]], (u - b[ip]) - d / 2.0, d)[0]
+        else:
+            out[p] = (anti(ip, u, d / 2.0) - anti(im, u, -d / 2.0)) / d
+    return ppoly.PiecewisePolynomial(new_b, out, f.smoothness_order + 1)
+
+
+def reference_seam_gaps(f, order=None):
+    """The seam check of one spline, order by order: each piece but the last
+    evaluated at its right end against the next piece's constant, for orders
+    up to min(smoothness order, degree) by default."""
+    if order is None:
+        order = min(max(f.smoothness_order, 0), f.degree)
+    gaps = np.zeros(order + 1)
+    if len(f.coeffs) > 1:
+        w = np.diff(f.breakpoints)[:-1]
+        for q in range(order + 1):
+            dq = reference_derivative_rows(f.coeffs, q)
+            gaps[q] = np.max(np.abs(reference_horner(dq[:-1], w) - dq[1:, 0]))
+    return gaps
 
 
 def _same_bits(a, b) -> bool:
@@ -386,7 +482,8 @@ class TestKernelsBitIdentical:
                                         near, near + 1e-13, near - 1e-13,
                                         [b[-1]] if n_u % 2 else [], [b[0] - 2.0]]))
         u, v = pts[:-1], pts[1:]
-        assert _same_bits(f._rows_at(u, v), reference_rows_at(f, u, v))
+        assert _same_bits(ppoly._rows_at(f, np.zeros(len(u), dtype=np.intp), u, v),
+                          reference_rows_at(f, u, v))
 
     @given(case=increasing_splines(), n_x=st.integers(1, 30),
            orders=st.lists(st.integers(0, 15), min_size=1, max_size=8))
@@ -496,7 +593,8 @@ def reference_stacked_values(f, xs, orders):
 def test_extension_with_reference_kernels_is_identical(extension_case, monkeypatch):
     """The whole extension, rebuilt with the pass-by-pass kernels, gives the
     same spline and verification: catches a ``_rows_at`` caller whose u is
-    not increasing."""
+    not increasing, and a cutoff or chop that differs from its one-spline
+    reference."""
     inputs, res = extension_case
     for kernel, ref in ((ppoly.taylor_shift, reference_taylor_shift),
                         (ppoly.stacked_values, reference_stacked_values)):
@@ -505,8 +603,11 @@ def test_extension_with_reference_kernels_is_identical(extension_case, monkeypat
                     and getattr(mod, kernel.__name__, None) is kernel]:
             monkeypatch.setattr(mod, kernel.__name__, ref)
     monkeypatch.setattr(ppoly, "_rows_at", reference_batch_rows_at)
-    monkeypatch.setattr(ppoly.PiecewisePolynomial, "_rows_at", reference_rows_at)
     monkeypatch.setattr(ppoly.PiecewisePolynomial, "__call__", reference_call)
+    monkeypatch.setattr(ppoly.PiecewisePolynomial, "chopped", lambda f, max_order: (
+        ppoly.PiecewisePolynomial(f.breakpoints, reference_chopped(f, max_order),
+                                  f.smoothness_order)))
+    monkeypatch.setattr(ppoly.PiecewisePolynomial, "convolve_box", reference_convolve_box)
     ref = extend_jet(*inputs)
     assert np.array_equal(ref.f.breakpoints, res.f.breakpoints)
     assert np.array_equal(ref.f.coeffs, res.f.coeffs)
@@ -574,7 +675,7 @@ class TestBatches:
     @settings(max_examples=120, deadline=None)
     def test_product_and_cut_match_one_pair_references(self, pairs, data, entries):
         fs, gs = zip(*pairs)
-        a, b = ppoly.SplineBatch.of(fs), ppoly.SplineBatch.of(gs)
+        a, b = ppoly.stack(fs), ppoly.stack(gs)
         # the splines i of a, in any order, each paired with a spline k of b
         i = data.draw(st.lists(st.integers(0, len(fs) - 1), min_size=1, unique=True))
         k = data.draw(st.lists(st.integers(0, len(fs) - 1), min_size=len(i), max_size=len(i)))
@@ -600,11 +701,11 @@ class TestBatches:
         group = data.draw(st.permutations(list(range(n)) + data.draw(
             st.lists(st.integers(0, n - 1), min_size=len(parts) - n, max_size=len(parts) - n))))
         with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
-            sums = ppoly.batch_sum(ppoly.SplineBatch.of(parts), group, n).splines()
+            sums = ppoly.batch_sum(ppoly.stack(parts), group, n).splines()
         for k, s in enumerate(sums):
             mine = [p for p, g in zip(parts, group) if g == k]
             assert _same_spline(s, reference_sum(mine))
-        assert _same_spline(ppoly.spline_sum(parts), reference_sum(parts))
+        assert _same_spline(parts[0] + parts[-1], reference_sum([parts[0], parts[-1]]))
 
     @given(cases=st.lists(increasing_splines(), min_size=1, max_size=5),
            n_x=st.integers(0, 30), entries=st.sampled_from([3, 7, ppoly._BATCH_ENTRIES]))
@@ -619,7 +720,7 @@ class TestBatches:
         orders = range(6)
         got = [[] for _ in fs]
         with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
-            for s, j, vals in ppoly.stacked_values(ppoly.SplineBatch.of(fs), xs, orders):
+            for s, j, vals in ppoly.stacked_values(ppoly.stack(fs), xs, orders):
                 for spline in np.unique(s):
                     got[spline].append((j[s == spline], vals[:, s == spline]))
         for f, blocks in zip(fs, got):
@@ -633,8 +734,51 @@ class TestBatches:
         fs = [ppoly.PiecewisePolynomial(np.arange(5.0), np.array(rows, dtype=float), 2)
               for rows in ([[0.0], [1.0], [0.0], [0.0]], [[0.0], [0.0], [0.0], [0.0]],
                            [[1.0, 2.0], [0.0, 0.0], [0.0, 3.0], [0.0, 0.0]])]
-        batch = ppoly.SplineBatch.of(fs)
+        batch = ppoly.stack(fs)
         for f, t in zip(fs, batch.trimmed().splines()):
             assert _same_spline(t, f.trimmed())
         lo, hi = batch.supports()
         assert list(zip(lo.tolist(), hi.tolist())) == [f.support() for f in fs]
+
+    @given(rng=st.integers(0, 2 ** 32 - 1).map(np.random.default_rng),
+           order=st.integers(0, 14), entries=st.sampled_from([3, 7, ppoly._BATCH_ENTRIES]))
+    @settings(max_examples=120, deadline=None)
+    def test_kernels_match_one_spline_references(self, rng, order, entries):
+        # 1-6 splines of their own piece counts, widths and smoothness orders
+        fs = []
+        for _ in range(int(rng.integers(1, 7))):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            b = np.cumsum(np.concatenate([[rng.uniform(-2.0, 0.0)],
+                                          10.0 ** rng.uniform(-3.0, 0.0, n)]))
+            c = np.where(rng.random((n, m)) < 0.8, _coefficients(rng, (n, m)),
+                         rng.choice([0.0, -0.0], (n, m)))
+            fs.append(ppoly.PiecewisePolynomial(b, c, int(rng.integers(-1, 14))))
+        batch = ppoly.stack(fs)
+        d = 10.0 ** rng.uniform(-3.0, 0.5, len(fs))
+        b = np.concatenate([f.breakpoints for f in fs])
+        xs = np.unique(np.concatenate([b, b + 1e-13,
+                                       rng.uniform(b.min() - 0.5, b.max() + 0.5, 30)]))
+        orders = [0, order, 1]
+        with mock.patch.object(ppoly, "_BATCH_ENTRIES", entries):
+            blocks = list(ppoly.stacked_values(batch, xs, orders))
+        s, j = (np.concatenate([blk[i] for blk in blocks]) for i in (0, 1))
+        vals = np.concatenate([blk[2] for blk in blocks], axis=1)
+        degrees = np.split(batch.row_degrees(), np.cumsum([len(f.coeffs) for f in fs])[:-1])
+        gaps, gaps_to = batch.seam_gaps(), batch.seam_gaps(order)
+        kernels = zip(batch.derivative(order).splines(), batch.chopped(order).splines(),
+                      batch.convolve_box(d).splines())
+        for k, (f, w, (df, ch, conv)) in enumerate(zip(fs, d, kernels)):
+            at = s == k
+            assert np.array_equal(j[at], np.flatnonzero((xs >= f.span[0]) & (xs <= f.span[1])))
+            assert _same_bits(vals[:, at], reference_call(f, xs[j[at]], orders))
+            assert _same_spline(df, ppoly.PiecewisePolynomial(
+                f.breakpoints, reference_derivative_rows(f.coeffs, order),
+                max(-1, f.smoothness_order - order)))
+            assert _same_spline(ch, ppoly.PiecewisePolynomial(
+                f.breakpoints, reference_chopped(f, order), f.smoothness_order))
+            assert _same_spline(conv, reference_convolve_box(f, float(w)))
+            assert degrees[k].tolist() == [max([i for i, v in enumerate(row) if v != 0.0],
+                                               default=0) for row in f.coeffs.tolist()]
+            ref = reference_seam_gaps(f)
+            assert _same_bits(gaps[k, : len(ref)], ref) and not gaps[k, len(ref):].any()
+            assert _same_bits(gaps_to[k], reference_seam_gaps(f, order))
